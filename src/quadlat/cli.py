@@ -134,7 +134,12 @@ def _cmd_order_search(args):
     t = _load_table(args.input)
     cap = args.max_order
     if cap is None:
-        cap = int(os.environ.get(ENV_MAX_ORDER_SEARCH, 10))
+        raw = os.environ.get(ENV_MAX_ORDER_SEARCH, "10")
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise UsageError(
+                f"{ENV_MAX_ORDER_SEARCH} must be an integer, got {raw!r}") from None
     found = translatable.find_translatable_ordering(t, max_order=cap)
     if args.format == "json":
         if found is None:
@@ -219,13 +224,10 @@ def _cmd_complete_qn(args):
     return EXIT_OK
 
 
-def _jobs(args):
-    # parallel commands default to the available parallelism
-    return args.jobs if args.jobs else (os.cpu_count() or 1)
-
-
 def _cmd_refute_q6(args):
-    report = deduction.refute_q6(jobs=_jobs(args))
+    # defaults to the available parallelism
+    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
+    report = deduction.refute_q6(jobs=jobs)
     if args.format == "json":
         _emit_json({
             "ok": report.ok,
@@ -289,7 +291,7 @@ def _cmd_scan(args):
     if args.checkpoint:
         rows = sweep.scan_with_checkpoint(args.max_m, args.max_k, args.checkpoint)
     else:
-        rows = sweep.scan_k_table(args.max_m, args.max_k, jobs=_jobs(args))
+        rows = sweep.scan_k_table(args.max_m, args.max_k)
     _scan_common(args, rows, sweep.SCAN_COLUMNS)
     if args.discrepancies:
         ds = sweep.scan_discrepancies(rows, args.max_m, args.max_k)
@@ -299,7 +301,7 @@ def _cmd_scan(args):
 
 
 def _cmd_classify(args):
-    rows = sweep.classify(args.max_m, jobs=_jobs(args))
+    rows = sweep.classify(args.max_m)
     _scan_common(args, rows, sweep.CLASSIFY_COLUMNS)
     if args.discrepancies:
         ds = sweep.classify_discrepancies(rows, args.max_m)
@@ -309,6 +311,20 @@ def _cmd_classify(args):
 
 
 # -- parser -----------------------------------------------------------------
+
+# kept so existing command lines still parse
+SWEEP_JOBS_HELP = "no effect: sweeps run on one thread"
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="quadlat", description=__doc__)
@@ -320,7 +336,7 @@ def _build_parser() -> _Parser:
         return sp
 
     sp = add("solve", _cmd_solve, help="solutions of the quadratic congruence mod m")
-    sp.add_argument("-m", type=int, required=True)
+    sp.add_argument("-m", type=_positive_int, required=True)
     sp.add_argument("--format", choices=("text", "json"), default="text")
 
     sp = add("table", _cmd_table, help="generate a linear table over Z_m")
@@ -392,19 +408,19 @@ def _build_parser() -> _Parser:
     sp.add_argument("--format", choices=("text", "json"), default="text")
 
     sp = add("scan", _cmd_scan, help="sweep m listing low-shift rows")
-    sp.add_argument("--max-m", type=int, required=True)
-    sp.add_argument("--max-k", type=int, required=True)
+    sp.add_argument("--max-m", type=_positive_int, required=True)
+    sp.add_argument("--max-k", type=_positive_int, required=True)
     sp.add_argument("-o", "--output", default=None)
     sp.add_argument("--format", choices=("csv", "json"), default=None)
-    sp.add_argument("--jobs", type=int, default=None)
+    sp.add_argument("--jobs", type=int, default=None, help=SWEEP_JOBS_HELP)
     sp.add_argument("--checkpoint", default=None)
     sp.add_argument("--discrepancies", default=None)
 
     sp = add("classify", _cmd_classify, help="dual-pair representatives for m below a bound")
-    sp.add_argument("--max-m", type=int, required=True)
+    sp.add_argument("--max-m", type=_positive_int, required=True)
     sp.add_argument("-o", "--output", default=None)
     sp.add_argument("--format", choices=("csv", "json"), default=None)
-    sp.add_argument("--jobs", type=int, default=None)
+    sp.add_argument("--jobs", type=int, default=None, help=SWEEP_JOBS_HELP)
     sp.add_argument("--discrepancies", default=None)
 
     return p

@@ -1,9 +1,10 @@
 """Sweeps over moduli regenerating the classification tables.
 
-Work is sharded by m (each m independent), merged by sorting on the output
-key, so results are a pure function of the bounds regardless of worker
-count.  The checkpoint format is a single line ``last_m=<int>``; anything
-else is refused as corrupt.
+One driver, _modulus_rows, builds a smallest-prime-factor sieve once and
+walks m upward on one thread, taking the roots of each m in closed form;
+scan, classify and the checkpointed scan filter its rows.  Results are a
+pure function of the bounds.  The checkpoint format is a single line
+``last_m=<int>``; anything else is refused as corrupt.
 """
 
 from __future__ import annotations
@@ -13,7 +14,11 @@ import os
 from dataclasses import dataclass
 
 from . import refdata
-from .zm import solve_quadratic_congruence, translatability_k_quadratical
+from .zm import (
+    smallest_prime_factors,
+    solve_quadratic_congruence,
+    translatability_k_quadratical,
+)
 
 SCAN_COLUMNS = ("k", "m", "a", "b")
 CLASSIFY_COLUMNS = ("m", "a", "b", "k")
@@ -45,54 +50,48 @@ class ClassificationRow:
         return {c: getattr(self, c) for c in columns}
 
 
-def rows_for_modulus(m: int) -> list[ClassificationRow]:
-    """One row per solution a of the quadratic congruence mod m, with its
-    shift; empty below the smallest admissible order 5."""
+def rows_for_modulus(m: int, spf=None) -> list[ClassificationRow]:
+    """One validated row per solution a of the quadratic congruence mod m,
+    in increasing a; empty below the smallest admissible order 5.  spf is
+    an optional smallest_prime_factors table covering m."""
     if m < 5:
         return []
     out = []
-    for a in solve_quadratic_congruence(m):
-        b = (1 - a) % m
-        k = translatability_k_quadratical(m, a)
-        row = ClassificationRow(m, a, b, k)
+    for a in solve_quadratic_congruence(m, spf):
+        # the shift solves (a-1)k = a; validate() checks it and its pairing
+        # with the dual's shift
+        row = ClassificationRow(m, a, (1 - a) % m, a * pow(a - 1, -1, m) % m)
         row.validate()
         out.append(row)
     return out
 
 
-def scan_k_table(max_m: int, max_k: int, jobs: int | None = None) -> list[ClassificationRow]:
+def _modulus_rows(first: int, last: int):
+    """(m, rows_for_modulus(m)) for m = first..last in increasing order,
+    with one sieve for the whole range."""
+    spf = smallest_prime_factors(last)
+    for m in range(first, last + 1):
+        yield m, rows_for_modulus(m, spf)
+
+
+def _scan_order(rows) -> list[ClassificationRow]:
+    return sorted(rows, key=lambda r: (r.k, r.m, r.a))
+
+
+def scan_k_table(max_m: int, max_k: int) -> list[ClassificationRow]:
     """All rows with m <= max_m and k < max_k, sorted by (k, m, a)."""
     if max_m < 1 or max_k < 1:
         raise ValueError("bounds must be positive")
-    rows = []
-    for chunk in _map_moduli(range(2, max_m + 1), jobs):
-        rows.extend(r for r in chunk if r.k < max_k)
-    rows.sort(key=lambda r: (r.k, r.m, r.a))
-    return rows
+    return _scan_order(
+        r for _, got in _modulus_rows(2, max_m) for r in got if r.k < max_k)
 
 
-def classify(max_m: int, jobs: int | None = None) -> list[ClassificationRow]:
+def classify(max_m: int) -> list[ClassificationRow]:
     """One row per dual pair with m <= max_m, keeping the a < b
     representative, sorted by (m, a)."""
     if max_m < 1:
         raise ValueError("bound must be positive")
-    rows = []
-    for chunk in _map_moduli(range(2, max_m + 1), jobs):
-        rows.extend(r for r in chunk if r.a < r.b)
-    rows.sort(key=lambda r: (r.m, r.a))
-    return rows
-
-
-def _map_moduli(moduli, jobs):
-    workers = min(jobs or 1, max(1, len(moduli) // 64))
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            yield from pool.map(rows_for_modulus, moduli, chunksize=64)
-    else:
-        for m in moduli:
-            yield rows_for_modulus(m)
+    return [r for _, got in _modulus_rows(2, max_m) for r in got if r.a < r.b]
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +121,12 @@ def emit(rows, fmt: str, path, columns=SCAN_COLUMNS) -> None:
 # ---------------------------------------------------------------------------
 # checkpointed scans
 # ---------------------------------------------------------------------------
+
+# moduli per checkpoint flush: a flush costs about 0.25 ms, far more than
+# the root work for one m, and redoing a block after an interrupt takes
+# milliseconds
+CHECKPOINT_EVERY = 1000
+
 
 def _rows_path(checkpoint_path) -> str:
     return str(checkpoint_path) + ".rows"
@@ -154,12 +159,15 @@ def _load_checkpoint(checkpoint_path):
 
 
 def scan_with_checkpoint(max_m: int, max_k: int, checkpoint_path,
-                         checkpoint_every: int = 1) -> list[ClassificationRow]:
+                         checkpoint_every: int = CHECKPOINT_EVERY) -> list[ClassificationRow]:
     """Resumable scan: recomputes from the recorded last_m + 1 and merges
     with the saved partial rows; the result is identical to an
     uninterrupted scan_k_table(max_m, max_k).  The row archive next to the
     checkpoint stores every row of each fully processed m, so the bounds
-    may differ between runs."""
+    may differ between runs.  Progress is flushed whenever m reaches a
+    multiple of checkpoint_every, and once more at max_m, so an interrupt
+    loses at most one block of moduli.  One writer per checkpoint: two
+    processes sharing it can interleave their appends to the archive."""
     last_m, saved = _load_checkpoint(checkpoint_path)
     rows_path = _rows_path(checkpoint_path)
     if saved or last_m > 1:
@@ -170,20 +178,13 @@ def scan_with_checkpoint(max_m: int, max_k: int, checkpoint_path,
                 fh.write(f"{r.k},{r.m},{r.a},{r.b}\n")
     all_rows = list(saved)
     pending = []
-    processed = last_m
-    for m in range(last_m + 1, max_m + 1):
-        got = rows_for_modulus(m)
+    for m, got in _modulus_rows(last_m + 1, max_m):
         all_rows.extend(got)
         pending.extend(got)
-        processed = m
-        if m % checkpoint_every == 0:
-            _flush_checkpoint(checkpoint_path, rows_path, processed, pending)
+        if m % checkpoint_every == 0 or m == max_m:
+            _flush_checkpoint(checkpoint_path, rows_path, m, pending)
             pending = []
-    if processed > last_m:
-        _flush_checkpoint(checkpoint_path, rows_path, processed, pending)
-    rows = [r for r in all_rows if r.m <= max_m and r.k < max_k]
-    rows.sort(key=lambda r: (r.k, r.m, r.a))
-    return rows
+    return _scan_order(r for r in all_rows if r.m <= max_m and r.k < max_k)
 
 
 def _flush_checkpoint(checkpoint_path, rows_path, last_m, pending) -> None:

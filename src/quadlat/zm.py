@@ -13,15 +13,77 @@ from dataclasses import dataclass
 from .core import CayleyTable
 
 
-def solve_quadratic_congruence(m: int) -> list[int]:
-    """All a in 0..m-1 with 2a^2 - 2a + 1 = 0 (mod m), by direct scan.
+def smallest_prime_factors(n: int):
+    """Table spf with spf[m] the smallest prime factor of m for 2 <= m <= n
+    (spf[0] = 0, spf[1] = 1); an array of machine ints, 4 bytes per entry."""
+    from array import array  # only sweeps need it; keeps CLI start-up lean
 
-    Solutions come in pairs {a, 1-a mod m}; the list is empty unless
-    m = 1 (mod 4) or m = 1.
+    spf = array("I", range(n + 1))
+    # larger candidates first, so each multiple ends with its smallest
+    # factor; a composite p is overwritten by its own prime factors later
+    for p in range(math.isqrt(n), 1, -1):
+        spf[p * p::p] = array("I", [p]) * len(range(p * p, n + 1, p))
+    return spf
+
+
+def _least_prime_factor(n: int, start: int = 2) -> int:
+    """The smallest prime factor of n > 1, by trial division from start,
+    which must not exceed it."""
+    p = start
+    while p * p <= n:
+        if n % p == 0:
+            return p
+        p += 1
+    return n
+
+
+def _sqrt_minus_one(p: int, q: int) -> int:
+    """A square root of -1 modulo q = p^e, for a prime p = 1 (mod 4)."""
+    # s = c^((p-1)/4) squares to c^((p-1)/2), which is -1 exactly when c
+    # is a quadratic non-residue
+    c, s = 2, pow(2, (p - 1) // 4, p)
+    while s * s % p != p - 1:
+        c += 1
+        s = pow(c, (p - 1) // 4, p)
+    # Newton (Hensel) steps s <- s - (s^2 + 1)/(2s) double the precision
+    r = p
+    while r < q:
+        r = min(r * r, q)
+        s = (s - (s * s + 1) * pow(2 * s, -1, r)) % r
+    return s
+
+
+def solve_quadratic_congruence(m: int, spf=None) -> list[int]:
+    """All a in 0..m-1 with 2a^2 - 2a + 1 = 0 (mod m), in increasing order.
+
+    The congruence reads (2a - 1)^2 = -1 (mod m), so a = (1 + s)/2 for each
+    square root s of -1.  Those exist only for odd m whose prime factors
+    are all 1 (mod 4); each prime power p^e contributes +-s_p, and the
+    Chinese remainder theorem combines them into 2^w roots, w the number
+    of distinct primes.  Solutions come in pairs {a, 1-a mod m}.  spf is an
+    optional smallest_prime_factors table covering m; without it m is
+    factored by trial division.
     """
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
-    return [a for a in range(m) if (2 * a * a - 2 * a + 1) % m == 0]
+    roots, modulus = [0], 1
+    rest, p = m, 2
+    while rest > 1:
+        p = spf[rest] if spf is not None else _least_prime_factor(rest, p)
+        if p % 4 != 1:
+            return []
+        q = p
+        rest //= p
+        while rest % p == 0:
+            rest //= p
+            q *= p
+        s = _sqrt_minus_one(p, q)
+        inv = pow(modulus, -1, q)
+        roots = [r + modulus * ((t - r) * inv % q)
+                 for r in roots for t in (s, q - s)]
+        modulus *= q
+    half = (m + 1) // 2
+    return sorted((1 + s) * half % m for s in roots)
 
 
 @dataclass(frozen=True)
@@ -68,9 +130,18 @@ def quadratical_over_zm(m: int, a: int) -> CayleyTable:
 
 
 def translatability_shift_set(spec: LinearSpec) -> list[int]:
-    """All k in 1..m-1 with a + kb = 0 (mod m)."""
+    """All k in 1..m-1 with a + kb = 0 (mod m).
+
+    The linear congruence kb = -a has solutions only when g = gcd(b, m)
+    divides a, and then they form one class k0 (mod m/g).
+    """
     m, a, b = spec.m, spec.a, spec.b
-    return [k for k in range(1, m) if (a + k * b) % m == 0]
+    g = math.gcd(b, m)
+    if a % g:
+        return []
+    step = m // g
+    k0 = -(a // g) * pow(b // g, -1, step) % step
+    return list(range(k0 or step, m, step))
 
 
 def translatability_k_linear(spec: LinearSpec):

@@ -62,6 +62,25 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 1
 
 
+def test_non_positive_bounds_are_usage_errors(capsys):
+    for argv in (("solve", "-m", "0"), ("solve", "-m", "-65"),
+                 ("scan", "--max-m", "0", "--max-k", "40"),
+                 ("scan", "--max-m", "100", "--max-k", "-1"),
+                 ("classify", "--max-m", "0")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("usage error:") and "must be positive" in err
+
+
+def test_order_search_cap_not_an_integer(capsys, tmp_path, monkeypatch):
+    p5 = tmp_path / "q5.txt"
+    run(capsys, "table", "-m", "5", "-a", "2", "-o", str(p5))
+    monkeypatch.setenv("QUADLAT_MAX_ORDER_SEARCH", "ten")
+    code, out, err = run(capsys, "order-search", "-i", str(p5))
+    assert (code, out) == (1, "")
+    assert err == "usage error: QUADLAT_MAX_ORDER_SEARCH must be an integer, got 'ten'\n"
+
+
 def test_invariant_error_exit(capsys):
     code, _, err = run(capsys, "table", "-m", "5", "-a", "3")
     assert code == 2
@@ -218,7 +237,10 @@ def test_json_schema_every_command(capsys, tmp_path):
 
 
 def test_scan_jobs_flag(capsys):
-    code, out1, _ = run(capsys, "scan", "--max-m", "120", "--max-k", "40")
-    code, out2, _ = run(capsys, "scan", "--max-m", "120", "--max-k", "40",
-                        "--jobs", "2")
-    assert out1 == out2
+    # --jobs is accepted and has no effect: repeated runs, with and
+    # without it, print the same bytes
+    for argv in (("scan", "--max-m", "1200", "--max-k", "40"),
+                 ("classify", "--max-m", "500")):
+        outs = [run(capsys, *argv, *extra)
+                for extra in ((), (), ("--jobs", "1"), ("--jobs", "2"))]
+        assert all(out == (0, outs[0][1], "") for out in outs)

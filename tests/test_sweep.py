@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from quadlat import all_valid_k, classify, emit, quadratical_over_zm, scan_k_table
+from quadlat import all_valid_k, classify, emit, quadratical_over_zm, scan_k_table, sweep
 from quadlat.sweep import (
     ClassificationRow,
     InvariantViolation,
@@ -84,8 +84,49 @@ def test_scan_classify_agree():
 
 
 def test_parallel_determinism():
-    assert scan_k_table(300, 40, jobs=2) == scan_k_table(300, 40)
-    assert classify(300, jobs=2) == classify(300)
+    # the sweeps run on one thread; a repeated run emits identical bytes
+    scan = [emit_text(scan_k_table(2000, 100), "csv") for _ in range(2)]
+    assert scan[0] == scan[1]
+    cls = [emit_text(classify(2000), "csv", CLASSIFY_COLUMNS) for _ in range(2)]
+    assert cls[0] == cls[1]
+
+
+def _scan_closed_form(max_m, max_k):
+    """Scan rows from the closed form: a = k/(k-1) solves the quadratic mod
+    m iff m | k^2 + 1, for odd m with k + 2 <= m."""
+    rows = []
+    for k in range(2, max_k):
+        first = k + 3 if k % 2 == 0 else k + 2
+        for m in range(first, max_m + 1, 2):
+            if (k * k + 1) % m == 0:
+                a = k * pow(k - 1, -1, m) % m
+                rows.append((k, m, a, (1 - a) % m))
+    return rows
+
+
+def test_scan_matches_closed_form():
+    for max_m, max_k in ((1200, 40), (3000, 200), (5000, 5000)):
+        got = [(r.k, r.m, r.a, r.b) for r in scan_k_table(max_m, max_k)]
+        assert got == _scan_closed_form(max_m, max_k)
+
+
+def test_classify_rows_per_modulus():
+    # 2^w roots for admissible m with w distinct primes, half of them kept
+    per_m = {}
+    for r in classify(10 ** 5):
+        per_m[r.m] = per_m.get(r.m, 0) + 1
+    for m in range(2, 10 ** 5 + 1):
+        primes, rest, p = [], m, 2
+        while p * p <= rest:
+            if rest % p == 0:
+                primes.append(p)
+                while rest % p == 0:
+                    rest //= p
+            p += 1
+        if rest > 1:
+            primes.append(rest)
+        admissible = m >= 5 and all(p % 4 == 1 for p in primes)
+        assert per_m.get(m, 0) == (2 ** (len(primes) - 1) if admissible else 0), m
 
 
 def test_rows_check_against_tables():
@@ -154,6 +195,22 @@ def test_checkpoint_beyond_bound(tmp_path):
     ck = tmp_path / "scan.ck"
     scan_with_checkpoint(200, 40, ck)
     assert scan_with_checkpoint(100, 40, ck) == scan_k_table(100, 40)
+
+
+def test_checkpoint_flushes_per_block(tmp_path, monkeypatch):
+    flushed = []
+    real = sweep._flush_checkpoint
+
+    def spy(checkpoint_path, rows_path, last_m, pending):
+        flushed.append(last_m)
+        real(checkpoint_path, rows_path, last_m, pending)
+
+    monkeypatch.setattr(sweep, "_flush_checkpoint", spy)
+    ck = tmp_path / "scan.ck"
+    every = sweep.CHECKPOINT_EVERY
+    assert scan_with_checkpoint(2 * every + 7, 40, ck) == scan_k_table(2 * every + 7, 40)
+    assert flushed == [every, 2 * every, 2 * every + 7]
+    assert ck.read_text() == f"last_m={2 * every + 7}\n"
 
 
 def test_corrupt_checkpoint_refused(tmp_path):

@@ -10,19 +10,46 @@ from quadlat import (
     translatability_k_linear,
     translatability_k_quadratical,
 )
-from quadlat.zm import translatability_shift_set
+from quadlat.zm import smallest_prime_factors, translatability_shift_set
+
+
+def brute_force_roots(m):
+    """The reference the closed form must match: scan every residue."""
+    return [a for a in range(m) if (2 * a * a - 2 * a + 1) % m == 0]
 
 
 def test_solve_small():
+    assert solve_quadratic_congruence(1) == [0]
     assert solve_quadratic_congruence(5) == [2, 4]
     assert solve_quadratic_congruence(9) == []
     assert solve_quadratic_congruence(65) == [24, 29, 37, 42]
+    for m in (0, -5):
+        with pytest.raises(ValueError):
+            solve_quadratic_congruence(m)
 
 
 def test_solve_brute_force_agrees():
-    for m in range(1, 60):
-        brute = [a for a in range(m) if (2 * a * a - 2 * a + 1) % m == 0]
-        assert solve_quadratic_congruence(m) == brute
+    spf = smallest_prime_factors(3000)
+    for m in range(1, 3001):
+        brute = brute_force_roots(m)
+        assert solve_quadratic_congruence(m) == brute, m
+        assert solve_quadratic_congruence(m, spf) == brute, m
+
+
+def test_solve_prime_powers_and_composites():
+    # Hensel lifting to high powers, and CRT over five primes (32 roots)
+    for m, count in ((5 ** 8, 2), (13 ** 5, 2), (17 ** 4, 2),
+                     (5 * 13 * 17 * 29 * 37, 32), (5 ** 3 * 13 ** 2, 4)):
+        roots = solve_quadratic_congruence(m)
+        assert len(roots) == count
+        assert roots == brute_force_roots(m)
+
+
+def test_smallest_prime_factors():
+    spf = smallest_prime_factors(2000)
+    assert len(spf) == 2001
+    for m in range(2, 2001):
+        assert spf[m] == next(p for p in range(2, m + 1) if m % p == 0)
 
 
 def test_solutions_pair_up():
@@ -84,6 +111,14 @@ def test_k_linear_none_and_multiple():
     # gcd(b, m) > 1 dividing -a: several shifts
     assert translatability_k_linear(LinearSpec(8, 4, 2, 0)) == [2, 6]
     assert translatability_shift_set(LinearSpec(8, 3, 2, 0)) == []
+
+
+def test_shift_set_brute_force_agrees():
+    for m in range(1, 61):
+        for a in range(m):
+            for b in range(m):
+                brute = [k for k in range(1, m) if (a + k * b) % m == 0]
+                assert translatability_shift_set(LinearSpec(m, a, b)) == brute, (m, a, b)
 
 
 def test_k_quadratical_values():
