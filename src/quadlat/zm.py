@@ -27,8 +27,8 @@ def smallest_prime_factors(n: int):
 
 
 def _least_prime_factor(n: int, start: int = 2) -> int:
-    """The smallest prime factor of n > 1, by trial division from start,
-    which must not exceed it."""
+    """The smallest prime factor of n > 1, by trial division upward from
+    start, which must be at most that factor."""
     p = start
     while p * p <= n:
         if n % p == 0:
@@ -82,7 +82,7 @@ def solve_quadratic_congruence(m: int, spf=None) -> list[int]:
         roots = [r + modulus * ((t - r) * inv % q)
                  for r in roots for t in (s, q - s)]
         modulus *= q
-    half = (m + 1) // 2
+    half = (m + 1) // 2  # the inverse of 2 modulo the odd m
     return sorted((1 + s) * half % m for s in roots)
 
 
