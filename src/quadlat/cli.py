@@ -225,9 +225,7 @@ def _cmd_complete_qn(args):
 
 
 def _cmd_refute_q6(args):
-    # defaults to the available parallelism
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
-    report = deduction.refute_q6(jobs=jobs)
+    report = deduction.refute_q6()
     if args.format == "json":
         _emit_json({
             "ok": report.ok,
@@ -313,7 +311,7 @@ def _cmd_classify(args):
 # -- parser -----------------------------------------------------------------
 
 # kept so existing command lines still parse
-SWEEP_JOBS_HELP = "no effect: sweeps run on one thread"
+JOBS_HELP = "no effect: every command runs on one thread"
 
 
 def _positive_int(text):
@@ -388,7 +386,7 @@ def _build_parser() -> _Parser:
 
     sp = add("refute-q6", _cmd_refute_q6,
              help="refute all four six-block choices")
-    sp.add_argument("--jobs", type=int, default=None)
+    sp.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
     sp.add_argument("--format", choices=("text", "json"), default="text")
 
     sp = add("dual", _cmd_dual, help="dual (reversed product) table")
@@ -412,7 +410,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--max-k", type=_positive_int, required=True)
     sp.add_argument("-o", "--output", default=None)
     sp.add_argument("--format", choices=("csv", "json"), default=None)
-    sp.add_argument("--jobs", type=int, default=None, help=SWEEP_JOBS_HELP)
+    sp.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
     sp.add_argument("--checkpoint", default=None)
     sp.add_argument("--discrepancies", default=None)
 
@@ -420,7 +418,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--max-m", type=_positive_int, required=True)
     sp.add_argument("-o", "--output", default=None)
     sp.add_argument("--format", choices=("csv", "json"), default=None)
-    sp.add_argument("--jobs", type=int, default=None, help=SWEEP_JOBS_HELP)
+    sp.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
     sp.add_argument("--discrepancies", default=None)
 
     return p

@@ -6,11 +6,31 @@ set: latin elimination, bookend, strong elasticity, alterability, left and
 right distributivity, and mediality.  Cheap rules run first; each pass
 scans in a fixed order, so traces are deterministic.  Known cells never
 change: a clashing deduction is a conflict, not an overwrite.
+
+Skip invariant.  A pass drops every rule instance that provably would
+neither assign a cell nor raise a conflict, and runs the per-instance code
+on the rest in the original order, so traces, conflicts, splits and leaves
+are those of a pass that visits every instance:
+
+- A link of two cells is idle when both hold the same value, unknown
+  included.  Distributivity (per x, y) and mediality (per x, y and per
+  x, y, z) compare both sides of all their links at once, as lists built
+  with map and itemgetter over the admissible z or w, and visit the links
+  only where the lists differ.  Strong elasticity and bookend are tested
+  inline per pair (x, y), alterability per first cell.
+- An instance that was idle when last examined stays idle until one of its
+  inputs gains an assignment: for latin elimination its row, column or
+  value; for alterability the row and column it concludes in, or a new
+  cell of its value.  These two passes keep where their previous pass
+  began (latin_mark, alter_mark) and treat as changed everything assigned
+  since then, plus what they assign themselves, so they over-approximate
+  and never skip an instance with work to do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import getitem, itemgetter
 from typing import NamedTuple
 
 from .core import CayleyTable, is_quadratical
@@ -178,8 +198,9 @@ def seed_assignments(blocks: int, choice: int) -> list[tuple[str, tuple[int, int
 class _State:
     __slots__ = (
         "n", "blocks", "choice", "val", "row_vals", "col_vals",
-        "row_known", "col_known", "cells_by_value", "unknown", "trace",
-        "conflict",
+        "row_known", "col_known", "value_rows", "value_cols",
+        "cells_by_value", "unknown", "trace", "conflict", "latin_mark",
+        "alter_mark", "alter_lens",
     )
 
     def __init__(self, blocks: int, choice: int):
@@ -192,10 +213,19 @@ class _State:
         self.col_vals = [0] * n
         self.row_known = [0] * n
         self.col_known = [0] * n
+        # bitmasks of the rows and of the columns that hold each value
+        self.value_rows = [0] * n
+        self.value_cols = [0] * n
         self.cells_by_value = [[] for _ in range(n)]
         self.unknown = n * n
         self.trace = []
         self.conflict = None
+        # length of the trace when the last latin pass began, likewise for
+        # the last alterability pass, and each value's cell count when that
+        # pass reached it
+        self.latin_mark = 0
+        self.alter_mark = 0
+        self.alter_lens = [0] * n
 
     def clone(self) -> "_State":
         st = _State.__new__(_State)
@@ -207,10 +237,15 @@ class _State:
         st.col_vals = self.col_vals[:]
         st.row_known = self.row_known[:]
         st.col_known = self.col_known[:]
+        st.value_rows = self.value_rows[:]
+        st.value_cols = self.value_cols[:]
         st.cells_by_value = [lst[:] for lst in self.cells_by_value]
         st.unknown = self.unknown
         st.trace = self.trace[:]
         st.conflict = None
+        st.latin_mark = self.latin_mark
+        st.alter_mark = self.alter_mark
+        st.alter_lens = self.alter_lens[:]
         return st
 
     # -- assignment ---------------------------------------------------------
@@ -247,6 +282,8 @@ class _State:
         self.col_vals[c] |= bit
         self.row_known[r] |= 1 << c
         self.col_known[c] |= 1 << r
+        self.value_rows[v] |= 1 << r
+        self.value_cols[v] |= 1 << c
         self.cells_by_value[v].append((r, c))
         self.unknown -= 1
         self.trace.append(Step(rule, (r, c), v, premises, binding))
@@ -276,15 +313,29 @@ class _State:
     # -- rule passes --------------------------------------------------------
 
     def latin_pass(self) -> bool:
+        # Only the cells, row values and column values whose row, column or
+        # value is dirty are examined: assigned since the previous latin
+        # pass began, or by this pass (see the module docstring).
         n = self.n
         full = (1 << n) - 1
-        val = self.val
         changed = False
+        trace = self.trace
+        dirty_rows = dirty_cols = dirty_vals = 0
+        for step in trace[self.latin_mark:]:
+            r, c = step.cell
+            dirty_rows |= 1 << r
+            dirty_cols |= 1 << c
+            dirty_vals |= 1 << step.value
+        self.latin_mark = len(trace)
         for r in range(n):
             row_v = self.row_vals[r]
-            for c in range(n):
-                if val[r][c] != -1:
-                    continue
+            todo = full & ~self.row_known[r]
+            if not dirty_rows >> r & 1:
+                todo &= dirty_cols
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                c = bit.bit_length() - 1
                 cand = ~(row_v | self.col_vals[c]) & full
                 if cand == 0:
                     raise _ConflictError(Conflict(
@@ -295,49 +346,53 @@ class _State:
                     changed |= self.set_cell(
                         r, c, v, "latin-cell-single", self._coverage_cell(r, c), (r, c))
                     row_v = self.row_vals[r]
+                    dirty_rows |= 1 << r
+                    dirty_cols |= bit
+                    dirty_vals |= cand
+                    todo = full & ~self.row_known[r] & -(bit << 1)
         for r in range(n):
             missing = full & ~self.row_vals[r]
-            while missing:
-                bit = missing & -missing
-                missing ^= bit
+            todo = missing if dirty_rows >> r & 1 else missing & dirty_vals
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
                 v = bit.bit_length() - 1
-                spot = -1
-                count = 0
-                for c in range(n):
-                    if val[r][c] == -1 and not (self.col_vals[c] & bit):
-                        spot = c
-                        count += 1
-                        if count > 1:
-                            break
-                if count == 0:
+                # the unknown cells of row r whose column lacks v
+                spots = full & ~self.row_known[r] & ~self.value_cols[v]
+                if spots == 0:
                     raise _ConflictError(Conflict(
                         "row-value-impossible", "latin-row", (r, -1), v, -1,
                         self._coverage_row(r, v), (r, v)))
-                if count == 1:
+                if spots & (spots - 1) == 0:
+                    spot = spots.bit_length() - 1
                     changed |= self.set_cell(
                         r, spot, v, "latin-row-single", self._coverage_row(r, v), (r, v))
+                    dirty_rows |= 1 << r
+                    dirty_cols |= 1 << spot
+                    dirty_vals |= bit
+                    todo = missing & -(bit << 1)
         for c in range(n):
             missing = full & ~self.col_vals[c]
-            while missing:
-                bit = missing & -missing
-                missing ^= bit
+            todo = missing if dirty_cols >> c & 1 else missing & dirty_vals
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
                 v = bit.bit_length() - 1
-                spot = -1
-                count = 0
-                for r in range(n):
-                    if val[r][c] == -1 and not (self.row_vals[r] & bit):
-                        spot = r
-                        count += 1
-                        if count > 1:
-                            break
-                if count == 0:
+                # the unknown cells of column c whose row lacks v
+                spots = full & ~self.col_known[c] & ~self.value_rows[v]
+                if spots == 0:
                     raise _ConflictError(Conflict(
                         "col-value-impossible", "latin-col", (-1, c), v, -1,
                         self._coverage_col(c, v), (c, v)))
-                if count == 1:
+                if spots & (spots - 1) == 0:
+                    spot = spots.bit_length() - 1
                     changed |= self.set_cell(
                         spot, c, v, "latin-col-single",
                         self._coverage_col(c, v), (c, v))
+                    dirty_rows |= 1 << spot
+                    dirty_cols |= 1 << c
+                    dirty_vals |= bit
+                    todo = missing & -(bit << 1)
         return changed
 
     def _coverage_cell(self, r, c) -> tuple:
@@ -371,16 +426,25 @@ class _State:
 
     def pairs_pass(self) -> bool:
         # bookend (y*x)(x*y) = x and the three-way strong elasticity chain
-        # x(yx) = (xy)x = (yx)y
+        # x(yx) = (xy)x = (yx)y; a pair (x, y) is idle when y*x is unknown
+        # (one cell at most, nothing to link) or every known side agrees
         n = self.n
         val = self.val
         changed = False
         for x in range(n):
+            vx = val[x]
             for y in range(n):
                 if x == y:
                     continue
                 u = val[y][x]
-                v = val[x][y]
+                if u == -1:
+                    continue
+                v = vx[y]
+                if v == -1:
+                    if vx[u] == val[u][y]:
+                        continue
+                elif val[u][v] == x and vx[u] == val[u][y] == val[v][x]:
+                    continue
                 if u != -1 and v != -1:
                     prem = (((y, x), u), ((x, y), v))
                     changed |= self._bookend_set(u, v, x, prem, (x, y))
@@ -410,18 +474,53 @@ class _State:
 
     def alter_pass(self) -> bool:
         # x*y = z*w implies y*z = w*x, over pairs of equal known cells; the
-        # reversed pair yields the same cell equality, so one link suffices
+        # reversed pair yields the same cell equality, so one link suffices.
+        # The pairs with first cell (x, y) conclude in row y and column x:
+        # they are examined only if one of those gained an assignment, or a
+        # new cell of this value joined, since the previous pass began.
+        # Their two sides are then compared at once: row y at the later
+        # cells' rows z against column x at their columns w.
+        val = self.val
+        trace = self.trace
         changed = False
+        dirty_rows = dirty_cols = 0
+        for step in trace[self.alter_mark:]:
+            r, c = step.cell
+            dirty_rows |= 1 << r
+            dirty_cols |= 1 << c
+        self.alter_mark = len(trace)
         for v in range(self.n):
             lst = self.cells_by_value[v]
             m = len(lst)
-            for a in range(m):
+            old = self.alter_lens[v]
+            self.alter_lens[v] = m
+            zs = [cell[0] for cell in lst]
+            ws = [cell[1] for cell in lst]
+            for a in range(m - 1):
                 x, y = lst[a]
+                # pairs (a, b) with b >= old are new; older ones can only
+                # have changed through row y or column x
+                if a >= old or dirty_rows >> y & 1 or dirty_cols >> x & 1:
+                    start = a + 1
+                elif old < m:
+                    start = old
+                else:
+                    continue
+                if (list(map(val[y].__getitem__, zs[start:m]))
+                        == [val[w][x] for w in ws[start:m]]):
+                    continue
+                before = len(trace)
+                vy = val[y]
                 for b in range(a + 1, m):
                     z, w = lst[b]
-                    changed |= self.link(
-                        (y, z), (w, x), "alterability", (x, y, z, w),
-                        ((x, y), (z, w)))
+                    if vy[z] != val[w][x]:
+                        changed |= self.link(
+                            (y, z), (w, x), "alterability", (x, y, z, w),
+                            ((x, y), (z, w)))
+                for step in trace[before:]:
+                    r, c = step.cell
+                    dirty_rows |= 1 << r
+                    dirty_cols |= 1 << c
         return changed
 
     def _known_cols(self) -> list:
@@ -437,47 +536,76 @@ class _State:
         return out
 
     def distrib_pass(self) -> bool:
-        # left: x(yz) = (xy)(xz); right: (xy)z = (xz)(yz)
+        # left: x(yz) = (xy)(xz); right: (xy)z = (xz)(yz).  Per (x, y) both
+        # sides of each law are compared over the z with (x, z) and (y, z)
+        # known; the links run only where they differ.
         n = self.n
         val = self.val
         changed = False
         kc = self._known_cols()
+        picks = {}
         for x in range(n):
             vx = val[x]
             for y in kc[x]:
                 b_xy = vx[y]
                 both = self.row_known[x] & self.row_known[y]
+                if not both:
+                    continue
+                pick = _picker(picks, both)
+                vy = val[y]
                 # left distributivity, premise cells (y,z),(x,y),(x,z)
-                m2 = both
-                while m2:
-                    bit = m2 & -m2
-                    m2 ^= bit
-                    z = bit.bit_length() - 1
-                    a_yz = val[y][z]
-                    c_xz = vx[z]
-                    changed |= self.link(
-                        (x, a_yz), (b_xy, c_xz), "left-distributivity",
-                        (x, y, z), ((y, z), (x, y), (x, z)))
+                if (pick(list(map(vx.__getitem__, vy)))
+                        != pick(list(map(val[b_xy].__getitem__, vx)))):
+                    m2 = both
+                    while m2:
+                        bit = m2 & -m2
+                        m2 ^= bit
+                        z = bit.bit_length() - 1
+                        a_yz = vy[z]
+                        c_xz = vx[z]
+                        if vx[a_yz] == val[b_xy][c_xz]:
+                            continue
+                        changed |= self.link(
+                            (x, a_yz), (b_xy, c_xz), "left-distributivity",
+                            (x, y, z), ((y, z), (x, y), (x, z)))
                 # right distributivity, premise cells (x,y),(x,z),(y,z)
-                m2 = both
-                while m2:
-                    bit = m2 & -m2
-                    m2 ^= bit
-                    z = bit.bit_length() - 1
-                    b_xz = vx[z]
-                    c_yz = val[y][z]
-                    changed |= self.link(
-                        (b_xy, z), (b_xz, c_yz), "right-distributivity",
-                        (x, y, z), ((x, y), (x, z), (y, z)))
+                if (pick(val[b_xy])
+                        != pick(list(map(getitem, map(val.__getitem__, vx), vy)))):
+                    m2 = both
+                    while m2:
+                        bit = m2 & -m2
+                        m2 ^= bit
+                        z = bit.bit_length() - 1
+                        b_xz = vx[z]
+                        c_yz = vy[z]
+                        if val[b_xy][z] == val[b_xz][c_yz]:
+                            continue
+                        changed |= self.link(
+                            (b_xy, z), (b_xz, c_yz), "right-distributivity",
+                            (x, y, z), ((x, y), (x, z), (y, z)))
         return changed
+
+    def _composed(self) -> tuple:
+        """comp[a][z][w] = val[a][val[z][w]], meaningful where (z, w) is
+        known (elsewhere the unknown -1 indexes the last column), and its
+        transpose comp_t[z][a] = comp[a][z]."""
+        val = self.val
+        through = [itemgetter(*rz) for rz in val]
+        comp = [[get(ra) for get in through] for ra in val]
+        return comp, list(zip(*comp))
 
     def mediality_pass(self) -> bool:
         # (xy)(zw) = (xz)(yw); degenerate instances with x=y, x=z, z=w or
-        # y=w reduce to distributivity and are skipped
+        # y=w reduce to distributivity and are skipped.  Over the admissible
+        # w the two sides of (x, y, z) are the composed rows comp[xy][z] and
+        # comp[xz][y]; the links run only where these differ.
         n = self.n
         val = self.val
+        row_known = self.row_known
         changed = False
         kc = self._known_cols()
+        comp, comp_t = self._composed()
+        picks = {}
         for x in range(n):
             vx = val[x]
             cols_x = kc[x]
@@ -485,23 +613,55 @@ class _State:
                 if y == x:
                     continue
                 a_xy = vx[y]
-                ky = self.row_known[y]
+                # all z at once, over every w: equal rows leave nothing to do
+                if (list(map(comp[a_xy].__getitem__, cols_x))
+                        == list(map(comp_t[y].__getitem__, map(vx.__getitem__, cols_x)))):
+                    continue
+                vy = val[y]
+                ky = row_known[y]
+                off_y = ~(1 << y)
                 for z in cols_x:
                     if z == x or z == y:
                         continue
                     c_xz = vx[z]
+                    # the w the loop below visits, plus any that became
+                    # known in row y since ky was read
+                    live = row_known[z] & row_known[y] & off_y & ~(1 << z)
+                    if not live:
+                        continue
+                    pick = _picker(picks, live)
+                    if pick(comp[a_xy][z]) == pick(comp[c_xz][y]):
+                        continue
+                    before = self.unknown
                     vz = val[z]
-                    mask = self.row_known[z] & ky
+                    mask = row_known[z] & ky
                     while mask:
                         bit = mask & -mask
                         mask ^= bit
                         w = bit.bit_length() - 1
-                        if w == z or w == y:
+                        if w == z or w == y or val[a_xy][vz[w]] == val[c_xz][vy[w]]:
                             continue
                         changed |= self.link(
-                            (a_xy, vz[w]), (c_xz, val[y][w]), "mediality",
+                            (a_xy, vz[w]), (c_xz, vy[w]), "mediality",
                             (x, y, z, w), ((x, y), (z, w), (x, z), (y, w)))
+                    if self.unknown != before:
+                        comp, comp_t = self._composed()
         return changed
+
+
+def _picker(picks: dict, mask: int):
+    """An itemgetter over the set bits of mask, memoised in picks; it
+    returns a tuple, or a bare item when one bit is set."""
+    pick = picks.get(mask)
+    if pick is None:
+        idx = []
+        m = mask
+        while m:
+            bit = m & -m
+            m ^= bit
+            idx.append(bit.bit_length() - 1)
+        pick = picks[mask] = itemgetter(*idx)
+    return pick
 
 
 def _saturate(st: _State) -> None:
@@ -669,25 +829,11 @@ def refute_case(blocks: int, choice: int, split_depth: int = 3) -> RefutationCas
         choice, False, (), stats["splits"], stats["max_depth"], None, payload)
 
 
-def _refute_case_q6(args) -> RefutationCase:
-    choice, split_depth = args
-    return refute_case(6, choice, split_depth)
-
-
-def refute_q6(split_depth: int = 3, jobs: int | None = None) -> RefutationReport:
+def refute_q6(split_depth: int = 3) -> RefutationReport:
     """Run all four centre*a choices for a six-block table; a full report
     with four refuted cases is a machine check that no such quasigroup
     exists."""
-    choices = (1, 2, 3, 4)
-    if jobs is not None and jobs > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(min(jobs, 4)) as pool:
-            cases = tuple(pool.map(
-                _refute_case_q6, [(c, split_depth) for c in choices]))
-    else:
-        cases = tuple(refute_case(6, c, split_depth) for c in choices)
-    return RefutationReport(6, cases)
+    return RefutationReport(6, tuple(refute_case(6, c, split_depth) for c in (1, 2, 3, 4)))
 
 
 # ---------------------------------------------------------------------------

@@ -50,28 +50,32 @@ class ClassificationRow:
         return {c: getattr(self, c) for c in columns}
 
 
-def rows_for_modulus(m: int, spf=None) -> list[ClassificationRow]:
+def rows_for_modulus(m: int, spf=None, representatives: bool = False) -> list[ClassificationRow]:
     """One validated row per solution a of the quadratic congruence mod m,
     in increasing a; empty below the smallest admissible order 5.  spf is
-    an optional smallest_prime_factors table covering m."""
+    an optional smallest_prime_factors table covering m.  With
+    representatives, only the a < b row of each dual pair is built."""
     if m < 5:
         return []
     out = []
     for a in solve_quadratic_congruence(m, spf):
+        b = (1 - a) % m
+        if representatives and not a < b:
+            continue
         # the shift solves (a-1)k = a; validate() checks it and its pairing
         # with the dual's shift
-        row = ClassificationRow(m, a, (1 - a) % m, a * pow(a - 1, -1, m) % m)
+        row = ClassificationRow(m, a, b, a * pow(a - 1, -1, m) % m)
         row.validate()
         out.append(row)
     return out
 
 
-def _modulus_rows(first: int, last: int):
-    """(m, rows_for_modulus(m)) for m = first..last in increasing order,
-    with one sieve for the whole range."""
+def _modulus_rows(first: int, last: int, representatives: bool = False):
+    """(m, rows_for_modulus(m, representatives=...)) for m = first..last in
+    increasing order, with one sieve for the whole range."""
     spf = smallest_prime_factors(last)
     for m in range(first, last + 1):
-        yield m, rows_for_modulus(m, spf)
+        yield m, rows_for_modulus(m, spf, representatives)
 
 
 def _scan_order(rows) -> list[ClassificationRow]:
@@ -91,7 +95,7 @@ def classify(max_m: int) -> list[ClassificationRow]:
     representative, sorted by (m, a)."""
     if max_m < 1:
         raise ValueError("bound must be positive")
-    return [r for _, got in _modulus_rows(2, max_m) for r in got if r.a < r.b]
+    return [r for _, got in _modulus_rows(2, max_m, representatives=True) for r in got]
 
 
 # ---------------------------------------------------------------------------

@@ -38,12 +38,16 @@ def _least_prime_factor(n: int, start: int = 2) -> int:
 
 
 def _sqrt_minus_one(p: int, q: int) -> int:
-    """A square root of -1 modulo q = p^e, for a prime p = 1 (mod 4)."""
+    """A square root of -1 modulo q = p^e, for a prime p = 1 (mod 4).
+    Raises ValueError when no c < p gives one, which for a prime cannot
+    happen: p is then not prime (a wrong smallest-prime-factor table)."""
     # s = c^((p-1)/4) squares to c^((p-1)/2), which is -1 exactly when c
     # is a quadratic non-residue
     c, s = 2, pow(2, (p - 1) // 4, p)
     while s * s % p != p - 1:
         c += 1
+        if c >= p:
+            raise ValueError(f"no square root of -1 modulo {p}: not a prime")
         s = pow(c, (p - 1) // 4, p)
     # Newton (Hensel) steps s <- s - (s^2 + 1)/(2s) double the precision
     r = p

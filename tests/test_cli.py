@@ -180,6 +180,9 @@ def test_refute_q6_command(capsys):
     code, out, _ = run(capsys, "refute-q6", "--format", "json")
     data = json.loads(out)
     assert data["ok"] is True
+    # --jobs still parses and changes nothing
+    for jobs in ("1", "3"):
+        assert run(capsys, "refute-q6", "--jobs", jobs) == (0, "\n".join(lines) + "\n", "")
 
 
 def test_scan_classify_commands(capsys, tmp_path):

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import quadlat
 from quadlat import (
     LinearSpec,
     dual,
@@ -50,6 +55,25 @@ def test_smallest_prime_factors():
     assert len(spf) == 2001
     for m in range(2, 2001):
         assert spf[m] == next(p for p in range(2, m + 1) if m % p == 0)
+
+
+def test_corrupt_sieve_raises_promptly():
+    # spf[21] = 21 passes 21 off as a prime = 1 (mod 4); -1 has no square
+    # root modulo 21, so the non-residue search must give up and raise.  A
+    # child process with a timeout turns a hang into a failure.
+    code = (
+        "from quadlat.zm import smallest_prime_factors, solve_quadratic_congruence\n"
+        "spf = smallest_prime_factors(30)\n"
+        "spf[21] = 21\n"
+        "try:\n"
+        "    solve_quadratic_congruence(21, spf)\n"
+        "except ValueError as exc:\n"
+        "    print('ValueError:', exc)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(quadlat.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("ValueError: no square root of -1 modulo 21")
 
 
 def test_solutions_pair_up():
