@@ -44,10 +44,6 @@ def _emit_json(obj, path=None):
     _out(json.dumps(obj, indent=0) + "\n", path)
 
 
-def _load_table(path) -> core.CayleyTable:
-    return tableio.read_table(path)
-
-
 def _table_out(t, args):
     if getattr(args, "format", "text") == "json":
         _emit_json({
@@ -74,20 +70,28 @@ def _cmd_solve(args):
     return EXIT_OK
 
 
-def _cmd_table(args):
+def _linear_spec(args):
+    """-m/-a/-b/-c as the general form x*y = ax + by + c, or None without
+    -b, which selects the quadratical form x*y = ax + (1-a)y."""
     if args.b is not None:
-        spec = zm.LinearSpec(args.m, args.a, args.b, args.c or 0)
+        return zm.LinearSpec(args.m, args.a, args.b, args.c or 0)
+    if args.c is not None:
+        raise UsageError("-c requires -b (general linear form)")
+    return None
+
+
+def _cmd_table(args):
+    spec = _linear_spec(args)
+    if spec is not None:
         t = zm.linear_table(spec)
     else:
-        if args.c is not None:
-            raise UsageError("-c requires -b (general linear form)")
         t = zm.quadratical_over_zm(args.m, args.a)
     _table_out(t, args)
     return EXIT_OK
 
 
 def _cmd_check(args):
-    t = _load_table(args.input)
+    t = tableio.read_table(args.input)
     if args.all:
         idents = core.IDENTITY_IDS
     elif args.id:
@@ -112,12 +116,10 @@ def _cmd_check(args):
 
 
 def _cmd_k(args):
-    if args.b is not None:
-        spec = zm.LinearSpec(args.m, args.a, args.b, args.c or 0)
+    spec = _linear_spec(args)
+    if spec is not None:
         k = zm.translatability_k_linear(spec)
     else:
-        if args.c is not None:
-            raise UsageError("-c requires -b (general linear form)")
         k = zm.translatability_k_quadratical(args.m, args.a)
     if args.format == "json":
         _emit_json({"m": args.m, "a": args.a, "k": k})
@@ -131,7 +133,7 @@ def _cmd_k(args):
 
 
 def _cmd_order_search(args):
-    t = _load_table(args.input)
+    t = tableio.read_table(args.input)
     cap = args.max_order
     if cap is None:
         raw = os.environ.get(ENV_MAX_ORDER_SEARCH, "10")
@@ -154,7 +156,7 @@ def _cmd_order_search(args):
 
 
 def _cmd_hchain(args):
-    t = _load_table(args.input)
+    t = tableio.read_table(args.input)
     dec = qn.h_chain(t, args.a, args.b, args.depth)
     if args.format == "json":
         _emit_json({
@@ -171,7 +173,7 @@ def _cmd_hchain(args):
 
 
 def _cmd_detect_form(args):
-    t = _load_table(args.input)
+    t = tableio.read_table(args.input)
     found = qn.detect_form(t)
     if args.format == "json":
         if found is None:
@@ -254,21 +256,21 @@ def _cmd_refute_q6(args):
 
 
 def _cmd_dual(args):
-    t = _load_table(args.input)
+    t = tableio.read_table(args.input)
     _table_out(core.dual(t), args)
     return EXIT_OK
 
 
 def _cmd_product(args):
-    t1 = _load_table(args.left)
-    t2 = _load_table(args.right)
+    t1 = tableio.read_table(args.left)
+    t2 = tableio.read_table(args.right)
     _table_out(core.direct_product(t1, t2), args)
     return EXIT_OK
 
 
 def _cmd_iso(args):
-    t1 = _load_table(args.left)
-    t2 = _load_table(args.right)
+    t1 = tableio.read_table(args.left)
+    t2 = tableio.read_table(args.right)
     phi = core.find_isomorphism(t1, t2)
     if args.format == "json":
         _emit_json({"permutation": list(phi) if phi is not None else None})

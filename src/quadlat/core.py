@@ -446,6 +446,17 @@ def four_cycles(t: CayleyTable, a: int, b: int) -> list[tuple[int, int, int, int
 # isomorphism
 # ---------------------------------------------------------------------------
 
+class SearchCapExceeded(RuntimeError):
+    """Raised when an exhaustive search would exceed its cap."""
+
+
+# Generator images find_isomorphism tries before it gives up.  Two
+# generators of order n need at most n^2 (4225 for Z_65 against Z_5 x Z_13)
+# and three generators of order 30 need 27,000; a table with no small
+# generating set, such as a projection x*y = x of order 8, needs n^n.
+ISO_SEARCH_CAP = 100_000
+
+
 def _generating_sequence(t: CayleyTable) -> list[int]:
     """A small generating sequence: the lex-least generating pair when one
     exists, otherwise a greedily grown generating set."""
@@ -504,14 +515,18 @@ def _extend_map(t1: CayleyTable, t2: CayleyTable, gens, images):
 
 def find_isomorphism(t1: CayleyTable, t2: CayleyTable):
     """A bijection phi with phi(x*y) = phi(x)*phi(y), or None after an
-    exhaustive generator-image search.  Supported regime is order <= 30."""
+    exhaustive generator-image search.  Raises SearchCapExceeded instead of
+    trying more than ISO_SEARCH_CAP generator images."""
     if t1.n != t2.n:
         raise ValueError(f"orders differ: {t1.n} vs {t2.n}")
     if t1.entries == t2.entries:
         return tuple(range(t1.n))
     gens = _generating_sequence(t1)
     n = t1.n
-    for images in itertools.product(range(n), repeat=len(gens)):
+    for tried, images in enumerate(itertools.product(range(n), repeat=len(gens))):
+        if tried == ISO_SEARCH_CAP:
+            raise SearchCapExceeded(
+                f"isomorphism search tried {ISO_SEARCH_CAP} generator images")
         phi = _extend_map(t1, t2, gens, images)
         if phi is not None:
             return phi

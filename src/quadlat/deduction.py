@@ -30,6 +30,7 @@ are those of a pass that visits every instance:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from operator import getitem, itemgetter
 from typing import NamedTuple
 
@@ -250,9 +251,6 @@ class _State:
 
     # -- assignment ---------------------------------------------------------
 
-    def _find_in_row(self, r: int, v: int) -> int:
-        return self.val[r].index(v)
-
     def _find_in_col(self, c: int, v: int) -> int:
         for r in range(self.n):
             if self.val[r][c] == v:
@@ -268,10 +266,9 @@ class _State:
                 "cell-mismatch", rule, (r, c), v, cur, premises, binding))
         bit = 1 << v
         if self.row_vals[r] & bit:
-            j = self._find_in_row(r, v)
             raise _ConflictError(Conflict(
                 "row-duplicate", rule, (r, c), v, -1,
-                premises + ((((r, j)), v),), binding))
+                premises + (((r, self.val[r].index(v)), v),), binding))
         if self.col_vals[c] & bit:
             i = self._find_in_col(c, v)
             raise _ConflictError(Conflict(
@@ -401,7 +398,7 @@ class _State:
             if self.val[r][c] == v:
                 continue
             if self.row_vals[r] >> v & 1:
-                out.append((((r, self._find_in_row(r, v))), v))
+                out.append(((r, self.val[r].index(v)), v))
             elif self.col_vals[c] >> v & 1:
                 out.append((((self._find_in_col(c, v), c)), v))
         return tuple(out)
@@ -421,7 +418,7 @@ class _State:
             if self.val[r][c] != -1:
                 out.append((((r, c)), self.val[r][c]))
             elif self.row_vals[r] >> v & 1:
-                out.append((((r, self._find_in_row(r, v))), v))
+                out.append(((r, self.val[r].index(v)), v))
         return tuple(out)
 
     def pairs_pass(self) -> bool:
@@ -445,32 +442,16 @@ class _State:
                         continue
                 elif val[u][v] == x and vx[u] == val[u][y] == val[v][x]:
                     continue
-                if u != -1 and v != -1:
-                    prem = (((y, x), u), ((x, y), v))
-                    changed |= self._bookend_set(u, v, x, prem, (x, y))
-                cells = []
-                if u != -1:
-                    cells.append((x, u))
-                    cells.append((u, y))
+                base = [(y, x)]
+                cells = [(x, u), (u, y)]
                 if v != -1:
+                    changed |= self.set_cell(
+                        u, v, x, "bookend", (((y, x), u), ((x, y), v)), (x, y))
+                    base.append((x, y))
                     cells.append((v, x))
-                if len(cells) >= 2:
-                    base = []
-                    if u != -1:
-                        base.append((y, x))
-                    if v != -1:
-                        base.append((x, y))
-                    for a in range(len(cells) - 1):
-                        for b in range(a + 1, len(cells)):
-                            changed |= self.link(
-                                cells[a], cells[b], "strong-elasticity", (x, y), base)
+                for cell1, cell2 in combinations(cells, 2):
+                    changed |= self.link(cell1, cell2, "strong-elasticity", (x, y), base)
         return changed
-
-    def _bookend_set(self, u, v, x, prem, binding) -> bool:
-        cur = self.val[u][v]
-        if cur == x:
-            return False
-        return self.set_cell(u, v, x, "bookend", prem, binding)
 
     def alter_pass(self) -> bool:
         # x*y = z*w implies y*z = w*x, over pairs of equal known cells; the
@@ -781,14 +762,11 @@ def _least_unknown_cell(st: _State):
 
 
 def _refute_search(st: _State, depth: int, max_depth: int, stats: dict):
-    """DFS over assumptions on the least-unknown cell.  Returns
-    ("refuted", leaves) or ("completed", outcome) or ("stuck", outcome)."""
-    if st.conflict is not None:
-        return "refuted", [Contradiction(st.conflict, tuple(st.trace), st.blocks, st.choice)]
-    if st.unknown == 0:
-        return "completed", _outcome(st)
-    if depth >= max_depth:
-        return "stuck", Stuck(_partial_view(st), st.blocks, st.choice)
+    """DFS over assumptions on the least-unknown cell.  Returns the list of
+    Contradiction leaves, or the first Completed or Stuck outcome."""
+    if st.conflict is not None or st.unknown == 0 or depth >= max_depth:
+        out = _outcome(st)
+        return [out] if isinstance(out, Contradiction) else out
     stats["splits"] += 1
     stats["max_depth"] = max(stats["max_depth"], depth + 1)
     r, c, cand = _least_unknown_cell(st)
@@ -796,19 +774,15 @@ def _refute_search(st: _State, depth: int, max_depth: int, stats: dict):
     while cand:
         bit = cand & -cand
         cand ^= bit
-        v = bit.bit_length() - 1
+        # candidates are latin-safe, so the assumption itself never clashes
         child = st.clone()
-        try:
-            child.set_cell(r, c, v, "assume", (), (depth + 1,))
-        except _ConflictError as exc:  # pragma: no cover - candidates are latin-safe
-            child.conflict = exc.record
+        child.set_cell(r, c, bit.bit_length() - 1, "assume", (), (depth + 1,))
         _saturate(child)
-        verdict, payload = _refute_search(child, depth + 1, max_depth, stats)
-        if verdict == "refuted":
-            leaves.extend(payload)
-        else:
-            return verdict, payload
-    return "refuted", leaves
+        found = _refute_search(child, depth + 1, max_depth, stats)
+        if not isinstance(found, list):
+            return found
+        leaves.extend(found)
+    return leaves
 
 
 def refute_case(blocks: int, choice: int, split_depth: int = 3) -> RefutationCase:
@@ -817,16 +791,14 @@ def refute_case(blocks: int, choice: int, split_depth: int = 3) -> RefutationCas
     st = _seed_state(blocks, choice)
     _saturate(st)
     stats = {"splits": 0, "max_depth": 0}
-    verdict, payload = _refute_search(st, 0, split_depth, stats)
-    if verdict == "refuted":
+    found = _refute_search(st, 0, split_depth, stats)
+    if isinstance(found, list):
         return RefutationCase(
-            choice, True, tuple(payload), stats["splits"], stats["max_depth"],
-            None, None)
-    if verdict == "completed":
-        return RefutationCase(
-            choice, False, (), stats["splits"], stats["max_depth"], payload, None)
+            choice, True, tuple(found), stats["splits"], stats["max_depth"], None, None)
     return RefutationCase(
-        choice, False, (), stats["splits"], stats["max_depth"], None, payload)
+        choice, False, (), stats["splits"], stats["max_depth"],
+        found if isinstance(found, Completed) else None,
+        found if isinstance(found, Stuck) else None)
 
 
 def refute_q6(split_depth: int = 3) -> RefutationReport:
@@ -866,13 +838,23 @@ def trace_text(trace, conflict: Conflict | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+# binding length of each rule that reads its binding
+_ARITY = {
+    "bookend": 2, "strong-elasticity": 2, "left-distributivity": 3,
+    "right-distributivity": 3, "mediality": 4, "alterability": 4,
+}
+
+
 class _Replay:
     """Re-derives each trace step from the rule schema against the running
-    partial table; raises ReplayError on the first unjustified step."""
+    partial table, kept both by rows (rows[r][c]) and by columns
+    (cols[c][r]); raises ReplayError on the first unjustified or malformed
+    step."""
 
     def __init__(self, blocks: int, choice: int):
-        self.n = 4 * blocks + 1
-        self.val = [[-1] * self.n for _ in range(self.n)]
+        n = self.n = 4 * blocks + 1
+        self.rows = [[-1] * n for _ in range(n)]
+        self.cols = [[-1] * n for _ in range(n)]
         self.seeds = {
             (cell, v): rule for rule, cell, v in seed_assignments(blocks, choice)
         }
@@ -880,7 +862,7 @@ class _Replay:
     def get(self, r, c):
         if not (0 <= r < self.n and 0 <= c < self.n):
             raise ReplayError(f"cell ({r},{c}) out of range")
-        return self.val[r][c]
+        return self.rows[r][c]
 
     def known(self, r, c):
         v = self.get(r, c)
@@ -888,166 +870,107 @@ class _Replay:
             raise ReplayError(f"premise cell ({r},{c}) not yet known")
         return v
 
+    def open_values(self, r, c) -> set:
+        """The values neither row r nor column c holds, at an unknown cell."""
+        if self.get(r, c) != -1:
+            raise ReplayError(f"latin rule over the known cell ({r},{c})")
+        return set(range(self.n)).difference(self.rows[r], self.cols[c])
+
+    def open_cells(self, lines, cross, i, v) -> set:
+        """The unknown cells of line i that value v may still take: the
+        positions j with lines[i][j] unknown and v absent from cross[j].
+        Called with (rows, cols) for row i, (cols, rows) for column i."""
+        if not (0 <= i < self.n and 0 <= v < self.n):
+            raise ReplayError(f"line {i} or value {v} out of range")
+        line = lines[i]
+        if v in line:
+            raise ReplayError(f"value {v} already present in line {i}")
+        return {j for j in range(self.n) if line[j] == -1 and v not in cross[j]}
+
     def derivation_sides(self, step):
-        """The two cells forced equal by this step's rule, or None for
-        rules handled specially."""
+        """The two cells forced equal by this step's link rule."""
         rule, binding = step.rule, step.binding
-        if rule == "strong-elasticity":
-            x, y = binding
-            u = self.get(y, x)
-            v = self.get(x, y)
-            cells = []
-            if u != -1:
-                cells += [(x, u), (u, y)]
-            if v != -1:
-                cells.append((v, x))
-            if step.cell not in cells:
-                raise ReplayError("strong-elasticity conclusion not addressable")
-            others = [cl for cl in cells if cl != step.cell and self.get(*cl) == step.value]
-            if not others:
-                raise ReplayError("strong-elasticity source value missing")
-            return None
         if rule == "left-distributivity":
             x, y, z = binding
-            a = self.known(y, z)
-            b = self.known(x, y)
-            c = self.known(x, z)
-            return (x, a), (b, c)
+            return (x, self.known(y, z)), (self.known(x, y), self.known(x, z))
         if rule == "right-distributivity":
             x, y, z = binding
-            a = self.known(x, y)
-            b = self.known(x, z)
-            c = self.known(y, z)
-            return (a, z), (b, c)
+            return (self.known(x, y), z), (self.known(x, z), self.known(y, z))
         if rule == "mediality":
             x, y, z, w = binding
-            a = self.known(x, y)
-            b = self.known(z, w)
-            c = self.known(x, z)
-            d = self.known(y, w)
-            return (a, b), (c, d)
-        if rule == "alterability":
-            x, y, z, w = binding
-            if self.known(x, y) != self.known(z, w):
-                raise ReplayError("alterability premises are not equal products")
-            return (y, z), (w, x)
-        raise ReplayError(f"unknown rule {rule!r}")
+            return ((self.known(x, y), self.known(z, w)),
+                    (self.known(x, z), self.known(y, w)))
+        x, y, z, w = binding  # alterability
+        if self.known(x, y) != self.known(z, w):
+            raise ReplayError("alterability premises are not equal products")
+        return (y, z), (w, x)
 
     def verify_step(self, step: Step):
-        rule = step.rule
-        r, c = step.cell
-        v = step.value
+        rule, cell, v, binding = step.rule, step.cell, step.value, step.binding
+        r, c = cell
+        if not (0 <= r < self.n and 0 <= c < self.n and 0 <= v < self.n):
+            raise ReplayError(f"step out of range: {step}")
+        if len(binding) != _ARITY.get(rule, len(binding)):
+            raise ReplayError(f"{rule} binding of the wrong length: {step}")
         if rule.startswith("seed:"):
-            if self.seeds.get((step.cell, v)) != rule:
-                raise ReplayError(f"{rule} step not in the seed set: {step}")
-            return
-        if rule == "assume":
-            if self.get(r, c) != -1:
-                raise ReplayError("assumption over a known cell")
-            return
-        if rule == "bookend":
-            x, y = step.binding
-            u = self.known(y, x)
-            vv = self.known(x, y)
-            if (r, c) != (u, vv) or v != x:
-                raise ReplayError(f"bookend step not justified: {step}")
-            return
-        if rule == "strong-elasticity":
-            self.derivation_sides(step)
-            return
-        if rule in ("left-distributivity", "right-distributivity",
-                    "mediality", "alterability"):
+            ok = self.seeds.get((cell, v)) == rule
+        elif rule == "assume":
+            ok = self.rows[r][c] == -1
+        elif rule == "bookend":
+            x, y = binding
+            ok = cell == (self.known(y, x), self.known(x, y)) and v == x
+        elif rule == "strong-elasticity":
+            # x(yx) = (xy)x = (yx)y over the sides whose inner product is known
+            x, y = binding
+            u = self.get(y, x)
+            w = self.get(x, y)
+            sides = ([(x, u), (u, y)] if u != -1 else []) + ([(w, x)] if w != -1 else [])
+            ok = cell in sides and any(
+                other != cell and self.get(*other) == v for other in sides)
+        elif rule == "latin-cell-single":
+            ok = self.open_values(r, c) <= {v}
+        elif rule == "latin-row-single":
+            ok = self.open_cells(self.rows, self.cols, r, v) <= {c}
+        elif rule == "latin-col-single":
+            ok = self.open_cells(self.cols, self.rows, c, v) <= {r}
+        elif rule in ("left-distributivity", "right-distributivity",
+                      "mediality", "alterability"):
             s1, s2 = self.derivation_sides(step)
-            for mine, other in ((s1, s2), (s2, s1)):
-                if step.cell == mine and self.get(*other) == v:
-                    return
+            ok = (cell == s1 and self.get(*s2) == v) or (cell == s2 and self.get(*s1) == v)
+        else:
+            raise ReplayError(f"unknown rule {rule!r}")
+        if not ok:
             raise ReplayError(f"{rule} step not justified: {step}")
-        if rule == "latin-cell-single":
-            if self.get(r, c) != -1:
-                raise ReplayError("latin-cell-single over a known cell")
-            for w in range(self.n):
-                if w == v:
-                    continue
-                if not (self._value_in_row(r, w) or self._value_in_col(c, w)):
-                    raise ReplayError(f"value {w} not excluded at ({r},{c})")
-            return
-        if rule == "latin-row-single":
-            if self._value_in_row(r, v):
-                raise ReplayError("latin-row-single for a present value")
-            for cc in range(self.n):
-                if cc == c:
-                    continue
-                if self.get(r, cc) == -1 and not self._value_in_col(cc, v):
-                    raise ReplayError(f"column {cc} not excluded for value {v}")
-            return
-        if rule == "latin-col-single":
-            if self._value_in_col(c, v):
-                raise ReplayError("latin-col-single for a present value")
-            for rr in range(self.n):
-                if rr == r:
-                    continue
-                if self.get(rr, c) == -1 and not self._value_in_row(rr, v):
-                    raise ReplayError(f"row {rr} not excluded for value {v}")
-            return
-        raise ReplayError(f"unknown rule {rule!r}")
-
-    def _value_in_row(self, r, v):
-        return v in self.val[r]
-
-    def _value_in_col(self, c, v):
-        return any(self.val[r][c] == v for r in range(self.n))
 
     def apply_step(self, step: Step):
         r, c = step.cell
-        if self.val[r][c] != -1:
+        v = step.value
+        if self.rows[r][c] != -1:
             raise ReplayError(f"cell ({r},{c}) assigned twice")
-        if self._value_in_row(r, step.value) or self._value_in_col(c, step.value):
-            raise ReplayError(f"step duplicates value {step.value} at ({r},{c})")
-        self.val[r][c] = step.value
+        if v in self.rows[r] or v in self.cols[c]:
+            raise ReplayError(f"step duplicates value {v} at ({r},{c})")
+        self.rows[r][c] = self.cols[c][r] = v
 
     def verify_conflict(self, conflict: Conflict):
-        kind = conflict.kind
-        r, c = conflict.cell
+        kind, (r, c), v = conflict.kind, conflict.cell, conflict.value
         if kind in ("cell-mismatch", "row-duplicate", "col-duplicate"):
-            pseudo = Step(conflict.rule, conflict.cell, conflict.value,
-                          conflict.premises, conflict.binding)
-            if conflict.rule.startswith("seed:"):
-                if self.seeds.get((conflict.cell, conflict.value)) != conflict.rule:
-                    raise ReplayError("conflicting seed not in the seed set")
-            else:
-                self.verify_step(pseudo)
+            self.verify_step(Step(conflict.rule, conflict.cell, v,
+                                  conflict.premises, conflict.binding))
+            cur = self.rows[r][c]
             if kind == "cell-mismatch":
-                if self.get(r, c) == -1 or self.get(r, c) == conflict.value:
-                    raise ReplayError("cell-mismatch conflict does not clash")
-            elif kind == "row-duplicate":
-                if self.get(r, c) != -1 or not self._value_in_row(r, conflict.value):
-                    raise ReplayError("row-duplicate conflict does not clash")
+                ok = cur not in (-1, v)
             else:
-                if self.get(r, c) != -1 or not self._value_in_col(c, conflict.value):
-                    raise ReplayError("col-duplicate conflict does not clash")
-            return
-        if kind == "cell-no-candidate":
-            for w in range(self.n):
-                if not (self._value_in_row(r, w) or self._value_in_col(c, w)):
-                    raise ReplayError(f"value {w} still possible at ({r},{c})")
-            return
-        if kind == "row-value-impossible":
-            v = conflict.value
-            if self._value_in_row(r, v):
-                raise ReplayError("value already present in row")
-            for cc in range(self.n):
-                if self.get(r, cc) == -1 and not self._value_in_col(cc, v):
-                    raise ReplayError(f"column {cc} still open for value {v}")
-            return
-        if kind == "col-value-impossible":
-            v = conflict.value
-            if self._value_in_col(c, v):
-                raise ReplayError("value already present in column")
-            for rr in range(self.n):
-                if self.get(rr, c) == -1 and not self._value_in_row(rr, v):
-                    raise ReplayError(f"row {rr} still open for value {v}")
-            return
-        raise ReplayError(f"unknown conflict kind {kind!r}")
+                ok = cur == -1 and v in (self.rows[r] if kind == "row-duplicate" else self.cols[c])
+        elif kind == "cell-no-candidate":
+            ok = not self.open_values(r, c)
+        elif kind == "row-value-impossible":
+            ok = not self.open_cells(self.rows, self.cols, r, v)
+        elif kind == "col-value-impossible":
+            ok = not self.open_cells(self.cols, self.rows, c, v)
+        else:
+            raise ReplayError(f"unknown conflict kind {kind!r}")
+        if not ok:
+            raise ReplayError(f"{kind} conflict not justified: {conflict}")
 
 
 def replay_trace(blocks: int, choice: int, trace, conflict: Conflict | None = None) -> None:

@@ -11,11 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import CayleyTable, check_identity, is_quadratical
-
-
-class SearchCapExceeded(RuntimeError):
-    """Raised when an exhaustive ordering search would exceed its cap."""
+from .core import CayleyTable, SearchCapExceeded, check_identity, is_quadratical
 
 
 @dataclass(frozen=True)

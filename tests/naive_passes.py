@@ -86,7 +86,7 @@ def pairs_pass(st) -> bool:
             v = val[x][y]
             if u != -1 and v != -1:
                 prem = (((y, x), u), ((x, y), v))
-                changed |= st._bookend_set(u, v, x, prem, (x, y))
+                changed |= st.set_cell(u, v, x, "bookend", prem, (x, y))
             cells = []
             if u != -1:
                 cells.append((x, u))

@@ -60,6 +60,10 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 1
     code, _, err = run(capsys, "nonsense")
     assert code == 1
+    for command in ("table", "k"):
+        code, out, err = run(capsys, command, "-m", "13", "-a", "3", "-c", "1")
+        assert (code, out) == (1, "")
+        assert err == "usage error: -c requires -b (general linear form)\n"
 
 
 def test_non_positive_bounds_are_usage_errors(capsys):
@@ -120,6 +124,12 @@ def test_iso_command(capsys, tmp_path):
     code, out, _ = run(capsys, "iso", str(a), str(c))
     assert code == 0
     assert out == "none\n"
+    # projections x*y = x and x*y = y of order 8 need 8^8 generator images
+    write_table(CayleyTable.from_function(8, lambda x, y: x), a)
+    write_table(CayleyTable.from_function(8, lambda x, y: y), b)
+    code, out, err = run(capsys, "iso", str(a), str(b))
+    assert (code, out) == (3, "")
+    assert err.startswith("cap exceeded:")
 
 
 def test_order_search_and_cap(capsys, tmp_path, monkeypatch):

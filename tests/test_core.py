@@ -16,6 +16,7 @@ from quadlat import (
     LinearSpec,
     quadratical_over_zm,
     relabel,
+    SearchCapExceeded,
     two_generation_report,
 )
 from quadlat.core import BASIC_IDENTITY_IDS, IDENTITY_IDS
@@ -215,6 +216,15 @@ def test_find_isomorphism_relabeling(q2):
     e, f = q2.entries, other.entries
     for x, y in itertools.product(range(9), repeat=2):
         assert phi[e[x][y]] == f[phi[x]][phi[y]]
+
+
+def test_find_isomorphism_search_cap():
+    # every subset of a projection table is closed, so all eight elements
+    # are generators and the search faces 8^8 images; it stops at the cap
+    left = CayleyTable.from_function(8, lambda x, y: x)
+    right = CayleyTable.from_function(8, lambda x, y: y)
+    with pytest.raises(SearchCapExceeded):
+        find_isomorphism(left, right)
 
 
 def test_quadratical_order_congruence(q1, q2, q3, q4):

@@ -1,0 +1,187 @@
+"""The replay auditor against its reference (tests/reference_replay.py):
+every trace of complete_qn and of refute_case for 1..7 blocks, then one
+random mutation of every step and forty of every conflict.
+
+On well-formed input both replays must accept and reject the same steps
+and conflicts.  Malformed input (a cell or value out of range, or a
+cell-no-candidate conflict at a known cell) must be rejected with
+ReplayError, where the reference may crash with IndexError or ValueError
+or accept by wrapping a negative index."""
+
+import copy
+import random
+
+import pytest
+
+from quadlat.deduction import (
+    Conflict,
+    ReplayError,
+    Step,
+    Stuck,
+    _Replay,
+    complete_qn,
+    refute_case,
+    replay_trace,
+)
+
+import reference_replay
+
+RULES = (
+    "assume", "bookend", "strong-elasticity", "left-distributivity",
+    "right-distributivity", "mediality", "alterability", "latin-cell-single",
+    "latin-row-single", "latin-col-single", "seed:idempotent", "seed:choice",
+    "no-such-rule",
+)
+KINDS = (
+    "cell-mismatch", "row-duplicate", "col-duplicate", "cell-no-candidate",
+    "row-value-impossible", "col-value-impossible", "no-such-kind",
+)
+
+
+def _traces(max_blocks):
+    """(blocks, choice, trace, conflict or None) for every outcome."""
+    for blocks in range(1, max_blocks + 1):
+        for choice in (1, 2, 3, 4):
+            out = complete_qn(blocks, choice)
+            trace = out.partial.trace if isinstance(out, Stuck) else out.trace
+            yield blocks, choice, trace, getattr(out, "conflict", None)
+            case = refute_case(blocks, choice)
+            for leaf in case.leaves:
+                yield blocks, choice, leaf.trace, leaf.conflict
+            if case.completed is not None:
+                yield blocks, choice, case.completed.trace, None
+
+
+def _verdict(fn, *args) -> str:
+    try:
+        fn(*args)
+    except ReplayError:
+        return "rejected"
+    except (IndexError, ValueError):
+        return "crashed"
+    return "accepted"
+
+
+def _fork(rp):
+    """A copy of rp with its own table lists (val, or rows and cols)."""
+    twin = copy.copy(rp)
+    for name, lines in vars(rp).items():
+        if isinstance(lines, list):
+            setattr(twin, name, [line[:] for line in lines])
+    return twin
+
+
+def _try_step(rp, step) -> str:
+    """Verify and apply step on a copy of rp, leaving rp as it was."""
+    def run():
+        rp.verify_step(step)
+        _fork(rp).apply_step(step)
+    return _verdict(run)
+
+
+def _coordinate(rng, n):
+    return rng.randrange(n) if rng.random() < 0.9 else rng.choice((-1, n, 99))
+
+
+def _mutate(rng, n, item, bindings):
+    """item with one of its value, cell, rule or binding replaced, or for a
+    conflict also its kind."""
+    fields = ["value", "cell", "rule", "binding"]
+    if isinstance(item, Conflict):
+        fields.append("kind")
+    field = rng.choice(fields)
+    if field == "value":
+        new = _coordinate(rng, n)
+    elif field == "cell":
+        new = (_coordinate(rng, n), _coordinate(rng, n))
+    elif field == "rule":
+        new = rng.choice(RULES)
+    elif field == "binding":
+        if rng.random() < 0.5:
+            new = rng.choice(bindings)
+        else:
+            new = tuple(_coordinate(rng, n) for _ in range(rng.randrange(6)))
+    else:
+        new = rng.choice(KINDS)
+    if isinstance(item, Conflict):
+        return Conflict(**{**vars(item), field: new})
+    return item._replace(**{field: new})
+
+
+def _in_range(n, *coords) -> bool:
+    return all(0 <= x < n for x in coords)
+
+
+def _malformed_step(n, step) -> bool:
+    return not _in_range(n, *step.cell, step.value)
+
+
+def _malformed_conflict(n, conflict, table) -> bool:
+    (r, c), v = conflict.cell, conflict.value
+    if conflict.kind == "cell-no-candidate":
+        return not _in_range(n, r, c) or table[r][c] != -1
+    if conflict.kind == "row-value-impossible":
+        return not _in_range(n, r, v)
+    if conflict.kind == "col-value-impossible":
+        return not _in_range(n, c, v)
+    return not _in_range(n, r, c, v)
+
+
+def _expected(reference_verdict, malformed) -> str:
+    if malformed or reference_verdict == "crashed":
+        return "rejected"
+    return reference_verdict
+
+
+def test_replay_matches_reference():
+    rng = random.Random(20261018)
+    counts = {"accepted": 0, "rejected": 0}
+    traces = list(_traces(7))
+    bindings = sorted({step.binding for _, _, trace, _ in traces for step in trace})
+    for blocks, choice, trace, conflict in traces:
+        n = 4 * blocks + 1
+        ref = reference_replay.Replay(blocks, choice)
+        new = _Replay(blocks, choice)
+        for step in trace:
+            bad = _mutate(rng, n, step, bindings)
+            want = _try_step(ref, bad)
+            got = _try_step(new, bad)
+            assert got == _expected(want, _malformed_step(n, bad)), (blocks, choice, bad, want)
+            counts[got] += 1
+            for rp in (ref, new):
+                rp.verify_step(step)
+                rp.apply_step(step)
+        if conflict is None:
+            continue
+        new.verify_conflict(conflict)
+        for _ in range(40):
+            bad = _mutate(rng, n, conflict, bindings)
+            want = _verdict(ref.verify_conflict, bad)
+            got = _verdict(new.verify_conflict, bad)
+            assert got == _expected(want, _malformed_conflict(n, bad, ref.val)), (
+                blocks, choice, bad, want)
+            counts[got] += 1
+    assert sum(counts.values()) >= 20000
+    assert counts["accepted"] >= 1000, counts
+
+
+def test_replay_rejects_malformed_input():
+    # each of these raised IndexError or ValueError before the replay
+    # checked ranges and binding lengths
+    with pytest.raises(ReplayError):
+        replay_trace(1, 1, [Step("latin-row-single", (99, 0), 0, (), ())])
+    with pytest.raises(ReplayError):
+        replay_trace(1, 1, [], Conflict(
+            "row-value-impossible", "latin-row", (7, -1), 0, -1, (), (7, 0)))
+    out = complete_qn(3, 1)
+    cut = next(i for i, step in enumerate(out.trace) if step.rule == "strong-elasticity")
+    relabelled = out.trace[cut]._replace(rule="mediality")
+    with pytest.raises(ReplayError, match="wrong length"):
+        replay_trace(3, 1, out.trace[:cut] + (relabelled,))
+    # an assumption of a value outside the table, and a conflict claiming
+    # no candidate for a known cell, were accepted
+    with pytest.raises(ReplayError):
+        replay_trace(1, 1, [Step("assume", (0, 1), 5, (), (1,))])
+    with pytest.raises(ReplayError):
+        replay_trace(1, 2, complete_qn(1, 2).trace, Conflict(
+            "cell-no-candidate", "latin-cell", (0, 0), -1, -1, (), (0, 0)))
