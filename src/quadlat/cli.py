@@ -40,34 +40,39 @@ def _out(text, path=None):
             fh.write(text)
 
 
-def _emit_json(obj, path=None):
-    _out(json.dumps(obj, indent=0) + "\n", path)
+def _emit(args, obj, text):
+    """The one output path for a command's result, returning EXIT_OK.
 
-
-def _table_out(t, args):
-    if getattr(args, "format", "text") == "json":
-        _emit_json({
-            "n": t.n,
-            "entries": [list(r) for r in t.entries],
-            "labels": list(t.labels) if t.labels else None,
-        }, args.output)
+    Only the format --format selects is rendered: obj as JSON (tuples
+    become arrays), else text(), which is called only then; scan and
+    classify pass obj=None, as their text() renders CSV and JSON alike.
+    The result goes to -o when the command has it, else to stdout.  Side
+    files (--trace, --discrepancies, checkpoints) are written elsewhere."""
+    if args.format == "json" and obj is not None:
+        body = json.dumps(obj, indent=0) + "\n"
     else:
-        _out(tableio.format_table(t), args.output)
+        body = text()
+    _out(body, getattr(args, "output", None))
+    return EXIT_OK
 
 
-def _perm_text(perm):
-    return " ".join(str(p) for p in perm)
+def _table_json(t):
+    return {"n": t.n, "entries": t.entries, "labels": t.labels or None}
+
+
+def _emit_table(args, t):
+    return _emit(args, _table_json(t), lambda: tableio.format_table(t))
+
+
+def _words(values):
+    return " ".join(str(v) for v in values)
 
 
 # -- subcommand handlers ----------------------------------------------------
 
 def _cmd_solve(args):
     sols = zm.solve_quadratic_congruence(args.m)
-    if args.format == "json":
-        _emit_json({"m": args.m, "solutions": sols})
-    else:
-        _out(" ".join(str(a) for a in sols) + "\n")
-    return EXIT_OK
+    return _emit(args, {"m": args.m, "solutions": sols}, lambda: _words(sols) + "\n")
 
 
 def _linear_spec(args):
@@ -86,8 +91,7 @@ def _cmd_table(args):
         t = zm.linear_table(spec)
     else:
         t = zm.quadratical_over_zm(args.m, args.a)
-    _table_out(t, args)
-    return EXIT_OK
+    return _emit_table(args, t)
 
 
 def _cmd_check(args):
@@ -99,20 +103,13 @@ def _cmd_check(args):
     else:
         raise UsageError("check needs --id or --all")
     report = core.identity_report(t, idents)
-    if args.format == "json":
-        _emit_json({
-            "order": t.n,
-            "results": {k: (list(v) if v is not None else None) for k, v in report.items()},
-        })
-    else:
-        lines = []
-        for ident, verdict in report.items():
-            if verdict is None:
-                lines.append(f"{ident}: holds")
-            else:
-                lines.append(f"{ident}: counterexample {verdict}")
-        _out("\n".join(lines) + "\n")
-    return EXIT_OK
+
+    def text():
+        return "".join(f"{ident}: holds\n" if verdict is None
+                       else f"{ident}: counterexample {verdict}\n"
+                       for ident, verdict in report.items())
+
+    return _emit(args, {"order": t.n, "results": report}, text)
 
 
 def _cmd_k(args):
@@ -121,15 +118,13 @@ def _cmd_k(args):
         k = zm.translatability_k_linear(spec)
     else:
         k = zm.translatability_k_quadratical(args.m, args.a)
-    if args.format == "json":
-        _emit_json({"m": args.m, "a": args.a, "k": k})
-    elif k is None:
-        _out("none\n")
-    elif isinstance(k, list):
-        _out(" ".join(str(v) for v in k) + "\n")
-    else:
-        _out(f"{k}\n")
-    return EXIT_OK
+
+    def text():
+        if k is None:
+            return "none\n"
+        return (_words(k) if isinstance(k, list) else str(k)) + "\n"
+
+    return _emit(args, {"m": args.m, "a": args.a, "k": k}, text)
 
 
 def _cmd_order_search(args):
@@ -143,48 +138,30 @@ def _cmd_order_search(args):
             raise UsageError(
                 f"{ENV_MAX_ORDER_SEARCH} must be an integer, got {raw!r}") from None
     found = translatable.find_translatable_ordering(t, max_order=cap)
-    if args.format == "json":
-        if found is None:
-            _emit_json({"ordering": None, "k": None})
-        else:
-            _emit_json({"ordering": list(found[0]), "k": found[1]})
-    elif found is None:
-        _out("none\n")
-    else:
-        _out(f"ordering: {_perm_text(found[0])}\nk: {found[1]}\n")
-    return EXIT_OK
+    ordering, k = found if found is not None else (None, None)
+    return _emit(args, {"ordering": ordering, "k": k},
+                 lambda: "none\n" if found is None else f"ordering: {_words(ordering)}\nk: {k}\n")
 
 
 def _cmd_hchain(args):
     t = tableio.read_table(args.input)
     dec = qn.h_chain(t, args.a, args.b, args.depth)
-    if args.format == "json":
-        _emit_json({
-            "base": list(dec.base),
-            "center": dec.center,
-            "blocks": [list(b) for b in dec.blocks],
-        })
-    else:
+
+    def text():
         lines = [f"base: {dec.base[0]} {dec.base[1]}", f"center: {dec.center}"]
         for i, blk in enumerate(dec.blocks, start=1):
-            lines.append(f"H{i}: " + " ".join(str(x) for x in blk))
-        _out("\n".join(lines) + "\n")
-    return EXIT_OK
+            lines.append(f"H{i}: {_words(blk)}")
+        return "\n".join(lines) + "\n"
+
+    return _emit(args, {"base": dec.base, "center": dec.center, "blocks": dec.blocks}, text)
 
 
 def _cmd_detect_form(args):
     t = tableio.read_table(args.input)
     found = qn.detect_form(t)
-    if args.format == "json":
-        if found is None:
-            _emit_json({"blocks": None, "a": None, "b": None})
-        else:
-            _emit_json({"blocks": found[0], "a": found[1], "b": found[2]})
-    elif found is None:
-        _out("none\n")
-    else:
-        _out(f"Q{found[0]} with base ({found[1]}, {found[2]})\n")
-    return EXIT_OK
+    blocks, a, b = found if found is not None else (None, None, None)
+    return _emit(args, {"blocks": blocks, "a": a, "b": b},
+                 lambda: "none\n" if found is None else f"Q{blocks} with base ({a}, {b})\n")
 
 
 def _cmd_complete_qn(args):
@@ -198,93 +175,63 @@ def _cmd_complete_qn(args):
         table = out.table
         if not args.seed_labels:
             table = core.CayleyTable(table.n, table.entries)
-        if args.format == "json":
-            _emit_json({
-                "outcome": "completed",
-                "n": table.n,
-                "entries": [list(r) for r in table.entries],
-                "labels": list(table.labels) if table.labels else None,
-            }, args.output)
-        else:
-            _out("completed\n" + tableio.format_table(table), args.output)
-    elif isinstance(out, deduction.Contradiction):
-        if args.format == "json":
-            _emit_json({"outcome": "contradiction",
-                        "conflict": out.conflict.kind,
-                        "steps": len(out.trace)}, args.output)
-        else:
-            _out(f"contradiction ({out.conflict.kind}) after {len(out.trace)} deductions\n",
-                 args.output)
-    else:
-        if args.format == "json":
-            _emit_json({"outcome": "stuck",
-                        "known": out.partial.known_count(),
-                        "cells": out.partial.n * out.partial.n}, args.output)
-        else:
-            _out(f"stuck with {out.partial.known_count()} of "
-                 f"{out.partial.n * out.partial.n} cells known\n", args.output)
-    return EXIT_OK
+        return _emit(args, {"outcome": "completed", **_table_json(table)},
+                     lambda: "completed\n" + tableio.format_table(table))
+    if isinstance(out, deduction.Contradiction):
+        kind, steps = out.conflict.kind, len(out.trace)
+        return _emit(args, {"outcome": "contradiction", "conflict": kind, "steps": steps},
+                     lambda: f"contradiction ({kind}) after {steps} deductions\n")
+    known, cells = out.partial.known_count(), out.partial.n * out.partial.n
+    return _emit(args, {"outcome": "stuck", "known": known, "cells": cells},
+                 lambda: f"stuck with {known} of {cells} cells known\n")
+
+
+def _case_line(c):
+    if c.refuted:
+        return (f"choice 6{c.choice}: contradiction in every branch "
+                f"({len(c.leaves)} leaves, split depth {c.max_depth_used})\n")
+    if c.completed is not None:
+        return f"choice 6{c.choice}: COMPLETED (refutation fails)\n"
+    return f"choice 6{c.choice}: split budget exhausted\n"
 
 
 def _cmd_refute_q6(args):
     report = deduction.refute_q6()
-    if args.format == "json":
-        _emit_json({
-            "ok": report.ok,
-            "cases": [{
-                "choice": c.choice,
-                "refuted": c.refuted,
-                "splits": c.splits,
-                "leaves": len(c.leaves),
-            } for c in report.cases],
-        })
-    else:
-        lines = []
-        for c in report.cases:
-            if c.refuted:
-                lines.append(
-                    f"choice 6{c.choice}: contradiction in every branch "
-                    f"({len(c.leaves)} leaves, split depth {c.max_depth_used})")
-            elif c.completed is not None:
-                lines.append(f"choice 6{c.choice}: COMPLETED (refutation fails)")
-            else:
-                lines.append(f"choice 6{c.choice}: split budget exhausted")
-        _out("\n".join(lines) + "\n")
-    if not report.ok:
-        return EXIT_INVARIANT
-    return EXIT_OK
+    cases = [{"choice": c.choice, "refuted": c.refuted, "splits": c.splits,
+              "leaves": len(c.leaves)} for c in report.cases]
+    _emit(args, {"ok": report.ok, "cases": cases},
+          lambda: "".join(_case_line(c) for c in report.cases))
+    return EXIT_OK if report.ok else EXIT_INVARIANT
 
 
 def _cmd_dual(args):
     t = tableio.read_table(args.input)
-    _table_out(core.dual(t), args)
-    return EXIT_OK
+    return _emit_table(args, core.dual(t))
 
 
 def _cmd_product(args):
     t1 = tableio.read_table(args.left)
     t2 = tableio.read_table(args.right)
-    _table_out(core.direct_product(t1, t2), args)
-    return EXIT_OK
+    return _emit_table(args, core.direct_product(t1, t2))
 
 
 def _cmd_iso(args):
     t1 = tableio.read_table(args.left)
     t2 = tableio.read_table(args.right)
     phi = core.find_isomorphism(t1, t2)
-    if args.format == "json":
-        _emit_json({"permutation": list(phi) if phi is not None else None})
-    elif phi is None:
-        _out("none\n")
-    else:
-        _out(_perm_text(phi) + "\n")
+    return _emit(args, {"permutation": phi},
+                 lambda: "none\n" if phi is None else _words(phi) + "\n")
+
+
+def _emit_rows(args, rows, columns, discrepancies):
+    """The rows of scan or classify, CSV unless --format json, then the
+    discrepancy report from discrepancies() when --discrepancies asks."""
+    _emit(args, None, lambda: sweep.emit_text(rows, args.format or "csv", columns))
+    if args.discrepancies:
+        ds = discrepancies()
+        _out("".join(f"{d}\n" for d in ds) if ds else "no discrepancies\n",
+             args.discrepancies)
     return EXIT_OK
-
-
-def _scan_common(args, rows, columns):
-    fmt = args.format or "csv"
-    text = sweep.emit_text(rows, fmt, columns)
-    _out(text, args.output)
 
 
 def _cmd_scan(args):
@@ -292,22 +239,14 @@ def _cmd_scan(args):
         rows = sweep.scan_with_checkpoint(args.max_m, args.max_k, args.checkpoint)
     else:
         rows = sweep.scan_k_table(args.max_m, args.max_k)
-    _scan_common(args, rows, sweep.SCAN_COLUMNS)
-    if args.discrepancies:
-        ds = sweep.scan_discrepancies(rows, args.max_m, args.max_k)
-        _out("".join(f"{d}\n" for d in ds) if ds else "no discrepancies\n",
-             args.discrepancies)
-    return EXIT_OK
+    return _emit_rows(args, rows, sweep.SCAN_COLUMNS,
+                      lambda: sweep.scan_discrepancies(rows, args.max_m, args.max_k))
 
 
 def _cmd_classify(args):
     rows = sweep.classify(args.max_m)
-    _scan_common(args, rows, sweep.CLASSIFY_COLUMNS)
-    if args.discrepancies:
-        ds = sweep.classify_discrepancies(rows, args.max_m)
-        _out("".join(f"{d}\n" for d in ds) if ds else "no discrepancies\n",
-             args.discrepancies)
-    return EXIT_OK
+    return _emit_rows(args, rows, sweep.CLASSIFY_COLUMNS,
+                      lambda: sweep.classify_discrepancies(rows, args.max_m))
 
 
 # -- parser -----------------------------------------------------------------
@@ -330,97 +269,79 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="quadlat", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        sp = sub.add_parser(name, **kwargs)
+    def add(name, fn, help, *shared, formats=("text", "json"), default="text"):
+        """A subcommand with --format and the shared flags it names
+        ("input", "output", "jobs"); each shared flag is declared only here,
+        before the command's own arguments, so -i stays first in the list
+        of missing required arguments."""
+        sp = sub.add_parser(name, help=help)
         sp.set_defaults(fn=fn)
+        if "input" in shared:
+            sp.add_argument("-i", "--input", required=True)
+        if "output" in shared:
+            sp.add_argument("-o", "--output", default=None)
+        sp.add_argument("--format", choices=formats, default=default)
+        if "jobs" in shared:
+            sp.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
         return sp
 
-    sp = add("solve", _cmd_solve, help="solutions of the quadratic congruence mod m")
+    def linear_form(sp):
+        """-m/-a/-b/-c of table and k, read by _linear_spec."""
+        sp.add_argument("-m", type=_positive_int, required=True)
+        sp.add_argument("-a", type=int, required=True)
+        sp.add_argument("-b", type=int, default=None)
+        sp.add_argument("-c", type=int, default=None)
+
+    sp = add("solve", _cmd_solve, "solutions of the quadratic congruence mod m")
     sp.add_argument("-m", type=_positive_int, required=True)
-    sp.add_argument("--format", choices=("text", "json"), default="text")
 
-    sp = add("table", _cmd_table, help="generate a linear table over Z_m")
-    sp.add_argument("-m", type=int, required=True)
-    sp.add_argument("-a", type=int, required=True)
-    sp.add_argument("-b", type=int, default=None)
-    sp.add_argument("-c", type=int, default=None)
-    sp.add_argument("-o", "--output", default=None)
-    sp.add_argument("--format", choices=("text", "json"), default="text")
+    linear_form(add("table", _cmd_table, "generate a linear table over Z_m", "output"))
 
-    sp = add("check", _cmd_check, help="check identities on a table file")
-    sp.add_argument("-i", "--input", required=True)
+    sp = add("check", _cmd_check, "check identities on a table file", "input")
     sp.add_argument("--id", action="append", choices=core.IDENTITY_IDS)
     sp.add_argument("--all", action="store_true")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
 
-    sp = add("k", _cmd_k, help="translatability shift of a linear table")
-    sp.add_argument("-m", type=int, required=True)
-    sp.add_argument("-a", type=int, required=True)
-    sp.add_argument("-b", type=int, default=None)
-    sp.add_argument("-c", type=int, default=None)
-    sp.add_argument("--format", choices=("text", "json"), default="text")
+    linear_form(add("k", _cmd_k, "translatability shift of a linear table"))
 
     sp = add("order-search", _cmd_order_search,
-             help="exhaustive search for a translatable ordering")
-    sp.add_argument("-i", "--input", required=True)
+             "exhaustive search for a translatable ordering", "input")
     sp.add_argument("--max-order", type=int, default=None)
-    sp.add_argument("--format", choices=("text", "json"), default="text")
 
-    sp = add("hchain", _cmd_hchain, help="block chain from a base pair")
-    sp.add_argument("-i", "--input", required=True)
+    sp = add("hchain", _cmd_hchain, "block chain from a base pair", "input")
     sp.add_argument("-a", type=int, required=True)
     sp.add_argument("-b", type=int, required=True)
     sp.add_argument("-n", "--depth", type=int, required=True)
-    sp.add_argument("--format", choices=("text", "json"), default="text")
 
-    sp = add("detect-form", _cmd_detect_form, help="detect block form")
-    sp.add_argument("-i", "--input", required=True)
-    sp.add_argument("--format", choices=("text", "json"), default="text")
+    add("detect-form", _cmd_detect_form, "detect block form", "input")
 
     sp = add("complete-qn", _cmd_complete_qn,
-             help="complete or refute a block-form table from one choice")
+             "complete or refute a block-form table from one choice", "output")
     sp.add_argument("-n", "--blocks", type=int, required=True)
     sp.add_argument("--choice", required=True)
-    sp.add_argument("-o", "--output", default=None)
     sp.add_argument("--trace", default=None)
     sp.add_argument("--seed-labels", action="store_true")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
 
-    sp = add("refute-q6", _cmd_refute_q6,
-             help="refute all four six-block choices")
-    sp.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
-    sp.add_argument("--format", choices=("text", "json"), default="text")
+    add("refute-q6", _cmd_refute_q6, "refute all four six-block choices", "jobs")
+    add("dual", _cmd_dual, "dual (reversed product) table", "input", "output")
 
-    sp = add("dual", _cmd_dual, help="dual (reversed product) table")
-    sp.add_argument("-i", "--input", required=True)
-    sp.add_argument("-o", "--output", default=None)
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-
-    sp = add("product", _cmd_product, help="direct product of two tables")
+    sp = add("product", _cmd_product, "direct product of two tables", "output")
     sp.add_argument("left")
     sp.add_argument("right")
-    sp.add_argument("-o", "--output", default=None)
-    sp.add_argument("--format", choices=("text", "json"), default="text")
 
-    sp = add("iso", _cmd_iso, help="isomorphism between two tables, if any")
+    sp = add("iso", _cmd_iso, "isomorphism between two tables, if any")
     sp.add_argument("left")
     sp.add_argument("right")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
 
-    sp = add("scan", _cmd_scan, help="sweep m listing low-shift rows")
+    sweeps = dict(formats=("csv", "json"), default=None)
+    sp = add("scan", _cmd_scan, "sweep m listing low-shift rows", "output", "jobs", **sweeps)
     sp.add_argument("--max-m", type=_positive_int, required=True)
     sp.add_argument("--max-k", type=_positive_int, required=True)
-    sp.add_argument("-o", "--output", default=None)
-    sp.add_argument("--format", choices=("csv", "json"), default=None)
-    sp.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
     sp.add_argument("--checkpoint", default=None)
     sp.add_argument("--discrepancies", default=None)
 
-    sp = add("classify", _cmd_classify, help="dual-pair representatives for m below a bound")
+    sp = add("classify", _cmd_classify, "dual-pair representatives for m below a bound",
+             "output", "jobs", **sweeps)
     sp.add_argument("--max-m", type=_positive_int, required=True)
-    sp.add_argument("-o", "--output", default=None)
-    sp.add_argument("--format", choices=("csv", "json"), default=None)
-    sp.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
     sp.add_argument("--discrepancies", default=None)
 
     return p

@@ -304,7 +304,9 @@ def quadratical_report(t: CayleyTable) -> dict:
     return identity_report(t, ("latin-square", "idempotency", "bookend", "mediality"))
 
 
-@lru_cache(maxsize=None)
+# bounded: the cache holds whole tables, and a long run checks many; a
+# command re-checks only the few tables it is working on
+@lru_cache(maxsize=32)
 def is_quadratical(t: CayleyTable) -> bool:
     """True iff t is an idempotent, bookend, medial quasigroup."""
     return (

@@ -162,14 +162,13 @@ def _load_checkpoint(checkpoint_path):
     return last_m, saved
 
 
-def scan_with_checkpoint(max_m: int, max_k: int, checkpoint_path,
-                         checkpoint_every: int = CHECKPOINT_EVERY) -> list[ClassificationRow]:
+def scan_with_checkpoint(max_m: int, max_k: int, checkpoint_path) -> list[ClassificationRow]:
     """Resumable scan: recomputes from the recorded last_m + 1 and merges
     with the saved partial rows; the result is identical to an
     uninterrupted scan_k_table(max_m, max_k).  The row archive next to the
     checkpoint stores every row of each fully processed m, so the bounds
     may differ between runs.  Progress is flushed whenever m reaches a
-    multiple of checkpoint_every, and once more at max_m, so an interrupt
+    multiple of CHECKPOINT_EVERY, and once more at max_m, so an interrupt
     loses at most one block of moduli.  One writer per checkpoint: two
     processes sharing it can interleave their appends to the archive."""
     last_m, saved = _load_checkpoint(checkpoint_path)
@@ -185,7 +184,7 @@ def scan_with_checkpoint(max_m: int, max_k: int, checkpoint_path,
     for m, got in _modulus_rows(last_m + 1, max_m):
         all_rows.extend(got)
         pending.extend(got)
-        if m % checkpoint_every == 0 or m == max_m:
+        if m % CHECKPOINT_EVERY == 0 or m == max_m:
             _flush_checkpoint(checkpoint_path, rows_path, m, pending)
             pending = []
     return _scan_order(r for r in all_rows if r.m <= max_m and r.k < max_k)

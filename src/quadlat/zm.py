@@ -128,6 +128,8 @@ def linear_table(spec: LinearSpec) -> CayleyTable:
 def quadratical_over_zm(m: int, a: int) -> CayleyTable:
     """The quadratical quasigroup x*y = ax + (1-a)y (mod m); a must solve
     the quadratic congruence."""
+    if m < 1:
+        raise ValueError(f"modulus must be positive, got {m}")
     if (2 * a * a - 2 * a + 1) % m != 0:
         raise ValueError(f"a={a} does not satisfy 2a^2-2a+1 = 0 (mod {m})")
     return linear_table(LinearSpec(m, a, (1 - a) % m, 0))
@@ -163,6 +165,8 @@ def translatability_k_linear(spec: LinearSpec):
 def translatability_k_quadratical(m: int, a: int) -> int:
     """The unique k in 2..m-2 with (a-1)k = a (mod m), for a solving the
     quadratic congruence.  Satisfies k(a) + k(1-a) = m."""
+    if m < 1:
+        raise ValueError(f"modulus must be positive, got {m}")
     if (2 * a * a - 2 * a + 1) % m != 0:
         raise ValueError(f"a={a} does not satisfy 2a^2-2a+1 = 0 (mod {m})")
     if m < 5:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from quadlat import CayleyTable, parse_table, quadratical_over_zm, write_table
 from quadlat.cli import main
 
@@ -70,10 +72,70 @@ def test_non_positive_bounds_are_usage_errors(capsys):
     for argv in (("solve", "-m", "0"), ("solve", "-m", "-65"),
                  ("scan", "--max-m", "0", "--max-k", "40"),
                  ("scan", "--max-m", "100", "--max-k", "-1"),
-                 ("classify", "--max-m", "0")):
+                 ("classify", "--max-m", "0"),
+                 ("table", "-m", "0", "-a", "1"), ("table", "-m", "-5", "-a", "1"),
+                 ("k", "-m", "0", "-a", "1"), ("k", "-m", "-5", "-a", "1", "-b", "2")):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert err.startswith("usage error:") and "must be positive" in err
+
+
+BAD_INPUT = [
+    ("solve", "-m", "0"),
+    ("solve", "-m", "x"),
+    ("table", "-m", "0", "-a", "1"),
+    ("table", "-m", "-5", "-a", "1"),
+    ("table", "-m", "5", "-a", "3"),
+    ("table", "-m", "5", "-a", "2", "-o", "nodir/t.txt"),
+    ("k", "-m", "0", "-a", "1"),
+    ("k", "-m", "5", "-a", "3"),
+    ("k", "-m", "1", "-a", "0"),
+    ("check", "-i", "missing.txt", "--all"),
+    ("check", "-i", "adir", "--all"),
+    ("check", "-i", "bad.txt", "--all"),
+    ("check", "-i", "short.txt", "--all"),
+    ("check", "-i", "badlabels.txt", "--all"),
+    ("check", "-i", "q5.txt"),
+    ("order-search", "-i", "missing.txt"),
+    ("order-search", "-i", "bad.txt"),
+    ("hchain", "-i", "q5.txt", "-a", "0", "-b", "1", "-n", "0"),
+    ("hchain", "-i", "q5.txt", "-a", "7", "-b", "1", "-n", "1"),
+    ("hchain", "-i", "q5.txt", "-a", "0", "-b", "-1", "-n", "1"),
+    ("detect-form", "-i", "adir"),
+    ("detect-form", "-i", "add5.txt"),
+    ("complete-qn", "-n", "2", "--choice", "abc"),
+    ("complete-qn", "-n", "0", "--choice", "1"),
+    ("complete-qn", "-n", "2", "--choice", "99"),
+    ("complete-qn", "-n", "1", "--choice", "2", "--trace", "adir"),
+    ("refute-q6", "--jobs", "x"),
+    ("dual", "-i", "short.txt"),
+    ("product", "q5.txt", "bad.txt"),
+    ("product", "q5.txt", "missing.txt"),
+    ("iso", "q5.txt", "t3.txt"),
+    ("iso", "q5.txt", "badlabels.txt"),
+    ("scan", "--max-m", "0", "--max-k", "40"),
+    ("scan", "--max-m", "30", "--max-k", "40", "--checkpoint", "corrupt.ck"),
+    ("scan", "--max-m", "30", "--max-k", "40", "--discrepancies", "adir"),
+    ("classify", "--max-m", "-1"),
+    ("classify", "--max-m", "30", "-o", "adir"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT, ids=" ".join)
+def test_bad_input_never_raises(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    write_table(quadratical_over_zm(5, 2), tmp_path / "q5.txt")
+    write_table(CayleyTable.from_function(3, lambda x, y: (x + y) % 3), tmp_path / "t3.txt")
+    write_table(CayleyTable.from_function(5, lambda x, y: (x + y) % 5), tmp_path / "add5.txt")
+    (tmp_path / "bad.txt").write_text("3\n0 1 x\n1 2 0\n2 0 1\n")
+    (tmp_path / "short.txt").write_text("3\n0 1 2\n1 2 0\n")
+    (tmp_path / "badlabels.txt").write_text("3\n0 1 2\n2 0 1\n1 2 0\n# labels: a b\n")
+    (tmp_path / "corrupt.ck").write_text("resume-from 7\n")
+    code, _, err = run(capsys, *argv)
+    assert code in (1, 2, 3)
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    assert err.startswith(("usage error: ", "error: ", "cap exceeded: ")), err
 
 
 def test_order_search_cap_not_an_integer(capsys, tmp_path, monkeypatch):

@@ -77,6 +77,18 @@ def test_is_quadratical_examples(q2):
     assert is_quadratical(quadratical_over_zm(5, 2))
 
 
+def test_is_quadratical_cache_is_bounded():
+    bound = is_quadratical.cache_info().maxsize
+    assert bound is not None
+    is_quadratical.cache_clear()
+    for n in range(2, 3 * bound):
+        assert not is_quadratical(additive_table(n))
+        assert is_quadratical.cache_info().currsize <= bound
+    # an evicted table is checked again, with the same answer
+    assert is_quadratical(quadratical_over_zm(5, 2))
+    assert is_quadratical.cache_info().currsize == bound
+
+
 def test_dual_involution_and_linear_dual():
     t = quadratical_over_zm(5, 2)
     assert dual(dual(t)).entries == t.entries

@@ -175,14 +175,15 @@ def test_emit_empty(tmp_path):
     assert (tmp_path / "empty.csv").read_text() == "k,m,a,b\n"
 
 
-def test_checkpoint_resume_equals_one_shot(tmp_path):
+def test_checkpoint_resume_equals_one_shot(tmp_path, monkeypatch):
+    monkeypatch.setattr(sweep, "CHECKPOINT_EVERY", 50)
     ck = tmp_path / "scan.ck"
     full = scan_k_table(400, 40)
-    # simulate an interrupt: run to 150 first (checkpoint_every divides it)
-    part = scan_with_checkpoint(150, 40, ck, checkpoint_every=50)
+    # simulate an interrupt: run to 150 first (CHECKPOINT_EVERY divides it)
+    part = scan_with_checkpoint(150, 40, ck)
     assert part == scan_k_table(150, 40)
     assert ck.read_text() == "last_m=150\n"
-    resumed = scan_with_checkpoint(400, 40, ck, checkpoint_every=50)
+    resumed = scan_with_checkpoint(400, 40, ck)
     assert resumed == full
 
 

@@ -154,6 +154,16 @@ def test_k_quadratical_values():
         translatability_k_quadratical(13, 5)
 
 
+def test_non_positive_modulus_refused():
+    # a zero modulus used to end in ZeroDivisionError, a negative one in a
+    # message about the congruence "(mod -5)"
+    for m in (0, -5):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            quadratical_over_zm(m, 1)
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            translatability_k_quadratical(m, 1)
+
+
 def test_k_quadratical_agrees_with_linear():
     for m in range(5, 501):
         for a in solve_quadratic_congruence(m):
