@@ -17,18 +17,6 @@ from .core import (
     relabel,
     two_generation_report,
 )
-from .deduction import (
-    Completed,
-    Contradiction,
-    PartialTable,
-    RefutationReport,
-    Stuck,
-    complete_qn,
-    refute_case,
-    refute_q6,
-    replay_trace,
-    trace_text,
-)
 from .qn import QnDecomposition, detect_form, dual_element_map, h_chain
 from .sweep import ClassificationRow, classify, emit, scan_k_table, scan_with_checkpoint
 from .tableio import format_table, parse_table, read_table, write_table
@@ -54,3 +42,30 @@ from .zm import (
 )
 
 __version__ = "0.1.0"
+
+# quadlat.deduction is the largest module and few callers need it, so its
+# names are imported on first use (PEP 562) rather than with the package.
+_DEDUCTION_NAMES = frozenset({
+    "Completed",
+    "Contradiction",
+    "PartialTable",
+    "RefutationReport",
+    "Stuck",
+    "complete_qn",
+    "refute_case",
+    "refute_q6",
+    "replay_trace",
+    "trace_text",
+})
+
+
+def __getattr__(name):
+    if name in _DEDUCTION_NAMES:
+        from . import deduction
+
+        return getattr(deduction, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _DEDUCTION_NAMES)

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from . import core, deduction, qn, sweep, tableio, translatable, zm
+from . import core, qn, sweep, tableio, translatable, zm
 
 ENV_MAX_ORDER_SEARCH = "QUADLAT_MAX_ORDER_SEARCH"
 
@@ -165,6 +165,8 @@ def _cmd_detect_form(args):
 
 
 def _cmd_complete_qn(args):
+    from . import deduction  # imported here: most commands never deduce
+
     choice = deduction.parse_choice(args.blocks, args.choice)
     out = deduction.complete_qn(args.blocks, choice)
     if args.trace:
@@ -196,6 +198,8 @@ def _case_line(c):
 
 
 def _cmd_refute_q6(args):
+    from . import deduction
+
     report = deduction.refute_q6()
     cases = [{"choice": c.choice, "refuted": c.refuted, "splits": c.splits,
               "leaves": len(c.leaves)} for c in report.cases]
@@ -265,6 +269,15 @@ def _positive_int(text):
     return value
 
 
+def _integer_text(text):
+    """An integer argument kept as written, so messages quote it as given."""
+    try:
+        int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    return text
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="quadlat", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -305,19 +318,19 @@ def _build_parser() -> _Parser:
 
     sp = add("order-search", _cmd_order_search,
              "exhaustive search for a translatable ordering", "input")
-    sp.add_argument("--max-order", type=int, default=None)
+    sp.add_argument("--max-order", type=_positive_int, default=None)
 
     sp = add("hchain", _cmd_hchain, "block chain from a base pair", "input")
     sp.add_argument("-a", type=int, required=True)
     sp.add_argument("-b", type=int, required=True)
-    sp.add_argument("-n", "--depth", type=int, required=True)
+    sp.add_argument("-n", "--depth", type=_positive_int, required=True)
 
     add("detect-form", _cmd_detect_form, "detect block form", "input")
 
     sp = add("complete-qn", _cmd_complete_qn,
              "complete or refute a block-form table from one choice", "output")
-    sp.add_argument("-n", "--blocks", type=int, required=True)
-    sp.add_argument("--choice", required=True)
+    sp.add_argument("-n", "--blocks", type=_positive_int, required=True)
+    sp.add_argument("--choice", type=_integer_text, required=True)
     sp.add_argument("--trace", default=None)
     sp.add_argument("--seed-labels", action="store_true")
 

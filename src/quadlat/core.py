@@ -128,6 +128,10 @@ def _check_right_distributivity(t):
 
 def _check_mediality(t):
     # (x*y) * (z*w) = (x*z) * (y*w)
+    if _is_medial_quasigroup(t):
+        return None
+    # Not a medial quasigroup, or not a quasigroup at all: scan for the
+    # least counterexample.
     e = t.entries
     n = t.n
     pairs = ((x, y) for x in range(n) for y in range(n))
@@ -154,6 +158,74 @@ def _check_mediality(t):
     return None
 
 
+def _is_medial_quasigroup(t):
+    """True iff t is a medial quasigroup, decided in O(n^2 log n).
+
+    Toyoda-Bruck: a quasigroup is medial iff x*y = alpha(x) + beta(y) + c
+    over an abelian group (Q, +), with alpha and beta commuting
+    automorphisms; and when it is medial, every loop isotope
+    x + y = R_e^-1(x) * L_e^-1(y) is that group.  So with e = 0 this
+    builds +, whose zero is e*e, and checks that + is commutative and
+    associative (Light's test on a generating set) and that
+    alpha = R_e - R_e(zero) and beta = L_e - L_e(zero) are commuting
+    automorphisms; then x*y = R_e(x) + L_e(y) = alpha(x) + beta(y) + c."""
+    e = t.entries
+    n = t.n
+    if not _is_latin(t):
+        return False
+    r_e = [row[0] for row in e]
+    l_e = e[0]
+    l_inv = _inverse(l_e)
+    add = [tuple(map(e[x].__getitem__, l_inv)) for x in _inverse(r_e)]
+    if add != list(zip(*add)):
+        return False
+    gens = _generators(add, n.bit_length())  # floor(log2 n) + 1
+    # Light's test: + is associative iff (x+g)+y = x+(g+y) for every x, y
+    # and every g of a generating set
+    if gens is None or any(add[ax[g]] != tuple(map(ax.__getitem__, add[g]))
+                           for g in gens for ax in add):
+        return False
+    zero = e[0][0]
+    # alpha(x) = R_e(x) - R_e(zero), beta(y) = L_e(y) - L_e(zero)
+    alpha = list(map(add[add[r_e[zero]].index(zero)].__getitem__, r_e))
+    beta = list(map(add[add[l_e[zero]].index(zero)].__getitem__, l_e))
+    for phi in (alpha, beta):
+        # a map that respects + at each generator respects it everywhere
+        if any(list(map(phi.__getitem__, add[g])) != list(map(add[phi[g]].__getitem__, phi))
+               for g in gens):
+            return False
+    return list(map(alpha.__getitem__, beta)) == list(map(beta.__getitem__, alpha))
+
+
+def _generators(add, limit):
+    """A generating set of the commutative magma add, grown greedily from
+    the least element not yet generated; None once it would exceed limit
+    elements.  In a group each new generator at least doubles the
+    generated subgroup, so a group of order n needs at most
+    floor(log2 n) + 1 of them."""
+    gens = []
+    closed = set()
+    members = []
+    for g in range(len(add)):
+        if g in closed:
+            continue
+        if len(gens) == limit:
+            return None
+        gens.append(g)
+        closed.add(g)
+        members.append(g)
+        frontier = [g]
+        while frontier:
+            new = []
+            for x in frontier:
+                fresh = set(map(add[x].__getitem__, members)) - closed
+                closed |= fresh
+                new.extend(fresh)
+            members.extend(new)
+            frontier = new
+    return gens
+
+
 def _check_weave_left(t):
     # x * (y * (y*x)) = ((x*y) * x) * y
     e = t.entries
@@ -176,18 +248,36 @@ def _check_weave_right(t):
 
 def _check_alterability(t):
     # x*y = z*w  if and only if  y*z = w*x
+    # For fixed (x, y, z) the left side holds for the set of w with
+    # z*w = x*y and the right side for the set of w with w*x = y*z; the law
+    # fails at every w in one set but not the other.  The sets are bitmasks
+    # over w: in_row[v][z] holds the w with z*w = v, in_col[x][v] the w
+    # with w*x = v, so the law at (x, y) is one list comparison over all z.
     e = t.entries
     n = t.n
+    bit = [1 << w for w in range(n)]
+    if _is_latin(t):
+        # each set is the single w of a division table
+        in_row = [list(map(bit.__getitem__, col)) for col in zip(*map(_inverse, e))]
+        in_col = [list(map(bit.__getitem__, _inverse(col))) for col in zip(*e)]
+    else:
+        in_row = [[0] * n for _ in range(n)]
+        in_col = [[0] * n for _ in range(n)]
+        for z, row in enumerate(e):
+            for w, v in enumerate(row):
+                in_row[v][z] |= bit[w]
+                in_col[w][v] |= bit[z]
     for x in range(n):
         ex = e[x]
+        col_x = in_col[x].__getitem__
         for y in range(n):
-            ey = e[y]
-            for z in range(n):
-                eyz = ey[z]
-                ez = e[z]
-                for w in range(n):
-                    if (ex[y] == ez[w]) != (eyz == e[w][x]):
-                        return (x, y, z, w)
+            left = in_row[ex[y]]
+            right = list(map(col_x, e[y]))
+            if left != right:
+                for z in range(n):
+                    diff = left[z] ^ right[z]
+                    if diff:
+                        return (x, y, z, (diff & -diff).bit_length() - 1)
     return None
 
 
@@ -247,6 +337,16 @@ def _check_latin_square(t):
     if row is not None:
         return row
     return _check_right_cancellation(t)
+
+
+def _is_latin(t):
+    n = t.n
+    return all(len(set(line)) == n for line in itertools.chain(t.entries, zip(*t.entries)))
+
+
+def _inverse(perm):
+    """The inverse of a permutation of 0..n-1."""
+    return sorted(range(len(perm)), key=perm.__getitem__)
 
 
 IDENTITY_CHECKS = {
@@ -310,10 +410,10 @@ def quadratical_report(t: CayleyTable) -> dict:
 def is_quadratical(t: CayleyTable) -> bool:
     """True iff t is an idempotent, bookend, medial quasigroup."""
     return (
-        _check_latin_square(t) is None
+        _is_latin(t)
         and _check_idempotency(t) is None
         and _check_bookend(t) is None
-        and _check_mediality(t) is None
+        and _is_medial_quasigroup(t)
     )
 
 

@@ -1,5 +1,6 @@
-"""Reference implementations of the deduction engine's rule passes and of
-the mediality check, as they were before idle rule instances were skipped.
+"""Reference implementations of the deduction engine's rule passes, as they
+were before idle rule instances were skipped, and the exhaustive scans for
+mediality and alterability that quadlat.core decides from structure.
 
 Every pass here visits every rule instance and calls the engine's own
 link/set_cell on it, so a pass of quadlat.deduction._State that skips
@@ -208,5 +209,22 @@ def check_mediality(t):
                 exz = e[ex[z]]
                 for w in range(n):
                     if exy[ez[w]] != exz[ey[w]]:
+                        return (x, y, z, w)
+    return None
+
+
+def check_alterability(t):
+    # x*y = z*w  if and only if  y*z = w*x, every (x, y, z, w) in order
+    e = t.entries
+    n = t.n
+    for x in range(n):
+        ex = e[x]
+        for y in range(n):
+            ey = e[y]
+            for z in range(n):
+                eyz = ey[z]
+                ez = e[z]
+                for w in range(n):
+                    if (ex[y] == ez[w]) != (eyz == e[w][x]):
                         return (x, y, z, w)
     return None

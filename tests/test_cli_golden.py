@@ -18,8 +18,10 @@ from quadlat import CayleyTable, quadratical_over_zm, relabel, write_table
 from quadlat.cli import main
 
 # SHA-256 of cli_digest(), computed with the CLI before its handlers shared
-# one output path
-CLI_DIGEST = "37e34fb735e993b2e45396711820b797fa7e54a16fbf969b32e4c98bd4142add"
+# one output path, then recomputed when `hchain -n 0` and
+# `complete-qn --choice abc` became usage errors (exit 1, was 2); no other
+# record changed
+CLI_DIGEST = "da03102477ce1ad3f1bb5131e93445a8b9d09c80cd219616bebe017a6934b3f8"
 
 # (argv, side files it writes), in run order: the second checkpointed scan
 # resumes from the first

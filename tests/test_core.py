@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 
 import pytest
 
@@ -17,9 +19,10 @@ from quadlat import (
     quadratical_over_zm,
     relabel,
     SearchCapExceeded,
+    solve_quadratic_congruence,
     two_generation_report,
 )
-from quadlat.core import BASIC_IDENTITY_IDS, IDENTITY_IDS
+from quadlat.core import BASIC_IDENTITY_IDS, IDENTITY_IDS, _generators, _is_medial_quasigroup
 
 
 def additive_table(n):
@@ -87,6 +90,41 @@ def test_is_quadratical_cache_is_bounded():
     # an evicted table is checked again, with the same answer
     assert is_quadratical(quadratical_over_zm(5, 2))
     assert is_quadratical.cache_info().currsize == bound
+
+
+def test_structural_checks_at_scale():
+    # 1025 = 5^2 * 41 is admissible; above order 256 mediality used to fall
+    # back to the O(n^4) scan
+    n = 1025
+    rng = random.Random(1025)
+    t = relabel(quadratical_over_zm(n, solve_quadratic_congruence(n)[0]),
+                rng.sample(range(n), n))
+    is_quadratical.cache_clear()
+    assert is_quadratical(t)
+    rows = [list(r) for r in t.entries]
+    rows[3][5] = (rows[3][5] + 1) % n
+    assert not is_quadratical(CayleyTable.from_rows(rows))
+    # swapping two columns keeps the table latin but makes it not medial
+    rows = [list(r) for r in t.entries]
+    for r in rows:
+        r[0], r[1] = r[1], r[0]
+    assert not _is_medial_quasigroup(CayleyTable.from_rows(rows))
+    z101 = quadratical_over_zm(101, solve_quadratic_congruence(101)[0])
+    t0 = time.monotonic()
+    report = identity_report(z101)
+    assert time.monotonic() - t0 < 1.0
+    assert all(v is None for v in report.values())
+
+
+def test_generators_stop_at_the_limit():
+    # the limit is floor(log2 n) + 1: 4 for n = 8 and for n = 12
+    # Z_12: 0 generates {0}, then 1 generates the rest
+    z12 = [tuple((x + y) % 12 for y in range(12)) for x in range(12)]
+    assert _generators(z12, 4) == [0, 1]
+    # x+y = max(x, y): every subset is closed, so greedy takes every element
+    top = [tuple(max(x, y) for y in range(8)) for x in range(8)]
+    assert _generators(top, 8) == list(range(8))
+    assert _generators(top, 4) is None
 
 
 def test_dual_involution_and_linear_dual():

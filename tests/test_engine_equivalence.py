@@ -5,14 +5,19 @@ against its naive reference (tests/naive_passes.py) on random partial
 states."""
 
 import hashlib
+import itertools
 import random
 
 from quadlat import (
     CayleyTable,
+    LinearSpec,
     check_identity,
+    direct_product,
+    linear_table,
     quadratical_over_zm,
     solve_quadratic_congruence,
 )
+from quadlat.core import _is_medial_quasigroup
 from quadlat.deduction import (
     Completed,
     Contradiction,
@@ -236,32 +241,146 @@ def test_saturation_matches_naive_saturation():
 
 
 # ---------------------------------------------------------------------------
-# mediality check against its naive reference
+# mediality and alterability checks against their exhaustive scans
 # ---------------------------------------------------------------------------
 
-def test_mediality_check_matches_naive():
-    tables = list(quadratical_test_tables().values())
-    tables += [quadratical_over_zm(m, solve_quadratic_congruence(m)[0]) for m in (29, 37, 41)]
+def _random_latin_rows(rng, n):
+    """A latin square grown row by row, each row a random matching of the
+    columns to the symbols they still lack (a latin rectangle always
+    extends, by Hall's theorem).  Unlike _random_latin_square these are not
+    all isotopes of Z_n."""
+    free = [set(range(n)) for _ in range(n)]
+    rows = []
+    for _ in range(n):
+        owner = {}
+
+        def augment(c, seen):
+            for v in rng.sample(sorted(free[c]), len(free[c])):
+                if v not in seen:
+                    seen.add(v)
+                    if v not in owner or augment(owner[v], seen):
+                        owner[v] = c
+                        return True
+            return False
+
+        for c in rng.sample(range(n), n):
+            augment(c, set())
+        row = [0] * n
+        for v, c in owner.items():
+            row[c] = v
+            free[c].discard(v)
+        rows.append(row)
+    return rows
+
+
+def _isotope(rng, entries):
+    """x*y = f(g(x) . h(y)) for random permutations f, g and h."""
+    n = len(entries)
+    f, g, h = (rng.sample(range(n), n) for _ in range(3))
+    return [[f[entries[g[x]][h[y]]] for y in range(n)] for x in range(n)]
+
+
+def _gl3_f2():
+    """The 168 invertible 3 x 3 matrices over GF(2), each as its action on
+    the vectors 0..7 (bit i is coordinate i)."""
+    maps = []
+    for cols in itertools.product(range(1, 8), repeat=3):
+        image = [0] * 8
+        for v in range(8):
+            for i in range(3):
+                if v >> i & 1:
+                    image[v] ^= cols[i]
+        if len(set(image)) == 8:
+            maps.append(image)
+    return maps
+
+
+def _symmetric_loop(m):
+    """A commutative loop of order m + 1 (m odd) with x*x = e for every x:
+    x*y = (x+y)/2 mod m for x != y, with e = m the identity.  It is not a
+    group for m >= 5, since a group of even order 2k > 4 with every element
+    its own inverse would be elementary abelian, of order a power of 2."""
+    half = (m + 1) // 2
+    e = m
+
+    def op(x, y):
+        if x == e:
+            return y
+        if y == e:
+            return x
+        return e if x == y else (x + y) * half % m
+
+    return [[op(x, y) for y in range(m + 1)] for x in range(m + 1)]
+
+
+def identity_oracle_tables():
+    """Tables on which the structural checks must agree with the scans:
+    medial and not, latin and not, groups and loops that are not
+    associative, abelian and not."""
     rng = random.Random(99)
+    tables = [t.entries for t in quadratical_test_tables().values()]
+    tables += [quadratical_over_zm(m, solve_quadratic_congruence(m)[0]).entries
+               for m in (29, 37, 41)]
     for _ in range(1000):
         n = rng.randint(1, 12)
-        tables.append(CayleyTable.from_rows(_random_latin_square(rng, n)))
+        tables.append(_random_latin_rows(rng, n))
+        tables.append(_relabelled(rng, tables[-1]))
+        tables.append(_random_latin_square(rng, n))
     for _ in range(200):
         n = rng.randint(1, 12)
-        tables.append(CayleyTable.from_rows(
-            [[rng.randrange(n) for _ in range(n)] for _ in range(n)]))
+        tables.append([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+    # linear tables x*y = ax + by + c, medial, latin when a and b are units
+    for m in range(2, 16):
+        for a in range(m):
+            for b in range(m):
+                tables.append([[(a * x + b * y + 1) % m for y in range(m)] for x in range(m)])
     # a medial table with one entry changed fails late in the scan
     for m, a in ((13, 3), (17, 7), (25, 4)):
-        rows = [list(r) for r in quadratical_over_zm(m, a).entries]
-        x, y = rng.randrange(m), rng.randrange(m)
-        rows[x][y] = (rows[x][y] + 1) % m
-        tables.append(CayleyTable.from_rows(rows))
-    # above order 256 the plain scan runs
+        for _ in range(5):
+            rows = [list(r) for r in quadratical_over_zm(m, a).entries]
+            x, y = rng.randrange(m), rng.randrange(m)
+            rows[x][y] = (rows[x][y] + rng.randrange(1, m)) % m
+            tables.append(rows)
+    # S3, non-abelian: its loop isotopes are not commutative
+    s3 = list(itertools.permutations(range(3)))
+    s3_table = [[s3.index(tuple(p[q[i]] for i in range(3))) for q in s3] for p in s3]
+    tables.append(s3_table)
+    tables += [_isotope(rng, s3_table) for _ in range(20)]
+    # x*y = Ax + By + c over Z2^3: medial iff AB = BA
+    gl = _gl3_f2()
+    commuting = 0
+    for _ in range(60):
+        A, B = rng.choice(gl), rng.choice(gl)
+        commuting += [A[v] for v in B] == [B[v] for v in A]
+        c = rng.randrange(8)
+        tables.append(_relabelled(rng, [[A[x] ^ B[y] ^ c for y in range(8)] for x in range(8)]))
+    assert 0 < commuting < 60
+    # commutative loops that are not groups, so Light's test has to reject +
+    for m in (3, 5, 7, 9, 11):
+        tables.append(_symmetric_loop(m))
+        tables.append(_relabelled(rng, tables[-1]))
+    # relabelled direct products: Z5 x Z5, Z3 x Z5, S3 x Z2
+    for t1, t2 in ((quadratical_over_zm(5, 2), quadratical_over_zm(5, 4)),
+                   (linear_table(LinearSpec(3, 2, 2, 0)), quadratical_over_zm(5, 2)),
+                   (CayleyTable.from_rows(s3_table),
+                    CayleyTable.from_function(2, lambda x, y: (x + y) % 2))):
+        tables.append(_relabelled(rng, direct_product(t1, t2).entries))
+    # above order 256 the plain mediality scan runs
     n = 300
-    tables.append(CayleyTable.from_function(n, lambda x, y: (2 * x + 3 * y + x * y % 5) % n))
-    holds = 0
-    for t in tables:
-        want = naive_passes.check_mediality(t)
-        assert check_identity(t, "mediality") == want, t.n
-        holds += want is None
-    assert holds >= 25
+    tables.append([[(2 * x + 3 * y + x * y % 5) % n for y in range(n)] for x in range(n)])
+    return [CayleyTable.from_rows(rows) for rows in tables]
+
+
+def test_mediality_check_matches_naive():
+    holds = {"mediality": 0, "alterability": 0}
+    for t in identity_oracle_tables():
+        for ident, oracle in (("mediality", naive_passes.check_mediality),
+                              ("alterability", naive_passes.check_alterability)):
+            want = oracle(t)
+            assert check_identity(t, ident) == want, (ident, t.entries)
+            holds[ident] += want is None
+        # a wrong "not medial" would be hidden above by the scan that follows it
+        medial_quasigroup = (check_identity(t, "latin-square") is None
+                             and naive_passes.check_mediality(t) is None)
+        assert _is_medial_quasigroup(t) == medial_quasigroup, t.entries
+    assert holds["mediality"] >= 300 and holds["alterability"] >= 25, holds
