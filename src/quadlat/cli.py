@@ -137,6 +137,8 @@ def _cmd_order_search(args):
         except ValueError:
             raise UsageError(
                 f"{ENV_MAX_ORDER_SEARCH} must be an integer, got {raw!r}") from None
+        if cap < 1:
+            raise UsageError(f"{ENV_MAX_ORDER_SEARCH} must be positive, got {cap}")
     found = translatable.find_translatable_ordering(t, max_order=cap)
     ordering, k = found if found is not None else (None, None)
     return _emit(args, {"ordering": ordering, "k": k},

@@ -89,9 +89,18 @@ def h_chain(t: CayleyTable, a: int, b: int, depth: int) -> QnDecomposition:
 
 
 def detect_form(t: CayleyTable):
-    """Search ordered base pairs lexicographically for a chain partitioning
-    the table; returns (blocks, a, b) for the first hit, else None.  The
-    table must be quadratical and of order 4n + 1."""
+    """The lexicographically least base pair (a, b) whose chain partitions
+    the table, as (blocks, a, b), or None.  The table must be quadratical
+    and of order 4n + 1.
+
+    Only pairs (0, b) are tried.  A quadratical quasigroup is left
+    distributive, so every left translation y -> x*y is an automorphism;
+    with x*a = 0 it maps a valid chain from (a, b), its centre and every
+    block law onto a valid chain from (0, x*b).  So a valid pair exists iff
+    one with a = 0 does, and the least valid pair has a = 0.  A chain that
+    passes _validate_chain has 4n distinct elements besides its centre,
+    so it covers the table.
+    """
     if not is_quadratical(t):
         raise ValueError("table is not quadratical")
     if t.n % 4 != 1:
@@ -100,24 +109,10 @@ def detect_form(t: CayleyTable):
     if depth == 0:
         return None
     e = t.entries
-    for a in range(t.n):
-        for b in range(t.n):
-            if a == b:
-                continue
-            center = e[e[a][b]][a]
-            blocks = _chain_blocks(t, a, b, depth)
-            covered = {center}
-            ok = True
-            for blk in blocks:
-                for x in blk:
-                    if x in covered:
-                        ok = False
-                        break
-                    covered.add(x)
-                if not ok:
-                    break
-            if ok and len(covered) == t.n and _validate_chain(t, blocks, center) is None:
-                return depth, a, b
+    for b in range(1, t.n):
+        blocks = _chain_blocks(t, 0, b, depth)
+        if _validate_chain(t, blocks, e[e[0][b]][0]) is None:
+            return depth, 0, b
     return None
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import CayleyTable, SearchCapExceeded, check_identity, is_quadratical
+from . import zm
+from .core import CayleyTable, SearchCapExceeded, check_identity
 
 
 @dataclass(frozen=True)
@@ -159,17 +160,19 @@ def build_idempotent_k_translatable(n: int, k: int) -> CayleyTable:
 
 def feasible_k_idempotent_quadratical(n: int) -> set[int]:
     """The shifts k for which an idempotent k-translatable quadratical
-    quasigroup of odd order n exists; by uniqueness this is exactly the set
-    of k whose built table is quadratical."""
+    quasigroup of odd order n exists; empty for n < 5.
+
+    By uniqueness this is the set of k whose built table is quadratical.
+    Under the natural ordering build_idempotent_k_translatable(n, k) is
+    x*y = ax + (1-a)y with a = k(k-1)^-1 (mod n), so it is quadratical
+    exactly when 2a^2 - 2a + 1 = 0 (mod n), and each root a gives back
+    k = a(a-1)^-1.
+    """
     if n % 2 == 0:
         raise ValueError(f"order must be odd, got {n}")
-    out = set()
-    for k in range(2, n):
-        if math.gcd(n, k) != 1 or math.gcd(n, k - 1) != 1:
-            continue
-        if is_quadratical(build_idempotent_k_translatable(n, k)):
-            out.add(k)
-    return out
+    if n < 5:
+        return set()
+    return {zm.translatability_k_quadratical(n, a) for a in zm.solve_quadratic_congruence(n)}
 
 
 def gcd_quasigroup_property_test(first_row, k: int) -> tuple[bool, bool]:

@@ -1,6 +1,9 @@
 """Reference implementations of the deduction engine's rule passes, as they
-were before idle rule instances were skipped, and the exhaustive scans for
-mediality and alterability that quadlat.core decides from structure.
+were before idle rule instances were skipped, the exhaustive scans for
+mediality and alterability that quadlat.core decides from structure, and
+the searches that quadlat.qn.detect_form and
+quadlat.translatable.feasible_k_idempotent_quadratical replace by what the
+structure gives.
 
 Every pass here visits every rule instance and calls the engine's own
 link/set_cell on it, so a pass of quadlat.deduction._State that skips
@@ -8,7 +11,13 @@ instances must produce the same new trace steps, the same change flag and
 the same conflict.  These functions are test oracles only.
 """
 
+import math
+
+from quadlat.core import is_quadratical
 from quadlat.deduction import Conflict, _ConflictError
+from quadlat.qn import _chain_blocks, _validate_chain
+from quadlat.translatable import build_idempotent_k_translatable
+
 
 def latin_pass(st) -> bool:
     n = st.n
@@ -228,3 +237,41 @@ def check_alterability(t):
                     if (ex[y] == ez[w]) != (eyz == e[w][x]):
                         return (x, y, z, w)
     return None
+
+
+def detect_form(t):
+    # every ordered base pair (a, b) in order; the table must be quadratical
+    # and of order 4n + 1 with n >= 1
+    depth = (t.n - 1) // 4
+    e = t.entries
+    for a in range(t.n):
+        for b in range(t.n):
+            if a == b:
+                continue
+            center = e[e[a][b]][a]
+            blocks = _chain_blocks(t, a, b, depth)
+            covered = {center}
+            ok = True
+            for blk in blocks:
+                for x in blk:
+                    if x in covered:
+                        ok = False
+                        break
+                    covered.add(x)
+                if not ok:
+                    break
+            if ok and len(covered) == t.n and _validate_chain(t, blocks, center) is None:
+                return depth, a, b
+    return None
+
+
+def feasible_k_idempotent_quadratical(n):
+    # build the idempotent k-translatable table for every admissible k and
+    # keep the quadratical ones; n odd
+    out = set()
+    for k in range(2, n):
+        if math.gcd(n, k) != 1 or math.gcd(n, k - 1) != 1:
+            continue
+        if is_quadratical(build_idempotent_k_translatable(n, k)):
+            out.add(k)
+    return out

@@ -151,6 +151,16 @@ def test_order_search_cap_not_an_integer(capsys, tmp_path, monkeypatch):
     assert err == "usage error: QUADLAT_MAX_ORDER_SEARCH must be an integer, got 'ten'\n"
 
 
+@pytest.mark.parametrize("raw", ["0", "-1"])
+def test_order_search_cap_not_positive(capsys, tmp_path, monkeypatch, raw):
+    p5 = tmp_path / "q5.txt"
+    run(capsys, "table", "-m", "5", "-a", "2", "-o", str(p5))
+    monkeypatch.setenv("QUADLAT_MAX_ORDER_SEARCH", raw)
+    code, out, err = run(capsys, "order-search", "-i", str(p5))
+    assert (code, out) == (1, "")
+    assert err == f"usage error: QUADLAT_MAX_ORDER_SEARCH must be positive, got {raw}\n"
+
+
 def test_invariant_error_exit(capsys):
     code, _, err = run(capsys, "table", "-m", "5", "-a", "3")
     assert code == 2

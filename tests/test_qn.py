@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 from quadlat import (
@@ -7,9 +10,14 @@ from quadlat import (
     dual,
     dual_element_map,
     h_chain,
+    is_quadratical,
     quadratical_over_zm,
+    relabel,
+    solve_quadratic_congruence,
 )
 from quadlat.qn import canonical_index, canonical_labels, dual_index_permutation
+
+import naive_passes
 
 
 def paper_pos(t, k):
@@ -70,6 +78,43 @@ def test_detect_form_z25_none():
 def test_detect_form_products_none(q1):
     p = direct_product(q1, q1)
     assert detect_form(p) is None
+
+
+def test_detect_form_matches_pair_search(q3_dual, q4_dual):
+    # every admissible Z_m(a) with 5 <= m <= 101 and a seeded relabelling of
+    # each, products in both factor orders, and the dual fixtures
+    rng = random.Random(7)
+    tables = [q3_dual, q4_dual]
+    for m in range(5, 102, 4):
+        for a in solve_quadratic_congruence(m):
+            t = quadratical_over_zm(m, a)
+            tables += [t, relabel(t, rng.sample(range(m), m))]
+    z5, z13 = quadratical_over_zm(5, 2), quadratical_over_zm(13, 11)
+    tables += [direct_product(z5, z13), direct_product(z13, z5),
+               direct_product(direct_product(z5, z5), z5)]
+    hits = 0
+    for t in tables:
+        found = detect_form(t)
+        assert found == naive_passes.detect_form(t)
+        if found is not None:
+            depth, a, b = found
+            assert a == 0
+            assert h_chain(t, 0, b, depth).elements() == frozenset(range(t.n))
+            hits += 1
+    assert hits > 0
+
+
+def test_detect_form_relabelled_z1025():
+    # Z_1025(447) has no block form; the relabelled copy must say so too,
+    # within seconds, is_quadratical included
+    n = 1025
+    z = quadratical_over_zm(n, solve_quadratic_congruence(n)[0])
+    t = relabel(z, random.Random(1025).sample(range(n), n))
+    is_quadratical.cache_clear()
+    t0 = time.monotonic()
+    assert detect_form(t) is None
+    assert time.monotonic() - t0 < 5.0
+    assert detect_form(z) is None
 
 
 def test_detect_form_rejects_non_quadratical():

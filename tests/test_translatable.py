@@ -20,6 +20,8 @@ from quadlat import (
 )
 from quadlat.fixtures import order5_translatable_examples
 
+import naive_passes
+
 
 def additive_table(n):
     return CayleyTable.from_function(n, lambda x, y: (x + y) % n)
@@ -162,6 +164,12 @@ def test_order9_no_idempotent_translatable_quadratical():
         except ValueError:
             continue
         assert not is_quadratical(t)
+
+
+def test_feasible_sets_match_table_scan():
+    for n in range(-3, 82, 2):
+        want = naive_passes.feasible_k_idempotent_quadratical(n)
+        assert feasible_k_idempotent_quadratical(n) == want, n
 
 
 def test_feasible_sets():
