@@ -9,11 +9,11 @@ exceeded.
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 
-from . import core, qn, sweep, tableio, translatable, zm
+# the exceptions main maps to exit codes; each handler imports the modules
+# it runs, so a command loads only those
+from .errors import InvariantViolation, SearchCapExceeded
 
 ENV_MAX_ORDER_SEARCH = "QUADLAT_MAX_ORDER_SEARCH"
 
@@ -49,6 +49,8 @@ def _emit(args, obj, text):
     The result goes to -o when the command has it, else to stdout.  Side
     files (--trace, --discrepancies, checkpoints) are written elsewhere."""
     if args.format == "json" and obj is not None:
+        import json
+
         body = json.dumps(obj, indent=0) + "\n"
     else:
         body = text()
@@ -61,6 +63,8 @@ def _table_json(t):
 
 
 def _emit_table(args, t):
+    from . import tableio
+
     return _emit(args, _table_json(t), lambda: tableio.format_table(t))
 
 
@@ -71,6 +75,8 @@ def _words(values):
 # -- subcommand handlers ----------------------------------------------------
 
 def _cmd_solve(args):
+    from . import zm
+
     sols = zm.solve_quadratic_congruence(args.m)
     return _emit(args, {"m": args.m, "solutions": sols}, lambda: _words(sols) + "\n")
 
@@ -78,6 +84,8 @@ def _cmd_solve(args):
 def _linear_spec(args):
     """-m/-a/-b/-c as the general form x*y = ax + by + c, or None without
     -b, which selects the quadratical form x*y = ax + (1-a)y."""
+    from . import zm
+
     if args.b is not None:
         return zm.LinearSpec(args.m, args.a, args.b, args.c or 0)
     if args.c is not None:
@@ -86,6 +94,8 @@ def _linear_spec(args):
 
 
 def _cmd_table(args):
+    from . import zm
+
     spec = _linear_spec(args)
     if spec is not None:
         t = zm.linear_table(spec)
@@ -95,6 +105,8 @@ def _cmd_table(args):
 
 
 def _cmd_check(args):
+    from . import core, tableio
+
     t = tableio.read_table(args.input)
     if args.all:
         idents = core.IDENTITY_IDS
@@ -113,6 +125,8 @@ def _cmd_check(args):
 
 
 def _cmd_k(args):
+    from . import zm
+
     spec = _linear_spec(args)
     if spec is not None:
         k = zm.translatability_k_linear(spec)
@@ -128,6 +142,10 @@ def _cmd_k(args):
 
 
 def _cmd_order_search(args):
+    import os
+
+    from . import tableio, translatable
+
     t = tableio.read_table(args.input)
     cap = args.max_order
     if cap is None:
@@ -146,6 +164,8 @@ def _cmd_order_search(args):
 
 
 def _cmd_hchain(args):
+    from . import qn, tableio
+
     t = tableio.read_table(args.input)
     dec = qn.h_chain(t, args.a, args.b, args.depth)
 
@@ -159,6 +179,8 @@ def _cmd_hchain(args):
 
 
 def _cmd_detect_form(args):
+    from . import qn, tableio
+
     t = tableio.read_table(args.input)
     found = qn.detect_form(t)
     blocks, a, b = found if found is not None else (None, None, None)
@@ -167,7 +189,7 @@ def _cmd_detect_form(args):
 
 
 def _cmd_complete_qn(args):
-    from . import deduction  # imported here: most commands never deduce
+    from . import core, deduction, tableio
 
     choice = deduction.parse_choice(args.blocks, args.choice)
     out = deduction.complete_qn(args.blocks, choice)
@@ -211,17 +233,23 @@ def _cmd_refute_q6(args):
 
 
 def _cmd_dual(args):
+    from . import core, tableio
+
     t = tableio.read_table(args.input)
     return _emit_table(args, core.dual(t))
 
 
 def _cmd_product(args):
+    from . import core, tableio
+
     t1 = tableio.read_table(args.left)
     t2 = tableio.read_table(args.right)
     return _emit_table(args, core.direct_product(t1, t2))
 
 
 def _cmd_iso(args):
+    from . import core, tableio
+
     t1 = tableio.read_table(args.left)
     t2 = tableio.read_table(args.right)
     phi = core.find_isomorphism(t1, t2)
@@ -232,6 +260,8 @@ def _cmd_iso(args):
 def _emit_rows(args, rows, columns, discrepancies):
     """The rows of scan or classify, CSV unless --format json, then the
     discrepancy report from discrepancies() when --discrepancies asks."""
+    from . import sweep
+
     _emit(args, None, lambda: sweep.emit_text(rows, args.format or "csv", columns))
     if args.discrepancies:
         ds = discrepancies()
@@ -241,6 +271,8 @@ def _emit_rows(args, rows, columns, discrepancies):
 
 
 def _cmd_scan(args):
+    from . import sweep
+
     if args.checkpoint:
         rows = sweep.scan_with_checkpoint(args.max_m, args.max_k, args.checkpoint)
     else:
@@ -250,6 +282,8 @@ def _cmd_scan(args):
 
 
 def _cmd_classify(args):
+    from . import sweep
+
     rows = sweep.classify(args.max_m)
     return _emit_rows(args, rows, sweep.CLASSIFY_COLUMNS,
                       lambda: sweep.classify_discrepancies(rows, args.max_m))
@@ -277,6 +311,18 @@ def _integer_text(text):
         int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    return text
+
+
+def _identity_id(text):
+    """A --id value: one of core.IDENTITY_IDS, read only when --id is
+    given, with argparse's own wording for a bad choice."""
+    from .core import IDENTITY_IDS
+
+    if text not in IDENTITY_IDS:
+        choices = ", ".join(map(repr, IDENTITY_IDS))
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {choices})")
     return text
 
 
@@ -313,7 +359,8 @@ def _build_parser() -> _Parser:
     linear_form(add("table", _cmd_table, "generate a linear table over Z_m", "output"))
 
     sp = add("check", _cmd_check, "check identities on a table file", "input")
-    sp.add_argument("--id", action="append", choices=core.IDENTITY_IDS)
+    sp.add_argument("--id", action="append", type=_identity_id,
+                    help="an identity to check; repeatable, and an unknown id lists them all")
     sp.add_argument("--all", action="store_true")
 
     linear_form(add("k", _cmd_k, "translatability shift of a linear table"))
@@ -370,10 +417,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except translatable.SearchCapExceeded as exc:
+    except SearchCapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ValueError, OSError, sweep.InvariantViolation) as exc:
+    except (ValueError, OSError, InvariantViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

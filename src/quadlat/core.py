@@ -12,6 +12,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import SearchCapExceeded
+
 # An identity verdict is None when it holds, otherwise the lexicographically
 # least tuple of element indices violating it (variables in the order they
 # appear in the defining equation).
@@ -547,10 +549,6 @@ def four_cycles(t: CayleyTable, a: int, b: int) -> list[tuple[int, int, int, int
 # ---------------------------------------------------------------------------
 # isomorphism
 # ---------------------------------------------------------------------------
-
-class SearchCapExceeded(RuntimeError):
-    """Raised when an exhaustive search would exceed its cap."""
-
 
 # Generator images find_isomorphism tries before it gives up.  Two
 # generators of order n need at most n^2 (4225 for Z_65 against Z_5 x Z_13)

@@ -1,10 +1,10 @@
 """Sweeps over moduli regenerating the classification tables.
 
-One driver, _modulus_rows, builds a smallest-prime-factor sieve once and
-walks m upward on one thread, taking the roots of each m in closed form;
-scan, classify and the checkpointed scan filter its rows.  Results are a
-pure function of the bounds.  The checkpoint format is a single line
-``last_m=<int>``; anything else is refused as corrupt.
+One driver, _rows, walks m upward on one thread over a sieve built once
+by _sieve, visiting only the moduli that have roots and taking those roots
+in closed form; scan, classify and the checkpointed scan filter its rows.
+Results are a pure function of the bounds.  The checkpoint format is a
+single line ``last_m=<int>``; anything else is refused as corrupt.
 """
 
 from __future__ import annotations
@@ -12,8 +12,11 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq
 
 from . import refdata
+from .errors import InvariantViolation
 from .zm import (
     smallest_prime_factors,
     solve_quadratic_congruence,
@@ -22,10 +25,6 @@ from .zm import (
 
 SCAN_COLUMNS = ("k", "m", "a", "b")
 CLASSIFY_COLUMNS = ("m", "a", "b", "k")
-
-
-class InvariantViolation(RuntimeError):
-    """A computed row failed its own defining congruences."""
 
 
 @dataclass(frozen=True, order=True)
@@ -70,12 +69,28 @@ def rows_for_modulus(m: int, spf=None, representatives: bool = False) -> list[Cl
     return out
 
 
-def _modulus_rows(first: int, last: int, representatives: bool = False):
-    """(m, rows_for_modulus(m, representatives=...)) for m = first..last in
-    increasing order, with one sieve for the whole range."""
+def _sieve(last: int):
+    """The smallest_prime_factors table up to last, and a bytearray with a 1
+    at exactly the m <= last that have roots: m >= 5, odd, with every prime
+    factor 1 (mod 4), so m = 1 (mod 4).  An m = 1 (mod 4) with a prime
+    factor p = 3 (mod 4) is p times a cofactor that is 3 (mod 4); so one
+    slice per such prime p <= last/3 clears all of those m."""
     spf = smallest_prime_factors(last)
-    for m in range(first, last + 1):
-        yield m, rows_for_modulus(m, spf, representatives)
+    admissible = bytearray(last + 1)
+    admissible[5::4] = b"\x01" * len(range(5, last + 1, 4))
+    candidates = range(3, last // 3 + 1, 4)
+    for p in compress(candidates, map(eq, spf[3::4], candidates)):
+        admissible[3 * p::4 * p] = bytes(len(range(3 * p, last + 1, 4 * p)))
+    return spf, admissible
+
+
+def _rows(first: int, last: int, sieve, representatives: bool = False) -> list[ClassificationRow]:
+    """The rows_for_modulus(m, representatives=...) of m = first..last in
+    increasing order, from a _sieve covering last; only the moduli with
+    roots are visited (87,881 of the first 10^6)."""
+    spf, admissible = sieve
+    return [r for m in compress(range(first, last + 1), admissible[first:last + 1])
+            for r in rows_for_modulus(m, spf, representatives)]
 
 
 def _scan_order(rows) -> list[ClassificationRow]:
@@ -86,8 +101,7 @@ def scan_k_table(max_m: int, max_k: int) -> list[ClassificationRow]:
     """All rows with m <= max_m and k < max_k, sorted by (k, m, a)."""
     if max_m < 1 or max_k < 1:
         raise ValueError("bounds must be positive")
-    return _scan_order(
-        r for _, got in _modulus_rows(2, max_m) for r in got if r.k < max_k)
+    return _scan_order(r for r in _rows(2, max_m, _sieve(max_m)) if r.k < max_k)
 
 
 def classify(max_m: int) -> list[ClassificationRow]:
@@ -95,7 +109,7 @@ def classify(max_m: int) -> list[ClassificationRow]:
     representative, sorted by (m, a)."""
     if max_m < 1:
         raise ValueError("bound must be positive")
-    return [r for _, got in _modulus_rows(2, max_m, representatives=True) for r in got]
+    return _rows(2, max_m, _sieve(max_m), representatives=True)
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +194,16 @@ def scan_with_checkpoint(max_m: int, max_k: int, checkpoint_path) -> list[Classi
             for r in saved:
                 fh.write(f"{r.k},{r.m},{r.a},{r.b}\n")
     all_rows = list(saved)
-    pending = []
-    for m, got in _modulus_rows(last_m + 1, max_m):
-        all_rows.extend(got)
-        pending.extend(got)
-        if m % CHECKPOINT_EVERY == 0 or m == max_m:
-            _flush_checkpoint(checkpoint_path, rows_path, m, pending)
-            pending = []
+    if last_m < max_m:
+        sieve = _sieve(max_m)
+        first = last_m + 1
+        # flush at each multiple of CHECKPOINT_EVERY past last_m, then at max_m
+        ends = range(-(-first // CHECKPOINT_EVERY) * CHECKPOINT_EVERY, max_m, CHECKPOINT_EVERY)
+        for end in (*ends, max_m):
+            got = _rows(first, end, sieve)
+            all_rows.extend(got)
+            _flush_checkpoint(checkpoint_path, rows_path, end, got)
+            first = end + 1
     return _scan_order(r for r in all_rows if r.m <= max_m and r.k < max_k)
 
 

@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 
 from . import zm
-from .core import CayleyTable, SearchCapExceeded, check_identity
+from .core import CayleyTable, check_identity
+from .errors import SearchCapExceeded
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import CayleyTable
-
 
 def smallest_prime_factors(n: int):
     """Table spf with spf[m] the smallest prime factor of m for 2 <= m <= n
@@ -115,8 +113,10 @@ class LinearSpec:
         )
 
 
-def linear_table(spec: LinearSpec) -> CayleyTable:
-    """The Cayley table of x*y = ax + by + c (mod m)."""
+def linear_table(spec: LinearSpec):
+    """The Cayley table of x*y = ax + by + c (mod m), a core.CayleyTable."""
+    from .core import CayleyTable  # only table building needs core
+
     m, a, b, c = spec.m, spec.a, spec.b, spec.c
     rows = []
     for x in range(m):
@@ -125,7 +125,7 @@ def linear_table(spec: LinearSpec) -> CayleyTable:
     return CayleyTable(m, tuple(rows))
 
 
-def quadratical_over_zm(m: int, a: int) -> CayleyTable:
+def quadratical_over_zm(m: int, a: int):
     """The quadratical quasigroup x*y = ax + (1-a)y (mod m); a must solve
     the quadratic congruence."""
     if m < 1:

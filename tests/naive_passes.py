@@ -3,7 +3,8 @@ were before idle rule instances were skipped, the exhaustive scans for
 mediality and alterability that quadlat.core decides from structure, and
 the searches that quadlat.qn.detect_form and
 quadlat.translatable.feasible_k_idempotent_quadratical replace by what the
-structure gives.
+structure gives, and the sweep walk over every modulus that quadlat.sweep
+restricts to the moduli with roots.
 
 Every pass here visits every rule instance and calls the engine's own
 link/set_cell on it, so a pass of quadlat.deduction._State that skips
@@ -13,10 +14,12 @@ the same conflict.  These functions are test oracles only.
 
 import math
 
+from quadlat import sweep
 from quadlat.core import is_quadratical
 from quadlat.deduction import Conflict, _ConflictError
 from quadlat.qn import _chain_blocks, _validate_chain
 from quadlat.translatable import build_idempotent_k_translatable
+from quadlat.zm import smallest_prime_factors
 
 
 def latin_pass(st) -> bool:
@@ -275,3 +278,33 @@ def feasible_k_idempotent_quadratical(n):
         if is_quadratical(build_idempotent_k_translatable(n, k)):
             out.add(k)
     return out
+
+
+def sweep_rows(first, last, representatives=False):
+    # rows_for_modulus for every m in first..last, roots or not
+    spf = smallest_prime_factors(last)
+    return [r for m in range(first, last + 1)
+            for r in sweep.rows_for_modulus(m, spf, representatives)]
+
+
+def scan_with_checkpoint(max_m, max_k, checkpoint_path):
+    # the checkpointed scan over every m, flushing when m is a multiple of
+    # CHECKPOINT_EVERY or max_m; the checkpoint I/O is sweep's own
+    last_m, saved = sweep._load_checkpoint(checkpoint_path)
+    rows_path = sweep._rows_path(checkpoint_path)
+    if saved or last_m > 1:
+        with open(rows_path, "w", encoding="utf-8") as fh:
+            for r in saved:
+                fh.write(f"{r.k},{r.m},{r.a},{r.b}\n")
+    all_rows = list(saved)
+    pending = []
+    spf = smallest_prime_factors(max_m)
+    for m in range(last_m + 1, max_m + 1):
+        got = sweep.rows_for_modulus(m, spf)
+        all_rows.extend(got)
+        pending.extend(got)
+        if m % sweep.CHECKPOINT_EVERY == 0 or m == max_m:
+            sweep._flush_checkpoint(checkpoint_path, rows_path, m, pending)
+            pending = []
+    return sorted((r for r in all_rows if r.m <= max_m and r.k < max_k),
+                  key=lambda r: (r.k, r.m, r.a))

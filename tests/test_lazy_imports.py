@@ -1,0 +1,129 @@
+"""The package and the command line load only the modules a command runs.
+
+Each import set is read in a fresh interpreter, from the ``quadlat``
+entries of ``sys.modules`` after the command (or import) has run.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import quadlat
+from quadlat.cli import main
+
+SRC = os.path.dirname(os.path.dirname(quadlat.__file__))
+
+# the names `import quadlat` exported eagerly or on first use before the
+# namespace became lazy, by the module they were imported from
+EXPORTED = {
+    "core": (
+        "BASIC_IDENTITY_IDS", "CayleyTable", "IDENTITY_IDS", "TwoGenerationReport",
+        "check_identity", "direct_product", "dual", "find_isomorphism", "four_cycles",
+        "generated_subgroupoid", "identity_report", "is_quadratical", "quadratical_report",
+        "relabel", "two_generation_report",
+    ),
+    "qn": ("QnDecomposition", "detect_form", "dual_element_map", "h_chain"),
+    "sweep": ("ClassificationRow", "classify", "emit", "scan_k_table", "scan_with_checkpoint"),
+    "tableio": ("format_table", "parse_table", "read_table", "write_table"),
+    "translatable": (
+        "SearchCapExceeded", "TranslatabilityReport", "all_valid_k",
+        "build_idempotent_k_translatable", "feasible_k_idempotent_quadratical",
+        "find_translatable_ordering", "gcd_quasigroup_property_test", "idempotent_first_row",
+        "k_translatable_check", "translatability_report",
+    ),
+    "zm": (
+        "LinearSpec", "linear_table", "quadratical_over_zm", "solve_quadratic_congruence",
+        "translatability_k_linear", "translatability_k_quadratical",
+    ),
+    "deduction": (
+        "Completed", "Contradiction", "PartialTable", "RefutationReport", "Stuck",
+        "complete_qn", "refute_case", "refute_q6", "replay_trace", "trace_text",
+    ),
+}
+SUBMODULES = ("core", "deduction", "qn", "refdata", "sweep", "tableio", "translatable", "zm")
+
+PROBE = """
+import json, sys
+{code}
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "quadlat")))
+"""
+
+CLI_PROBE = """
+from quadlat.cli import main
+try:
+    main({argv!r})
+except SystemExit:
+    pass
+"""
+
+
+def loaded(code, cwd):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", PROBE.format(code=code)], cwd=cwd, env=env,
+                         capture_output=True, text=True, check=True)
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+@pytest.fixture(scope="module")
+def table_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tables") / "z13.txt"
+    assert main(["table", "-m", "13", "-a", "3", "-o", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["--help"], set()),
+    (["solve", "-m", "65"], {"zm"}),
+    (["k", "-m", "13", "-a", "3"], {"zm"}),
+    (["scan", "--max-m", "100", "--max-k", "10"], {"sweep", "zm", "refdata"}),
+    (["classify", "--max-m", "100"], {"sweep", "zm", "refdata"}),
+    (["check", "-i", "{t}", "--all"], {"core", "tableio"}),
+    (["dual", "-i", "{t}"], {"core", "tableio"}),
+    (["product", "{t}", "{t}"], {"core", "tableio"}),
+    (["iso", "{t}", "{t}"], {"core", "tableio"}),
+])
+def test_command_import_set(argv, extra, table_file, tmp_path):
+    argv = [a.format(t=table_file) for a in argv]
+    got = loaded(CLI_PROBE.format(argv=argv), tmp_path)
+    assert got == {"quadlat", "quadlat.cli", "quadlat.errors", *(f"quadlat.{m}" for m in extra)}
+
+
+def test_package_import_set(tmp_path):
+    assert loaded("import quadlat", tmp_path) == {"quadlat"}
+    assert loaded("from quadlat import deduction", tmp_path) == {
+        "quadlat", "quadlat.errors", "quadlat.core", "quadlat.qn", "quadlat.deduction"}
+
+
+def test_exported_names_resolve():
+    listed = dir(quadlat)
+    for module, names in EXPORTED.items():
+        owner = importlib.import_module(f"quadlat.{module}")
+        for name in names:
+            assert getattr(quadlat, name) is getattr(owner, name), name
+            assert name in listed, name
+    for module in SUBMODULES:
+        assert getattr(quadlat, module) is importlib.import_module(f"quadlat.{module}")
+        assert module in listed, module
+    assert quadlat.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        quadlat.nonesuch
+
+
+def test_moved_exceptions_keep_their_names():
+    from quadlat import core, errors, sweep, translatable
+
+    assert core.SearchCapExceeded is translatable.SearchCapExceeded is errors.SearchCapExceeded
+    assert sweep.InvariantViolation is errors.InvariantViolation
+
+
+def test_unknown_identity_id(table_file, capsys):
+    assert main(["check", "-i", table_file, "--id", "nonesuch"]) == 1
+    choices = ", ".join(repr(ident) for ident in quadlat.IDENTITY_IDS)
+    assert capsys.readouterr().err == (
+        f"usage error: argument --id: invalid choice: 'nonesuch' (choose from {choices})\n")
+    assert main(["check", "-i", table_file, "--id", "bookend", "--id", "mediality"]) == 0
+    assert capsys.readouterr().out == "bookend: holds\nmediality: holds\n"

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import naive_passes
 from quadlat import all_valid_k, classify, emit, quadratical_over_zm, scan_k_table, sweep
 from quadlat.sweep import (
     ClassificationRow,
@@ -219,3 +220,45 @@ def test_corrupt_checkpoint_refused(tmp_path):
     ck.write_text("resume-from 77\n")
     with pytest.raises(ValueError, match="corrupt"):
         scan_with_checkpoint(100, 40, ck)
+
+
+def test_sweeps_match_every_modulus_walk():
+    # the sweeps visit only moduli with roots; the walk over every m is
+    # the oracle, for bounds below the first admissible m and up to 20000
+    every = naive_passes.sweep_rows(2, 20000)
+    reps = naive_passes.sweep_rows(2, 20000, representatives=True)
+    _, admissible = sweep._sieve(20000)
+    assert [m for m in range(20001) if admissible[m]] == sorted({r.m for r in every})
+    for max_m in (*range(1, 70), 1000, 1001, 4097, 20000):
+        assert classify(max_m) == [r for r in reps if r.m <= max_m], max_m
+        for max_k in (40, max_m):
+            want = sorted((r for r in every if r.m <= max_m and r.k < max_k),
+                          key=lambda r: (r.k, r.m, r.a))
+            assert scan_k_table(max_m, max_k) == want, (max_m, max_k)
+
+
+@pytest.mark.parametrize("bounds", [(2000, 3000), (1234, 3001), (999, 1000)])
+def test_checkpoint_files_match_every_modulus_walk(tmp_path, monkeypatch, bounds):
+    # same flush points, same rows and byte-identical files after each run
+    flushed = []
+    real = sweep._flush_checkpoint
+
+    def spy(checkpoint_path, rows_path, last_m, pending):
+        flushed.append((checkpoint_path.parent.name, last_m))
+        real(checkpoint_path, rows_path, last_m, pending)
+
+    monkeypatch.setattr(sweep, "_flush_checkpoint", spy)
+    runs = {}
+    for name, scan in (("walk", naive_passes.scan_with_checkpoint),
+                       ("sieve", scan_with_checkpoint)):
+        (tmp_path / name).mkdir()
+        ck = tmp_path / name / "scan.ck"
+        archive = tmp_path / name / "scan.ck.rows"
+        runs[name] = []
+        for max_m in bounds:
+            rows = scan(max_m, 40, ck)
+            runs[name].append((rows, ck.read_bytes(), archive.read_bytes()))
+    assert runs["sieve"] == runs["walk"]
+    assert runs["sieve"][-1][0] == scan_k_table(bounds[-1], 40)
+    assert ([m for name, m in flushed if name == "sieve"]
+            == [m for name, m in flushed if name == "walk"])
