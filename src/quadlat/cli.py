@@ -13,7 +13,7 @@ import sys
 
 # the exceptions main maps to exit codes; each handler imports the modules
 # it runs, so a command loads only those
-from .errors import InvariantViolation, SearchCapExceeded
+from .errors import CheckpointBusy, InvariantViolation, SearchCapExceeded
 
 ENV_MAX_ORDER_SEARCH = "QUADLAT_MAX_ORDER_SEARCH"
 
@@ -189,7 +189,7 @@ def _cmd_detect_form(args):
 
 
 def _cmd_complete_qn(args):
-    from . import core, deduction, tableio
+    from . import deduction
 
     choice = deduction.parse_choice(args.blocks, args.choice)
     out = deduction.complete_qn(args.blocks, choice)
@@ -198,6 +198,8 @@ def _cmd_complete_qn(args):
         trace = out.trace if not isinstance(out, deduction.Stuck) else out.partial.trace
         _out(deduction.trace_text(trace, conflict), args.trace)
     if isinstance(out, deduction.Completed):
+        from . import core, tableio
+
         table = out.table
         if not args.seed_labels:
             table = core.CayleyTable(table.n, table.entries)
@@ -414,7 +416,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, CheckpointBusy) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SearchCapExceeded as exc:

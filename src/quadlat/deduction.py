@@ -16,26 +16,43 @@ are those of a pass that visits every instance:
   included.  Distributivity (per x, y) and mediality (per x, y and per
   x, y, z) compare both sides of all their links at once, as lists built
   with map and itemgetter over the admissible z or w, and visit the links
-  only where the lists differ.  Strong elasticity and bookend are tested
-  inline per pair (x, y), alterability per first cell.
+  only where the lists differ.  Mediality instances (x, y, z) and
+  (x, z, y) link the same cells, so one found idle, with no assignment
+  since, clears the other.  Strong elasticity and bookend are tested
+  inline per pair (x, y), and only where y*x is known.  Alterability
+  compares, per first cell, a row of the table against a column of its
+  transposed view over all the value's cells at once.
+- Counting bounds (latin elimination).  A cell (r, c) is a single or has
+  no candidate only when |row r| + |col c| >= n-1 known cells, since
+  each known cell rules out at most one value.  A value v missing from a
+  row (column) has one place or none only when the line's known cells
+  plus the cells of v number at least n-1, since v sits in at most one
+  column (row) per cell.  The counts are exact when an instance is
+  visited: they are recomputed after every assignment of the pass.
 - An instance that was idle when last examined stays idle until one of its
   inputs gains an assignment: for latin elimination its row, column or
-  value; for alterability the row and column it concludes in, or a new
-  cell of its value.  These two passes keep where their previous pass
-  began (latin_mark, alter_mark) and treat as changed everything assigned
-  since then, plus what they assign themselves, so they over-approximate
-  and never skip an instance with work to do.
+  value; for alterability one of the two cells its pair links, or a new
+  cell of its value.  A value holds one cell per row and per column, so
+  the pairs of a first cell (x, y) read row y at the rows of the later
+  cells and column x at their columns, and a link assigns a cell of no
+  other pair with the same first cell.  These two passes keep where their
+  previous pass began (latin_mark, alter_mark) and treat as changed
+  everything assigned since then, plus what they assign themselves, so
+  they over-approximate and never skip an instance with work to do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from operator import getitem, itemgetter
-from typing import NamedTuple
+from itertools import combinations, compress
+from operator import getitem, itemgetter, ne
+from typing import TYPE_CHECKING, NamedTuple
 
-from .core import CayleyTable, is_quadratical
+from .errors import SearchCapExceeded
 from .qn import canonical_index, canonical_labels
+
+if TYPE_CHECKING:
+    from .core import CayleyTable
 
 
 class Step(NamedTuple):
@@ -44,6 +61,10 @@ class Step(NamedTuple):
     value: int
     premises: tuple
     binding: tuple
+
+
+# Step(...) without the keyword handling of the NamedTuple constructor
+_new_step = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -198,10 +219,10 @@ def seed_assignments(blocks: int, choice: int) -> list[tuple[str, tuple[int, int
 
 class _State:
     __slots__ = (
-        "n", "blocks", "choice", "val", "row_vals", "col_vals",
+        "n", "blocks", "choice", "val", "cols", "row_vals", "col_vals",
         "row_known", "col_known", "value_rows", "value_cols",
-        "cells_by_value", "unknown", "trace", "conflict", "latin_mark",
-        "alter_mark", "alter_lens",
+        "rows_by_value", "cols_by_value", "unknown", "trace", "conflict",
+        "latin_mark", "alter_mark", "alter_lens",
     )
 
     def __init__(self, blocks: int, choice: int):
@@ -210,6 +231,8 @@ class _State:
         self.blocks = blocks
         self.choice = choice
         self.val = [[-1] * n for _ in range(n)]
+        # the same table by columns: cols[c][r] = val[r][c]
+        self.cols = [[-1] * n for _ in range(n)]
         self.row_vals = [0] * n
         self.col_vals = [0] * n
         self.row_known = [0] * n
@@ -217,7 +240,10 @@ class _State:
         # bitmasks of the rows and of the columns that hold each value
         self.value_rows = [0] * n
         self.value_cols = [0] * n
-        self.cells_by_value = [[] for _ in range(n)]
+        # the cells of each value in assignment order, as a list of rows and
+        # a parallel list of columns
+        self.rows_by_value = [[] for _ in range(n)]
+        self.cols_by_value = [[] for _ in range(n)]
         self.unknown = n * n
         self.trace = []
         self.conflict = None
@@ -234,13 +260,15 @@ class _State:
         st.blocks = self.blocks
         st.choice = self.choice
         st.val = [row[:] for row in self.val]
+        st.cols = [col[:] for col in self.cols]
         st.row_vals = self.row_vals[:]
         st.col_vals = self.col_vals[:]
         st.row_known = self.row_known[:]
         st.col_known = self.col_known[:]
         st.value_rows = self.value_rows[:]
         st.value_cols = self.value_cols[:]
-        st.cells_by_value = [lst[:] for lst in self.cells_by_value]
+        st.rows_by_value = [lst[:] for lst in self.rows_by_value]
+        st.cols_by_value = [lst[:] for lst in self.cols_by_value]
         st.unknown = self.unknown
         st.trace = self.trace[:]
         st.conflict = None
@@ -251,14 +279,9 @@ class _State:
 
     # -- assignment ---------------------------------------------------------
 
-    def _find_in_col(self, c: int, v: int) -> int:
-        for r in range(self.n):
-            if self.val[r][c] == v:
-                return r
-        raise ValueError("value not present in column")
-
     def set_cell(self, r, c, v, rule, premises, binding) -> bool:
-        cur = self.val[r][c]
+        row = self.val[r]
+        cur = row[c]
         if cur == v:
             return False
         if cur != -1:
@@ -268,52 +291,60 @@ class _State:
         if self.row_vals[r] & bit:
             raise _ConflictError(Conflict(
                 "row-duplicate", rule, (r, c), v, -1,
-                premises + (((r, self.val[r].index(v)), v),), binding))
+                premises + (((r, row.index(v)), v),), binding))
         if self.col_vals[c] & bit:
-            i = self._find_in_col(c, v)
             raise _ConflictError(Conflict(
                 "col-duplicate", rule, (r, c), v, -1,
-                premises + ((((i, c)), v),), binding))
-        self.val[r][c] = v
+                premises + (((self.cols[c].index(v), c), v),), binding))
+        row[c] = v
+        self.cols[c][r] = v
         self.row_vals[r] |= bit
         self.col_vals[c] |= bit
         self.row_known[r] |= 1 << c
         self.col_known[c] |= 1 << r
         self.value_rows[v] |= 1 << r
         self.value_cols[v] |= 1 << c
-        self.cells_by_value[v].append((r, c))
+        self.rows_by_value[v].append(r)
+        self.cols_by_value[v].append(c)
         self.unknown -= 1
-        self.trace.append(Step(rule, (r, c), v, premises, binding))
+        self.trace.append(_new_step(Step, (rule, (r, c), v, premises, binding)))
         return True
 
     def link(self, cell1, cell2, rule, binding, premise_cells) -> bool:
         """Require the two cells to hold equal values; propagate or clash."""
-        v1 = self.val[cell1[0]][cell1[1]]
-        v2 = self.val[cell2[0]][cell2[1]]
-        if v1 == -1 and v2 == -1:
+        val = self.val
+        v1 = val[cell1[0]][cell1[1]]
+        v2 = val[cell2[0]][cell2[1]]
+        if v1 == v2:
             return False
-        if v1 != -1 and v2 != -1:
-            if v1 != v2:
-                prem = self._premises(premise_cells) + ((cell1, v1),)
-                raise _ConflictError(Conflict(
-                    "cell-mismatch", rule, cell2, v1, v2, prem, binding))
-            return False
-        if v1 != -1:
-            prem = self._premises(premise_cells) + ((cell1, v1),)
-            return self.set_cell(cell2[0], cell2[1], v1, rule, prem, binding)
-        prem = self._premises(premise_cells) + ((cell2, v2),)
-        return self.set_cell(cell1[0], cell1[1], v2, rule, prem, binding)
-
-    def _premises(self, cells) -> tuple:
-        return tuple((cell, self.val[cell[0]][cell[1]]) for cell in cells)
+        prem = tuple([(cell, val[cell[0]][cell[1]]) for cell in premise_cells])
+        if v2 == -1:
+            return self.set_cell(cell2[0], cell2[1], v1, rule, prem + ((cell1, v1),), binding)
+        if v1 == -1:
+            return self.set_cell(cell1[0], cell1[1], v2, rule, prem + ((cell2, v2),), binding)
+        raise _ConflictError(Conflict(
+            "cell-mismatch", rule, cell2, v1, v2, prem + ((cell1, v1),), binding))
 
     # -- rule passes --------------------------------------------------------
+
+    def _latin_bounds(self) -> tuple:
+        """Known cells per row and per column, and by k the columns and the
+        values with at least k known cells (see the module docstring)."""
+        n = self.n
+        return ([m.bit_count() for m in self.row_known],
+                [m.bit_count() for m in self.col_known],
+                _at_least([m.bit_count() for m in self.col_known], n),
+                _at_least(list(map(len, self.rows_by_value)), n))
 
     def latin_pass(self) -> bool:
         # Only the cells, row values and column values whose row, column or
         # value is dirty are examined: assigned since the previous latin
-        # pass began, or by this pass (see the module docstring).
+        # pass began, or by this pass.  Of those, only the ones the counting
+        # bounds allow: a cell (r, c) needs |row r| + |col c| >= n-1, a row
+        # or column value v needs |line| + cells(v) >= n-1.  The bounds are
+        # recomputed after every assignment (see the module docstring).
         n = self.n
+        lim = n - 1
         full = (1 << n) - 1
         changed = False
         trace = self.trace
@@ -324,9 +355,10 @@ class _State:
             dirty_cols |= 1 << c
             dirty_vals |= 1 << step.value
         self.latin_mark = len(trace)
+        row_n, col_n, cols_ge, vals_ge = self._latin_bounds()
         for r in range(n):
             row_v = self.row_vals[r]
-            todo = full & ~self.row_known[r]
+            todo = full & ~self.row_known[r] & cols_ge[lim - row_n[r]]
             if not dirty_rows >> r & 1:
                 todo &= dirty_cols
             while todo:
@@ -346,9 +378,11 @@ class _State:
                     dirty_rows |= 1 << r
                     dirty_cols |= bit
                     dirty_vals |= cand
-                    todo = full & ~self.row_known[r] & -(bit << 1)
+                    row_n, col_n, cols_ge, vals_ge = self._latin_bounds()
+                    todo = (full & ~self.row_known[r] & cols_ge[lim - row_n[r]]
+                            & -(bit << 1))
         for r in range(n):
-            missing = full & ~self.row_vals[r]
+            missing = full & ~self.row_vals[r] & vals_ge[lim - row_n[r]]
             todo = missing if dirty_rows >> r & 1 else missing & dirty_vals
             while todo:
                 bit = todo & -todo
@@ -367,9 +401,11 @@ class _State:
                     dirty_rows |= 1 << r
                     dirty_cols |= 1 << spot
                     dirty_vals |= bit
-                    todo = missing & -(bit << 1)
+                    row_n, col_n, cols_ge, vals_ge = self._latin_bounds()
+                    todo = (full & ~self.row_vals[r] & vals_ge[lim - row_n[r]]
+                            & -(bit << 1))
         for c in range(n):
-            missing = full & ~self.col_vals[c]
+            missing = full & ~self.col_vals[c] & vals_ge[lim - col_n[c]]
             todo = missing if dirty_cols >> c & 1 else missing & dirty_vals
             while todo:
                 bit = todo & -todo
@@ -389,7 +425,9 @@ class _State:
                     dirty_rows |= 1 << spot
                     dirty_cols |= 1 << c
                     dirty_vals |= bit
-                    todo = missing & -(bit << 1)
+                    row_n, col_n, cols_ge, vals_ge = self._latin_bounds()
+                    todo = (full & ~self.col_vals[c] & vals_ge[lim - col_n[c]]
+                            & -(bit << 1))
         return changed
 
     def _coverage_cell(self, r, c) -> tuple:
@@ -400,23 +438,23 @@ class _State:
             if self.row_vals[r] >> v & 1:
                 out.append(((r, self.val[r].index(v)), v))
             elif self.col_vals[c] >> v & 1:
-                out.append((((self._find_in_col(c, v), c)), v))
+                out.append(((self.cols[c].index(v), c), v))
         return tuple(out)
 
     def _coverage_row(self, r, v) -> tuple:
         out = []
         for c in range(self.n):
             if self.val[r][c] != -1:
-                out.append((((r, c)), self.val[r][c]))
+                out.append(((r, c), self.val[r][c]))
             elif self.col_vals[c] >> v & 1:
-                out.append((((self._find_in_col(c, v), c)), v))
+                out.append(((self.cols[c].index(v), c), v))
         return tuple(out)
 
     def _coverage_col(self, c, v) -> tuple:
         out = []
         for r in range(self.n):
             if self.val[r][c] != -1:
-                out.append((((r, c)), self.val[r][c]))
+                out.append(((r, c), self.val[r][c]))
             elif self.row_vals[r] >> v & 1:
                 out.append(((r, self.val[r].index(v)), v))
         return tuple(out)
@@ -424,97 +462,139 @@ class _State:
     def pairs_pass(self) -> bool:
         # bookend (y*x)(x*y) = x and the three-way strong elasticity chain
         # x(yx) = (xy)x = (yx)y; a pair (x, y) is idle when y*x is unknown
-        # (one cell at most, nothing to link) or every known side agrees
+        # (one cell at most, nothing to link), so only the known cells
+        # (y, x) of column x are visited, read again after an assignment,
+        # or when every known side agrees
         n = self.n
         val = self.val
+        col_known = self.col_known
         changed = False
         for x in range(n):
             vx = val[x]
-            for y in range(n):
-                if x == y:
-                    continue
-                u = val[y][x]
-                if u == -1:
-                    continue
-                v = vx[y]
-                if v == -1:
-                    if vx[u] == val[u][y]:
+            todo = col_known[x] & ~(1 << x)
+            while todo:
+                for y in _set_bits(todo):
+                    u = val[y][x]
+                    v = vx[y]
+                    if v == -1:
+                        if vx[u] == val[u][y]:
+                            continue
+                    elif val[u][v] == x and vx[u] == val[u][y] == val[v][x]:
                         continue
-                elif val[u][v] == x and vx[u] == val[u][y] == val[v][x]:
-                    continue
-                base = [(y, x)]
-                cells = [(x, u), (u, y)]
-                if v != -1:
-                    changed |= self.set_cell(
-                        u, v, x, "bookend", (((y, x), u), ((x, y), v)), (x, y))
-                    base.append((x, y))
-                    cells.append((v, x))
-                for cell1, cell2 in combinations(cells, 2):
-                    changed |= self.link(cell1, cell2, "strong-elasticity", (x, y), base)
+                    before = self.unknown
+                    base = [(y, x)]
+                    cells = [(x, u), (u, y)]
+                    if v != -1:
+                        changed |= self.set_cell(
+                            u, v, x, "bookend", (((y, x), u), ((x, y), v)), (x, y))
+                        base.append((x, y))
+                        cells.append((v, x))
+                    for cell1, cell2 in combinations(cells, 2):
+                        changed |= self.link(cell1, cell2, "strong-elasticity", (x, y), base)
+                    if self.unknown != before:
+                        # the known cells of column x past row y
+                        todo = col_known[x] & ~(1 << x) & -(2 << y)
+                        break
+                else:
+                    todo = 0
         return changed
 
     def alter_pass(self) -> bool:
         # x*y = z*w implies y*z = w*x, over pairs of equal known cells; the
         # reversed pair yields the same cell equality, so one link suffices.
-        # The pairs with first cell (x, y) conclude in row y and column x:
-        # they are examined only if one of those gained an assignment, or a
-        # new cell of this value joined, since the previous pass began.
-        # Their two sides are then compared at once: row y at the later
-        # cells' rows z against column x at their columns w.
+        # Number the cells (x_a, y_a) of a value in assignment order: pair
+        # (a, b), a < b, links A[a][b] = val[y_a][x_b] to A[b][a], so its
+        # pairs are the asymmetries of the matrix A.  Row a of A is row y_a
+        # at the x_b, row a of its transpose column x_a at the y_b; one
+        # comparison of the two covers every pair of cell a.  A value holds
+        # one cell per row and per column, so a link assigns a cell of no
+        # other pair with the same first cell, and an old pair (a, b)
+        # changes only when (y_a, x_b) or (y_b, x_a) is assigned.  Cell a
+        # is examined if it has a new pair that differs where the value's
+        # new cells are compared, or row y_a gained a cell at the row of a
+        # later cell, or column x_a at the column of one, since the
+        # previous pass began.
+        n = self.n
         val = self.val
+        cols = self.cols
         trace = self.trace
         changed = False
+        # cells assigned since the previous pass began, by row and by
+        # column, and the rows and the columns that have any
+        new_in_row = [0] * n
+        new_in_col = [0] * n
         dirty_rows = dirty_cols = 0
         for step in trace[self.alter_mark:]:
             r, c = step.cell
+            new_in_row[r] |= 1 << c
+            new_in_col[c] |= 1 << r
             dirty_rows |= 1 << r
             dirty_cols |= 1 << c
         self.alter_mark = len(trace)
-        for v in range(self.n):
-            lst = self.cells_by_value[v]
-            m = len(lst)
+        for v in range(n):
+            xs = self.rows_by_value[v]
+            ys = self.cols_by_value[v]
+            m = len(xs)
             old = self.alter_lens[v]
             self.alter_lens[v] = m
-            zs = [cell[0] for cell in lst]
-            ws = [cell[1] for cell in lst]
+            # rows and columns of the cells after the first cell
+            rows_after = self.value_rows[v]
+            cols_after = self.value_cols[v]
+            if m < 2 or old == m and not (
+                    cols_after & dirty_rows or rows_after & dirty_cols):
+                continue
+            at_x = itemgetter(*xs)
+            at_y = itemgetter(*ys)
+            # first cells with a differing pair that includes a new cell
+            hot = 0
+            for b in range(old, m):
+                row = at_x(val[ys[b]])
+                col = at_y(cols[xs[b]])
+                if row != col:
+                    for a in compress(range(m), map(ne, row, col)):
+                        hot |= 1 << (a if a < b else b)
             for a in range(m - 1):
-                x, y = lst[a]
-                # pairs (a, b) with b >= old are new; older ones can only
-                # have changed through row y or column x
-                if a >= old or dirty_rows >> y & 1 or dirty_cols >> x & 1:
-                    start = a + 1
-                elif old < m:
-                    start = old
-                else:
+                x = xs[a]
+                y = ys[a]
+                rows_after ^= 1 << x
+                cols_after ^= 1 << y
+                if not (hot >> a & 1 or new_in_row[y] & rows_after
+                        or new_in_col[x] & cols_after):
                     continue
-                if (list(map(val[y].__getitem__, zs[start:m]))
-                        == [val[w][x] for w in ws[start:m]]):
+                row = at_x(val[y])
+                col = at_y(cols[x])
+                if row == col:
                     continue
+                # the pairs that differ now are the ones to link, with the
+                # values read here: a link leaves the other pairs of cell a
+                # as they were
                 before = len(trace)
-                vy = val[y]
-                for b in range(a + 1, m):
-                    z, w = lst[b]
-                    if vy[z] != val[w][x]:
-                        changed |= self.link(
-                            (y, z), (w, x), "alterability", (x, y, z, w),
-                            ((x, y), (z, w)))
+                for b in compress(range(a + 1, m), map(ne, row[a + 1:], col[a + 1:])):
+                    z = xs[b]
+                    w = ys[b]
+                    left = row[b]
+                    right = col[b]
+                    prem = (((x, y), v), ((z, w), v))
+                    if right == -1:
+                        changed |= self.set_cell(
+                            w, x, left, "alterability", prem + (((y, z), left),), (x, y, z, w))
+                    elif left == -1:
+                        changed |= self.set_cell(
+                            y, z, right, "alterability", prem + (((w, x), right),), (x, y, z, w))
+                    else:
+                        raise _ConflictError(Conflict(
+                            "cell-mismatch", "alterability", (w, x), left, right,
+                            prem + (((y, z), left),), (x, y, z, w)))
                 for step in trace[before:]:
                     r, c = step.cell
+                    new_in_row[r] |= 1 << c
+                    new_in_col[c] |= 1 << r
                     dirty_rows |= 1 << r
                     dirty_cols |= 1 << c
         return changed
 
     def _known_cols(self) -> list:
-        out = []
-        for r in range(self.n):
-            mask = self.row_known[r]
-            cols = []
-            while mask:
-                bit = mask & -mask
-                mask ^= bit
-                cols.append(bit.bit_length() - 1)
-            out.append(cols)
-        return out
+        return [_set_bits(mask) for mask in self.row_known]
 
     def distrib_pass(self) -> bool:
         # left: x(yz) = (xy)(xz); right: (xy)z = (xz)(yz).  Per (x, y) both
@@ -524,7 +604,7 @@ class _State:
         val = self.val
         changed = False
         kc = self._known_cols()
-        picks = {}
+        set_bits = {}
         for x in range(n):
             vx = val[x]
             for y in kc[x]:
@@ -532,11 +612,14 @@ class _State:
                 both = self.row_known[x] & self.row_known[y]
                 if not both:
                     continue
-                pick = _picker(picks, both)
+                zs = set_bits.get(both) or set_bits.setdefault(both, _set_bits(both))
                 vy = val[y]
+                vb = val[b_xy]
+                # x*z and y*z over those z; known cells never change
+                xz = list(map(vx.__getitem__, zs))
+                yz = list(map(vy.__getitem__, zs))
                 # left distributivity, premise cells (y,z),(x,y),(x,z)
-                if (pick(list(map(vx.__getitem__, vy)))
-                        != pick(list(map(val[b_xy].__getitem__, vx)))):
+                if list(map(vx.__getitem__, yz)) != list(map(vb.__getitem__, xz)):
                     m2 = both
                     while m2:
                         bit = m2 & -m2
@@ -550,8 +633,8 @@ class _State:
                             (x, a_yz), (b_xy, c_xz), "left-distributivity",
                             (x, y, z), ((y, z), (x, y), (x, z)))
                 # right distributivity, premise cells (x,y),(x,z),(y,z)
-                if (pick(val[b_xy])
-                        != pick(list(map(getitem, map(val.__getitem__, vx), vy)))):
+                if (list(map(vb.__getitem__, zs))
+                        != list(map(getitem, map(val.__getitem__, xz), yz))):
                     m2 = both
                     while m2:
                         bit = m2 & -m2
@@ -579,39 +662,49 @@ class _State:
         # (xy)(zw) = (xz)(yw); degenerate instances with x=y, x=z, z=w or
         # y=w reduce to distributivity and are skipped.  Over the admissible
         # w the two sides of (x, y, z) are the composed rows comp[xy][z] and
-        # comp[xz][y]; the links run only where these differ.
+        # comp[xz][y]; the links run only where these differ.  (x, y, z)
+        # and (x, z, y) link the same cells over the same w, so a z whose
+        # own turn as y found nothing, with no assignment since (clean), is
+        # idle.
         n = self.n
         val = self.val
         row_known = self.row_known
         changed = False
         kc = self._known_cols()
         comp, comp_t = self._composed()
+        # row z's known cells other than (z, z)
+        known_off = [mask & ~(1 << z) for z, mask in enumerate(row_known)]
         picks = {}
         for x in range(n):
             vx = val[x]
             cols_x = kc[x]
+            clean = 0
             for y in cols_x:
                 if y == x:
                     continue
                 a_xy = vx[y]
+                comp_a = comp[a_xy]
+                comp_ty = comp_t[y]
                 # all z at once, over every w: equal rows leave nothing to do
-                if (list(map(comp[a_xy].__getitem__, cols_x))
-                        == list(map(comp_t[y].__getitem__, map(vx.__getitem__, cols_x)))):
+                if (list(map(comp_a.__getitem__, cols_x))
+                        == list(map(comp_ty.__getitem__, map(vx.__getitem__, cols_x)))):
+                    clean |= 1 << y
                     continue
+                before_y = self.unknown
                 vy = val[y]
                 ky = row_known[y]
-                off_y = ~(1 << y)
+                # the w the loop below visits, plus any that become known
+                # in row y after ky was read
+                live_y = known_off[y]
                 for z in cols_x:
-                    if z == x or z == y:
+                    if z == x or z == y or clean >> z & 1:
                         continue
-                    c_xz = vx[z]
-                    # the w the loop below visits, plus any that became
-                    # known in row y since ky was read
-                    live = row_known[z] & row_known[y] & off_y & ~(1 << z)
+                    live = known_off[z] & live_y
                     if not live:
                         continue
-                    pick = _picker(picks, live)
-                    if pick(comp[a_xy][z]) == pick(comp[c_xz][y]):
+                    pick = picks.get(live) or _picker(picks, live)
+                    c_xz = vx[z]
+                    if pick(comp_a[z]) == pick(comp_ty[c_xz]):
                         continue
                     before = self.unknown
                     vz = val[z]
@@ -627,21 +720,40 @@ class _State:
                             (x, y, z, w), ((x, y), (z, w), (x, z), (y, w)))
                     if self.unknown != before:
                         comp, comp_t = self._composed()
+                        comp_a = comp[a_xy]
+                        comp_ty = comp_t[y]
+                        known_off = [m & ~(1 << i) for i, m in enumerate(row_known)]
+                        live_y = known_off[y]
+                clean = clean | 1 << y if self.unknown == before_y else 0
         return changed
 
 
+def _at_least(counts: list, n: int) -> list:
+    """masks[k]: the bitmask of the i with counts[i] >= k, for k = 0..n+1;
+    masks[-1] is masks[n+1], which is empty."""
+    masks = [0] * (n + 2)
+    for i, k in enumerate(counts):
+        masks[k] |= 1 << i
+    for k in range(n, -1, -1):
+        masks[k] |= masks[k + 1]
+    return masks
+
+
+# binary digits to the bytes 0 and 1, usable as compress selectors
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _set_bits(mask: int) -> list:
+    """The positions of the set bits of mask, in increasing order."""
+    digits = bin(mask)[:1:-1].encode().translate(_DIGIT_BYTES)
+    return list(compress(range(len(digits)), digits))
+
+
 def _picker(picks: dict, mask: int):
-    """An itemgetter over the set bits of mask, memoised in picks; it
-    returns a tuple, or a bare item when one bit is set."""
-    pick = picks.get(mask)
-    if pick is None:
-        idx = []
-        m = mask
-        while m:
-            bit = m & -m
-            m ^= bit
-            idx.append(bit.bit_length() - 1)
-        pick = picks[mask] = itemgetter(*idx)
+    """An itemgetter over the set bits of mask, stored in picks for the
+    caller's next lookup; it returns a tuple, or a bare item when one bit
+    is set."""
+    pick = picks[mask] = itemgetter(*_set_bits(mask))
     return pick
 
 
@@ -665,7 +777,18 @@ def _saturate(st: _State) -> None:
         st.conflict = exc.record
 
 
+# The largest block count the engine takes: a table of order 4*256+1 =
+# 1025, about a million cells per partial table.  A larger count raises
+# SearchCapExceeded before any table is allocated (the command line exits
+# 3), instead of filling memory.
+MAX_BLOCKS = 256
+
+
 def _seed_state(blocks: int, choice: int) -> _State:
+    if blocks > MAX_BLOCKS:
+        raise SearchCapExceeded(
+            f"{blocks} blocks exceed the cap of {MAX_BLOCKS} blocks "
+            f"(order {4 * MAX_BLOCKS + 1})")
     st = _State(blocks, choice)
     try:
         for rule, cell, v in seed_assignments(blocks, choice):
@@ -686,6 +809,9 @@ def _outcome(st: _State):
     if st.conflict is not None:
         return Contradiction(st.conflict, tuple(st.trace), st.blocks, st.choice)
     if st.unknown == 0:
+        # core is loaded only here, when a completion must be checked
+        from .core import CayleyTable, is_quadratical
+
         table = CayleyTable(
             st.n, tuple(tuple(row) for row in st.val), canonical_labels(st.blocks))
         if not is_quadratical(table):
@@ -838,23 +964,19 @@ def trace_text(trace, conflict: Conflict | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-# binding length of each rule that reads its binding
-_ARITY = {
-    "bookend": 2, "strong-elasticity": 2, "left-distributivity": 3,
-    "right-distributivity": 3, "mediality": 4, "alterability": 4,
-}
-
-
 class _Replay:
     """Re-derives each trace step from the rule schema against the running
     partial table, kept both by rows (rows[r][c]) and by columns
-    (cols[c][r]); raises ReplayError on the first unjustified or malformed
-    step."""
+    (cols[c][r]) with a bitmask of the values each row and each column
+    holds; raises ReplayError on the first unjustified or malformed step.
+    Each rule's check is found through _STEP_CHECKS."""
 
     def __init__(self, blocks: int, choice: int):
         n = self.n = 4 * blocks + 1
         self.rows = [[-1] * n for _ in range(n)]
         self.cols = [[-1] * n for _ in range(n)]
+        self.row_vals = [0] * n
+        self.col_vals = [0] * n
         self.seeds = {
             (cell, v): rule for rule, cell, v in seed_assignments(blocks, choice)
         }
@@ -870,86 +992,110 @@ class _Replay:
             raise ReplayError(f"premise cell ({r},{c}) not yet known")
         return v
 
-    def open_values(self, r, c) -> set:
-        """The values neither row r nor column c holds, at an unknown cell."""
+    def open_values(self, r, c) -> int:
+        """The bitmask of the values neither row r nor column c holds, at
+        an unknown cell."""
         if self.get(r, c) != -1:
             raise ReplayError(f"latin rule over the known cell ({r},{c})")
-        return set(range(self.n)).difference(self.rows[r], self.cols[c])
+        return ~(self.row_vals[r] | self.col_vals[c]) & ((1 << self.n) - 1)
 
-    def open_cells(self, lines, cross, i, v) -> set:
+    def open_cells(self, lines, line_vals, cross_vals, i, v) -> set:
         """The unknown cells of line i that value v may still take: the
-        positions j with lines[i][j] unknown and v absent from cross[j].
-        Called with (rows, cols) for row i, (cols, rows) for column i."""
+        positions j with lines[i][j] unknown and v absent from cross line
+        j.  Called with (rows, row_vals, col_vals) for row i and (cols,
+        col_vals, row_vals) for column i."""
         if not (0 <= i < self.n and 0 <= v < self.n):
             raise ReplayError(f"line {i} or value {v} out of range")
-        line = lines[i]
-        if v in line:
+        if line_vals[i] >> v & 1:
             raise ReplayError(f"value {v} already present in line {i}")
-        return {j for j in range(self.n) if line[j] == -1 and v not in cross[j]}
-
-    def derivation_sides(self, step):
-        """The two cells forced equal by this step's link rule."""
-        rule, binding = step.rule, step.binding
-        if rule == "left-distributivity":
-            x, y, z = binding
-            return (x, self.known(y, z)), (self.known(x, y), self.known(x, z))
-        if rule == "right-distributivity":
-            x, y, z = binding
-            return (self.known(x, y), z), (self.known(x, z), self.known(y, z))
-        if rule == "mediality":
-            x, y, z, w = binding
-            return ((self.known(x, y), self.known(z, w)),
-                    (self.known(x, z), self.known(y, w)))
-        x, y, z, w = binding  # alterability
-        if self.known(x, y) != self.known(z, w):
-            raise ReplayError("alterability premises are not equal products")
-        return (y, z), (w, x)
+        line = lines[i]
+        return {j for j in range(self.n) if line[j] == -1 and not cross_vals[j] >> v & 1}
 
     def verify_step(self, step: Step):
-        rule, cell, v, binding = step.rule, step.cell, step.value, step.binding
-        r, c = cell
-        if not (0 <= r < self.n and 0 <= c < self.n and 0 <= v < self.n):
+        rule, (r, c), v, _, binding = step
+        n = self.n
+        if not (0 <= r < n and 0 <= c < n and 0 <= v < n):
             raise ReplayError(f"step out of range: {step}")
-        if len(binding) != _ARITY.get(rule, len(binding)):
-            raise ReplayError(f"{rule} binding of the wrong length: {step}")
-        if rule.startswith("seed:"):
-            ok = self.seeds.get((cell, v)) == rule
-        elif rule == "assume":
-            ok = self.rows[r][c] == -1
-        elif rule == "bookend":
-            x, y = binding
-            ok = cell == (self.known(y, x), self.known(x, y)) and v == x
-        elif rule == "strong-elasticity":
-            # x(yx) = (xy)x = (yx)y over the sides whose inner product is known
-            x, y = binding
-            u = self.get(y, x)
-            w = self.get(x, y)
-            sides = ([(x, u), (u, y)] if u != -1 else []) + ([(w, x)] if w != -1 else [])
-            ok = cell in sides and any(
-                other != cell and self.get(*other) == v for other in sides)
-        elif rule == "latin-cell-single":
-            ok = self.open_values(r, c) <= {v}
-        elif rule == "latin-row-single":
-            ok = self.open_cells(self.rows, self.cols, r, v) <= {c}
-        elif rule == "latin-col-single":
-            ok = self.open_cells(self.cols, self.rows, c, v) <= {r}
-        elif rule in ("left-distributivity", "right-distributivity",
-                      "mediality", "alterability"):
-            s1, s2 = self.derivation_sides(step)
-            ok = (cell == s1 and self.get(*s2) == v) or (cell == s2 and self.get(*s1) == v)
+        entry = _STEP_CHECKS.get(rule)
+        if entry is None:
+            if not rule.startswith("seed:"):
+                raise ReplayError(f"unknown rule {rule!r}")
+            ok = self.seeds.get(((r, c), v)) == rule
         else:
-            raise ReplayError(f"unknown rule {rule!r}")
+            arity, check = entry
+            if arity and len(binding) != arity:
+                raise ReplayError(f"{rule} binding of the wrong length: {step}")
+            ok = check(self, r, c, v, binding)
         if not ok:
             raise ReplayError(f"{rule} step not justified: {step}")
+
+    # -- one check per rule, each true when the step is justified ----------
+
+    def _assume(self, r, c, v, binding):
+        return self.rows[r][c] == -1
+
+    def _bookend(self, r, c, v, binding):
+        x, y = binding
+        return (r, c) == (self.known(y, x), self.known(x, y)) and v == x
+
+    def _strong_elasticity(self, r, c, v, binding):
+        # x(yx) = (xy)x = (yx)y over the sides whose inner product is known
+        x, y = binding
+        u = self.get(y, x)
+        w = self.get(x, y)
+        sides = ([(x, u), (u, y)] if u != -1 else []) + ([(w, x)] if w != -1 else [])
+        cell = (r, c)
+        return cell in sides and any(
+            other != cell and self.get(*other) == v for other in sides)
+
+    def _latin_cell(self, r, c, v, binding):
+        return not self.open_values(r, c) & ~(1 << v)
+
+    def _latin_row(self, r, c, v, binding):
+        return self.open_cells(self.rows, self.row_vals, self.col_vals, r, v) <= {c}
+
+    def _latin_col(self, r, c, v, binding):
+        return self.open_cells(self.cols, self.col_vals, self.row_vals, c, v) <= {r}
+
+    def _linked(self, r, c, v, s1, s2):
+        """The step sets one of the two cells a link rule forces equal to
+        the value the other holds."""
+        cell = (r, c)
+        return (cell == s1 and self.get(*s2) == v) or (cell == s2 and self.get(*s1) == v)
+
+    def _left_distributivity(self, r, c, v, binding):
+        x, y, z = binding
+        return self._linked(r, c, v, (x, self.known(y, z)),
+                            (self.known(x, y), self.known(x, z)))
+
+    def _right_distributivity(self, r, c, v, binding):
+        x, y, z = binding
+        return self._linked(r, c, v, (self.known(x, y), z),
+                            (self.known(x, z), self.known(y, z)))
+
+    def _mediality(self, r, c, v, binding):
+        x, y, z, w = binding
+        return self._linked(r, c, v, (self.known(x, y), self.known(z, w)),
+                            (self.known(x, z), self.known(y, w)))
+
+    def _alterability(self, r, c, v, binding):
+        x, y, z, w = binding
+        if self.known(x, y) != self.known(z, w):
+            raise ReplayError("alterability premises are not equal products")
+        return self._linked(r, c, v, (y, z), (w, x))
+
+    # -----------------------------------------------------------------------
 
     def apply_step(self, step: Step):
         r, c = step.cell
         v = step.value
         if self.rows[r][c] != -1:
             raise ReplayError(f"cell ({r},{c}) assigned twice")
-        if v in self.rows[r] or v in self.cols[c]:
+        if (self.row_vals[r] | self.col_vals[c]) >> v & 1:
             raise ReplayError(f"step duplicates value {v} at ({r},{c})")
         self.rows[r][c] = self.cols[c][r] = v
+        self.row_vals[r] |= 1 << v
+        self.col_vals[c] |= 1 << v
 
     def verify_conflict(self, conflict: Conflict):
         kind, (r, c), v = conflict.kind, conflict.cell, conflict.value
@@ -960,17 +1106,34 @@ class _Replay:
             if kind == "cell-mismatch":
                 ok = cur not in (-1, v)
             else:
-                ok = cur == -1 and v in (self.rows[r] if kind == "row-duplicate" else self.cols[c])
+                held = self.row_vals[r] if kind == "row-duplicate" else self.col_vals[c]
+                ok = cur == -1 and held >> v & 1
         elif kind == "cell-no-candidate":
             ok = not self.open_values(r, c)
         elif kind == "row-value-impossible":
-            ok = not self.open_cells(self.rows, self.cols, r, v)
+            ok = not self.open_cells(self.rows, self.row_vals, self.col_vals, r, v)
         elif kind == "col-value-impossible":
-            ok = not self.open_cells(self.cols, self.rows, c, v)
+            ok = not self.open_cells(self.cols, self.col_vals, self.row_vals, c, v)
         else:
             raise ReplayError(f"unknown conflict kind {kind!r}")
         if not ok:
             raise ReplayError(f"{kind} conflict not justified: {conflict}")
+
+
+# rule -> (binding length, or 0 when the rule does not read its binding,
+# and the check); seed rules are looked up in the seed list instead
+_STEP_CHECKS = {
+    "assume": (0, _Replay._assume),
+    "bookend": (2, _Replay._bookend),
+    "strong-elasticity": (2, _Replay._strong_elasticity),
+    "latin-cell-single": (0, _Replay._latin_cell),
+    "latin-row-single": (0, _Replay._latin_row),
+    "latin-col-single": (0, _Replay._latin_col),
+    "left-distributivity": (3, _Replay._left_distributivity),
+    "right-distributivity": (3, _Replay._right_distributivity),
+    "mediality": (4, _Replay._mediality),
+    "alterability": (4, _Replay._alterability),
+}
 
 
 def replay_trace(blocks: int, choice: int, trace, conflict: Conflict | None = None) -> None:

@@ -11,3 +11,7 @@ class SearchCapExceeded(RuntimeError):
 
 class InvariantViolation(RuntimeError):
     """A computed row failed its own defining congruences."""
+
+
+class CheckpointBusy(RuntimeError):
+    """Another writer holds the lock of a checkpoint."""

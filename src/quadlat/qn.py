@@ -9,8 +9,10 @@ number of blocks n gives order 4n + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .core import CayleyTable, is_quadratical
+if TYPE_CHECKING:
+    from .core import CayleyTable
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,8 @@ def detect_form(t: CayleyTable):
     passes _validate_chain has 4n distinct elements besides its centre,
     so it covers the table.
     """
+    from .core import is_quadratical  # deduction loads qn without core
+
     if not is_quadratical(t):
         raise ValueError("table is not quadratical")
     if t.n % 4 != 1:

@@ -16,10 +16,11 @@ from itertools import compress
 from operator import eq
 
 from . import refdata
-from .errors import InvariantViolation
+from .errors import CheckpointBusy, InvariantViolation
 from .zm import (
     smallest_prime_factors,
     solve_quadratic_congruence,
+    sqrt_minus_one_table,
     translatability_k_quadratical,
 )
 
@@ -49,15 +50,17 @@ class ClassificationRow:
         return {c: getattr(self, c) for c in columns}
 
 
-def rows_for_modulus(m: int, spf=None, representatives: bool = False) -> list[ClassificationRow]:
+def rows_for_modulus(m: int, spf=None, representatives: bool = False,
+                     roots=None) -> list[ClassificationRow]:
     """One validated row per solution a of the quadratic congruence mod m,
     in increasing a; empty below the smallest admissible order 5.  spf is
-    an optional smallest_prime_factors table covering m.  With
-    representatives, only the a < b row of each dual pair is built."""
+    an optional smallest_prime_factors table covering m, and roots an
+    optional sqrt_minus_one_table covering it.  With representatives, only
+    the a < b row of each dual pair is built."""
     if m < 5:
         return []
     out = []
-    for a in solve_quadratic_congruence(m, spf):
+    for a in solve_quadratic_congruence(m, spf, roots):
         b = (1 - a) % m
         if representatives and not a < b:
             continue
@@ -70,27 +73,29 @@ def rows_for_modulus(m: int, spf=None, representatives: bool = False) -> list[Cl
 
 
 def _sieve(last: int):
-    """The smallest_prime_factors table up to last, and a bytearray with a 1
-    at exactly the m <= last that have roots: m >= 5, odd, with every prime
-    factor 1 (mod 4), so m = 1 (mod 4).  An m = 1 (mod 4) with a prime
-    factor p = 3 (mod 4) is p times a cofactor that is 3 (mod 4); so one
-    slice per such prime p <= last/3 clears all of those m."""
+    """The smallest_prime_factors table up to last, a bytearray with a 1 at
+    exactly the m <= last that have roots, and the sqrt_minus_one_table of
+    the primes up to last.  The m with roots are those >= 5, odd, with
+    every prime factor 1 (mod 4), so m = 1 (mod 4).  An m = 1 (mod 4) with
+    a prime factor p = 3 (mod 4) is p times a cofactor that is 3 (mod 4);
+    so one slice per such prime p <= last/3 clears all of those m."""
     spf = smallest_prime_factors(last)
     admissible = bytearray(last + 1)
     admissible[5::4] = b"\x01" * len(range(5, last + 1, 4))
     candidates = range(3, last // 3 + 1, 4)
     for p in compress(candidates, map(eq, spf[3::4], candidates)):
         admissible[3 * p::4 * p] = bytes(len(range(3 * p, last + 1, 4 * p)))
-    return spf, admissible
+    return spf, admissible, sqrt_minus_one_table(spf)
 
 
 def _rows(first: int, last: int, sieve, representatives: bool = False) -> list[ClassificationRow]:
     """The rows_for_modulus(m, representatives=...) of m = first..last in
     increasing order, from a _sieve covering last; only the moduli with
-    roots are visited (87,881 of the first 10^6)."""
-    spf, admissible = sieve
+    roots are visited (87,881 of the first 10^6), and the square roots of
+    -1 come from the sieve's table."""
+    spf, admissible, roots = sieve
     return [r for m in compress(range(first, last + 1), admissible[first:last + 1])
-            for r in rows_for_modulus(m, spf, representatives)]
+            for r in rows_for_modulus(m, spf, representatives, roots)]
 
 
 def _scan_order(rows) -> list[ClassificationRow]:
@@ -183,8 +188,23 @@ def scan_with_checkpoint(max_m: int, max_k: int, checkpoint_path) -> list[Classi
     checkpoint stores every row of each fully processed m, so the bounds
     may differ between runs.  Progress is flushed whenever m reaches a
     multiple of CHECKPOINT_EVERY, and once more at max_m, so an interrupt
-    loses at most one block of moduli.  One writer per checkpoint: two
-    processes sharing it can interleave their appends to the archive."""
+    loses at most one block of moduli.  One writer per checkpoint: the
+    scan holds an exclusive lock on PATH.lock throughout, and raises
+    CheckpointBusy at once if another open file holds it."""
+    import fcntl  # only checkpointed scans lock
+
+    lock_path = str(checkpoint_path) + ".lock"
+    with open(lock_path, "a", encoding="utf-8") as lock:
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise CheckpointBusy(
+                f"checkpoint {checkpoint_path} is in use: another writer "
+                f"holds {lock_path}") from None
+        return _locked_scan(max_m, max_k, checkpoint_path)
+
+
+def _locked_scan(max_m: int, max_k: int, checkpoint_path) -> list[ClassificationRow]:
     last_m, saved = _load_checkpoint(checkpoint_path)
     rows_path = _rows_path(checkpoint_path)
     if saved or last_m > 1:

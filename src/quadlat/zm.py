@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq
 
 
 def smallest_prime_factors(n: int):
@@ -35,10 +37,10 @@ def _least_prime_factor(n: int, start: int = 2) -> int:
     return n
 
 
-def _sqrt_minus_one(p: int, q: int) -> int:
-    """A square root of -1 modulo q = p^e, for a prime p = 1 (mod 4).
-    Raises ValueError when no c < p gives one, which for a prime cannot
-    happen: p is then not prime (a wrong smallest-prime-factor table)."""
+def _sqrt_minus_one(p: int) -> int:
+    """A square root of -1 modulo a prime p = 1 (mod 4).  Raises ValueError
+    when no c < p gives one, which for a prime cannot happen: p is then not
+    prime (a wrong smallest-prime-factor table)."""
     # s = c^((p-1)/4) squares to c^((p-1)/2), which is -1 exactly when c
     # is a quadratic non-residue
     c, s = 2, pow(2, (p - 1) // 4, p)
@@ -47,15 +49,19 @@ def _sqrt_minus_one(p: int, q: int) -> int:
         if c >= p:
             raise ValueError(f"no square root of -1 modulo {p}: not a prime")
         s = pow(c, (p - 1) // 4, p)
-    # Newton (Hensel) steps s <- s - (s^2 + 1)/(2s) double the precision
-    r = p
-    while r < q:
-        r = min(r * r, q)
-        s = (s - (s * s + 1) * pow(2 * s, -1, r)) % r
     return s
 
 
-def solve_quadratic_congruence(m: int, spf=None) -> list[int]:
+def sqrt_minus_one_table(spf) -> dict[int, int]:
+    """{p: s} with s^2 = -1 (mod p), for every prime p = 1 (mod 4) that
+    the smallest_prime_factors table spf covers: the roots a sweep over
+    those moduli needs, found once per prime."""
+    candidates = range(5, len(spf), 4)
+    return {p: _sqrt_minus_one(p)
+            for p in compress(candidates, map(eq, spf[5::4], candidates))}
+
+
+def solve_quadratic_congruence(m: int, spf=None, roots=None) -> list[int]:
     """All a in 0..m-1 with 2a^2 - 2a + 1 = 0 (mod m), in increasing order.
 
     The congruence reads (2a - 1)^2 = -1 (mod m), so a = (1 + s)/2 for each
@@ -64,11 +70,12 @@ def solve_quadratic_congruence(m: int, spf=None) -> list[int]:
     Chinese remainder theorem combines them into 2^w roots, w the number
     of distinct primes.  Solutions come in pairs {a, 1-a mod m}.  spf is an
     optional smallest_prime_factors table covering m; without it m is
-    factored by trial division.
+    factored by trial division.  roots is an optional sqrt_minus_one_table
+    covering the primes of m; without it each root is searched for.
     """
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
-    roots, modulus = [0], 1
+    roots_m, modulus = [0], 1
     rest, p = m, 2
     while rest > 1:
         p = spf[rest] if spf is not None else _least_prime_factor(rest, p)
@@ -79,13 +86,18 @@ def solve_quadratic_congruence(m: int, spf=None) -> list[int]:
         while rest % p == 0:
             rest //= p
             q *= p
-        s = _sqrt_minus_one(p, q)
+        s = roots[p] if roots is not None else _sqrt_minus_one(p)
+        # Newton (Hensel) steps s <- s - (s^2 + 1)/(2s) double the precision
+        known = p
+        while known < q:
+            known = min(known * known, q)
+            s = (s - (s * s + 1) * pow(2 * s, -1, known)) % known
         inv = pow(modulus, -1, q)
-        roots = [r + modulus * ((t - r) * inv % q)
-                 for r in roots for t in (s, q - s)]
+        roots_m = [r + modulus * ((t - r) * inv % q)
+                   for r in roots_m for t in (s, q - s)]
         modulus *= q
     half = (m + 1) // 2  # the inverse of 2 modulo the odd m
-    return sorted((1 + s) * half % m for s in roots)
+    return sorted((1 + s) * half % m for s in roots_m)
 
 
 @dataclass(frozen=True)

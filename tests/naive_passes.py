@@ -122,7 +122,7 @@ def pairs_pass(st) -> bool:
 def alter_pass(st) -> bool:
     changed = False
     for v in range(st.n):
-        lst = st.cells_by_value[v]
+        lst = list(zip(st.rows_by_value[v], st.cols_by_value[v]))
         m = len(lst)
         for a in range(m):
             x, y = lst[a]

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -255,6 +256,15 @@ def test_complete_qn_command(capsys, tmp_path):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["outcome"] == "stuck"
+
+
+def test_complete_qn_block_cap(capsys):
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "complete-qn", "-n", "1000000", "--choice", "1")
+    assert time.monotonic() - t0 < 1.0
+    assert (code, out) == (3, "")
+    assert err == ("cap exceeded: 1000000 blocks exceed the cap of 256 blocks "
+                   "(order 1025)\n")
 
 
 def test_refute_q6_command(capsys):

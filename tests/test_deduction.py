@@ -14,7 +14,14 @@ from quadlat import (
     replay_trace,
     trace_text,
 )
-from quadlat.deduction import ReplayError, Step, parse_choice, seed_assignments
+from quadlat.deduction import (
+    MAX_BLOCKS,
+    ReplayError,
+    Step,
+    parse_choice,
+    seed_assignments,
+)
+from quadlat.errors import SearchCapExceeded
 
 from conftest import block_fixture_to_canonical
 
@@ -164,3 +171,12 @@ def test_parse_choice():
         parse_choice(6, "52")
     with pytest.raises(ValueError):
         parse_choice(6, "0")
+
+
+def test_block_count_cap():
+    # refused before any table is allocated
+    for blocks in (MAX_BLOCKS + 1, 10 ** 6):
+        with pytest.raises(SearchCapExceeded, match=f"{blocks} blocks exceed"):
+            complete_qn(blocks, 1)
+        with pytest.raises(SearchCapExceeded):
+            refute_case(blocks, 2)

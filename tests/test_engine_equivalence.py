@@ -37,6 +37,9 @@ from test_properties import quadratical_test_tables
 # SHA-256 of engine_digest(12), computed with the engine before any rule
 # instance was skipped
 ENGINE_DIGEST_1_TO_12 = "aae364d0a1d6b232195528fe11c6228e4f2c640ccf47709751afb932adf23869"
+# SHA-256 of engine_digest(16, first=13), computed with the engine before
+# the latin pass skipped by counting bounds
+ENGINE_DIGEST_13_TO_16 = "1b4a11935edbbae0024061a5ed78e580b121578e853661c2666514018ff299b9"
 
 
 def outcome_text(out) -> str:
@@ -47,11 +50,12 @@ def outcome_text(out) -> str:
     return "stuck\n" + trace_text(out.partial.trace)
 
 
-def engine_digest(max_blocks: int) -> str:
+def engine_digest(max_blocks: int, first: int = 1) -> str:
     """Traces, conflicts, verdicts, split and leaf counts of complete_qn and
-    refute_case for every block count up to max_blocks and every choice."""
+    refute_case for every block count from first to max_blocks and every
+    choice."""
     h = hashlib.sha256()
-    for blocks in range(1, max_blocks + 1):
+    for blocks in range(first, max_blocks + 1):
         for choice in (1, 2, 3, 4):
             h.update(f"complete_qn {blocks} {choice} ".encode())
             h.update(outcome_text(complete_qn(blocks, choice)).encode())
@@ -71,14 +75,18 @@ def test_engine_digest_1_to_12_blocks():
     assert engine_digest(12) == ENGINE_DIGEST_1_TO_12
 
 
+def test_engine_digest_13_to_16_blocks():
+    assert engine_digest(16, first=13) == ENGINE_DIGEST_13_TO_16
+
+
 # ---------------------------------------------------------------------------
 # each pass against its naive reference
 # ---------------------------------------------------------------------------
 
-def _source_traces(max_blocks):
+def _source_traces(max_blocks, first=1):
     """Full traces to cut prefixes from: saturations, and split leaves and
     completions, which carry assume steps."""
-    for blocks in range(1, max_blocks + 1):
+    for blocks in range(first, max_blocks + 1):
         for choice in (1, 2, 3, 4):
             out = complete_qn(blocks, choice)
             yield blocks, choice, out.partial.trace if hasattr(out, "partial") else out.trace
@@ -142,6 +150,47 @@ def test_passes_match_naive_reference():
     for name, outcomes in seen.items():
         assert {True, False} <= outcomes, (name, outcomes)
     assert any("conflict" in outcomes for outcomes in seen.values())
+
+
+def test_passes_match_naive_on_large_states():
+    # states cut from 13- and 16-block traces, mostly near their ends, where
+    # the latin bounds skip the most rows, columns and values, and the full
+    # traces of the leaves that end in a latin conflict; the cheaper passes
+    # run in turn with one more step fed in between (the naive
+    # distributivity and mediality scans take seconds at these orders)
+    rng = random.Random(1316)
+    names = ("latin_pass", "pairs_pass", "alter_pass")
+    seen = {name: set() for name in names}
+    checked = 0
+    for blocks in (13, 16):
+        traces = list(_source_traces(blocks, first=blocks))
+        cuts = [(choice, leaf.trace, len(leaf.trace)) for choice in (1, 2, 3, 4)
+                for leaf in refute_case(blocks, choice).leaves
+                if leaf.conflict.rule.startswith("latin")]
+        for _, choice, trace in rng.sample(traces, 40):
+            for _ in range(2):
+                if rng.random() < 0.7:
+                    cut = len(trace) - rng.randrange(min(len(trace), 60))
+                else:
+                    cut = rng.randrange(len(trace) + 1)
+                cuts.append((choice, trace, cut))
+        for choice, trace, cut in cuts:
+            st = _State(blocks, choice)
+            if not _replay(st, trace[:cut]):
+                continue
+            for name in names:
+                want = _run(st.clone(), naive_passes.PASSES[name])
+                got = _run(st, getattr(_State, name))
+                assert got == want, (blocks, choice, cut, name)
+                checked += 1
+                changed, conflict, _ = got
+                seen[name].add("conflict" if conflict else bool(changed))
+                if conflict is not None or not _replay(st, trace[cut:cut + 1]):
+                    break
+                cut += 1
+    assert checked > 150
+    assert {True, False, "conflict"} <= seen["latin_pass"], seen
+    assert {True, False} <= seen["alter_pass"], seen
 
 
 def _random_latin_square(rng, n):

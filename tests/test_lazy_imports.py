@@ -85,6 +85,8 @@ def table_file(tmp_path_factory):
     (["dual", "-i", "{t}"], {"core", "tableio"}),
     (["product", "{t}", "{t}"], {"core", "tableio"}),
     (["iso", "{t}", "{t}"], {"core", "tableio"}),
+    (["complete-qn", "-n", "2", "--choice", "4"], {"deduction", "qn"}),
+    (["complete-qn", "-n", "3", "--choice", "1"], {"deduction", "qn", "core", "tableio"}),
 ])
 def test_command_import_set(argv, extra, table_file, tmp_path):
     argv = [a.format(t=table_file) for a in argv]
@@ -94,8 +96,13 @@ def test_command_import_set(argv, extra, table_file, tmp_path):
 
 def test_package_import_set(tmp_path):
     assert loaded("import quadlat", tmp_path) == {"quadlat"}
+    # core is loaded only when a completion is checked
     assert loaded("from quadlat import deduction", tmp_path) == {
-        "quadlat", "quadlat.errors", "quadlat.core", "quadlat.qn", "quadlat.deduction"}
+        "quadlat", "quadlat.errors", "quadlat.qn", "quadlat.deduction"}
+    assert loaded("from quadlat import deduction; deduction.refute_case(5, 1)", tmp_path) == {
+        "quadlat", "quadlat.errors", "quadlat.qn", "quadlat.deduction"}
+    assert loaded("from quadlat import deduction; deduction.complete_qn(3, 1)", tmp_path) == {
+        "quadlat", "quadlat.errors", "quadlat.qn", "quadlat.deduction", "quadlat.core"}
 
 
 def test_exported_names_resolve():

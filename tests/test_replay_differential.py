@@ -63,11 +63,13 @@ def _verdict(fn, *args) -> str:
 
 
 def _fork(rp):
-    """A copy of rp with its own table lists (val, or rows and cols)."""
+    """A copy of rp with its own table lists (val, or rows and cols) and
+    its own flat int lists (the value bitmasks)."""
     twin = copy.copy(rp)
     for name, lines in vars(rp).items():
         if isinstance(lines, list):
-            setattr(twin, name, [line[:] for line in lines])
+            setattr(twin, name, [line[:] if isinstance(line, list) else line
+                                 for line in lines])
     return twin
 
 

@@ -1,9 +1,12 @@
+import fcntl
 import json
 
 import pytest
 
 import naive_passes
 from quadlat import all_valid_k, classify, emit, quadratical_over_zm, scan_k_table, sweep
+from quadlat.cli import main
+from quadlat.errors import CheckpointBusy
 from quadlat.sweep import (
     ClassificationRow,
     InvariantViolation,
@@ -215,6 +218,26 @@ def test_checkpoint_flushes_per_block(tmp_path, monkeypatch):
     assert ck.read_text() == f"last_m={2 * every + 7}\n"
 
 
+def test_checkpoint_single_writer(tmp_path, capsys):
+    # a second open file description of PATH.lock holds the lock, as a
+    # second process would
+    ck = tmp_path / "scan.ck"
+    with open(str(ck) + ".lock", "a") as other:
+        fcntl.flock(other, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        with pytest.raises(CheckpointBusy, match="in use"):
+            scan_with_checkpoint(100, 40, ck)
+        assert not ck.exists()
+        assert main(["scan", "--max-m", "100", "--max-k", "40", "--checkpoint", str(ck)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"usage error: checkpoint {ck} is in use: another writer "
+                       f"holds {ck}.lock\n")
+    # released: the same scan runs, and leaves the lock free behind it
+    assert scan_with_checkpoint(100, 40, ck) == scan_k_table(100, 40)
+    with open(str(ck) + ".lock", "a") as other:
+        fcntl.flock(other, fcntl.LOCK_EX | fcntl.LOCK_NB)
+
+
 def test_corrupt_checkpoint_refused(tmp_path):
     ck = tmp_path / "scan.ck"
     ck.write_text("resume-from 77\n")
@@ -227,7 +250,7 @@ def test_sweeps_match_every_modulus_walk():
     # the oracle, for bounds below the first admissible m and up to 20000
     every = naive_passes.sweep_rows(2, 20000)
     reps = naive_passes.sweep_rows(2, 20000, representatives=True)
-    _, admissible = sweep._sieve(20000)
+    _, admissible, _ = sweep._sieve(20000)
     assert [m for m in range(20001) if admissible[m]] == sorted({r.m for r in every})
     for max_m in (*range(1, 70), 1000, 1001, 4097, 20000):
         assert classify(max_m) == [r for r in reps if r.m <= max_m], max_m

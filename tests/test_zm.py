@@ -15,7 +15,11 @@ from quadlat import (
     translatability_k_linear,
     translatability_k_quadratical,
 )
-from quadlat.zm import smallest_prime_factors, translatability_shift_set
+from quadlat.zm import (
+    smallest_prime_factors,
+    sqrt_minus_one_table,
+    translatability_shift_set,
+)
 
 
 def brute_force_roots(m):
@@ -48,6 +52,19 @@ def test_solve_prime_powers_and_composites():
         roots = solve_quadratic_congruence(m)
         assert len(roots) == count
         assert roots == brute_force_roots(m)
+
+
+def test_sqrt_minus_one_table_matches_table_free_path():
+    spf = smallest_prime_factors(20000)
+    roots = sqrt_minus_one_table(spf)
+    primes = [p for p in range(5, 20001, 4) if spf[p] == p]
+    assert sorted(roots) == primes
+    for p, s in roots.items():
+        assert (s * s + 1) % p == 0, p
+    for m in range(1, 20001):
+        assert (solve_quadratic_congruence(m, spf, roots)
+                == solve_quadratic_congruence(m, spf)
+                == solve_quadratic_congruence(m)), m
 
 
 def test_smallest_prime_factors():
