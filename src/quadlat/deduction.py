@@ -43,16 +43,28 @@ are those of a pass that visits every instance:
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
+from functools import wraps
 from itertools import combinations, compress
 from operator import getitem, itemgetter, ne
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import SearchCapExceeded
-from .qn import canonical_index, canonical_labels
+from .qn import canonical_labels
 
 if TYPE_CHECKING:
     from .core import CayleyTable
+
+
+def __getattr__(name):
+    # core's names stay reachable here, as before core was loaded lazily;
+    # the module itself loads core only to check a completion
+    if name in ("CayleyTable", "is_quadratical"):
+        from . import core
+
+        return getattr(core, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Step(NamedTuple):
@@ -149,7 +161,8 @@ def seed_assignments(blocks: int, choice: int) -> list[tuple[str, tuple[int, int
     n = 4 * blocks + 1
 
     def i(t, k):
-        return canonical_index(blocks, t, k)
+        # canonical_index without its range check: every (t, k) here is a slot
+        return 4 * (t - 1) + k
 
     seeds = []
     for x in range(n):
@@ -784,6 +797,23 @@ def _saturate(st: _State) -> None:
 MAX_BLOCKS = 256
 
 
+def _collector_paused(fn):
+    """fn with Python's cyclic garbage collector paused while it runs.  A
+    saturation allocates tens of thousands of trace steps and no reference
+    cycles, so each full collection only re-scans the live traces: about a
+    sixth of refute_case's time at 5-12 blocks."""
+    @wraps(fn)
+    def run(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return run
+
+
 def _seed_state(blocks: int, choice: int) -> _State:
     if blocks > MAX_BLOCKS:
         raise SearchCapExceeded(
@@ -810,16 +840,17 @@ def _outcome(st: _State):
         return Contradiction(st.conflict, tuple(st.trace), st.blocks, st.choice)
     if st.unknown == 0:
         # core is loaded only here, when a completion must be checked
-        from .core import CayleyTable, is_quadratical
+        from . import core
 
-        table = CayleyTable(
+        table = core.CayleyTable(
             st.n, tuple(tuple(row) for row in st.val), canonical_labels(st.blocks))
-        if not is_quadratical(table):
+        if not core.is_quadratical(table):
             raise AssertionError("completed table failed the quadratical check")
         return Completed(table, tuple(st.trace), st.blocks, st.choice)
     return Stuck(_partial_view(st), st.blocks, st.choice)
 
 
+@_collector_paused
 def complete_qn(blocks: int, choice: int):
     """Deduce the full table of a block-form quadratical quasigroup from
     the centre*a choice (a slot 1..4 naming the element of the last block).
@@ -911,6 +942,7 @@ def _refute_search(st: _State, depth: int, max_depth: int, stats: dict):
     return leaves
 
 
+@_collector_paused
 def refute_case(blocks: int, choice: int, split_depth: int = 3) -> RefutationCase:
     """Saturate one centre*a choice and, if needed, case-split up to the
     given depth; every branch must end in a conflict for a refutation."""
@@ -1079,10 +1111,18 @@ class _Replay:
                             (self.known(x, z), self.known(y, w)))
 
     def _alterability(self, r, c, v, binding):
+        # the most frequent rule, so get and known are inlined
         x, y, z, w = binding
-        if self.known(x, y) != self.known(z, w):
+        n = self.n
+        if not (0 <= x < n and 0 <= y < n and 0 <= z < n and 0 <= w < n):
+            raise ReplayError(f"alterability binding out of range: {binding}")
+        rows = self.rows
+        xy = rows[x][y]
+        if xy == -1 or rows[z][w] == -1:
+            raise ReplayError(f"alterability premise of {binding} not yet known")
+        if xy != rows[z][w]:
             raise ReplayError("alterability premises are not equal products")
-        return self._linked(r, c, v, (y, z), (w, x))
+        return (r == y and c == z and rows[w][x] == v) or (r == w and c == x and rows[y][z] == v)
 
     # -----------------------------------------------------------------------
 
@@ -1136,6 +1176,7 @@ _STEP_CHECKS = {
 }
 
 
+@_collector_paused
 def replay_trace(blocks: int, choice: int, trace, conflict: Conflict | None = None) -> None:
     """Verify every step of a trace against the rule set, then verify the
     final conflict when given; raises ReplayError otherwise."""

@@ -15,6 +15,16 @@ if TYPE_CHECKING:
     from .core import CayleyTable
 
 
+def __getattr__(name):
+    # core's names stay reachable here, as before core was loaded lazily;
+    # deduction imports qn without core
+    if name in ("CayleyTable", "is_quadratical"):
+        from . import core
+
+        return getattr(core, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 @dataclass(frozen=True)
 class QnDecomposition:
     """Base pair, centre and the chain blocks H1..Hn (t1, t2, t3, t4)."""
@@ -103,9 +113,9 @@ def detect_form(t: CayleyTable):
     passes _validate_chain has 4n distinct elements besides its centre,
     so it covers the table.
     """
-    from .core import is_quadratical  # deduction loads qn without core
+    from . import core
 
-    if not is_quadratical(t):
+    if not core.is_quadratical(t):
         raise ValueError("table is not quadratical")
     if t.n % 4 != 1:
         raise ValueError(f"order {t.n} is not of the form 4n+1")

@@ -120,6 +120,17 @@ def test_exported_names_resolve():
         quadlat.nonesuch
 
 
+def test_core_names_resolve_from_lazy_modules():
+    # deduction and qn load core on first use of these names
+    from quadlat import core, deduction, qn
+
+    for owner in (deduction, qn):
+        assert owner.is_quadratical is core.is_quadratical
+        assert owner.CayleyTable is core.CayleyTable
+        with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+            owner.nonesuch
+
+
 def test_moved_exceptions_keep_their_names():
     from quadlat import core, errors, sweep, translatable
 
