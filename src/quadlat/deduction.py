@@ -58,8 +58,8 @@ if TYPE_CHECKING:
 
 
 def __getattr__(name):
-    # core's names stay reachable here, as before core was loaded lazily;
-    # the module itself loads core only to check a completion
+    # core's names, for callers that look them up on this module; core is
+    # imported on first use, and by this module only to check a completion
     if name in ("CayleyTable", "is_quadratical"):
         from . import core
 
@@ -73,10 +73,6 @@ class Step(NamedTuple):
     value: int
     premises: tuple
     binding: tuple
-
-
-# Step(...) without the keyword handling of the NamedTuple constructor
-_new_step = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -320,7 +316,7 @@ class _State:
         self.rows_by_value[v].append(r)
         self.cols_by_value[v].append(c)
         self.unknown -= 1
-        self.trace.append(_new_step(Step, (rule, (r, c), v, premises, binding)))
+        self.trace.append(Step(rule, (r, c), v, premises, binding))
         return True
 
     def link(self, cell1, cell2, rule, binding, premise_cells) -> bool:
@@ -475,9 +471,10 @@ class _State:
     def pairs_pass(self) -> bool:
         # bookend (y*x)(x*y) = x and the three-way strong elasticity chain
         # x(yx) = (xy)x = (yx)y; a pair (x, y) is idle when y*x is unknown
-        # (one cell at most, nothing to link), so only the known cells
-        # (y, x) of column x are visited, read again after an assignment,
-        # or when every known side agrees
+        # (one cell at most, nothing to link) or when every known side
+        # agrees.  Only the known cells (y, x) of column x are visited; the
+        # rest of the column is read again after an assignment, which may
+        # have made more of it known.
         n = self.n
         val = self.val
         col_known = self.col_known
@@ -508,7 +505,7 @@ class _State:
                         # the known cells of column x past row y
                         todo = col_known[x] & ~(1 << x) & -(2 << y)
                         break
-                else:
+                else:  # column x done without an assignment
                     todo = 0
         return changed
 
@@ -550,7 +547,10 @@ class _State:
             m = len(xs)
             old = self.alter_lens[v]
             self.alter_lens[v] = m
-            # rows and columns of the cells after the first cell
+            # rows and columns of the value's cells, and below of the cells
+            # after the first cell; with no new cell, and no cell (x, y)
+            # whose row y or column x gained an assignment, every pair is
+            # idle
             rows_after = self.value_rows[v]
             cols_after = self.value_cols[v]
             if m < 2 or old == m and not (
@@ -735,7 +735,7 @@ class _State:
                         comp, comp_t = self._composed()
                         comp_a = comp[a_xy]
                         comp_ty = comp_t[y]
-                        known_off = [m & ~(1 << i) for i, m in enumerate(row_known)]
+                        known_off = [mask & ~(1 << z) for z, mask in enumerate(row_known)]
                         live_y = known_off[y]
                 clean = clean | 1 << y if self.unknown == before_y else 0
         return changed

@@ -16,8 +16,8 @@ if TYPE_CHECKING:
 
 
 def __getattr__(name):
-    # core's names stay reachable here, as before core was loaded lazily;
-    # deduction imports qn without core
+    # core's names, for callers that look them up on this module; core is
+    # imported on first use, so deduction loads qn without it
     if name in ("CayleyTable", "is_quadratical"):
         from . import core
 
