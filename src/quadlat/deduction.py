@@ -340,10 +340,9 @@ class _State:
         """Known cells per row and per column, and by k the columns and the
         values with at least k known cells (see the module docstring)."""
         n = self.n
-        return ([m.bit_count() for m in self.row_known],
-                [m.bit_count() for m in self.col_known],
-                _at_least([m.bit_count() for m in self.col_known], n),
-                _at_least(list(map(len, self.rows_by_value)), n))
+        col_n = [m.bit_count() for m in self.col_known]
+        return ([m.bit_count() for m in self.row_known], col_n,
+                _at_least(col_n, n), _at_least(list(map(len, self.rows_by_value)), n))
 
     def latin_pass(self) -> bool:
         # Only the cells, row values and column values whose row, column or
@@ -1123,8 +1122,6 @@ class _Replay:
         if xy != rows[z][w]:
             raise ReplayError("alterability premises are not equal products")
         return (r == y and c == z and rows[w][x] == v) or (r == w and c == x and rows[y][z] == v)
-
-    # -----------------------------------------------------------------------
 
     def apply_step(self, step: Step):
         r, c = step.cell

@@ -1,8 +1,8 @@
 """The deduction engine's rule passes skip rule instances that provably
 cannot change the state.  These tests pin that the skipping changes
-nothing: a golden digest of every trace for 1..12 blocks, and each pass
-against its naive reference (tests/naive_passes.py) on random partial
-states."""
+nothing: golden digests of every trace for 1..12 and 13..16 blocks, and
+each pass against its naive reference (tests/naive_passes.py) on random
+partial states."""
 
 import hashlib
 import itertools
