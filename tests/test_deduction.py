@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from quadlat import (
@@ -180,3 +182,16 @@ def test_block_count_cap():
             complete_qn(blocks, 1)
         with pytest.raises(SearchCapExceeded):
             refute_case(blocks, 2)
+
+
+def test_deduction_leaves_no_cyclic_garbage():
+    # complete_qn, refute_case and replay_trace run with the cyclic
+    # collector paused, which is free only while they create no cycles
+    gc.collect()
+    for blocks, choice in ((2, 4), (3, 1), (6, 1), (7, 3)):
+        complete_qn(blocks, choice)
+        case = refute_case(blocks, choice)
+        for leaf in case.leaves:
+            replay_trace(blocks, choice, leaf.trace, leaf.conflict)
+    assert gc.isenabled()
+    assert gc.collect() == 0
