@@ -189,7 +189,7 @@ def _cmd_detect_form(args):
 
 
 def _cmd_complete_qn(args):
-    from . import deduction
+    from . import core, deduction, tableio
 
     choice = deduction.parse_choice(args.blocks, args.choice)
     out = deduction.complete_qn(args.blocks, choice)
@@ -198,8 +198,6 @@ def _cmd_complete_qn(args):
         trace = out.trace if not isinstance(out, deduction.Stuck) else out.partial.trace
         _out(deduction.trace_text(trace, conflict), args.trace)
     if isinstance(out, deduction.Completed):
-        from . import core, tableio
-
         table = out.table
         if not args.seed_labels:
             table = core.CayleyTable(table.n, table.entries)

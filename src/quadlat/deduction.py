@@ -48,23 +48,11 @@ from dataclasses import dataclass
 from functools import wraps
 from itertools import combinations, compress
 from operator import getitem, itemgetter, ne
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
+from .core import CayleyTable, is_quadratical
 from .errors import SearchCapExceeded
-from .qn import canonical_labels
-
-if TYPE_CHECKING:
-    from .core import CayleyTable
-
-
-def __getattr__(name):
-    # core's names, for callers that look them up on this module; core is
-    # imported on first use, and by this module only to check a completion
-    if name in ("CayleyTable", "is_quadratical"):
-        from . import core
-
-        return getattr(core, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from .qn import canonical_index, canonical_labels
 
 
 class Step(NamedTuple):
@@ -157,8 +145,7 @@ def seed_assignments(blocks: int, choice: int) -> list[tuple[str, tuple[int, int
     n = 4 * blocks + 1
 
     def i(t, k):
-        # canonical_index without its range check: every (t, k) here is a slot
-        return 4 * (t - 1) + k
+        return canonical_index(blocks, t, k)
 
     seeds = []
     for x in range(n):
@@ -470,42 +457,33 @@ class _State:
     def pairs_pass(self) -> bool:
         # bookend (y*x)(x*y) = x and the three-way strong elasticity chain
         # x(yx) = (xy)x = (yx)y; a pair (x, y) is idle when y*x is unknown
-        # (one cell at most, nothing to link) or when every known side
-        # agrees.  Only the known cells (y, x) of column x are visited; the
-        # rest of the column is read again after an assignment, which may
-        # have made more of it known.
+        # (one cell at most, nothing to link) or every known side agrees
         n = self.n
         val = self.val
-        col_known = self.col_known
         changed = False
         for x in range(n):
             vx = val[x]
-            todo = col_known[x] & ~(1 << x)
-            while todo:
-                for y in _set_bits(todo):
-                    u = val[y][x]
-                    v = vx[y]
-                    if v == -1:
-                        if vx[u] == val[u][y]:
-                            continue
-                    elif val[u][v] == x and vx[u] == val[u][y] == val[v][x]:
+            for y in range(n):
+                if x == y:
+                    continue
+                u = val[y][x]
+                if u == -1:
+                    continue
+                v = vx[y]
+                if v == -1:
+                    if vx[u] == val[u][y]:
                         continue
-                    before = self.unknown
-                    base = [(y, x)]
-                    cells = [(x, u), (u, y)]
-                    if v != -1:
-                        changed |= self.set_cell(
-                            u, v, x, "bookend", (((y, x), u), ((x, y), v)), (x, y))
-                        base.append((x, y))
-                        cells.append((v, x))
-                    for cell1, cell2 in combinations(cells, 2):
-                        changed |= self.link(cell1, cell2, "strong-elasticity", (x, y), base)
-                    if self.unknown != before:
-                        # the known cells of column x past row y
-                        todo = col_known[x] & ~(1 << x) & -(2 << y)
-                        break
-                else:  # column x done without an assignment
-                    todo = 0
+                elif val[u][v] == x and vx[u] == val[u][y] == val[v][x]:
+                    continue
+                base = [(y, x)]
+                cells = [(x, u), (u, y)]
+                if v != -1:
+                    changed |= self.set_cell(
+                        u, v, x, "bookend", (((y, x), u), ((x, y), v)), (x, y))
+                    base.append((x, y))
+                    cells.append((v, x))
+                for cell1, cell2 in combinations(cells, 2):
+                    changed |= self.link(cell1, cell2, "strong-elasticity", (x, y), base)
         return changed
 
     def alter_pass(self) -> bool:
@@ -797,19 +775,21 @@ MAX_BLOCKS = 256
 
 
 def _collector_paused(fn):
-    """fn with Python's cyclic garbage collector paused while it runs.  A
-    saturation allocates tens of thousands of trace steps and no reference
-    cycles, so each full collection only re-scans the live traces: about a
-    sixth of refute_case's time at 5-12 blocks."""
+    """fn with Python's cyclic garbage collector paused while it runs, and
+    left on or off as it was found.  A saturation allocates tens of
+    thousands of trace steps and no reference cycles, so each full
+    collection only re-scans the live traces: about a sixth of
+    refute_case's time at 5-12 blocks.  The collector is process-wide: in
+    a threaded host no thread's cycles are collected during the call."""
     @wraps(fn)
     def run(*args, **kwargs):
-        if not gc.isenabled():
-            return fn(*args, **kwargs)
+        was_enabled = gc.isenabled()
         gc.disable()
         try:
             return fn(*args, **kwargs)
         finally:
-            gc.enable()
+            if was_enabled:
+                gc.enable()
     return run
 
 
@@ -838,12 +818,9 @@ def _outcome(st: _State):
     if st.conflict is not None:
         return Contradiction(st.conflict, tuple(st.trace), st.blocks, st.choice)
     if st.unknown == 0:
-        # core is loaded only here, when a completion must be checked
-        from . import core
-
-        table = core.CayleyTable(
+        table = CayleyTable(
             st.n, tuple(tuple(row) for row in st.val), canonical_labels(st.blocks))
-        if not core.is_quadratical(table):
+        if not is_quadratical(table):
             raise AssertionError("completed table failed the quadratical check")
         return Completed(table, tuple(st.trace), st.blocks, st.choice)
     return Stuck(_partial_view(st), st.blocks, st.choice)
@@ -854,7 +831,8 @@ def complete_qn(blocks: int, choice: int):
     """Deduce the full table of a block-form quadratical quasigroup from
     the centre*a choice (a slot 1..4 naming the element of the last block).
     Pure saturation, no search: the outcome is Completed, Contradiction, or
-    an honest Stuck."""
+    an honest Stuck.  Pauses the process's cyclic garbage collector while
+    it runs (see _collector_paused)."""
     st = _seed_state(blocks, choice)
     _saturate(st)
     return _outcome(st)
@@ -944,7 +922,9 @@ def _refute_search(st: _State, depth: int, max_depth: int, stats: dict):
 @_collector_paused
 def refute_case(blocks: int, choice: int, split_depth: int = 3) -> RefutationCase:
     """Saturate one centre*a choice and, if needed, case-split up to the
-    given depth; every branch must end in a conflict for a refutation."""
+    given depth; every branch must end in a conflict for a refutation.
+    Pauses the process's cyclic garbage collector while it runs (see
+    _collector_paused)."""
     st = _seed_state(blocks, choice)
     _saturate(st)
     stats = {"splits": 0, "max_depth": 0}
@@ -1176,7 +1156,9 @@ _STEP_CHECKS = {
 @_collector_paused
 def replay_trace(blocks: int, choice: int, trace, conflict: Conflict | None = None) -> None:
     """Verify every step of a trace against the rule set, then verify the
-    final conflict when given; raises ReplayError otherwise."""
+    final conflict when given; raises ReplayError otherwise.  Pauses the
+    process's cyclic garbage collector while it runs (see
+    _collector_paused)."""
     rp = _Replay(blocks, choice)
     for step in trace:
         rp.verify_step(step)

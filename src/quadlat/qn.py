@@ -9,20 +9,8 @@ number of blocks n gives order 4n + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    from .core import CayleyTable
-
-
-def __getattr__(name):
-    # core's names, for callers that look them up on this module; core is
-    # imported on first use, so deduction loads qn without it
-    if name in ("CayleyTable", "is_quadratical"):
-        from . import core
-
-        return getattr(core, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from .core import CayleyTable, is_quadratical
 
 
 @dataclass(frozen=True)
@@ -113,9 +101,7 @@ def detect_form(t: CayleyTable):
     passes _validate_chain has 4n distinct elements besides its centre,
     so it covers the table.
     """
-    from . import core
-
-    if not core.is_quadratical(t):
+    if not is_quadratical(t):
         raise ValueError("table is not quadratical")
     if t.n % 4 != 1:
         raise ValueError(f"order {t.n} is not of the form 4n+1")

@@ -186,12 +186,33 @@ def test_block_count_cap():
 
 def test_deduction_leaves_no_cyclic_garbage():
     # complete_qn, refute_case and replay_trace run with the cyclic
-    # collector paused, which is free only while they create no cycles
+    # collector paused, which is free only while they create no cycles;
+    # every choice at 1-12 blocks, replayed as the benchmark replays them
     gc.collect()
-    for blocks, choice in ((2, 4), (3, 1), (6, 1), (7, 3)):
-        complete_qn(blocks, choice)
-        case = refute_case(blocks, choice)
-        for leaf in case.leaves:
-            replay_trace(blocks, choice, leaf.trace, leaf.conflict)
-    assert gc.isenabled()
+    for blocks in range(1, 13):
+        for choice in (1, 2, 3, 4):
+            complete_qn(blocks, choice)
+            case = refute_case(blocks, choice)
+            for leaf in case.leaves:
+                replay_trace(blocks, choice, leaf.trace, leaf.conflict)
+            if case.completed is not None:
+                replay_trace(blocks, choice, case.completed.trace)
     assert gc.collect() == 0
+
+
+def test_collector_left_as_found():
+    assert gc.isenabled()
+    refute_case(5, 1)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        refute_case(5, 1)
+        assert not gc.isenabled()
+        with pytest.raises(SearchCapExceeded):
+            complete_qn(MAX_BLOCKS + 1, 1)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    with pytest.raises(ReplayError):
+        replay_trace(2, 1, [Step("nonesuch", (0, 0), 1, (), ())])
+    assert gc.isenabled()

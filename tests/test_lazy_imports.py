@@ -85,8 +85,6 @@ def table_file(tmp_path_factory):
     (["dual", "-i", "{t}"], {"core", "tableio"}),
     (["product", "{t}", "{t}"], {"core", "tableio"}),
     (["iso", "{t}", "{t}"], {"core", "tableio"}),
-    (["complete-qn", "-n", "2", "--choice", "4"], {"deduction", "qn"}),
-    (["complete-qn", "-n", "3", "--choice", "1"], {"deduction", "qn", "core", "tableio"}),
 ])
 def test_command_import_set(argv, extra, table_file, tmp_path):
     argv = [a.format(t=table_file) for a in argv]
@@ -96,13 +94,8 @@ def test_command_import_set(argv, extra, table_file, tmp_path):
 
 def test_package_import_set(tmp_path):
     assert loaded("import quadlat", tmp_path) == {"quadlat"}
-    # core is loaded only when a completion is checked
     assert loaded("from quadlat import deduction", tmp_path) == {
-        "quadlat", "quadlat.errors", "quadlat.qn", "quadlat.deduction"}
-    assert loaded("from quadlat import deduction; deduction.refute_case(5, 1)", tmp_path) == {
-        "quadlat", "quadlat.errors", "quadlat.qn", "quadlat.deduction"}
-    assert loaded("from quadlat import deduction; deduction.complete_qn(3, 1)", tmp_path) == {
-        "quadlat", "quadlat.errors", "quadlat.qn", "quadlat.deduction", "quadlat.core"}
+        "quadlat", "quadlat.errors", "quadlat.core", "quadlat.qn", "quadlat.deduction"}
 
 
 def test_exported_names_resolve():
@@ -118,17 +111,6 @@ def test_exported_names_resolve():
     assert quadlat.__version__ == "0.1.0"
     with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
         quadlat.nonesuch
-
-
-def test_core_names_resolve_from_lazy_modules():
-    # deduction and qn load core on first use of these names
-    from quadlat import core, deduction, qn
-
-    for owner in (deduction, qn):
-        assert owner.is_quadratical is core.is_quadratical
-        assert owner.CayleyTable is core.CayleyTable
-        with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
-            owner.nonesuch
 
 
 def test_moved_exceptions_keep_their_names():
