@@ -187,17 +187,23 @@ def test_block_count_cap():
 def test_deduction_leaves_no_cyclic_garbage():
     # complete_qn, refute_case and replay_trace run with the cyclic
     # collector paused, which is free only while they create no cycles;
-    # every choice at 1-12 blocks, replayed as the benchmark replays them
+    # every choice at 1-12 blocks, replayed as the benchmark replays them.
+    # The collector stays off throughout, so a cycle made by any call is
+    # still there at the end.
     gc.collect()
-    for blocks in range(1, 13):
-        for choice in (1, 2, 3, 4):
-            complete_qn(blocks, choice)
-            case = refute_case(blocks, choice)
-            for leaf in case.leaves:
-                replay_trace(blocks, choice, leaf.trace, leaf.conflict)
-            if case.completed is not None:
-                replay_trace(blocks, choice, case.completed.trace)
-    assert gc.collect() == 0
+    gc.disable()
+    try:
+        for blocks in range(1, 13):
+            for choice in (1, 2, 3, 4):
+                complete_qn(blocks, choice)
+                case = refute_case(blocks, choice)
+                for leaf in case.leaves:
+                    replay_trace(blocks, choice, leaf.trace, leaf.conflict)
+                if case.completed is not None:
+                    replay_trace(blocks, choice, case.completed.trace)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_collector_left_as_found():
