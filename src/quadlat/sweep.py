@@ -1,28 +1,23 @@
 """Sweeps over moduli regenerating the classification tables.
 
-One driver, _rows, walks m upward on one thread over a sieve built once
-by _sieve, visiting only the moduli that have roots and taking those roots
-in closed form; scan, classify and the checkpointed scan filter its rows.
-Results are a pure function of the bounds.  The checkpoint format is a
-single line ``last_m=<int>``; anything else is refused as corrupt.
+One driver, _rows, reads the roots of every modulus in a range off its
+representations m = x^2 + y^2, on one thread; scan, classify and the
+checkpointed scan filter its rows.  Results are a pure function of the
+bounds.  The checkpoint format is a single line ``last_m=<digits>``; anything
+else is refused as corrupt, and so is a row archive holding a row that
+fails its congruences or is out of (m, a) order.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
-from itertools import compress
-from operator import eq
 
 from . import refdata
 from .errors import CheckpointBusy, InvariantViolation
-from .zm import (
-    smallest_prime_factors,
-    solve_quadratic_congruence,
-    sqrt_minus_one_table,
-    translatability_k_quadratical,
-)
+from .zm import solve_quadratic_congruence, translatability_k_quadratical
 
 SCAN_COLUMNS = ("k", "m", "a", "b")
 CLASSIFY_COLUMNS = ("m", "a", "b", "k")
@@ -36,6 +31,8 @@ class ClassificationRow:
     k: int
 
     def validate(self) -> None:
+        if not (0 <= self.a < self.m and 0 <= self.b < self.m):
+            raise InvariantViolation(f"{self}: a or b not reduced mod m")
         if (2 * self.a * self.a - 2 * self.a + 1) % self.m != 0:
             raise InvariantViolation(f"{self}: a fails the quadratic congruence")
         if (self.a + self.b) % self.m != 1 % self.m:
@@ -50,52 +47,50 @@ class ClassificationRow:
         return {c: getattr(self, c) for c in columns}
 
 
-def rows_for_modulus(m: int, spf=None, representatives: bool = False,
-                     roots=None) -> list[ClassificationRow]:
+def _row(m: int, a: int) -> ClassificationRow:
+    """The validated row of the root a modulo m.  Its shift solves
+    (a-1)k = a; validate() checks that and the pairing with the dual's
+    shift."""
+    row = ClassificationRow(m, a, (1 - a) % m, a * pow(a - 1, -1, m) % m)
+    row.validate()
+    return row
+
+
+def rows_for_modulus(m: int) -> list[ClassificationRow]:
     """One validated row per solution a of the quadratic congruence mod m,
-    in increasing a; empty below the smallest admissible order 5.  spf is
-    an optional smallest_prime_factors table covering m, and roots an
-    optional sqrt_minus_one_table covering it.  With representatives, only
-    the a < b row of each dual pair is built."""
+    in increasing a; empty below the smallest admissible order 5."""
     if m < 5:
         return []
-    out = []
-    for a in solve_quadratic_congruence(m, spf, roots):
-        b = (1 - a) % m
-        if representatives and not a < b:
-            continue
-        # the shift solves (a-1)k = a; validate() checks it and its pairing
-        # with the dual's shift
-        row = ClassificationRow(m, a, b, a * pow(a - 1, -1, m) % m)
-        row.validate()
-        out.append(row)
-    return out
+    return [_row(m, a) for a in solve_quadratic_congruence(m)]
 
 
-def _sieve(last: int):
-    """The smallest_prime_factors table up to last, a bytearray with a 1 at
-    exactly the m <= last that have roots, and the sqrt_minus_one_table of
-    the primes up to last.  The m with roots are those >= 5, odd, with
-    every prime factor 1 (mod 4), so m = 1 (mod 4).  An m = 1 (mod 4) with
-    a prime factor p = 3 (mod 4) is p times a cofactor that is 3 (mod 4);
-    so one slice per such prime p <= last/3 clears all of those m."""
-    spf = smallest_prime_factors(last)
-    admissible = bytearray(last + 1)
-    admissible[5::4] = b"\x01" * len(range(5, last + 1, 4))
-    candidates = range(3, last // 3 + 1, 4)
-    for p in compress(candidates, map(eq, spf[3::4], candidates)):
-        admissible[3 * p::4 * p] = bytes(len(range(3 * p, last + 1, 4 * p)))
-    return spf, admissible, sqrt_minus_one_table(spf)
+def _rows(first: int, last: int, representatives: bool = False) -> list[ClassificationRow]:
+    """The rows_for_modulus(m) of m = first..last, sorted by (m, a); with
+    representatives, only the a < b row of each dual pair.
 
-
-def _rows(first: int, last: int, sieve, representatives: bool = False) -> list[ClassificationRow]:
-    """The rows_for_modulus(m, representatives=...) of m = first..last in
-    increasing order, from a _sieve covering last; only the moduli with
-    roots are visited (87,881 of the first 10^6), and the square roots of
-    -1 come from the sieve's table."""
-    spf, admissible, roots = sieve
-    return [r for m in compress(range(first, last + 1), admissible[first:last + 1])
-            for r in rows_for_modulus(m, spf, representatives, roots)]
+    The roots are a = (1 + s)/2 for the square roots s of -1 mod m, and
+    those come in pairs {s, -s}, one pair s = x/y (mod m) for each
+    representation m = x^2 + y^2 with x > y >= 1 coprime (Hermite-Serret).
+    An odd m needs x - y odd, so the walk over those pairs meets every m
+    with roots, each root once, and no other m."""
+    found = []
+    for x in range(max(2, math.isqrt(first // 2)), math.isqrt(last - 1) + 1):
+        low = first - x * x
+        y0 = math.isqrt(low - 1) + 1 if low > 1 else 1   # least y with y^2 >= low
+        y0 += (x + y0 + 1) % 2   # opposite parity to x
+        for y in range(y0, min(x - 1, math.isqrt(last - x * x)) + 1, 2):
+            if math.gcd(x, y) != 1:
+                continue
+            m = x * x + y * y
+            half = (m + 1) // 2   # the inverse of 2 modulo the odd m
+            s = x * pow(y, -1, m)
+            a, b = (1 + s) * half % m, (1 - s) * half % m
+            if representatives:
+                found.append((m, min(a, b)))
+            else:
+                found += ((m, a), (m, b))
+    found.sort()
+    return [_row(m, a) for m, a in found]
 
 
 def _scan_order(rows) -> list[ClassificationRow]:
@@ -106,7 +101,7 @@ def scan_k_table(max_m: int, max_k: int) -> list[ClassificationRow]:
     """All rows with m <= max_m and k < max_k, sorted by (k, m, a)."""
     if max_m < 1 or max_k < 1:
         raise ValueError("bounds must be positive")
-    return _scan_order(r for r in _rows(2, max_m, _sieve(max_m)) if r.k < max_k)
+    return _scan_order(r for r in _rows(2, max_m) if r.k < max_k)
 
 
 def classify(max_m: int) -> list[ClassificationRow]:
@@ -114,7 +109,7 @@ def classify(max_m: int) -> list[ClassificationRow]:
     representative, sorted by (m, a)."""
     if max_m < 1:
         raise ValueError("bound must be positive")
-    return _rows(2, max_m, _sieve(max_m), representatives=True)
+    return _rows(2, max_m, representatives=True)
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +151,18 @@ def _rows_path(checkpoint_path) -> str:
 
 
 def _load_checkpoint(checkpoint_path):
+    """The recorded last_m and the archived rows with m <= last_m.  Raises
+    ValueError on a checkpoint other than ``last_m=<digits>``, and on an
+    archive line that is not four integers, a row that fails validate(),
+    or rows not strictly increasing in (m, a)."""
     if not os.path.exists(checkpoint_path):
         return 1, []
     with open(checkpoint_path, "r", encoding="utf-8") as fh:
         text = fh.read().strip()
-    if not text.startswith("last_m=") or not text[len("last_m="):].isdigit():
+    digits = text[len("last_m="):]
+    if not (text.startswith("last_m=") and digits.isascii() and digits.isdigit()):
         raise ValueError(f"corrupt checkpoint {checkpoint_path}: {text!r}")
-    last_m = int(text[len("last_m="):])
+    last_m = int(digits)
     saved = []
     rows_path = _rows_path(checkpoint_path)
     if os.path.exists(rows_path):
@@ -176,8 +176,18 @@ def _load_checkpoint(checkpoint_path):
                 except ValueError:
                     raise ValueError(
                         f"corrupt row archive {rows_path}: {line!r}") from None
-                if m <= last_m:
-                    saved.append(ClassificationRow(m, a, b, k))
+                if m > last_m:
+                    continue
+                row = ClassificationRow(m, a, b, k)
+                try:
+                    row.validate()
+                except (InvariantViolation, ValueError) as exc:
+                    raise ValueError(
+                        f"corrupt row archive {rows_path}: {exc}") from None
+                if saved and (m, a) <= (saved[-1].m, saved[-1].a):
+                    raise ValueError(f"corrupt row archive {rows_path}: {line!r} "
+                                     f"does not follow the row before it in (m, a)")
+                saved.append(row)
     return last_m, saved
 
 
@@ -207,20 +217,20 @@ def scan_with_checkpoint(max_m: int, max_k: int, checkpoint_path) -> list[Classi
 def _locked_scan(max_m: int, max_k: int, checkpoint_path) -> list[ClassificationRow]:
     last_m, saved = _load_checkpoint(checkpoint_path)
     rows_path = _rows_path(checkpoint_path)
-    if saved or last_m > 1:
-        # drop any rows past the recorded frontier (a flush may have been
-        # interrupted between the archive append and the checkpoint write)
-        with open(rows_path, "w", encoding="utf-8") as fh:
-            for r in saved:
-                fh.write(f"{r.k},{r.m},{r.a},{r.b}\n")
+    # drop any rows past the recorded frontier (a flush may have been
+    # interrupted between the archive append and the checkpoint write), and
+    # an archive left without its checkpoint, which a fresh scan would
+    # otherwise append to
+    with open(rows_path, "w", encoding="utf-8") as fh:
+        for r in saved:
+            fh.write(f"{r.k},{r.m},{r.a},{r.b}\n")
     all_rows = list(saved)
     if last_m < max_m:
-        sieve = _sieve(max_m)
         first = last_m + 1
         # flush at each multiple of CHECKPOINT_EVERY past last_m, then at max_m
         ends = range(-(-first // CHECKPOINT_EVERY) * CHECKPOINT_EVERY, max_m, CHECKPOINT_EVERY)
         for end in (*ends, max_m):
-            got = _rows(first, end, sieve)
+            got = _rows(first, end)
             all_rows.extend(got)
             _flush_checkpoint(checkpoint_path, rows_path, end, got)
             first = end + 1

@@ -9,38 +9,34 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
-from operator import eq
 
+from .errors import SearchCapExceeded
 
-def smallest_prime_factors(n: int):
-    """Table spf with spf[m] the smallest prime factor of m for 2 <= m <= n
-    (spf[0] = 0, spf[1] = 1); an array of machine ints, 4 bytes per entry."""
-    from array import array  # only sweeps need it; keeps CLI start-up lean
-
-    spf = array("I", range(n + 1))
-    # larger candidates first, so each multiple ends with its smallest
-    # factor; a composite p is overwritten by its own prime factors later
-    for p in range(math.isqrt(n), 1, -1):
-        spf[p * p::p] = array("I", [p]) * len(range(p * p, n + 1, p))
-    return spf
+# Trial division stops at this divisor.  Every m < 10^14 is factored below
+# it; past it, splitting one large modulus could take minutes or more.
+TRIAL_DIVISION_CAP = 10**7
 
 
 def _least_prime_factor(n: int, start: int = 2) -> int:
     """The smallest prime factor of n > 1, by trial division upward from
-    start, which must be at most that factor."""
-    p = start
-    while p * p <= n:
+    start, which must be at most that factor.  Raises SearchCapExceeded
+    when n exceeds TRIAL_DIVISION_CAP^2 and no divisor up to the cap
+    splits it, so that n may still be composite."""
+    root = math.isqrt(n)
+    for p in range(start, min(root, TRIAL_DIVISION_CAP) + 1):
         if n % p == 0:
             return p
-        p += 1
+    if root > TRIAL_DIVISION_CAP:
+        raise SearchCapExceeded(
+            f"{n} has no prime factor up to {TRIAL_DIVISION_CAP} "
+            f"(trial division cap), so it cannot be factored")
     return n
 
 
 def _sqrt_minus_one(p: int) -> int:
     """A square root of -1 modulo a prime p = 1 (mod 4).  Raises ValueError
     when no c < p gives one, which for a prime cannot happen: p is then not
-    prime (a wrong smallest-prime-factor table)."""
+    prime."""
     # s = c^((p-1)/4) squares to c^((p-1)/2), which is -1 exactly when c
     # is a quadratic non-residue
     c, s = 2, pow(2, (p - 1) // 4, p)
@@ -52,33 +48,22 @@ def _sqrt_minus_one(p: int) -> int:
     return s
 
 
-def sqrt_minus_one_table(spf) -> dict[int, int]:
-    """{p: s} with s^2 = -1 (mod p), for every prime p = 1 (mod 4) that
-    the smallest_prime_factors table spf covers: the roots a sweep over
-    those moduli needs, found once per prime."""
-    candidates = range(5, len(spf), 4)
-    return {p: _sqrt_minus_one(p)
-            for p in compress(candidates, map(eq, spf[5::4], candidates))}
-
-
-def solve_quadratic_congruence(m: int, spf=None, roots=None) -> list[int]:
+def solve_quadratic_congruence(m: int) -> list[int]:
     """All a in 0..m-1 with 2a^2 - 2a + 1 = 0 (mod m), in increasing order.
 
     The congruence reads (2a - 1)^2 = -1 (mod m), so a = (1 + s)/2 for each
     square root s of -1.  Those exist only for odd m whose prime factors
     are all 1 (mod 4); each prime power p^e contributes +-s_p, and the
     Chinese remainder theorem combines them into 2^w roots, w the number
-    of distinct primes.  Solutions come in pairs {a, 1-a mod m}.  spf is an
-    optional smallest_prime_factors table covering m; without it m is
-    factored by trial division.  roots is an optional sqrt_minus_one_table
-    covering the primes of m; without it each root is searched for.
+    of distinct primes.  Solutions come in pairs {a, 1-a mod m}.  m is
+    factored by trial division, capped at TRIAL_DIVISION_CAP.
     """
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
     roots_m, modulus = [0], 1
     rest, p = m, 2
     while rest > 1:
-        p = spf[rest] if spf is not None else _least_prime_factor(rest, p)
+        p = _least_prime_factor(rest, p)
         if p % 4 != 1:
             return []
         q = p
@@ -86,7 +71,7 @@ def solve_quadratic_congruence(m: int, spf=None, roots=None) -> list[int]:
         while rest % p == 0:
             rest //= p
             q *= p
-        s = roots[p] if roots is not None else _sqrt_minus_one(p)
+        s = _sqrt_minus_one(p)
         # Newton (Hensel) steps s <- s - (s^2 + 1)/(2s) double the precision
         known = p
         while known < q:

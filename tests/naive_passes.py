@@ -19,7 +19,6 @@ from quadlat.core import is_quadratical
 from quadlat.deduction import Conflict, _ConflictError
 from quadlat.qn import _chain_blocks, _validate_chain
 from quadlat.translatable import build_idempotent_k_translatable
-from quadlat.zm import smallest_prime_factors
 
 
 def latin_pass(st) -> bool:
@@ -282,9 +281,8 @@ def feasible_k_idempotent_quadratical(n):
 
 def sweep_rows(first, last, representatives=False):
     # rows_for_modulus for every m in first..last, roots or not
-    spf = smallest_prime_factors(last)
-    return [r for m in range(first, last + 1)
-            for r in sweep.rows_for_modulus(m, spf, representatives)]
+    return [r for m in range(first, last + 1) for r in sweep.rows_for_modulus(m)
+            if not representatives or r.a < r.b]
 
 
 def scan_with_checkpoint(max_m, max_k, checkpoint_path):
@@ -292,15 +290,13 @@ def scan_with_checkpoint(max_m, max_k, checkpoint_path):
     # CHECKPOINT_EVERY or max_m; the checkpoint I/O is sweep's own
     last_m, saved = sweep._load_checkpoint(checkpoint_path)
     rows_path = sweep._rows_path(checkpoint_path)
-    if saved or last_m > 1:
-        with open(rows_path, "w", encoding="utf-8") as fh:
-            for r in saved:
-                fh.write(f"{r.k},{r.m},{r.a},{r.b}\n")
+    with open(rows_path, "w", encoding="utf-8") as fh:
+        for r in saved:
+            fh.write(f"{r.k},{r.m},{r.a},{r.b}\n")
     all_rows = list(saved)
     pending = []
-    spf = smallest_prime_factors(max_m)
     for m in range(last_m + 1, max_m + 1):
-        got = sweep.rows_for_modulus(m, spf)
+        got = sweep.rows_for_modulus(m)
         all_rows.extend(got)
         pending.extend(got)
         if m % sweep.CHECKPOINT_EVERY == 0 or m == max_m:

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from quadlat import CayleyTable, parse_table, quadratical_over_zm, write_table
+from quadlat import CayleyTable, parse_table, quadratical_over_zm, write_table, zm
 from quadlat.cli import main
 
 
@@ -19,6 +19,21 @@ def test_solve(capsys):
     assert out == "24 29 37 42\n"
     code, out, _ = run(capsys, "solve", "-m", "65", "--format", "json")
     assert json.loads(out) == {"m": 65, "solutions": [24, 29, 37, 42]}
+
+
+def test_solve_trial_division_cap(capsys):
+    # 5**26 is a prime power and 100000000000097 a prime just above 10**14;
+    # p * q, two primes = 1 (mod 4) above the cap, cannot be split
+    code, out, _ = run(capsys, "solve", "-m", str(5 ** 26))
+    assert code == 0
+    assert [(2 * a * a - 2 * a + 1) % 5 ** 26 for a in map(int, out.split())] == [0, 0]
+    code, out, _ = run(capsys, "solve", "-m", "100000000000097")
+    assert (code, out) == (0, "38376982888483 61623017111615\n")
+    p, q = 10000121, 10000141
+    assert p > zm.TRIAL_DIVISION_CAP and p % 4 == q % 4 == 1
+    code, out, err = run(capsys, "solve", "-m", str(p * q))
+    assert (code, out) == (3, "")
+    assert err.startswith("cap exceeded:")
 
 
 def test_k_command(capsys):

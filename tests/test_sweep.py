@@ -1,4 +1,5 @@
 import fcntl
+import hashlib
 import json
 
 import pytest
@@ -245,13 +246,80 @@ def test_corrupt_checkpoint_refused(tmp_path):
         scan_with_checkpoint(100, 40, ck)
 
 
+def _archive_resume(path, capsys, edit):
+    # a finished checkpointed scan to m = 100 in the new directory path,
+    # whose files edit() alters; returns the resumed scan's outcome
+    path.mkdir()
+    ck = path / "scan.ck"
+    assert main(["scan", "--max-m", "100", "--max-k", "40", "--checkpoint", str(ck)]) == 0
+    edit(ck, path / "scan.ck.rows")
+    capsys.readouterr()
+    code = main(["scan", "--max-m", "100", "--max-k", "40", "--checkpoint", str(ck)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_checkpoint_row_archive_rows_validated(tmp_path, capsys):
+    # wrong shift, wrong a, a not reduced, zero modulus
+    for i, bogus in enumerate(("3,5,2,9", "7,13,1,1", "2,5,7,4", "2,0,1,1")):
+        def edit(ck, rows):
+            rows.write_text(rows.read_text() + bogus + "\n")
+        code, out, err = _archive_resume(tmp_path / str(i), capsys, edit)
+        assert (code, out) == (2, ""), bogus
+        assert err.startswith(f"error: corrupt row archive {tmp_path / str(i)}"
+                              f"/scan.ck.rows: ClassificationRow("), (bogus, err)
+
+
+def test_checkpoint_row_archive_order_checked(tmp_path, capsys):
+    # every archived row is valid, but one is repeated or two are swapped
+    def repeat(ck, rows):
+        lines = rows.read_text().splitlines()
+        rows.write_text("\n".join(lines[:3] + lines[2:]) + "\n")
+
+    def swap(ck, rows):
+        lines = rows.read_text().splitlines()
+        rows.write_text("\n".join([lines[1], lines[0]] + lines[2:]) + "\n")
+
+    for edit in (repeat, swap):
+        code, out, err = _archive_resume(tmp_path / edit.__name__, capsys, edit)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: corrupt row archive "), err
+        assert err.endswith("does not follow the row before it in (m, a)\n"), err
+
+
+def test_checkpoint_last_m_ascii_digits_only(tmp_path, capsys):
+    # superscript two and Arabic-Indic digits pass str.isdigit()
+    for i, text in enumerate(("last_m=\u00b2", "last_m=\u0661\u0660", "last_m=-5")):
+        def edit(ck, rows):
+            ck.write_text(text + "\n")
+        code, out, err = _archive_resume(tmp_path / str(i), capsys, edit)
+        assert (code, out) == (2, ""), text
+        assert err == f"error: corrupt checkpoint {tmp_path / str(i) / 'scan.ck'}: {text!r}\n"
+
+
+def test_archive_without_checkpoint_is_replaced(tmp_path, capsys):
+    # a fresh scan next to a stale archive used to append to it, and the
+    # next resume then returned every row twice
+    def drop_checkpoint(ck, rows):
+        ck.unlink()
+    code, out, err = _archive_resume(tmp_path / "run", capsys, drop_checkpoint)
+    assert (code, err) == (0, "")
+    ck = tmp_path / "run" / "scan.ck"
+    assert scan_with_checkpoint(100, 40, ck) == scan_k_table(100, 40)
+
+
+def test_classify_million_digest():
+    # every dual pair for m <= 10**6 (159,139 rows), pinned byte for byte
+    text = emit_text(classify(10 ** 6), "csv", CLASSIFY_COLUMNS)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "b5deccd4bd1842f06252afa22e8cfc69c32273447bed388619226d56ebe193ea")
+
+
 def test_sweeps_match_every_modulus_walk():
     # the sweeps visit only moduli with roots; the walk over every m is
     # the oracle, for bounds below the first admissible m and up to 20000
     every = naive_passes.sweep_rows(2, 20000)
     reps = naive_passes.sweep_rows(2, 20000, representatives=True)
-    _, admissible, _ = sweep._sieve(20000)
-    assert [m for m in range(20001) if admissible[m]] == sorted({r.m for r in every})
     for max_m in (*range(1, 70), 1000, 1001, 4097, 20000):
         assert classify(max_m) == [r for r in reps if r.m <= max_m], max_m
         for max_k in (40, max_m):

@@ -15,11 +15,7 @@ from quadlat import (
     translatability_k_linear,
     translatability_k_quadratical,
 )
-from quadlat.zm import (
-    smallest_prime_factors,
-    sqrt_minus_one_table,
-    translatability_shift_set,
-)
+from quadlat.zm import translatability_shift_set
 
 
 def brute_force_roots(m):
@@ -38,11 +34,8 @@ def test_solve_small():
 
 
 def test_solve_brute_force_agrees():
-    spf = smallest_prime_factors(3000)
     for m in range(1, 3001):
-        brute = brute_force_roots(m)
-        assert solve_quadratic_congruence(m) == brute, m
-        assert solve_quadratic_congruence(m, spf) == brute, m
+        assert solve_quadratic_congruence(m) == brute_force_roots(m), m
 
 
 def test_solve_prime_powers_and_composites():
@@ -54,36 +47,14 @@ def test_solve_prime_powers_and_composites():
         assert roots == brute_force_roots(m)
 
 
-def test_sqrt_minus_one_table_matches_table_free_path():
-    spf = smallest_prime_factors(20000)
-    roots = sqrt_minus_one_table(spf)
-    primes = [p for p in range(5, 20001, 4) if spf[p] == p]
-    assert sorted(roots) == primes
-    for p, s in roots.items():
-        assert (s * s + 1) % p == 0, p
-    for m in range(1, 20001):
-        assert (solve_quadratic_congruence(m, spf, roots)
-                == solve_quadratic_congruence(m, spf)
-                == solve_quadratic_congruence(m)), m
-
-
-def test_smallest_prime_factors():
-    spf = smallest_prime_factors(2000)
-    assert len(spf) == 2001
-    for m in range(2, 2001):
-        assert spf[m] == next(p for p in range(2, m + 1) if m % p == 0)
-
-
-def test_corrupt_sieve_raises_promptly():
-    # spf[21] = 21 passes 21 off as a prime = 1 (mod 4); -1 has no square
-    # root modulo 21, so the non-residue search must give up and raise.  A
-    # child process with a timeout turns a hang into a failure.
+def test_sqrt_minus_one_of_non_prime_raises_promptly():
+    # -1 has no square root modulo 21 = 1 (mod 4), which is not a prime, so
+    # the non-residue search must give up and raise.  A child process with
+    # a timeout turns a hang into a failure.
     code = (
-        "from quadlat.zm import smallest_prime_factors, solve_quadratic_congruence\n"
-        "spf = smallest_prime_factors(30)\n"
-        "spf[21] = 21\n"
+        "from quadlat.zm import _sqrt_minus_one\n"
         "try:\n"
-        "    solve_quadratic_congruence(21, spf)\n"
+        "    _sqrt_minus_one(21)\n"
         "except ValueError as exc:\n"
         "    print('ValueError:', exc)\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(quadlat.__file__)))
