@@ -5,8 +5,6 @@ each submodule, is imported on first use (PEP 562), so a command loads
 only the modules it runs.
 """
 
-import sys
-
 __version__ = "0.1.0"
 
 # public name -> the submodule that defines it
@@ -42,6 +40,9 @@ _EXPORTS = {
     for name in names
 }
 
+# `from quadlat import *` binds every public name, importing its submodule
+__all__ = sorted(_EXPORTS)
+
 _SUBMODULES = frozenset({
     "cli", "core", "deduction", "errors", "fixtures", "qn", "refdata", "sweep",
     "tableio", "translatable", "zm",
@@ -54,9 +55,10 @@ def __getattr__(name):
     if name not in _SUBMODULES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # __import__ is the import statement's own path (importlib.import_module
-    # is not), so `python -X importtime` lists the submodules loaded here
+    # is not), so `python -X importtime` lists the submodules loaded here;
+    # importing a submodule binds it in this namespace
     __import__(f"{__name__}.{name}")
-    return sys.modules[f"{__name__}.{name}"]
+    return globals()[name]
 
 
 def __dir__():

@@ -2,10 +2,14 @@
 
 A partial table over the symbols {centre} + H1..Hn is seeded from the
 block laws plus one choice for centre*a, then saturated under a fixed rule
-set: latin elimination, bookend, strong elasticity, alterability, left and
-right distributivity, and mediality.  Cheap rules run first; each pass
-scans in a fixed order, so traces are deterministic.  Known cells never
-change: a clashing deduction is a conflict, not an overwrite.
+set: latin elimination, bookend, strong elasticity and alterability,
+repeated until none assigns a cell.  Each pass scans in a fixed order, so
+traces are deterministic.  Known cells never change: a clashing deduction
+is a conflict, not an overwrite.  Left and right distributivity and
+mediality also hold in a quadratical quasigroup but are not scheduled: at
+every fixpoint of the four rules, over 1-30 blocks in complete_qn and in
+every branch of refute_case, they assigned no cell and raised no conflict.
+replay_trace still accepts and checks steps by them.
 
 Skip invariant.  A pass drops every rule instance that provably would
 neither assign a cell nor raise a conflict, and runs the per-instance code
@@ -13,15 +17,10 @@ on the rest in the original order, so traces, conflicts, splits and leaves
 are those of a pass that visits every instance:
 
 - A link of two cells is idle when both hold the same value, unknown
-  included.  Distributivity (per x, y) and mediality (per x, y and per
-  x, y, z) compare both sides of all their links at once, as lists built
-  with map and itemgetter over the admissible z or w, and visit the links
-  only where the lists differ.  Mediality instances (x, y, z) and
-  (x, z, y) link the same cells, so one found idle, with no assignment
-  since, clears the other.  Strong elasticity and bookend are tested
-  inline per pair (x, y), and only where y*x is known.  Alterability
-  compares, per first cell, a row of the table against a column of its
-  transposed view over all the value's cells at once.
+  included.  Strong elasticity and bookend are tested inline per pair
+  (x, y), and only where y*x is known.  Alterability compares, per first
+  cell, a row of the table against a column of its transposed view over
+  all the value's cells at once.
 - Counting bounds (latin elimination).  A cell (r, c) is a single or has
   no candidate only when |row r| + |col c| >= n-1 known cells, since
   each known cell rules out at most one value.  A value v missing from a
@@ -47,7 +46,7 @@ import gc
 from dataclasses import dataclass
 from functools import wraps
 from itertools import combinations, compress
-from operator import getitem, itemgetter, ne
+from operator import itemgetter, ne
 from typing import NamedTuple
 
 from .core import CayleyTable, is_quadratical
@@ -583,140 +582,6 @@ class _State:
                     dirty_cols |= 1 << c
         return changed
 
-    def _known_cols(self) -> list:
-        return [_set_bits(mask) for mask in self.row_known]
-
-    def distrib_pass(self) -> bool:
-        # left: x(yz) = (xy)(xz); right: (xy)z = (xz)(yz).  Per (x, y) both
-        # sides of each law are compared over the z with (x, z) and (y, z)
-        # known; the links run only where they differ.
-        n = self.n
-        val = self.val
-        changed = False
-        kc = self._known_cols()
-        set_bits = {}
-        for x in range(n):
-            vx = val[x]
-            for y in kc[x]:
-                b_xy = vx[y]
-                both = self.row_known[x] & self.row_known[y]
-                if not both:
-                    continue
-                zs = set_bits.get(both) or set_bits.setdefault(both, _set_bits(both))
-                vy = val[y]
-                vb = val[b_xy]
-                # x*z and y*z over those z; known cells never change
-                xz = list(map(vx.__getitem__, zs))
-                yz = list(map(vy.__getitem__, zs))
-                # left distributivity, premise cells (y,z),(x,y),(x,z)
-                if list(map(vx.__getitem__, yz)) != list(map(vb.__getitem__, xz)):
-                    m2 = both
-                    while m2:
-                        bit = m2 & -m2
-                        m2 ^= bit
-                        z = bit.bit_length() - 1
-                        a_yz = vy[z]
-                        c_xz = vx[z]
-                        if vx[a_yz] == val[b_xy][c_xz]:
-                            continue
-                        changed |= self.link(
-                            (x, a_yz), (b_xy, c_xz), "left-distributivity",
-                            (x, y, z), ((y, z), (x, y), (x, z)))
-                # right distributivity, premise cells (x,y),(x,z),(y,z)
-                if (list(map(vb.__getitem__, zs))
-                        != list(map(getitem, map(val.__getitem__, xz), yz))):
-                    m2 = both
-                    while m2:
-                        bit = m2 & -m2
-                        m2 ^= bit
-                        z = bit.bit_length() - 1
-                        b_xz = vx[z]
-                        c_yz = vy[z]
-                        if val[b_xy][z] == val[b_xz][c_yz]:
-                            continue
-                        changed |= self.link(
-                            (b_xy, z), (b_xz, c_yz), "right-distributivity",
-                            (x, y, z), ((x, y), (x, z), (y, z)))
-        return changed
-
-    def _composed(self) -> tuple:
-        """comp[a][z][w] = val[a][val[z][w]], meaningful where (z, w) is
-        known (elsewhere the unknown -1 indexes the last column), and its
-        transpose comp_t[z][a] = comp[a][z]."""
-        val = self.val
-        through = [itemgetter(*rz) for rz in val]
-        comp = [[get(ra) for get in through] for ra in val]
-        return comp, list(zip(*comp))
-
-    def mediality_pass(self) -> bool:
-        # (xy)(zw) = (xz)(yw); degenerate instances with x=y, x=z, z=w or
-        # y=w reduce to distributivity and are skipped.  Over the admissible
-        # w the two sides of (x, y, z) are the composed rows comp[xy][z] and
-        # comp[xz][y]; the links run only where these differ.  (x, y, z)
-        # and (x, z, y) link the same cells over the same w, so a z whose
-        # own turn as y found nothing, with no assignment since (clean), is
-        # idle.
-        n = self.n
-        val = self.val
-        row_known = self.row_known
-        changed = False
-        kc = self._known_cols()
-        comp, comp_t = self._composed()
-        # row z's known cells other than (z, z)
-        known_off = [mask & ~(1 << z) for z, mask in enumerate(row_known)]
-        picks = {}
-        for x in range(n):
-            vx = val[x]
-            cols_x = kc[x]
-            clean = 0
-            for y in cols_x:
-                if y == x:
-                    continue
-                a_xy = vx[y]
-                comp_a = comp[a_xy]
-                comp_ty = comp_t[y]
-                # all z at once, over every w: equal rows leave nothing to do
-                if (list(map(comp_a.__getitem__, cols_x))
-                        == list(map(comp_ty.__getitem__, map(vx.__getitem__, cols_x)))):
-                    clean |= 1 << y
-                    continue
-                before_y = self.unknown
-                vy = val[y]
-                ky = row_known[y]
-                # the w the loop below visits, plus any that become known
-                # in row y after ky was read
-                live_y = known_off[y]
-                for z in cols_x:
-                    if z == x or z == y or clean >> z & 1:
-                        continue
-                    live = known_off[z] & live_y
-                    if not live:
-                        continue
-                    pick = picks.get(live) or _picker(picks, live)
-                    c_xz = vx[z]
-                    if pick(comp_a[z]) == pick(comp_ty[c_xz]):
-                        continue
-                    before = self.unknown
-                    vz = val[z]
-                    mask = row_known[z] & ky
-                    while mask:
-                        bit = mask & -mask
-                        mask ^= bit
-                        w = bit.bit_length() - 1
-                        if w == z or w == y or val[a_xy][vz[w]] == val[c_xz][vy[w]]:
-                            continue
-                        changed |= self.link(
-                            (a_xy, vz[w]), (c_xz, vy[w]), "mediality",
-                            (x, y, z, w), ((x, y), (z, w), (x, z), (y, w)))
-                    if self.unknown != before:
-                        comp, comp_t = self._composed()
-                        comp_a = comp[a_xy]
-                        comp_ty = comp_t[y]
-                        known_off = [mask & ~(1 << z) for z, mask in enumerate(row_known)]
-                        live_y = known_off[y]
-                clean = clean | 1 << y if self.unknown == before_y else 0
-        return changed
-
 
 def _at_least(counts: list, n: int) -> list:
     """masks[k]: the bitmask of the i with counts[i] >= k, for k = 0..n+1;
@@ -729,40 +594,16 @@ def _at_least(counts: list, n: int) -> list:
     return masks
 
 
-# binary digits to the bytes 0 and 1, usable as compress selectors
-_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _set_bits(mask: int) -> list:
-    """The positions of the set bits of mask, in increasing order."""
-    digits = bin(mask)[:1:-1].encode().translate(_DIGIT_BYTES)
-    return list(compress(range(len(digits)), digits))
-
-
-def _picker(picks: dict, mask: int):
-    """An itemgetter over the set bits of mask, stored in picks for the
-    caller's next lookup; it returns a tuple, or a bare item when one bit
-    is set."""
-    pick = picks[mask] = itemgetter(*_set_bits(mask))
-    return pick
-
-
 def _saturate(st: _State) -> None:
     if st.conflict is not None:
         return
     try:
         while True:
-            while True:
-                ch = st.latin_pass()
-                ch = st.pairs_pass() or ch
-                ch = st.alter_pass() or ch
-                if not ch:
-                    break
-            if st.distrib_pass():
-                continue
-            if st.mediality_pass():
-                continue
-            return
+            ch = st.latin_pass()
+            ch = st.pairs_pass() or ch
+            ch = st.alter_pass() or ch
+            if not ch:
+                return
     except _ConflictError as exc:
         st.conflict = exc.record
 

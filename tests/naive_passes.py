@@ -9,7 +9,10 @@ restricts to the moduli with roots.
 Every pass here visits every rule instance and calls the engine's own
 link/set_cell on it, so a pass of quadlat.deduction._State that skips
 instances must produce the same new trace steps, the same change flag and
-the same conflict.  These functions are test oracles only.
+the same conflict.  distrib_pass and mediality_pass have no engine
+counterpart: the engine does not schedule those rules, and a saturation
+that still runs them at each fixpoint must give the engine's traces.
+These functions are test oracles only.
 """
 
 import math
@@ -133,11 +136,16 @@ def alter_pass(st) -> bool:
     return changed
 
 
+def _known_cols(st) -> list:
+    """The known columns of each row, in increasing order."""
+    return [[c for c in range(st.n) if mask >> c & 1] for mask in st.row_known]
+
+
 def distrib_pass(st) -> bool:
     n = st.n
     val = st.val
     changed = False
-    kc = st._known_cols()
+    kc = _known_cols(st)
     for x in range(n):
         vx = val[x]
         for y in kc[x]:
@@ -170,7 +178,7 @@ def mediality_pass(st) -> bool:
     n = st.n
     val = st.val
     changed = False
-    kc = st._known_cols()
+    kc = _known_cols(st)
     for x in range(n):
         vx = val[x]
         cols_x = kc[x]
@@ -201,8 +209,6 @@ PASSES = {
     "latin_pass": latin_pass,
     "pairs_pass": pairs_pass,
     "alter_pass": alter_pass,
-    "distrib_pass": distrib_pass,
-    "mediality_pass": mediality_pass,
 }
 
 

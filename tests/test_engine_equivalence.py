@@ -2,7 +2,9 @@
 cannot change the state.  These tests pin that the skipping changes
 nothing: golden digests of every trace for 1..12 and 13..16 blocks, and
 each pass against its naive reference (tests/naive_passes.py) on random
-partial states."""
+partial states.  The engine does not schedule distributivity and
+mediality; a naive saturation that also runs them must give the same
+traces."""
 
 import hashlib
 import itertools
@@ -155,9 +157,8 @@ def test_passes_match_naive_reference():
 def test_passes_match_naive_on_large_states():
     # states cut from 13- and 16-block traces, mostly near their ends, where
     # the latin bounds skip the most rows, columns and values, and the full
-    # traces of the leaves that end in a latin conflict; the cheaper passes
-    # run in turn with one more step fed in between (the naive
-    # distributivity and mediality scans take seconds at these orders)
+    # traces of the leaves that end in a latin conflict; the passes run in
+    # turn with one more step fed in between
     rng = random.Random(1316)
     names = ("latin_pass", "pairs_pass", "alter_pass")
     seen = {name: set() for name in names}
@@ -244,7 +245,9 @@ def test_passes_match_naive_on_revealed_tables():
 
 
 def _naive_saturate(st) -> None:
-    """deduction._saturate with the naive passes."""
+    """deduction._saturate with the naive passes, plus the naive
+    distributivity and mediality passes at each fixpoint of the other
+    three, which the engine does not run."""
     if st.conflict is not None:
         return
     try:
@@ -266,7 +269,8 @@ def _naive_saturate(st) -> None:
 
 def test_saturation_matches_naive_saturation():
     # the seeded saturation and every first-level split branch, as
-    # refute_case runs them, give the same trace and conflict both ways
+    # refute_case runs them, give the same trace and conflict both ways:
+    # distributivity and mediality find nothing at the engine's fixpoints
     for blocks in range(1, 7):
         for choice in (1, 2, 3, 4):
             st = _seed_state(blocks, choice)

@@ -113,6 +113,17 @@ def test_exported_names_resolve():
         quadlat.nonesuch
 
 
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from quadlat import *", namespace)
+    for module, names in EXPORTED.items():
+        owner = importlib.import_module(f"quadlat.{module}")
+        for name in names:
+            assert namespace[name] is getattr(owner, name), name
+    assert "sys" not in namespace
+    assert "sys" not in dir(quadlat)
+
+
 def test_moved_exceptions_keep_their_names():
     from quadlat import core, errors, sweep, translatable
 
