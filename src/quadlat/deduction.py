@@ -213,8 +213,12 @@ def seed_assignments(blocks: int, choice: int) -> list[tuple[str, tuple[int, int
 # ---------------------------------------------------------------------------
 
 class _State:
+    # facts[r][c] is the one ((r, c), v) tuple of a known cell, made when
+    # set_cell assigns it and None before: the cell of its Step and every
+    # premise or conflict record that names the known cell reference it,
+    # so a trace holds one premise object per cell, not one per mention
     __slots__ = (
-        "n", "blocks", "choice", "val", "cols", "row_vals", "col_vals",
+        "n", "blocks", "choice", "val", "cols", "facts", "row_vals", "col_vals",
         "row_known", "col_known", "value_rows", "value_cols",
         "rows_by_value", "cols_by_value", "unknown", "trace", "conflict",
         "latin_mark", "alter_mark", "alter_lens",
@@ -228,6 +232,7 @@ class _State:
         self.val = [[-1] * n for _ in range(n)]
         # the same table by columns: cols[c][r] = val[r][c]
         self.cols = [[-1] * n for _ in range(n)]
+        self.facts = [[None] * n for _ in range(n)]
         self.row_vals = [0] * n
         self.col_vals = [0] * n
         self.row_known = [0] * n
@@ -256,6 +261,7 @@ class _State:
         st.choice = self.choice
         st.val = [row[:] for row in self.val]
         st.cols = [col[:] for col in self.cols]
+        st.facts = [row[:] for row in self.facts]
         st.row_vals = self.row_vals[:]
         st.col_vals = self.col_vals[:]
         st.row_known = self.row_known[:]
@@ -283,14 +289,17 @@ class _State:
             raise _ConflictError(Conflict(
                 "cell-mismatch", rule, (r, c), v, cur, premises, binding))
         bit = 1 << v
+        facts = self.facts
         if self.row_vals[r] & bit:
             raise _ConflictError(Conflict(
                 "row-duplicate", rule, (r, c), v, -1,
-                premises + (((r, row.index(v)), v),), binding))
+                premises + (facts[r][row.index(v)],), binding))
         if self.col_vals[c] & bit:
             raise _ConflictError(Conflict(
                 "col-duplicate", rule, (r, c), v, -1,
-                premises + (((self.cols[c].index(v), c), v),), binding))
+                premises + (facts[self.cols[c].index(v)][c],), binding))
+        cell = (r, c)
+        facts[r][c] = (cell, v)
         row[c] = v
         self.cols[c][r] = v
         self.row_vals[r] |= bit
@@ -302,7 +311,7 @@ class _State:
         self.rows_by_value[v].append(r)
         self.cols_by_value[v].append(c)
         self.unknown -= 1
-        self.trace.append(Step(rule, (r, c), v, premises, binding))
+        self.trace.append(Step(rule, cell, v, premises, binding))
         return True
 
     def link(self, cell1, cell2, rule, binding, premise_cells) -> bool:
@@ -312,13 +321,17 @@ class _State:
         v2 = val[cell2[0]][cell2[1]]
         if v1 == v2:
             return False
-        prem = tuple([(cell, val[cell[0]][cell[1]]) for cell in premise_cells])
+        facts = self.facts
+        prem = tuple([facts[r][c] for r, c in premise_cells])
         if v2 == -1:
-            return self.set_cell(cell2[0], cell2[1], v1, rule, prem + ((cell1, v1),), binding)
+            return self.set_cell(
+                cell2[0], cell2[1], v1, rule, prem + (facts[cell1[0]][cell1[1]],), binding)
         if v1 == -1:
-            return self.set_cell(cell1[0], cell1[1], v2, rule, prem + ((cell2, v2),), binding)
+            return self.set_cell(
+                cell1[0], cell1[1], v2, rule, prem + (facts[cell2[0]][cell2[1]],), binding)
         raise _ConflictError(Conflict(
-            "cell-mismatch", rule, cell2, v1, v2, prem + ((cell1, v1),), binding))
+            "cell-mismatch", rule, cell2, v1, v2,
+            prem + (facts[cell1[0]][cell1[1]],), binding))
 
     # -- rule passes --------------------------------------------------------
 
@@ -425,32 +438,35 @@ class _State:
         return changed
 
     def _coverage_cell(self, r, c) -> tuple:
+        facts = self.facts
         out = []
         for v in range(self.n):
             if self.val[r][c] == v:
                 continue
             if self.row_vals[r] >> v & 1:
-                out.append(((r, self.val[r].index(v)), v))
+                out.append(facts[r][self.val[r].index(v)])
             elif self.col_vals[c] >> v & 1:
-                out.append(((self.cols[c].index(v), c), v))
+                out.append(facts[self.cols[c].index(v)][c])
         return tuple(out)
 
     def _coverage_row(self, r, v) -> tuple:
+        facts = self.facts
         out = []
         for c in range(self.n):
             if self.val[r][c] != -1:
-                out.append(((r, c), self.val[r][c]))
+                out.append(facts[r][c])
             elif self.col_vals[c] >> v & 1:
-                out.append(((self.cols[c].index(v), c), v))
+                out.append(facts[self.cols[c].index(v)][c])
         return tuple(out)
 
     def _coverage_col(self, c, v) -> tuple:
+        facts = self.facts
         out = []
         for r in range(self.n):
             if self.val[r][c] != -1:
-                out.append(((r, c), self.val[r][c]))
+                out.append(facts[r][c])
             elif self.row_vals[r] >> v & 1:
-                out.append(((r, self.val[r].index(v)), v))
+                out.append(facts[r][self.val[r].index(v)])
         return tuple(out)
 
     def pairs_pass(self) -> bool:
@@ -459,6 +475,7 @@ class _State:
         # (one cell at most, nothing to link) or every known side agrees
         n = self.n
         val = self.val
+        facts = self.facts
         changed = False
         for x in range(n):
             vx = val[x]
@@ -478,7 +495,7 @@ class _State:
                 cells = [(x, u), (u, y)]
                 if v != -1:
                     changed |= self.set_cell(
-                        u, v, x, "bookend", (((y, x), u), ((x, y), v)), (x, y))
+                        u, v, x, "bookend", (facts[y][x], facts[x][y]), (x, y))
                     base.append((x, y))
                     cells.append((v, x))
                 for cell1, cell2 in combinations(cells, 2):
@@ -503,6 +520,7 @@ class _State:
         n = self.n
         val = self.val
         cols = self.cols
+        facts = self.facts
         trace = self.trace
         changed = False
         # cells assigned since the previous pass began, by row and by
@@ -563,17 +581,18 @@ class _State:
                     w = ys[b]
                     left = row[b]
                     right = col[b]
-                    prem = (((x, y), v), ((z, w), v))
                     if right == -1:
                         changed |= self.set_cell(
-                            w, x, left, "alterability", prem + (((y, z), left),), (x, y, z, w))
+                            w, x, left, "alterability",
+                            (facts[x][y], facts[z][w], facts[y][z]), (x, y, z, w))
                     elif left == -1:
                         changed |= self.set_cell(
-                            y, z, right, "alterability", prem + (((w, x), right),), (x, y, z, w))
+                            y, z, right, "alterability",
+                            (facts[x][y], facts[z][w], facts[w][x]), (x, y, z, w))
                     else:
                         raise _ConflictError(Conflict(
                             "cell-mismatch", "alterability", (w, x), left, right,
-                            prem + (((y, z), left),), (x, y, z, w)))
+                            (facts[x][y], facts[z][w], facts[y][z]), (x, y, z, w)))
                 for step in trace[before:]:
                     r, c = step.cell
                     new_in_row[r] |= 1 << c
