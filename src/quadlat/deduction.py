@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 from .core import CayleyTable, is_quadratical
 from .errors import SearchCapExceeded
-from .qn import canonical_index, canonical_labels
+from .qn import canonical_labels, seed_assignments
 
 
 class Step(NamedTuple):
@@ -113,99 +113,6 @@ class _ConflictError(Exception):
 
 class ReplayError(Exception):
     """A trace step or conflict is not justified by the rule set."""
-
-
-# ---------------------------------------------------------------------------
-# seeding
-# ---------------------------------------------------------------------------
-
-# Row and column of the centre for H1, and the wrap-around block products,
-# indexed by the choice slot c with centre*a = (n, c).  Entries are slot
-# numbers s meaning the element (n, s) (or (1, s) for "wrap").
-_CHOICE_CENTRE_ROW = {1: (1, 2, 3, 4), 2: (2, 4, 1, 3), 3: (3, 1, 4, 2), 4: (4, 3, 2, 1)}
-_CHOICE_CENTRE_COL = {1: (2, 4, 1, 3), 2: (4, 3, 2, 1), 3: (1, 2, 3, 4), 4: (3, 1, 4, 2)}
-_CHOICE_WRAP = {1: (1, 2, 3, 4), 2: (3, 1, 4, 2), 3: (2, 4, 1, 3), 4: (4, 3, 2, 1)}
-# Extra forced products for n >= 2: a*(3,4), (2,3)*b, (3,4)*b, b*(2,1), and
-# the pair of cells pinned to a previous-block element.
-_CHOICE_A_34 = {1: 3, 2: 1, 3: 4, 4: 2}
-_CHOICE_23_B = {1: 2, 2: 4, 3: 1, 4: 3}
-_CHOICE_PREV = {1: (1, 2, 2), 2: (2, 4, 4), 3: (3, 1, 1), 4: (4, 3, 3)}
-# _CHOICE_PREV[c] = (s, t, u): a*(n,s) = (n-1, u) and (n,t)*a = (n-1, u)
-
-
-def seed_assignments(blocks: int, choice: int) -> list[tuple[str, tuple[int, int], int]]:
-    """The deterministic seed list for a block-form table: idempotency, the
-    block recurrences and product laws, centre row/column translation, and
-    the forced products for the given centre*a choice."""
-    if blocks < 1:
-        raise ValueError(f"blocks must be positive, got {blocks}")
-    if choice not in (1, 2, 3, 4):
-        raise ValueError(f"choice must be a slot 1..4, got {choice}")
-    n = 4 * blocks + 1
-
-    def i(t, k):
-        return canonical_index(blocks, t, k)
-
-    seeds = []
-    for x in range(n):
-        seeds.append(("seed:idempotent", (x, x), x))
-    for t in range(1, blocks + 1):
-        t1, t2, t3, t4 = (i(t, k) for k in (1, 2, 3, 4))
-        seeds += [
-            ("seed:block-cycle", (t1, t4), t2),
-            ("seed:block-cycle", (t2, t3), t4),
-            ("seed:block-cycle", (t3, t2), t1),
-            ("seed:block-cycle", (t4, t1), t3),
-            ("seed:centre-product", (t1, t3), 0),
-            ("seed:centre-product", (t2, t1), 0),
-            ("seed:centre-product", (t3, t4), 0),
-            ("seed:centre-product", (t4, t2), 0),
-        ]
-    for t in range(2, blocks + 1):
-        p1, p2, p3, p4 = (i(t - 1, k) for k in (1, 2, 3, 4))
-        seeds += [
-            ("seed:block-recurrence", (p1, p2), i(t, 1)),
-            ("seed:block-recurrence", (p2, p4), i(t, 2)),
-            ("seed:block-recurrence", (p3, p1), i(t, 3)),
-            ("seed:block-recurrence", (p4, p3), i(t, 4)),
-        ]
-        for k in range(1, 5):
-            seeds.append(("seed:centre-row", (0, i(t, k)), i(t - 1, k)))
-        seeds += [
-            ("seed:centre-col", (i(t, 1), 0), i(t - 1, 2)),
-            ("seed:centre-col", (i(t, 2), 0), i(t - 1, 4)),
-            ("seed:centre-col", (i(t, 3), 0), i(t - 1, 1)),
-            ("seed:centre-col", (i(t, 4), 0), i(t - 1, 3)),
-        ]
-    seeds.append(("seed:choice", (0, i(1, 1)), i(blocks, choice)))
-    if blocks >= 2:
-        row = _CHOICE_CENTRE_ROW[choice]
-        col = _CHOICE_CENTRE_COL[choice]
-        wrap = _CHOICE_WRAP[choice]
-        for j in range(1, 4):
-            seeds.append(("seed:choice-row", (0, i(1, j + 1)), i(blocks, row[j])))
-        for j in range(4):
-            seeds.append(("seed:choice-col", (i(1, j + 1), 0), i(blocks, col[j])))
-        nb = blocks
-        seeds += [
-            ("seed:choice-wrap", (i(nb, 1), i(nb, 2)), i(1, wrap[0])),
-            ("seed:choice-wrap", (i(nb, 2), i(nb, 4)), i(1, wrap[1])),
-            ("seed:choice-wrap", (i(nb, 3), i(nb, 1)), i(1, wrap[2])),
-            ("seed:choice-wrap", (i(nb, 4), i(nb, 3)), i(1, wrap[3])),
-            ("seed:choice-eq", (i(1, 4), i(2, 1)), i(nb, choice)),
-            ("seed:choice-eq", (i(2, 3), i(1, 4)), i(nb, _CHOICE_23_B[choice])),
-        ]
-        if blocks >= 3:
-            seeds += [
-                ("seed:choice-eq", (i(1, 1), i(3, 4)), i(nb, _CHOICE_A_34[choice])),
-                ("seed:choice-eq", (i(3, 4), i(1, 4)), i(nb, choice)),
-            ]
-        s, tt, u = _CHOICE_PREV[choice]
-        seeds += [
-            ("seed:choice-prev", (i(1, 1), i(nb, s)), i(nb - 1, u)),
-            ("seed:choice-prev", (i(nb, tt), i(1, 1)), i(nb - 1, u)),
-        ]
-    return seeds
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +747,8 @@ class _Replay:
     partial table, kept both by rows (rows[r][c]) and by columns
     (cols[c][r]) with a bitmask of the values each row and each column
     holds; raises ReplayError on the first unjustified or malformed step.
-    Each rule's check is found through _STEP_CHECKS."""
+    Each rule's check is found through _STEP_CHECKS.  The premises a step
+    or conflict prints must each name a known cell with its value."""
 
     def __init__(self, blocks: int, choice: int):
         n = self.n = 4 * blocks + 1
@@ -882,11 +790,24 @@ class _Replay:
         line = lines[i]
         return {j for j in range(self.n) if line[j] == -1 and not cross_vals[j] >> v & 1}
 
+    def check_premises(self, premises):
+        """Each premise ((r, c), v) names a cell already known to hold v."""
+        n = self.n
+        rows = self.rows
+        try:
+            for (r, c), v in premises:
+                if not (0 <= r < n and 0 <= c < n) or v == -1 or rows[r][c] != v:
+                    raise ReplayError(f"premise cell({r},{c})={v} is not a known cell")
+        except (TypeError, ValueError):
+            raise ReplayError(f"malformed premises {premises!r}") from None
+
     def verify_step(self, step: Step):
-        rule, (r, c), v, _, binding = step
+        rule, (r, c), v, premises, binding = step
         n = self.n
         if not (0 <= r < n and 0 <= c < n and 0 <= v < n):
             raise ReplayError(f"step out of range: {step}")
+        if premises:
+            self.check_premises(premises)
         entry = _STEP_CHECKS.get(rule)
         if entry is None:
             if not rule.startswith("seed:"):
@@ -976,6 +897,7 @@ class _Replay:
 
     def verify_conflict(self, conflict: Conflict):
         kind, (r, c), v = conflict.kind, conflict.cell, conflict.value
+        self.check_premises(conflict.premises)
         if kind in ("cell-mismatch", "row-duplicate", "col-duplicate"):
             self.verify_step(Step(conflict.rule, conflict.cell, v,
                                   conflict.premises, conflict.binding))

@@ -29,6 +29,17 @@ class QnDecomposition:
         return frozenset(out)
 
 
+# A block (a, ab, ba, b) is a square about the centre aba: in the model on
+# the complex plane x*y is the right-angle vertex over the segment xy.  A
+# quarter turn about aba moves slot 1 to 2, 2 to 4, 4 to 3 and 3 to 1.
+_TURN = (1, 2, 4, 3)
+
+
+def _turn(k: int, j: int) -> int:
+    """Slot k after j quarter turns; j may be negative."""
+    return _TURN[(_TURN.index(k) + j) % 4]
+
+
 def _chain_blocks(t: CayleyTable, a: int, b: int, depth: int):
     """Blocks by the recurrences, without validation."""
     e = t.entries
@@ -116,27 +127,19 @@ def detect_form(t: CayleyTable):
     return None
 
 
-# Dual-element correspondence: the chain element (t, k) of the dual
-# quasigroup equals the chain element (t, sigma_t(k)) of the original,
-# where sigma_t depends only on t mod 4.
-_DUAL_SLOT = {
-    1: {1: 1, 2: 3, 3: 2, 4: 4},
-    2: {1: 3, 2: 4, 3: 1, 4: 2},
-    3: {1: 4, 2: 2, 3: 3, 4: 1},
-    0: {1: 2, 2: 1, 3: 4, 4: 3},
-}
-
-
 def dual_element_map(blocks: int) -> dict[tuple[int, int], tuple[int, int]]:
     """The involution (t, k) -> (t, sigma_t(k)) on block coordinates
-    relating a chain to the chain of the dual quasigroup."""
+    relating a chain to the chain of the dual quasigroup: the element
+    (t, k) of the dual's chain is the element (t, sigma_t(k)) of the
+    original's, where sigma_t turns slot k t-1 times and then swaps ab and
+    ba."""
     if blocks < 1:
         raise ValueError(f"blocks must be positive, got {blocks}")
     out = {}
     for t in range(1, blocks + 1):
-        slot = _DUAL_SLOT[t % 4]
         for k in range(1, 5):
-            out[(t, k)] = (t, slot[k])
+            slot = _turn(k, t - 1)
+            out[(t, k)] = (t, {2: 3, 3: 2}.get(slot, slot))
     return out
 
 
@@ -163,3 +166,66 @@ def dual_index_permutation(blocks: int) -> tuple[int, ...]:
     for (t, k), (t2, k2) in dual_element_map(blocks).items():
         perm[canonical_index(blocks, t, k)] = canonical_index(blocks, t2, k2)
     return tuple(perm)
+
+
+def seed_assignments(blocks: int, choice: int) -> list[tuple[str, tuple[int, int], int]]:
+    """The deterministic seed list for a block-form table: idempotency and
+    the block laws, one product per slot k, with H = H(t), P = H(t-1) and
+    T the quarter turn:
+
+        block-cycle       H_k * H_T²k = H_Tk
+        centre-product    H_k * H_T⁻¹k = aba
+        block-recurrence  P_k * P_Tk = H_k
+        centre-row        aba * H_k = P_k
+        centre-col        H_k * aba = P_Tk
+
+    The choice centre*a = (n, c) makes block 0, the block before H1,
+    block n turned s times, where s turns slot 1 to c.  The choice seeds
+    are the centre row, centre column and recurrence laws from block 0 to
+    block 1, and six products that hold in every completed table but are
+    seeded only across that wrap."""
+    if blocks < 1:
+        raise ValueError(f"blocks must be positive, got {blocks}")
+    if choice not in (1, 2, 3, 4):
+        raise ValueError(f"choice must be a slot 1..4, got {choice}")
+    s = _TURN.index(choice)
+
+    def at(t, k):
+        # blocks 0 and -1 are blocks n and n-1 turned s times
+        if t < 1:
+            t, k = t + blocks, _turn(k, s)
+        return canonical_index(blocks, t, k)
+
+    def recurrence(t, k):
+        return (at(t - 1, k), at(t - 1, _turn(k, 1))), at(t, k)
+
+    def centre_row(t, k):
+        return (0, at(t, k)), at(t - 1, k)
+
+    def centre_col(t, k):
+        return (at(t, k), 0), at(t - 1, _turn(k, 1))
+
+    slots = (1, 2, 3, 4)
+    seeds = [("seed:idempotent", (x, x), x) for x in range(4 * blocks + 1)]
+    for t in range(1, blocks + 1):
+        seeds += [("seed:block-cycle", (at(t, k), at(t, _turn(k, 2))), at(t, _turn(k, 1)))
+                  for k in slots]
+        seeds += [("seed:centre-product", (at(t, k), at(t, _turn(k, -1))), 0) for k in slots]
+    for t in range(2, blocks + 1):
+        seeds += [("seed:block-recurrence", *recurrence(t, k)) for k in slots]
+        seeds += [("seed:centre-row", *centre_row(t, k)) for k in slots]
+        seeds += [("seed:centre-col", *centre_col(t, k)) for k in slots]
+    seeds.append(("seed:choice", *centre_row(1, 1)))
+    if blocks >= 2:
+        seeds += [("seed:choice-row", *centre_row(1, k)) for k in (2, 3, 4)]
+        seeds += [("seed:choice-col", *centre_col(1, k)) for k in slots]
+        # listed by the slots of block n
+        seeds += [("seed:choice-wrap", *recurrence(1, _turn(j, -s))) for j in slots]
+        seeds += [("seed:choice-eq", (at(1, 4), at(2, 1)), at(0, 1)),
+                  ("seed:choice-eq", (at(2, 3), at(1, 4)), at(0, 2))]
+        if blocks >= 3:
+            seeds += [("seed:choice-eq", (at(1, 1), at(3, 4)), at(0, 3)),
+                      ("seed:choice-eq", (at(3, 4), at(1, 4)), at(0, 1))]
+        seeds += [("seed:choice-prev", (at(1, 1), at(0, 1)), at(-1, 2)),
+                  ("seed:choice-prev", (at(0, 2), at(1, 1)), at(-1, 2))]
+    return seeds

@@ -150,20 +150,37 @@ def _rows_path(checkpoint_path) -> str:
     return str(checkpoint_path) + ".rows"
 
 
-def _load_checkpoint(checkpoint_path):
-    """The recorded last_m and the archived rows with m <= last_m.  Raises
-    ValueError on a checkpoint other than ``last_m=<digits>``, and on an
-    archive line that is not four integers, a row that fails validate(),
-    or rows not strictly increasing in (m, a)."""
+def _recorded_last_m(checkpoint_path) -> int:
+    """last_m from the checkpoint, or 1 when there is none.  Raises
+    ValueError on a checkpoint other than ``last_m=<digits>``."""
     if not os.path.exists(checkpoint_path):
-        return 1, []
+        return 1
     with open(checkpoint_path, "r", encoding="utf-8") as fh:
         text = fh.read().strip()
     digits = text[len("last_m="):]
     if not (text.startswith("last_m=") and digits.isascii() and digits.isdigit()):
         raise ValueError(f"corrupt checkpoint {checkpoint_path}: {text!r}")
-    last_m = int(digits)
+    return int(digits)
+
+
+def _load_checkpoint(checkpoint_path):
+    """The recorded last_m and the archived rows with m <= last_m.
+
+    Each flush appends a window: its rows, then the count line
+    ``#<first m>,<last m>,<number of rows>``.  The windows must run from
+    m = 2 (or below) to last_m without a gap; a window past last_m is a
+    flush the checkpoint never recorded, and is dropped.  Raises
+    ValueError on a corrupt checkpoint, and on an archive line that is
+    neither four integers nor a count line, a row that fails validate(),
+    rows not strictly increasing in (m, a), a window whose rows do not
+    match its count line, or windows that do not reach last_m."""
+    if not os.path.exists(checkpoint_path):
+        return 1, []
+    last_m = _recorded_last_m(checkpoint_path)
     saved = []
+    # the rows since the last count line, and the last m that line covers
+    window = []
+    end = 1
     rows_path = _rows_path(checkpoint_path)
     if os.path.exists(rows_path):
         with open(rows_path, "r", encoding="utf-8") as fh:
@@ -171,11 +188,28 @@ def _load_checkpoint(checkpoint_path):
                 line = line.strip()
                 if not line:
                     continue
+                count_line = line.startswith("#")
                 try:
-                    k, m, a, b = (int(p) for p in line.split(","))
+                    fields = [int(p) for p in (line[1:] if count_line else line).split(",")]
+                    if count_line:
+                        first, window_end, count = fields
+                    else:
+                        k, m, a, b = fields
                 except ValueError:
                     raise ValueError(
                         f"corrupt row archive {rows_path}: {line!r}") from None
+                if count_line:
+                    if window_end > last_m:
+                        break
+                    if (first > end + 1 or window_end <= end or count != len(window)
+                            or window and window[-1].m > window_end):
+                        raise ValueError(
+                            f"corrupt row archive {rows_path}: {line!r} does not count "
+                            f"the {len(window)} rows after the window ending at m={end}")
+                    saved += window
+                    window = []
+                    end = window_end
+                    continue
                 if m > last_m:
                     continue
                 row = ClassificationRow(m, a, b, k)
@@ -184,10 +218,14 @@ def _load_checkpoint(checkpoint_path):
                 except (InvariantViolation, ValueError) as exc:
                     raise ValueError(
                         f"corrupt row archive {rows_path}: {exc}") from None
-                if saved and (m, a) <= (saved[-1].m, saved[-1].a):
+                before = window or saved
+                if before and (m, a) <= (before[-1].m, before[-1].a):
                     raise ValueError(f"corrupt row archive {rows_path}: {line!r} "
                                      f"does not follow the row before it in (m, a)")
-                saved.append(row)
+                window.append(row)
+    if window or end < last_m:
+        raise ValueError(f"corrupt row archive {rows_path}: no count line "
+                         f"closes the rows up to last_m={last_m}")
     return last_m, saved
 
 
@@ -217,13 +255,7 @@ def scan_with_checkpoint(max_m: int, max_k: int, checkpoint_path) -> list[Classi
 def _locked_scan(max_m: int, max_k: int, checkpoint_path) -> list[ClassificationRow]:
     last_m, saved = _load_checkpoint(checkpoint_path)
     rows_path = _rows_path(checkpoint_path)
-    # drop any rows past the recorded frontier (a flush may have been
-    # interrupted between the archive append and the checkpoint write), and
-    # an archive left without its checkpoint, which a fresh scan would
-    # otherwise append to
-    with open(rows_path, "w", encoding="utf-8") as fh:
-        for r in saved:
-            fh.write(f"{r.k},{r.m},{r.a},{r.b}\n")
+    _reset_archive(rows_path, last_m, saved)
     all_rows = list(saved)
     if last_m < max_m:
         first = last_m + 1
@@ -237,10 +269,28 @@ def _locked_scan(max_m: int, max_k: int, checkpoint_path) -> list[Classification
     return _scan_order(r for r in all_rows if r.m <= max_m and r.k < max_k)
 
 
+def _reset_archive(rows_path, last_m, saved) -> None:
+    """Rewrite the archive as the loaded rows, one window up to last_m, or
+    empty before the first flush.  This drops any window past the recorded
+    frontier (a flush may have been interrupted between the archive append
+    and the checkpoint write), and an archive left without its checkpoint,
+    which a fresh scan would otherwise append to."""
+    with open(rows_path, "w", encoding="utf-8") as fh:
+        if last_m > 1:
+            _write_window(fh, 2, last_m, saved)
+
+
+def _write_window(fh, first, last, rows) -> None:
+    for r in rows:
+        fh.write(f"{r.k},{r.m},{r.a},{r.b}\n")
+    fh.write(f"#{first},{last},{len(rows)}\n")
+
+
 def _flush_checkpoint(checkpoint_path, rows_path, last_m, pending) -> None:
+    # the window starts after the last m the checkpoint records
+    first = _recorded_last_m(checkpoint_path) + 1
     with open(rows_path, "a", encoding="utf-8") as fh:
-        for r in pending:
-            fh.write(f"{r.k},{r.m},{r.a},{r.b}\n")
+        _write_window(fh, first, last_m, pending)
     tmp = str(checkpoint_path) + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(f"last_m={last_m}\n")

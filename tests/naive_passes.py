@@ -296,9 +296,7 @@ def scan_with_checkpoint(max_m, max_k, checkpoint_path):
     # CHECKPOINT_EVERY or max_m; the checkpoint I/O is sweep's own
     last_m, saved = sweep._load_checkpoint(checkpoint_path)
     rows_path = sweep._rows_path(checkpoint_path)
-    with open(rows_path, "w", encoding="utf-8") as fh:
-        for r in saved:
-            fh.write(f"{r.k},{r.m},{r.a},{r.b}\n")
+    sweep._reset_archive(rows_path, last_m, saved)
     all_rows = list(saved)
     pending = []
     for m in range(last_m + 1, max_m + 1):

@@ -12,7 +12,8 @@ from quadlat.deduction import Conflict, ReplayError, Step, seed_assignments
 
 class Replay:
     """Re-derives each trace step from the rule schema against the running
-    partial table; raises ReplayError on the first unjustified step."""
+    partial table, each premise from the known cells; raises ReplayError on
+    the first unjustified step."""
 
     def __init__(self, blocks: int, choice: int):
         self.n = 4 * blocks + 1
@@ -31,6 +32,11 @@ class Replay:
         if v == -1:
             raise ReplayError(f"premise cell ({r},{c}) not yet known")
         return v
+
+    def check_premises(self, premises):
+        for (r, c), v in premises:
+            if self.known(r, c) != v:
+                raise ReplayError(f"premise cell({r},{c})={v} does not hold")
 
     def derivation_sides(self, step):
         """The two cells forced equal by this step's rule, or None for
@@ -81,6 +87,7 @@ class Replay:
         rule = step.rule
         r, c = step.cell
         v = step.value
+        self.check_premises(step.premises)
         if rule.startswith("seed:"):
             if self.seeds.get((step.cell, v)) != rule:
                 raise ReplayError(f"{rule} step not in the seed set: {step}")
@@ -152,6 +159,7 @@ class Replay:
     def verify_conflict(self, conflict: Conflict):
         kind = conflict.kind
         r, c = conflict.cell
+        self.check_premises(conflict.premises)
         if kind in ("cell-mismatch", "row-duplicate", "col-duplicate"):
             pseudo = Step(conflict.rule, conflict.cell, conflict.value,
                           conflict.premises, conflict.binding)

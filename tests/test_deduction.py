@@ -19,6 +19,7 @@ from quadlat import (
 )
 from quadlat.deduction import (
     MAX_BLOCKS,
+    Conflict,
     ReplayError,
     Step,
     parse_choice,
@@ -34,9 +35,24 @@ def outcome_kind(out):
 
 
 def test_seed_assignments_shape():
-    seeds = seed_assignments(2, 2)
-    cells = [cell for _, cell, _ in seeds]
-    assert len(set(cells)) == len(cells) or True  # duplicates allowed, values agree
+    # a cell seeded twice gets one value, except at (3 blocks, choice 4),
+    # where seed:choice-eq puts 10 and seed:choice-prev puts 7 at (1, 12);
+    # that choice already fails on a seed, before either reaches (1, 12)
+    for blocks in range(1, 33):
+        for choice in (1, 2, 3, 4):
+            values = {}
+            for _, cell, v in seed_assignments(blocks, choice):
+                values.setdefault(cell, set()).add(v)
+            clashes = {cell: vs for cell, vs in values.items() if len(vs) > 1}
+            if (blocks, choice) == (3, 4):
+                assert clashes == {(1, 12): {7, 10}}
+            else:
+                assert clashes == {}, (blocks, choice)
+    out = complete_qn(3, 4)
+    assert isinstance(out, Contradiction)
+    assert (out.conflict.kind, out.conflict.rule, out.conflict.cell) == (
+        "row-duplicate", "seed:choice-eq", (7, 4))
+    assert all(step.rule.startswith("seed:") for step in out.trace)
     with pytest.raises(ValueError):
         seed_assignments(0, 1)
     with pytest.raises(ValueError):
@@ -141,6 +157,25 @@ def test_replay_rejects_tampering():
     # a foreign seed is rejected
     with pytest.raises(ReplayError):
         replay_trace(2, 4, [Step("seed:choice", (0, 1), 5, (), ())])
+
+
+def test_replay_checks_premises():
+    # an alterability step whose printed premise names no known cell
+    leaf = refute_case(6, 1).leaves[0]
+    i = next(i for i, step in enumerate(leaf.trace) if step.rule == "alterability")
+    bad = leaf.trace[i]._replace(premises=(((0, 0), 99),))
+    assert trace_text([bad]) == (
+        "cell(3,6) := 22  by alterability from [cell(0,0)=99]\n")
+    tampered = leaf.trace[:i] + (bad,) + leaf.trace[i + 1:]
+    with pytest.raises(ReplayError, match="premise"):
+        replay_trace(6, 1, tampered, leaf.conflict)
+    # a conflict's premises are checked too, whatever its kind
+    replay_trace(6, 1, leaf.trace, leaf.conflict)
+    for kind in ("cell-mismatch", "row-duplicate", "cell-no-candidate",
+                 "row-value-impossible", "col-value-impossible"):
+        conflict = Conflict(kind, "latin-cell", (0, 1), 2, -1, (((0, 0), 99),), (0, 1))
+        with pytest.raises(ReplayError, match="premise"):
+            replay_trace(6, 1, leaf.trace, conflict)
 
 
 def test_trace_text_format():

@@ -186,3 +186,24 @@ def test_canonical_helpers():
     assert perm[canonical_index(2, 1, 2)] == canonical_index(2, 1, 3)
     with pytest.raises(ValueError):
         canonical_index(2, 3, 1)
+
+
+def test_engine_completions_are_valid_chains():
+    # the seed laws and the explicit chain checks are two encodings of the
+    # block laws: every table the engine completes is a chain from (a, b) =
+    # (1, 4) with centre 0, in canonical order
+    from quadlat import Completed, complete_qn, refute_case
+
+    outcomes = [complete_qn(blocks, choice) for blocks in (1, 2, 3, 4)
+                for choice in (1, 2, 3, 4)]
+    outcomes += [refute_case(blocks, choice).completed
+                 for blocks, choice in ((7, 3), (7, 4), (9, 1), (9, 3))]
+    completed = [out for out in outcomes if isinstance(out, Completed)]
+    assert len(completed) == 11
+    for out in completed:
+        blocks = out.blocks
+        dec = h_chain(out.table, 1, 4, blocks)
+        assert dec.center == 0
+        assert dec.blocks == tuple(tuple(range(4 * t + 1, 4 * t + 5)) for t in range(blocks))
+        found = detect_form(out.table)
+        assert found is not None and found[:2] == (blocks, 0), (blocks, out.choice)

@@ -86,9 +86,9 @@ def _coordinate(rng, n):
 
 
 def _mutate(rng, n, item, bindings):
-    """item with one of its value, cell, rule or binding replaced, or for a
-    conflict also its kind."""
-    fields = ["value", "cell", "rule", "binding"]
+    """item with one of its value, cell, rule, premises or binding
+    replaced, or for a conflict also its kind."""
+    fields = ["value", "cell", "rule", "premises", "binding"]
     if isinstance(item, Conflict):
         fields.append("kind")
     field = rng.choice(fields)
@@ -98,6 +98,18 @@ def _mutate(rng, n, item, bindings):
         new = (_coordinate(rng, n), _coordinate(rng, n))
     elif field == "rule":
         new = rng.choice(RULES)
+    elif field == "premises":
+        new = list(item.premises)
+        if new and rng.random() < 0.5:
+            # one premise's value or cell replaced
+            i = rng.randrange(len(new))
+            cell, v = new[i]
+            new[i] = ((cell, _coordinate(rng, n)) if rng.random() < 0.5
+                      else ((_coordinate(rng, n), _coordinate(rng, n)), v))
+        else:
+            new = [((_coordinate(rng, n), _coordinate(rng, n)), _coordinate(rng, n))
+                   for _ in range(rng.randrange(4))]
+        new = tuple(new)
     elif field == "binding":
         if rng.random() < 0.5:
             new = rng.choice(bindings)

@@ -287,6 +287,47 @@ def test_checkpoint_row_archive_order_checked(tmp_path, capsys):
         assert err.endswith("does not follow the row before it in (m, a)\n"), err
 
 
+def test_checkpoint_row_archive_counts_checked(tmp_path, capsys):
+    # a deleted row, a deleted count line and a truncated archive: each
+    # used to resume with rows missing and exit 0
+    def delete_row(ck, rows):
+        lines = rows.read_text().splitlines()
+        rows.write_text("\n".join(lines[:2] + lines[3:]) + "\n")
+
+    def delete_count(ck, rows):
+        rows.write_text("".join(rows.read_text().splitlines(True)[:-1]))
+
+    def truncate(ck, rows):
+        rows.write_text("")
+
+    full = scan_k_table(100, 40)
+    assert len(full) == 24
+    for edit in (delete_row, delete_count, truncate):
+        code, out, err = _archive_resume(tmp_path / edit.__name__, capsys, edit)
+        assert (code, out) == (2, ""), edit.__name__
+        assert err.startswith("error: corrupt row archive "), err
+    # the archive of one flush: its rows, then their count line
+    scan_with_checkpoint(100, 40, tmp_path / "scan.ck")
+    lines = (tmp_path / "scan.ck.rows").read_text().splitlines()
+    assert lines[-1] == f"#2,100,{len(lines) - 1}"
+
+
+def test_checkpoint_deleted_window_refused(tmp_path, monkeypatch, capsys):
+    # windows m 2..50, 51..100, 101..150; the middle one deleted with its
+    # count line leaves a gap
+    monkeypatch.setattr(sweep, "CHECKPOINT_EVERY", 50)
+    ck = tmp_path / "scan.ck"
+    scan_with_checkpoint(150, 40, ck)
+    rows = tmp_path / "scan.ck.rows"
+    lines = rows.read_text().splitlines()
+    counts = [i for i, line in enumerate(lines) if line.startswith("#")]
+    assert [lines[i].split(",")[:2] for i in counts] == [
+        ["#2", "50"], ["#51", "100"], ["#101", "150"]]
+    rows.write_text("\n".join(lines[:counts[0] + 1] + lines[counts[1] + 1:]) + "\n")
+    with pytest.raises(ValueError, match="corrupt row archive .* does not count"):
+        scan_with_checkpoint(150, 40, ck)
+
+
 def test_checkpoint_last_m_ascii_digits_only(tmp_path, capsys):
     # superscript two and Arabic-Indic digits pass str.isdigit()
     for i, text in enumerate(("last_m=\u00b2", "last_m=\u0661\u0660", "last_m=-5")):
