@@ -5,6 +5,8 @@ import pytest
 
 from quadlat import (
     CayleyTable,
+    Completed,
+    complete_qn,
     detect_form,
     direct_product,
     dual,
@@ -12,6 +14,7 @@ from quadlat import (
     h_chain,
     is_quadratical,
     quadratical_over_zm,
+    refute_case,
     relabel,
     solve_quadratic_congruence,
 )
@@ -192,8 +195,6 @@ def test_engine_completions_are_valid_chains():
     # the seed laws and the explicit chain checks are two encodings of the
     # block laws: every table the engine completes is a chain from (a, b) =
     # (1, 4) with centre 0, in canonical order
-    from quadlat import Completed, complete_qn, refute_case
-
     outcomes = [complete_qn(blocks, choice) for blocks in (1, 2, 3, 4)
                 for choice in (1, 2, 3, 4)]
     outcomes += [refute_case(blocks, choice).completed
