@@ -9,8 +9,8 @@ processes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import SearchCapExceeded
 
@@ -19,30 +19,51 @@ from .errors import SearchCapExceeded
 # appear in the defining equation).
 
 
-@dataclass(frozen=True)
 class CayleyTable:
-    """An n by n operation table: entries[x][y] is the product x*y."""
+    """An n by n operation table: entries[x][y] is the product x*y.
 
-    n: int
-    entries: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...] | None = None
+    Checked when built and immutable after, so a table is valid wherever it
+    is shared.  Tables compare and hash by (n, entries, labels)."""
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"order must be positive, got {self.n}")
-        if len(self.entries) != self.n:
-            raise ValueError(f"expected {self.n} rows, got {len(self.entries)}")
-        for x, row in enumerate(self.entries):
-            if len(row) != self.n:
-                raise ValueError(f"row {x} has {len(row)} entries, expected {self.n}")
+    __slots__ = ("n", "entries", "labels")
+
+    def __init__(self, n: int, entries: tuple[tuple[int, ...], ...],
+                 labels: tuple[str, ...] | None = None):
+        if n < 1:
+            raise ValueError(f"order must be positive, got {n}")
+        if len(entries) != n:
+            raise ValueError(f"expected {n} rows, got {len(entries)}")
+        for x, row in enumerate(entries):
+            if len(row) != n:
+                raise ValueError(f"row {x} has {len(row)} entries, expected {n}")
             for y, v in enumerate(row):
-                if not (0 <= v < self.n):
-                    raise ValueError(f"entry [{x}][{y}] = {v} out of range 0..{self.n - 1}")
-        if self.labels is not None:
-            if len(self.labels) != self.n:
-                raise ValueError(f"expected {self.n} labels, got {len(self.labels)}")
-            if len(set(self.labels)) != self.n:
+                if not (0 <= v < n):
+                    raise ValueError(f"entry [{x}][{y}] = {v} out of range 0..{n - 1}")
+        if labels is not None:
+            if len(labels) != n:
+                raise ValueError(f"expected {n} labels, got {len(labels)}")
+            if len(set(labels)) != n:
                 raise ValueError("labels must be distinct")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "labels", labels)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.entries, self.labels) == (other.n, other.entries, other.labels)
+
+    def __hash__(self):
+        return hash((self.n, self.entries, self.labels))
+
+    def __reduce__(self):
+        return (CayleyTable, (self.n, self.entries, self.labels))
 
     @classmethod
     def from_rows(cls, rows, labels=None) -> "CayleyTable":
@@ -487,8 +508,7 @@ def generated_subgroupoid(t: CayleyTable, seeds) -> frozenset:
     return frozenset(closed)
 
 
-@dataclass(frozen=True)
-class TwoGenerationReport:
+class TwoGenerationReport(NamedTuple):
     """Which pairs of elements generate the whole groupoid."""
 
     matrix: tuple[tuple[bool, ...], ...]

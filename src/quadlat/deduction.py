@@ -43,7 +43,6 @@ are those of a pass that visits every instance:
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
 from functools import wraps
 from itertools import combinations, compress
 from operator import itemgetter, ne
@@ -62,8 +61,7 @@ class Step(NamedTuple):
     binding: tuple
 
 
-@dataclass(frozen=True)
-class Conflict:
+class Conflict(NamedTuple):
     kind: str
     rule: str
     cell: tuple[int, int]
@@ -73,8 +71,7 @@ class Conflict:
     binding: tuple
 
 
-@dataclass(frozen=True)
-class PartialTable:
+class PartialTable(NamedTuple):
     n: int
     entries: tuple[tuple, ...]  # int or None per cell
     trace: tuple[Step, ...]
@@ -83,24 +80,21 @@ class PartialTable:
         return sum(1 for row in self.entries for v in row if v is not None)
 
 
-@dataclass(frozen=True)
-class Completed:
+class Completed(NamedTuple):
     table: CayleyTable
     trace: tuple[Step, ...]
     blocks: int
     choice: int
 
 
-@dataclass(frozen=True)
-class Contradiction:
+class Contradiction(NamedTuple):
     conflict: Conflict
     trace: tuple[Step, ...]
     blocks: int
     choice: int
 
 
-@dataclass(frozen=True)
-class Stuck:
+class Stuck(NamedTuple):
     partial: PartialTable
     blocks: int
     choice: int
@@ -620,8 +614,7 @@ def parse_choice(blocks: int, text: str) -> int:
 # refutation with bounded case splitting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RefutationCase:
+class RefutationCase(NamedTuple):
     choice: int
     refuted: bool
     leaves: tuple[Contradiction, ...]
@@ -631,8 +624,7 @@ class RefutationCase:
     stuck: Stuck | None
 
 
-@dataclass(frozen=True)
-class RefutationReport:
+class RefutationReport(NamedTuple):
     blocks: int
     cases: tuple[RefutationCase, ...]
 
@@ -748,10 +740,14 @@ class _Replay:
     (cols[c][r]) with a bitmask of the values each row and each column
     holds; raises ReplayError on the first unjustified or malformed step.
     Each rule's check is found through _STEP_CHECKS.  The premises a step
-    or conflict prints must each name a known cell with its value."""
+    or conflict prints must each name a known cell with its value, and
+    must name every known cell its check reads: the cells that place a
+    link rule's two cells, the cell whose value the step copies, and for a
+    latin rule one cell per value or position it rules out."""
 
     def __init__(self, blocks: int, choice: int):
         n = self.n = 4 * blocks + 1
+        self.full = (1 << n) - 1
         self.rows = [[-1] * n for _ in range(n)]
         self.cols = [[-1] * n for _ in range(n)]
         self.row_vals = [0] * n
@@ -771,12 +767,19 @@ class _Replay:
             raise ReplayError(f"premise cell ({r},{c}) not yet known")
         return v
 
+    def cited(self, premises, r, c):
+        """The value of the known cell (r, c), which premises must name."""
+        v = self.known(r, c)
+        if ((r, c), v) not in premises:
+            raise ReplayError(f"cell({r},{c})={v} is read but not cited")
+        return v
+
     def open_values(self, r, c) -> int:
         """The bitmask of the values neither row r nor column c holds, at
         an unknown cell."""
         if self.get(r, c) != -1:
             raise ReplayError(f"latin rule over the known cell ({r},{c})")
-        return ~(self.row_vals[r] | self.col_vals[c]) & ((1 << self.n) - 1)
+        return ~(self.row_vals[r] | self.col_vals[c]) & self.full
 
     def open_cells(self, lines, line_vals, cross_vals, i, v) -> set:
         """The unknown cells of line i that value v may still take: the
@@ -790,6 +793,26 @@ class _Replay:
         line = lines[i]
         return {j for j in range(self.n) if line[j] == -1 and not cross_vals[j] >> v & 1}
 
+    @staticmethod
+    def values_cited(premises, r, c) -> int:
+        """The bitmask of the values premises place in row r or column c."""
+        mask = 0
+        for (pr, pc), u in premises:
+            if pr == r or pc == c:
+                mask |= 1 << u
+        return mask
+
+    @staticmethod
+    def positions_cited(premises, axis, i, v) -> int:
+        """The bitmask of the positions j of line i, a row when axis is 0
+        and a column when it is 1, that premises rule out for value v: the
+        line's own cell at j, or a cell of v in the crossing line j."""
+        mask = 0
+        for cell, u in premises:
+            if cell[axis] == i or u == v:
+                mask |= 1 << cell[1 - axis]
+        return mask
+
     def check_premises(self, premises):
         """Each premise ((r, c), v) names a cell already known to hold v."""
         n = self.n
@@ -802,10 +825,16 @@ class _Replay:
             raise ReplayError(f"malformed premises {premises!r}") from None
 
     def verify_step(self, step: Step):
-        rule, (r, c), v, premises, binding = step
+        try:
+            rule, (r, c), v, premises, binding = step
+        except (TypeError, ValueError):
+            raise ReplayError(f"malformed step {step!r}") from None
         n = self.n
-        if not (0 <= r < n and 0 <= c < n and 0 <= v < n):
-            raise ReplayError(f"step out of range: {step}")
+        if not (type(r) is type(c) is type(v) is int
+                and 0 <= r < n and 0 <= c < n and 0 <= v < n):
+            raise ReplayError(f"step cell or value not in 0..{n - 1}: {step}")
+        if type(rule) is not str:
+            raise ReplayError(f"unknown rule {rule!r}")
         if premises:
             self.check_premises(premises)
         entry = _STEP_CHECKS.get(rule)
@@ -815,63 +844,78 @@ class _Replay:
             ok = self.seeds.get(((r, c), v)) == rule
         else:
             arity, check = entry
-            if arity and len(binding) != arity:
-                raise ReplayError(f"{rule} binding of the wrong length: {step}")
-            ok = check(self, r, c, v, binding)
+            try:
+                if arity and len(binding) != arity:
+                    raise ReplayError(f"{rule} binding of the wrong length: {step}")
+                ok = check(self, r, c, v, premises, binding)
+            except (TypeError, ValueError):
+                raise ReplayError(f"malformed binding or premises: {step}") from None
         if not ok:
             raise ReplayError(f"{rule} step not justified: {step}")
 
     # -- one check per rule, each true when the step is justified ----------
 
-    def _assume(self, r, c, v, binding):
+    def _assume(self, r, c, v, premises, binding):
         return self.rows[r][c] == -1
 
-    def _bookend(self, r, c, v, binding):
+    def _bookend(self, r, c, v, premises, binding):
         x, y = binding
-        return (r, c) == (self.known(y, x), self.known(x, y)) and v == x
+        return (r, c) == (self.cited(premises, y, x), self.cited(premises, x, y)) and v == x
 
-    def _strong_elasticity(self, r, c, v, binding):
-        # x(yx) = (xy)x = (yx)y over the sides whose inner product is known
+    def _strong_elasticity(self, r, c, v, premises, binding):
+        # x(yx) = (xy)x = (yx)y over the sides whose inner product is known;
+        # with y*x unknown there is one side at most, nothing to copy from
         x, y = binding
-        u = self.get(y, x)
+        u = self.cited(premises, y, x)
+        sides = [(x, u), (u, y)]
         w = self.get(x, y)
-        sides = ([(x, u), (u, y)] if u != -1 else []) + ([(w, x)] if w != -1 else [])
+        if w != -1:
+            self.cited(premises, x, y)
+            sides.append((w, x))
         cell = (r, c)
         return cell in sides and any(
-            other != cell and self.get(*other) == v for other in sides)
+            other != cell and (other, v) in premises for other in sides)
 
-    def _latin_cell(self, r, c, v, binding):
-        return not self.open_values(r, c) & ~(1 << v)
+    def _latin_cell(self, r, c, v, premises, binding):
+        return (not self.open_values(r, c) & ~(1 << v)
+                and self.values_cited(premises, r, c) | (1 << v) == self.full)
 
-    def _latin_row(self, r, c, v, binding):
-        return self.open_cells(self.rows, self.row_vals, self.col_vals, r, v) <= {c}
+    def _latin_row(self, r, c, v, premises, binding):
+        return (self.open_cells(self.rows, self.row_vals, self.col_vals, r, v) <= {c}
+                and self.positions_cited(premises, 0, r, v) | (1 << c) == self.full)
 
-    def _latin_col(self, r, c, v, binding):
-        return self.open_cells(self.cols, self.col_vals, self.row_vals, c, v) <= {r}
+    def _latin_col(self, r, c, v, premises, binding):
+        return (self.open_cells(self.cols, self.col_vals, self.row_vals, c, v) <= {r}
+                and self.positions_cited(premises, 1, c, v) | (1 << r) == self.full)
 
-    def _linked(self, r, c, v, s1, s2):
+    @staticmethod
+    def _linked(r, c, v, premises, s1, s2):
         """The step sets one of the two cells a link rule forces equal to
-        the value the other holds."""
+        the value the other holds, and cites that other cell."""
         cell = (r, c)
-        return (cell == s1 and self.get(*s2) == v) or (cell == s2 and self.get(*s1) == v)
+        return (cell == s1 and (s2, v) in premises) or (cell == s2 and (s1, v) in premises)
 
-    def _left_distributivity(self, r, c, v, binding):
+    def _left_distributivity(self, r, c, v, premises, binding):
         x, y, z = binding
-        return self._linked(r, c, v, (x, self.known(y, z)),
-                            (self.known(x, y), self.known(x, z)))
+        cited = self.cited
+        return self._linked(r, c, v, premises, (x, cited(premises, y, z)),
+                            (cited(premises, x, y), cited(premises, x, z)))
 
-    def _right_distributivity(self, r, c, v, binding):
+    def _right_distributivity(self, r, c, v, premises, binding):
         x, y, z = binding
-        return self._linked(r, c, v, (self.known(x, y), z),
-                            (self.known(x, z), self.known(y, z)))
+        cited = self.cited
+        return self._linked(r, c, v, premises, (cited(premises, x, y), z),
+                            (cited(premises, x, z), cited(premises, y, z)))
 
-    def _mediality(self, r, c, v, binding):
+    def _mediality(self, r, c, v, premises, binding):
         x, y, z, w = binding
-        return self._linked(r, c, v, (self.known(x, y), self.known(z, w)),
-                            (self.known(x, z), self.known(y, w)))
+        cited = self.cited
+        return self._linked(r, c, v, premises,
+                            (cited(premises, x, y), cited(premises, z, w)),
+                            (cited(premises, x, z), cited(premises, y, w)))
 
-    def _alterability(self, r, c, v, binding):
-        # the most frequent rule, so get and known are inlined
+    def _alterability(self, r, c, v, premises, binding):
+        # the most frequent rule, so get, known and cited are inlined
         x, y, z, w = binding
         n = self.n
         if not (0 <= x < n and 0 <= y < n and 0 <= z < n and 0 <= w < n):
@@ -882,7 +926,10 @@ class _Replay:
             raise ReplayError(f"alterability premise of {binding} not yet known")
         if xy != rows[z][w]:
             raise ReplayError("alterability premises are not equal products")
-        return (r == y and c == z and rows[w][x] == v) or (r == w and c == x and rows[y][z] == v)
+        if ((x, y), xy) not in premises or ((z, w), xy) not in premises:
+            raise ReplayError(f"alterability premises of {binding} not cited")
+        return ((r == y and c == z and ((w, x), v) in premises)
+                or (r == w and c == x and ((y, z), v) in premises))
 
     def apply_step(self, step: Step):
         r, c = step.cell
@@ -896,23 +943,35 @@ class _Replay:
         self.col_vals[c] |= 1 << v
 
     def verify_conflict(self, conflict: Conflict):
-        kind, (r, c), v = conflict.kind, conflict.cell, conflict.value
-        self.check_premises(conflict.premises)
+        try:
+            kind, (r, c), v, premises = (
+                conflict.kind, conflict.cell, conflict.value, conflict.premises)
+        except (AttributeError, TypeError, ValueError):
+            raise ReplayError(f"malformed conflict {conflict!r}") from None
+        if not (type(r) is type(c) is type(v) is int):
+            raise ReplayError(f"malformed conflict {conflict!r}")
+        self.check_premises(premises)
         if kind in ("cell-mismatch", "row-duplicate", "col-duplicate"):
             self.verify_step(Step(conflict.rule, conflict.cell, v,
-                                  conflict.premises, conflict.binding))
+                                  premises, conflict.binding))
             cur = self.rows[r][c]
             if kind == "cell-mismatch":
-                ok = cur not in (-1, v)
+                ok = cur not in (-1, v) and cur == conflict.existing
             else:
-                held = self.row_vals[r] if kind == "row-duplicate" else self.col_vals[c]
-                ok = cur == -1 and held >> v & 1
+                # a cell of v in the row or column, and the premise naming it
+                axis, line = (0, r) if kind == "row-duplicate" else (1, c)
+                held = (self.row_vals, self.col_vals)[axis][line]
+                ok = cur == -1 and held >> v & 1 and any(
+                    cell[axis] == line and u == v for cell, u in premises)
         elif kind == "cell-no-candidate":
-            ok = not self.open_values(r, c)
+            ok = (not self.open_values(r, c)
+                  and self.values_cited(premises, r, c) == self.full)
         elif kind == "row-value-impossible":
-            ok = not self.open_cells(self.rows, self.row_vals, self.col_vals, r, v)
+            ok = (not self.open_cells(self.rows, self.row_vals, self.col_vals, r, v)
+                  and self.positions_cited(premises, 0, r, v) == self.full)
         elif kind == "col-value-impossible":
-            ok = not self.open_cells(self.cols, self.col_vals, self.row_vals, c, v)
+            ok = (not self.open_cells(self.cols, self.col_vals, self.row_vals, c, v)
+                  and self.positions_cited(premises, 1, c, v) == self.full)
         else:
             raise ReplayError(f"unknown conflict kind {kind!r}")
         if not ok:

@@ -8,13 +8,12 @@ number of blocks n gives order 4n + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import CayleyTable, is_quadratical
 
 
-@dataclass(frozen=True)
-class QnDecomposition:
+class QnDecomposition(NamedTuple):
     """Base pair, centre and the chain blocks H1..Hn (t1, t2, t3, t4)."""
 
     blocks_count: int

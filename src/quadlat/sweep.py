@@ -10,12 +10,10 @@ fails its congruences or is out of (m, a) order.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from . import refdata
 from .errors import CheckpointBusy, InvariantViolation
 from .zm import solve_quadratic_congruence, translatability_k_quadratical
 
@@ -23,8 +21,7 @@ SCAN_COLUMNS = ("k", "m", "a", "b")
 CLASSIFY_COLUMNS = ("m", "a", "b", "k")
 
 
-@dataclass(frozen=True, order=True)
-class ClassificationRow:
+class ClassificationRow(NamedTuple):
     m: int
     a: int
     b: int
@@ -124,6 +121,8 @@ def emit_text(rows, fmt: str, columns=SCAN_COLUMNS) -> str:
         lines.extend(",".join(str(getattr(r, c)) for c in columns) for r in rows)
         return "\n".join(lines) + "\n"
     if fmt == "json":
+        import json  # only --format json needs it
+
         return json.dumps([r.as_dict(columns) for r in rows], indent=0) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 
@@ -301,8 +300,7 @@ def _flush_checkpoint(checkpoint_path, rows_path, last_m, pending) -> None:
 # discrepancy report against the bundled reference transcription
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(NamedTuple):
     m: int
     a: int
     field: str
@@ -340,6 +338,8 @@ def _compare(computed: dict, reference: dict) -> list[Discrepancy]:
 def scan_discrepancies(rows, max_m: int, max_k: int) -> list[Discrepancy]:
     """Differences between computed scan rows and the bundled reference,
     restricted to the sweep bounds."""
+    from . import refdata  # only the discrepancy reports read it
+
     computed = {(r.m, r.a): {"b": r.b, "k": r.k} for r in rows}
     reference = {
         (m, a): {"b": b, "k": k}
@@ -350,6 +350,8 @@ def scan_discrepancies(rows, max_m: int, max_k: int) -> list[Discrepancy]:
 
 
 def classify_discrepancies(rows, max_m: int) -> list[Discrepancy]:
+    from . import refdata
+
     computed = {(r.m, r.a): {"b": r.b, "k": r.k} for r in rows}
     reference = {
         (m, a): {"b": b, "k": k}

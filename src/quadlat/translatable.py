@@ -9,15 +9,14 @@ the row of ordering[0] read in column order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import zm
 from .core import CayleyTable, check_identity
 from .errors import SearchCapExceeded
 
 
-@dataclass(frozen=True)
-class TranslatabilityReport:
+class TranslatabilityReport(NamedTuple):
     """Valid shifts for one table under one fixed ordering."""
 
     ordering: tuple[int, ...]

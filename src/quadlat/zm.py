@@ -8,7 +8,6 @@ unique solution of (a-1)k = a (mod m).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import SearchCapExceeded
 
@@ -85,21 +84,39 @@ def solve_quadratic_congruence(m: int) -> list[int]:
     return sorted((1 + s) * half % m for s in roots_m)
 
 
-@dataclass(frozen=True)
 class LinearSpec:
-    """Parameters of x*y = ax + by + c over Z_m, reduced mod m."""
+    """Parameters of x*y = ax + by + c over Z_m, reduced mod m when built.
+    Immutable; specs compare and hash by (m, a, b, c)."""
 
-    m: int
-    a: int
-    b: int
-    c: int = 0
+    __slots__ = ("m", "a", "b", "c")
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"modulus must be positive, got {self.m}")
-        object.__setattr__(self, "a", self.a % self.m)
-        object.__setattr__(self, "b", self.b % self.m)
-        object.__setattr__(self, "c", self.c % self.m)
+    def __init__(self, m: int, a: int, b: int, c: int = 0):
+        if m < 1:
+            raise ValueError(f"modulus must be positive, got {m}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "a", a % m)
+        object.__setattr__(self, "b", b % m)
+        object.__setattr__(self, "c", c % m)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.a, self.b, self.c) == (other.m, other.a, other.b, other.c)
+
+    def __hash__(self):
+        return hash((self.m, self.a, self.b, self.c))
+
+    def __repr__(self):
+        return f"LinearSpec(m={self.m!r}, a={self.a!r}, b={self.b!r}, c={self.c!r})"
+
+    def __reduce__(self):
+        return (LinearSpec, (self.m, self.a, self.b, self.c))
 
     @property
     def is_quadratical_form(self) -> bool:

@@ -2,8 +2,11 @@
 columns, a test oracle for quadlat.deduction._Replay.
 
 It scans rows and columns in Python and checks each latin case with its own
-loop.  On well-formed input the new replay must accept and reject exactly
-what this one does; on malformed input, where this one may raise IndexError
+loop.  Like the new replay, it requires each step and conflict to cite
+every known cell its check reads, one cell per value or position a latin
+rule rules out, and a cell-mismatch to state the value the cell holds.
+On well-formed input the new replay must accept and reject exactly what
+this one does; on malformed input, where this one may raise IndexError
 or ValueError or wrap a negative index, the new one raises ReplayError.
 """
 
@@ -38,22 +41,32 @@ class Replay:
             if self.known(r, c) != v:
                 raise ReplayError(f"premise cell({r},{c})={v} does not hold")
 
+    def require_cited(self, premises, *cells):
+        for r, c in cells:
+            if ((r, c), self.known(r, c)) not in premises:
+                raise ReplayError(f"cell ({r},{c}) is read but not cited")
+
     def derivation_sides(self, step):
         """The two cells forced equal by this step's rule, or None for
         rules handled specially."""
-        rule, binding = step.rule, step.binding
+        rule, binding, premises = step.rule, step.binding, step.premises
         if rule == "strong-elasticity":
             x, y = binding
             u = self.get(y, x)
             v = self.get(x, y)
             cells = []
+            read = []
             if u != -1:
                 cells += [(x, u), (u, y)]
+                read.append((y, x))
             if v != -1:
                 cells.append((v, x))
+                read.append((x, y))
+            self.require_cited(premises, *read)
             if step.cell not in cells:
                 raise ReplayError("strong-elasticity conclusion not addressable")
-            others = [cl for cl in cells if cl != step.cell and self.get(*cl) == step.value]
+            others = [cl for cl in cells
+                      if cl != step.cell and (cl, step.value) in premises]
             if not others:
                 raise ReplayError("strong-elasticity source value missing")
             return None
@@ -62,12 +75,14 @@ class Replay:
             a = self.known(y, z)
             b = self.known(x, y)
             c = self.known(x, z)
+            self.require_cited(premises, (y, z), (x, y), (x, z))
             return (x, a), (b, c)
         if rule == "right-distributivity":
             x, y, z = binding
             a = self.known(x, y)
             b = self.known(x, z)
             c = self.known(y, z)
+            self.require_cited(premises, (x, y), (x, z), (y, z))
             return (a, z), (b, c)
         if rule == "mediality":
             x, y, z, w = binding
@@ -75,11 +90,13 @@ class Replay:
             b = self.known(z, w)
             c = self.known(x, z)
             d = self.known(y, w)
+            self.require_cited(premises, (x, y), (z, w), (x, z), (y, w))
             return (a, b), (c, d)
         if rule == "alterability":
             x, y, z, w = binding
             if self.known(x, y) != self.known(z, w):
                 raise ReplayError("alterability premises are not equal products")
+            self.require_cited(premises, (x, y), (z, w))
             return (y, z), (w, x)
         raise ReplayError(f"unknown rule {rule!r}")
 
@@ -100,6 +117,7 @@ class Replay:
             x, y = step.binding
             u = self.known(y, x)
             vv = self.known(x, y)
+            self.require_cited(step.premises, (y, x), (x, y))
             if (r, c) != (u, vv) or v != x:
                 raise ReplayError(f"bookend step not justified: {step}")
             return
@@ -110,7 +128,7 @@ class Replay:
                     "mediality", "alterability"):
             s1, s2 = self.derivation_sides(step)
             for mine, other in ((s1, s2), (s2, s1)):
-                if step.cell == mine and self.get(*other) == v:
+                if step.cell == mine and (other, v) in step.premises:
                     return
             raise ReplayError(f"{rule} step not justified: {step}")
         if rule == "latin-cell-single":
@@ -121,6 +139,8 @@ class Replay:
                     continue
                 if not (self._value_in_row(r, w) or self._value_in_col(c, w)):
                     raise ReplayError(f"value {w} not excluded at ({r},{c})")
+                if not self._cites_value(step.premises, r, c, w):
+                    raise ReplayError(f"no premise excludes value {w} at ({r},{c})")
             return
         if rule == "latin-row-single":
             if self._value_in_row(r, v):
@@ -130,6 +150,8 @@ class Replay:
                     continue
                 if self.get(r, cc) == -1 and not self._value_in_col(cc, v):
                     raise ReplayError(f"column {cc} not excluded for value {v}")
+                if not self._cites_row_position(step.premises, r, cc, v):
+                    raise ReplayError(f"no premise excludes column {cc} for value {v}")
             return
         if rule == "latin-col-single":
             if self._value_in_col(c, v):
@@ -139,8 +161,27 @@ class Replay:
                     continue
                 if self.get(rr, c) == -1 and not self._value_in_row(rr, v):
                     raise ReplayError(f"row {rr} not excluded for value {v}")
+                if not self._cites_col_position(step.premises, rr, c, v):
+                    raise ReplayError(f"no premise excludes row {rr} for value {v}")
             return
         raise ReplayError(f"unknown rule {rule!r}")
+
+    @staticmethod
+    def _cites_value(premises, r, c, w):
+        """A premise places value w in row r or in column c."""
+        return any(u == w and (pr == r or pc == c) for (pr, pc), u in premises)
+
+    @staticmethod
+    def _cites_row_position(premises, r, c, v):
+        """A premise rules out value v at position c of row r: it names
+        cell (r, c), or a cell of v in column c."""
+        return any((pr, pc) == (r, c) or (pc == c and u == v) for (pr, pc), u in premises)
+
+    @staticmethod
+    def _cites_col_position(premises, r, c, v):
+        """A premise rules out value v at position r of column c: it names
+        cell (r, c), or a cell of v in row r."""
+        return any((pr, pc) == (r, c) or (pr == r and u == v) for (pr, pc), u in premises)
 
     def _value_in_row(self, r, v):
         return v in self.val[r]
@@ -168,20 +209,29 @@ class Replay:
                     raise ReplayError("conflicting seed not in the seed set")
             else:
                 self.verify_step(pseudo)
+            premises, v = conflict.premises, conflict.value
             if kind == "cell-mismatch":
-                if self.get(r, c) == -1 or self.get(r, c) == conflict.value:
+                if self.get(r, c) == -1 or self.get(r, c) == v:
                     raise ReplayError("cell-mismatch conflict does not clash")
+                if self.get(r, c) != conflict.existing:
+                    raise ReplayError("cell-mismatch conflict misstates the cell")
             elif kind == "row-duplicate":
-                if self.get(r, c) != -1 or not self._value_in_row(r, conflict.value):
+                if self.get(r, c) != -1 or not self._value_in_row(r, v):
                     raise ReplayError("row-duplicate conflict does not clash")
+                if not any(pr == r and u == v for (pr, _), u in premises):
+                    raise ReplayError("row-duplicate conflict cites no cell of its value")
             else:
-                if self.get(r, c) != -1 or not self._value_in_col(c, conflict.value):
+                if self.get(r, c) != -1 or not self._value_in_col(c, v):
                     raise ReplayError("col-duplicate conflict does not clash")
+                if not any(pc == c and u == v for (_, pc), u in premises):
+                    raise ReplayError("col-duplicate conflict cites no cell of its value")
             return
         if kind == "cell-no-candidate":
             for w in range(self.n):
                 if not (self._value_in_row(r, w) or self._value_in_col(c, w)):
                     raise ReplayError(f"value {w} still possible at ({r},{c})")
+                if not self._cites_value(conflict.premises, r, c, w):
+                    raise ReplayError(f"no premise excludes value {w} at ({r},{c})")
             return
         if kind == "row-value-impossible":
             v = conflict.value
@@ -190,6 +240,8 @@ class Replay:
             for cc in range(self.n):
                 if self.get(r, cc) == -1 and not self._value_in_col(cc, v):
                     raise ReplayError(f"column {cc} still open for value {v}")
+                if not self._cites_row_position(conflict.premises, r, cc, v):
+                    raise ReplayError(f"no premise excludes column {cc} for value {v}")
             return
         if kind == "col-value-impossible":
             v = conflict.value
@@ -198,5 +250,7 @@ class Replay:
             for rr in range(self.n):
                 if self.get(rr, c) == -1 and not self._value_in_row(rr, v):
                     raise ReplayError(f"row {rr} still open for value {v}")
+                if not self._cites_col_position(conflict.premises, rr, c, v):
+                    raise ReplayError(f"no premise excludes row {rr} for value {v}")
             return
         raise ReplayError(f"unknown conflict kind {kind!r}")

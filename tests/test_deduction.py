@@ -159,6 +159,18 @@ def test_replay_rejects_tampering():
         replay_trace(2, 4, [Step("seed:choice", (0, 1), 5, (), ())])
 
 
+def test_replay_requires_cited_premises():
+    # each of these steps, its premises dropped, printed "from []" and
+    # replayed: the replay checked the premises printed, not the ones read
+    out = complete_qn(3, 1)
+    for i, rule in ((79, "strong-elasticity"), (113, "alterability")):
+        assert out.trace[i].rule == rule
+        bare = out.trace[i]._replace(premises=())
+        assert trace_text([bare]).endswith(f"  by {rule} from []\n")
+        with pytest.raises(ReplayError, match="not cited"):
+            replay_trace(3, 1, out.trace[:i] + (bare,) + out.trace[i + 1:])
+
+
 def test_replay_checks_premises():
     # an alterability step whose printed premise names no known cell
     leaf = refute_case(6, 1).leaves[0]

@@ -1,11 +1,11 @@
 """The package and the command line load only the modules a command runs.
 
 Each import set is read in a fresh interpreter, from the ``quadlat``
-entries of ``sys.modules`` after the command (or import) has run.
+entries of ``sys.modules`` after the command (or import) has run; for a
+command, also from the standard modules in WATCHED.
 """
 
 import importlib
-import json
 import os
 import subprocess
 import sys
@@ -46,10 +46,16 @@ EXPORTED = {
 }
 SUBMODULES = ("core", "deduction", "qn", "refdata", "sweep", "tableio", "translatable", "zm")
 
+# standard modules that no command should load unless it needs them:
+# dataclasses imports inspect, ast and dis, which slows every process's
+# start; json serves only --format json
+WATCHED = ("dataclasses", "inspect", "json")
+
+# prints with no import of its own, so that json is loaded only by the code
 PROBE = """
-import json, sys
+import sys
 {code}
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "quadlat")))
+print(" ".join(sorted(sys.modules)))
 """
 
 CLI_PROBE = """
@@ -61,11 +67,16 @@ except SystemExit:
 """
 
 
-def loaded(code, cwd):
+def modules(code, cwd):
+    """Every module in sys.modules after code has run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", PROBE.format(code=code)], cwd=cwd, env=env,
                          capture_output=True, text=True, check=True)
-    return set(json.loads(out.stdout.splitlines()[-1]))
+    return set(out.stdout.splitlines()[-1].split())
+
+
+def loaded(code, cwd):
+    return {m for m in modules(code, cwd) if m.split(".")[0] == "quadlat"}
 
 
 @pytest.fixture(scope="module")
@@ -75,21 +86,32 @@ def table_file(tmp_path_factory):
     return str(path)
 
 
+# extra: the package modules past quadlat, quadlat.cli and quadlat.errors,
+# and the WATCHED modules, that the command loads
 @pytest.mark.parametrize("argv, extra", [
     (["--help"], set()),
     (["solve", "-m", "65"], {"zm"}),
     (["k", "-m", "13", "-a", "3"], {"zm"}),
-    (["scan", "--max-m", "100", "--max-k", "10"], {"sweep", "zm", "refdata"}),
-    (["classify", "--max-m", "100"], {"sweep", "zm", "refdata"}),
+    (["scan", "--max-m", "100", "--max-k", "10"], {"sweep", "zm"}),
+    (["classify", "--max-m", "100"], {"sweep", "zm"}),
     (["check", "-i", "{t}", "--all"], {"core", "tableio"}),
     (["dual", "-i", "{t}"], {"core", "tableio"}),
     (["product", "{t}", "{t}"], {"core", "tableio"}),
     (["iso", "{t}", "{t}"], {"core", "tableio"}),
+    (["scan", "--max-m", "100", "--max-k", "10", "--format", "json"], {"sweep", "zm", "json"}),
+    (["classify", "--max-m", "100", "--discrepancies", "d.txt"], {"sweep", "zm", "refdata"}),
+    (["complete-qn", "-n", "2", "--choice", "2"],
+     {"core", "qn", "deduction", "tableio"}),
+    (["refute-q6"], {"core", "qn", "deduction"}),
+    (["detect-form", "-i", "{t}"], {"core", "qn", "tableio"}),
+    (["order-search", "-i", "{t}"], {"core", "tableio", "translatable", "zm"}),
 ])
 def test_command_import_set(argv, extra, table_file, tmp_path):
     argv = [a.format(t=table_file) for a in argv]
-    got = loaded(CLI_PROBE.format(argv=argv), tmp_path)
-    assert got == {"quadlat", "quadlat.cli", "quadlat.errors", *(f"quadlat.{m}" for m in extra)}
+    got = {m for m in modules(CLI_PROBE.format(argv=argv), tmp_path)
+           if m.split(".")[0] == "quadlat" or m in WATCHED}
+    assert got == {"quadlat", "quadlat.cli", "quadlat.errors",
+                   *(m if m in WATCHED else f"quadlat.{m}" for m in extra)}
 
 
 def test_package_import_set(tmp_path):

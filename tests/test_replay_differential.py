@@ -117,8 +117,6 @@ def _mutate(rng, n, item, bindings):
             new = tuple(_coordinate(rng, n) for _ in range(rng.randrange(6)))
     else:
         new = rng.choice(KINDS)
-    if isinstance(item, Conflict):
-        return Conflict(**{**vars(item), field: new})
     return item._replace(**{field: new})
 
 
@@ -199,3 +197,44 @@ def test_replay_rejects_malformed_input():
     with pytest.raises(ReplayError):
         replay_trace(1, 2, complete_qn(1, 2).trace, Conflict(
             "cell-no-candidate", "latin-cell", (0, 0), -1, -1, (), (0, 0)))
+
+
+@pytest.mark.parametrize("field, new", [
+    ("cell", (1,)), ("cell", None), ("value", "x"), ("rule", None),
+])
+def test_malformed_step_raises_replay_error(field, new):
+    # these raised ValueError, TypeError, TypeError and AttributeError
+    trace = complete_qn(2, 1).trace
+    bad = trace[-1]._replace(**{field: new})
+    with pytest.raises(ReplayError):
+        replay_trace(2, 1, trace[:-1] + (bad,))
+
+
+def test_every_printed_premise_is_needed():
+    """Dropping any one premise from any step or conflict the engine made
+    is refused by both replays: each premise names a cell the rule read,
+    or the one witness that rules out a value or position."""
+    outcomes = [(3, 1, complete_qn(3, 1).trace, None)]
+    for blocks, choice in ((4, 1), (5, 2), (6, 1)):
+        leaf = refute_case(blocks, choice).leaves[0]
+        outcomes.append((blocks, choice, leaf.trace, leaf.conflict))
+    rules, kinds = set(), set()
+    for blocks, choice, trace, conflict in outcomes:
+        replays = (_Replay(blocks, choice), reference_replay.Replay(blocks, choice))
+        for item in trace + ((conflict,) if conflict else ()):
+            for i in range(len(item.premises)):
+                dropped = item._replace(premises=item.premises[:i] + item.premises[i + 1:])
+                for rp in replays:
+                    verify = rp.verify_conflict if item is conflict else rp.verify_step
+                    with pytest.raises(ReplayError):
+                        verify(dropped)
+            if item is conflict:
+                kinds.add(conflict.kind)
+                continue
+            rules.add(item.rule)
+            for rp in replays:
+                rp.verify_step(item)
+                rp.apply_step(item)
+    assert {"alterability", "strong-elasticity", "bookend", "latin-cell-single",
+            "latin-row-single", "latin-col-single"} <= rules
+    assert kinds == {"cell-mismatch", "cell-no-candidate", "row-duplicate"}
