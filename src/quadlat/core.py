@@ -149,8 +149,17 @@ def _check_right_distributivity(t):
     return None
 
 
+# Quadruples (x, y, z, w) the plain mediality scan checks before it gives
+# up.  Below order 257 a byte-row prefilter lets only a failing pair (x, y)
+# reach the scan, which then stops within n^2 quadruples; above it every
+# pair is scanned, and a medial table that is not a quasigroup, such as the
+# projection x*y = x of order 257, would need n^4 = 4.4e9.
+MEDIALITY_SCAN_CAP = 10_000_000
+
+
 def _check_mediality(t):
-    # (x*y) * (z*w) = (x*z) * (y*w)
+    # (x*y) * (z*w) = (x*z) * (y*w); raises SearchCapExceeded instead of
+    # scanning more than MEDIALITY_SCAN_CAP quadruples
     if _is_medial_quasigroup(t):
         return None
     # Not a medial quasigroup, or not a quasigroup at all: scan for the
@@ -168,7 +177,12 @@ def _check_mediality(t):
         comp_t = list(zip(*comp))
         pairs = ((x, y) for x, y in pairs
                  if comp[e[x][y]] != list(map(comp_t[y].__getitem__, e[x])))
+    checked = 0
     for x, y in pairs:
+        checked += n * n
+        if checked > MEDIALITY_SCAN_CAP:
+            raise SearchCapExceeded(
+                f"mediality scan would check more than {MEDIALITY_SCAN_CAP} quadruples")
         ex = e[x]
         exy = e[ex[y]]
         ey = e[y]

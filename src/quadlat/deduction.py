@@ -9,7 +9,8 @@ is a conflict, not an overwrite.  Left and right distributivity and
 mediality also hold in a quadratical quasigroup but are not scheduled: at
 every fixpoint of the four rules, over 1-30 blocks in complete_qn and in
 every branch of refute_case, they assigned no cell and raised no conflict.
-replay_trace still accepts and checks steps by them.
+replay_trace accepts only the rules the engine emits, so it refuses a step
+by either of them as an unknown rule.
 
 Skip invariant.  A pass drops every rule instance that provably would
 neither assign a cell nor raise a conflict, and runs the per-instance code
@@ -28,16 +29,13 @@ are those of a pass that visits every instance:
   plus the cells of v number at least n-1, since v sits in at most one
   column (row) per cell.  The counts are exact when an instance is
   visited: they are recomputed after every assignment of the pass.
-- An instance that was idle when last examined stays idle until one of its
-  inputs gains an assignment: for latin elimination its row, column or
-  value; for alterability one of the two cells its pair links, or a new
-  cell of its value.  A value holds one cell per row and per column, so
-  the pairs of a first cell (x, y) read row y at the rows of the later
-  cells and column x at their columns, and a link assigns a cell of no
-  other pair with the same first cell.  These two passes keep where their
-  previous pass began (latin_mark, alter_mark) and treat as changed
-  everything assigned since then, plus what they assign themselves, so
-  they over-approximate and never skip an instance with work to do.
+
+Passes keep no memory between passes and read only the current table:
+remembering which instances were idle, to skip them until an input
+changed, left every trace the same but made refute_case slower (5-12
+blocks x 4 choices: 0.89 s with it, 0.77 s without, medians on 2 CPUs
+under Python 3.11), since that bookkeeping in Python cost more than the
+tuple comparisons it skipped.
 """
 
 from __future__ import annotations
@@ -122,7 +120,6 @@ class _State:
         "n", "blocks", "choice", "val", "cols", "facts", "row_vals", "col_vals",
         "row_known", "col_known", "value_rows", "value_cols",
         "rows_by_value", "cols_by_value", "unknown", "trace", "conflict",
-        "latin_mark", "alter_mark", "alter_lens",
     )
 
     def __init__(self, blocks: int, choice: int):
@@ -148,12 +145,6 @@ class _State:
         self.unknown = n * n
         self.trace = []
         self.conflict = None
-        # length of the trace when the last latin pass began, likewise for
-        # the last alterability pass, and each value's cell count when that
-        # pass reached it
-        self.latin_mark = 0
-        self.alter_mark = 0
-        self.alter_lens = [0] * n
 
     def clone(self) -> "_State":
         st = _State.__new__(_State)
@@ -174,9 +165,6 @@ class _State:
         st.unknown = self.unknown
         st.trace = self.trace[:]
         st.conflict = None
-        st.latin_mark = self.latin_mark
-        st.alter_mark = self.alter_mark
-        st.alter_lens = self.alter_lens[:]
         return st
 
     # -- assignment ---------------------------------------------------------
@@ -245,30 +233,19 @@ class _State:
                 _at_least(col_n, n), _at_least(list(map(len, self.rows_by_value)), n))
 
     def latin_pass(self) -> bool:
-        # Only the cells, row values and column values whose row, column or
-        # value is dirty are examined: assigned since the previous latin
-        # pass began, or by this pass.  Of those, only the ones the counting
-        # bounds allow: a cell (r, c) needs |row r| + |col c| >= n-1, a row
-        # or column value v needs |line| + cells(v) >= n-1.  The bounds are
-        # recomputed after every assignment (see the module docstring).
+        # Only the cells, row values and column values the counting bounds
+        # allow are examined: a cell (r, c) needs |row r| + |col c| >= n-1,
+        # a row or column value v needs |line| + cells(v) >= n-1.  The
+        # bounds are recomputed after every assignment (see the module
+        # docstring).
         n = self.n
         lim = n - 1
         full = (1 << n) - 1
         changed = False
-        trace = self.trace
-        dirty_rows = dirty_cols = dirty_vals = 0
-        for step in trace[self.latin_mark:]:
-            r, c = step.cell
-            dirty_rows |= 1 << r
-            dirty_cols |= 1 << c
-            dirty_vals |= 1 << step.value
-        self.latin_mark = len(trace)
         row_n, col_n, cols_ge, vals_ge = self._latin_bounds()
         for r in range(n):
             row_v = self.row_vals[r]
             todo = full & ~self.row_known[r] & cols_ge[lim - row_n[r]]
-            if not dirty_rows >> r & 1:
-                todo &= dirty_cols
             while todo:
                 bit = todo & -todo
                 todo ^= bit
@@ -283,15 +260,11 @@ class _State:
                     changed |= self.set_cell(
                         r, c, v, "latin-cell-single", self._coverage_cell(r, c), (r, c))
                     row_v = self.row_vals[r]
-                    dirty_rows |= 1 << r
-                    dirty_cols |= bit
-                    dirty_vals |= cand
                     row_n, col_n, cols_ge, vals_ge = self._latin_bounds()
                     todo = (full & ~self.row_known[r] & cols_ge[lim - row_n[r]]
                             & -(bit << 1))
         for r in range(n):
-            missing = full & ~self.row_vals[r] & vals_ge[lim - row_n[r]]
-            todo = missing if dirty_rows >> r & 1 else missing & dirty_vals
+            todo = full & ~self.row_vals[r] & vals_ge[lim - row_n[r]]
             while todo:
                 bit = todo & -todo
                 todo ^= bit
@@ -306,15 +279,11 @@ class _State:
                     spot = spots.bit_length() - 1
                     changed |= self.set_cell(
                         r, spot, v, "latin-row-single", self._coverage_row(r, v), (r, v))
-                    dirty_rows |= 1 << r
-                    dirty_cols |= 1 << spot
-                    dirty_vals |= bit
                     row_n, col_n, cols_ge, vals_ge = self._latin_bounds()
                     todo = (full & ~self.row_vals[r] & vals_ge[lim - row_n[r]]
                             & -(bit << 1))
         for c in range(n):
-            missing = full & ~self.col_vals[c] & vals_ge[lim - col_n[c]]
-            todo = missing if dirty_cols >> c & 1 else missing & dirty_vals
+            todo = full & ~self.col_vals[c] & vals_ge[lim - col_n[c]]
             while todo:
                 bit = todo & -todo
                 todo ^= bit
@@ -330,9 +299,6 @@ class _State:
                     changed |= self.set_cell(
                         spot, c, v, "latin-col-single",
                         self._coverage_col(c, v), (c, v))
-                    dirty_rows |= 1 << spot
-                    dirty_cols |= 1 << c
-                    dirty_vals |= bit
                     row_n, col_n, cols_ge, vals_ge = self._latin_bounds()
                     todo = (full & ~self.col_vals[c] & vals_ge[lim - col_n[c]]
                             & -(bit << 1))
@@ -410,73 +376,31 @@ class _State:
         # (a, b), a < b, links A[a][b] = val[y_a][x_b] to A[b][a], so its
         # pairs are the asymmetries of the matrix A.  Row a of A is row y_a
         # at the x_b, row a of its transpose column x_a at the y_b; one
-        # comparison of the two covers every pair of cell a.  A value holds
-        # one cell per row and per column, so a link assigns a cell of no
-        # other pair with the same first cell, and an old pair (a, b)
-        # changes only when (y_a, x_b) or (y_b, x_a) is assigned.  Cell a
-        # is examined if it has a new pair that differs where the value's
-        # new cells are compared, or row y_a gained a cell at the row of a
-        # later cell, or column x_a at the column of one, since the
-        # previous pass began.
+        # comparison of the two covers every pair of cell a.
         n = self.n
         val = self.val
         cols = self.cols
         facts = self.facts
-        trace = self.trace
         changed = False
-        # cells assigned since the previous pass began, by row and by
-        # column, and the rows and the columns that have any
-        new_in_row = [0] * n
-        new_in_col = [0] * n
-        dirty_rows = dirty_cols = 0
-        for step in trace[self.alter_mark:]:
-            r, c = step.cell
-            new_in_row[r] |= 1 << c
-            new_in_col[c] |= 1 << r
-            dirty_rows |= 1 << r
-            dirty_cols |= 1 << c
-        self.alter_mark = len(trace)
         for v in range(n):
             xs = self.rows_by_value[v]
             ys = self.cols_by_value[v]
             m = len(xs)
-            old = self.alter_lens[v]
-            self.alter_lens[v] = m
-            # rows and columns of the value's cells, and below of the cells
-            # after the first cell; with no new cell, and no cell (x, y)
-            # whose row y or column x gained an assignment, every pair is
-            # idle
-            rows_after = self.value_rows[v]
-            cols_after = self.value_cols[v]
-            if m < 2 or old == m and not (
-                    cols_after & dirty_rows or rows_after & dirty_cols):
+            if m < 2:
                 continue
             at_x = itemgetter(*xs)
             at_y = itemgetter(*ys)
-            # first cells with a differing pair that includes a new cell
-            hot = 0
-            for b in range(old, m):
-                row = at_x(val[ys[b]])
-                col = at_y(cols[xs[b]])
-                if row != col:
-                    for a in compress(range(m), map(ne, row, col)):
-                        hot |= 1 << (a if a < b else b)
             for a in range(m - 1):
                 x = xs[a]
                 y = ys[a]
-                rows_after ^= 1 << x
-                cols_after ^= 1 << y
-                if not (hot >> a & 1 or new_in_row[y] & rows_after
-                        or new_in_col[x] & cols_after):
-                    continue
                 row = at_x(val[y])
                 col = at_y(cols[x])
                 if row == col:
                     continue
                 # the pairs that differ now are the ones to link, with the
-                # values read here: a link leaves the other pairs of cell a
-                # as they were
-                before = len(trace)
+                # values read here: a value holds one cell per row and per
+                # column, so a link leaves the other pairs of cell a as
+                # they were
                 for b in compress(range(a + 1, m), map(ne, row[a + 1:], col[a + 1:])):
                     z = xs[b]
                     w = ys[b]
@@ -494,12 +418,6 @@ class _State:
                         raise _ConflictError(Conflict(
                             "cell-mismatch", "alterability", (w, x), left, right,
                             (facts[x][y], facts[z][w], facts[y][z]), (x, y, z, w)))
-                for step in trace[before:]:
-                    r, c = step.cell
-                    new_in_row[r] |= 1 << c
-                    new_in_col[c] |= 1 << r
-                    dirty_rows |= 1 << r
-                    dirty_cols |= 1 << c
         return changed
 
 
@@ -888,32 +806,6 @@ class _Replay:
         return (self.open_cells(self.cols, self.col_vals, self.row_vals, c, v) <= {r}
                 and self.positions_cited(premises, 1, c, v) | (1 << r) == self.full)
 
-    @staticmethod
-    def _linked(r, c, v, premises, s1, s2):
-        """The step sets one of the two cells a link rule forces equal to
-        the value the other holds, and cites that other cell."""
-        cell = (r, c)
-        return (cell == s1 and (s2, v) in premises) or (cell == s2 and (s1, v) in premises)
-
-    def _left_distributivity(self, r, c, v, premises, binding):
-        x, y, z = binding
-        cited = self.cited
-        return self._linked(r, c, v, premises, (x, cited(premises, y, z)),
-                            (cited(premises, x, y), cited(premises, x, z)))
-
-    def _right_distributivity(self, r, c, v, premises, binding):
-        x, y, z = binding
-        cited = self.cited
-        return self._linked(r, c, v, premises, (cited(premises, x, y), z),
-                            (cited(premises, x, z), cited(premises, y, z)))
-
-    def _mediality(self, r, c, v, premises, binding):
-        x, y, z, w = binding
-        cited = self.cited
-        return self._linked(r, c, v, premises,
-                            (cited(premises, x, y), cited(premises, z, w)),
-                            (cited(premises, x, z), cited(premises, y, w)))
-
     def _alterability(self, r, c, v, premises, binding):
         # the most frequent rule, so get, known and cited are inlined
         x, y, z, w = binding
@@ -987,9 +879,6 @@ _STEP_CHECKS = {
     "latin-cell-single": (0, _Replay._latin_cell),
     "latin-row-single": (0, _Replay._latin_row),
     "latin-col-single": (0, _Replay._latin_col),
-    "left-distributivity": (3, _Replay._left_distributivity),
-    "right-distributivity": (3, _Replay._right_distributivity),
-    "mediality": (4, _Replay._mediality),
     "alterability": (4, _Replay._alterability),
 }
 

@@ -70,28 +70,6 @@ class Replay:
             if not others:
                 raise ReplayError("strong-elasticity source value missing")
             return None
-        if rule == "left-distributivity":
-            x, y, z = binding
-            a = self.known(y, z)
-            b = self.known(x, y)
-            c = self.known(x, z)
-            self.require_cited(premises, (y, z), (x, y), (x, z))
-            return (x, a), (b, c)
-        if rule == "right-distributivity":
-            x, y, z = binding
-            a = self.known(x, y)
-            b = self.known(x, z)
-            c = self.known(y, z)
-            self.require_cited(premises, (x, y), (x, z), (y, z))
-            return (a, z), (b, c)
-        if rule == "mediality":
-            x, y, z, w = binding
-            a = self.known(x, y)
-            b = self.known(z, w)
-            c = self.known(x, z)
-            d = self.known(y, w)
-            self.require_cited(premises, (x, y), (z, w), (x, z), (y, w))
-            return (a, b), (c, d)
         if rule == "alterability":
             x, y, z, w = binding
             if self.known(x, y) != self.known(z, w):
@@ -124,8 +102,7 @@ class Replay:
         if rule == "strong-elasticity":
             self.derivation_sides(step)
             return
-        if rule in ("left-distributivity", "right-distributivity",
-                    "mediality", "alterability"):
+        if rule == "alterability":
             s1, s2 = self.derivation_sides(step)
             for mine, other in ((s1, s2), (s2, s1)):
                 if step.cell == mine and (other, v) in step.premises:

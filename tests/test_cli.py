@@ -69,6 +69,15 @@ def test_check_counterexample(capsys, tmp_path):
     assert json.loads(out)["results"]["bookend"] == [0, 1]
 
 
+def test_check_mediality_cap_exits_3(capsys, tmp_path):
+    path = tmp_path / "proj257.txt"
+    write_table(CayleyTable.from_function(257, lambda x, y: x), path)
+    code, out, err = run(capsys, "check", "-i", str(path), "--id", "mediality")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("cap exceeded:")
+
+
 def test_usage_errors(capsys, tmp_path):
     code, _, err = run(capsys, "solve")
     assert code == 1

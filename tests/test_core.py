@@ -277,6 +277,15 @@ def test_find_isomorphism_search_cap():
         find_isomorphism(left, right)
 
 
+def test_mediality_scan_cap():
+    # a projection x*y = x is medial but not a quasigroup; up to order 256
+    # the byte-row prefilter clears every pair, above it the plain scan
+    # would check n^4 quadruples and stops at the cap instead
+    assert check_identity(CayleyTable.from_function(200, lambda x, y: x), "mediality") is None
+    with pytest.raises(SearchCapExceeded):
+        check_identity(CayleyTable.from_function(257, lambda x, y: x), "mediality")
+
+
 def test_quadratical_order_congruence(q1, q2, q3, q4):
     for t in (q1, q2, q3, q4):
         assert is_quadratical(t)

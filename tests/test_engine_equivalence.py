@@ -42,6 +42,10 @@ ENGINE_DIGEST_1_TO_12 = "aae364d0a1d6b232195528fe11c6228e4f2c640ccf47709751afb93
 # SHA-256 of engine_digest(16, first=13), computed with the engine before
 # the latin pass skipped by counting bounds
 ENGINE_DIGEST_13_TO_16 = "1b4a11935edbbae0024061a5ed78e580b121578e853661c2666514018ff299b9"
+# SHA-256 of engine_digest(30, first=17), computed with the engine that
+# still remembered between passes which instances were idle.  It takes
+# about two minutes, so CI checks it in a step of its own, outside tier-1.
+ENGINE_DIGEST_17_TO_30 = "c943cbfa18d7ee062f8d53750e66b291988f8160bf704841a0928a4c447721f4"
 
 
 def outcome_text(out) -> str:

@@ -187,9 +187,15 @@ def test_replay_rejects_malformed_input():
             "row-value-impossible", "latin-row", (7, -1), 0, -1, (), (7, 0)))
     out = complete_qn(3, 1)
     cut = next(i for i, step in enumerate(out.trace) if step.rule == "strong-elasticity")
-    relabelled = out.trace[cut]._replace(rule="mediality")
+    relabelled = out.trace[cut]._replace(rule="alterability")
     with pytest.raises(ReplayError, match="wrong length"):
         replay_trace(3, 1, out.trace[:cut] + (relabelled,))
+    # the engine emits no distributivity or mediality step, and the replay
+    # accepts only the rules the engine emits
+    for rule in ("mediality", "left-distributivity", "right-distributivity"):
+        relabelled = out.trace[cut]._replace(rule=rule)
+        with pytest.raises(ReplayError, match="unknown rule"):
+            replay_trace(3, 1, out.trace[:cut] + (relabelled,))
     # an assumption of a value outside the table, and a conflict claiming
     # no candidate for a known cell, were accepted
     with pytest.raises(ReplayError):
