@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import SearchCapExceeded
@@ -93,21 +94,23 @@ def _check_idempotency(t):
     return None
 
 
-def _check_elasticity(t):
+def _check_elasticity(t, dom=None):
     # x * (y*x) = (x*y) * x
     e = t.entries
-    for x in range(t.n):
-        for y in range(t.n):
+    dom = range(t.n) if dom is None else dom
+    for x in dom:
+        for y in dom:
             if e[x][e[y][x]] != e[e[x][y]][x]:
                 return (x, y)
     return None
 
 
-def _check_strong_elasticity(t):
+def _check_strong_elasticity(t, dom=None):
     # x * (y*x) = (x*y) * x = (y*x) * y
     e = t.entries
-    for x in range(t.n):
-        for y in range(t.n):
+    dom = range(t.n) if dom is None else dom
+    for x in dom:
+        for y in dom:
             yx = e[y][x]
             m = e[x][yx]
             if m != e[e[x][y]][x] or m != e[yx][y]:
@@ -115,35 +118,38 @@ def _check_strong_elasticity(t):
     return None
 
 
-def _check_bookend(t):
+def _check_bookend(t, dom=None):
     # (y*x) * (x*y) = x
     e = t.entries
-    for x in range(t.n):
-        for y in range(t.n):
+    dom = range(t.n) if dom is None else dom
+    for x in dom:
+        for y in dom:
             if e[e[y][x]][e[x][y]] != x:
                 return (x, y)
     return None
 
 
-def _check_left_distributivity(t):
+def _check_left_distributivity(t, dom=None):
     # x * (y*z) = (x*y) * (x*z)
     e = t.entries
-    for x in range(t.n):
+    dom = range(t.n) if dom is None else dom
+    for x in dom:
         ex = e[x]
-        for y in range(t.n):
-            for z in range(t.n):
+        for y in dom:
+            for z in dom:
                 if ex[e[y][z]] != e[ex[y]][ex[z]]:
                     return (x, y, z)
     return None
 
 
-def _check_right_distributivity(t):
+def _check_right_distributivity(t, dom=None):
     # (x*y) * z = (x*z) * (y*z)
     e = t.entries
-    for x in range(t.n):
-        for y in range(t.n):
+    dom = range(t.n) if dom is None else dom
+    for x in dom:
+        for y in dom:
             xy = e[x][y]
-            for z in range(t.n):
+            for z in dom:
                 if e[xy][z] != e[e[x][z]][e[y][z]]:
                     return (x, y, z)
     return None
@@ -160,7 +166,7 @@ MEDIALITY_SCAN_CAP = 10_000_000
 def _check_mediality(t):
     # (x*y) * (z*w) = (x*z) * (y*w); raises SearchCapExceeded instead of
     # scanning more than MEDIALITY_SCAN_CAP quadruples
-    if _is_medial_quasigroup(t):
+    if _medial_form(t) is not None:
         return None
     # Not a medial quasigroup, or not a quasigroup at all: scan for the
     # least counterexample.
@@ -195,8 +201,12 @@ def _check_mediality(t):
     return None
 
 
-def _is_medial_quasigroup(t):
-    """True iff t is a medial quasigroup, decided in O(n^2 log n).
+# bounded like is_quadratical's cache; check_identity reads the form once
+# per law, so a report on one table builds it once
+@lru_cache(maxsize=32)
+def _medial_form(t):
+    """(zero, gens) when t is a medial quasigroup, else None; decided in
+    O(n^2 log n).
 
     Toyoda-Bruck: a quasigroup is medial iff x*y = alpha(x) + beta(y) + c
     over an abelian group (Q, +), with alpha and beta commuting
@@ -205,23 +215,24 @@ def _is_medial_quasigroup(t):
     builds +, whose zero is e*e, and checks that + is commutative and
     associative (Light's test on a generating set) and that
     alpha = R_e - R_e(zero) and beta = L_e - L_e(zero) are commuting
-    automorphisms; then x*y = R_e(x) + L_e(y) = alpha(x) + beta(y) + c."""
+    automorphisms; then x*y = R_e(x) + L_e(y) = alpha(x) + beta(y) + c.
+    zero is the zero of + and gens a generating set of (Q, +)."""
     e = t.entries
     n = t.n
     if not _is_latin(t):
-        return False
+        return None
     r_e = [row[0] for row in e]
     l_e = e[0]
     l_inv = _inverse(l_e)
     add = [tuple(map(e[x].__getitem__, l_inv)) for x in _inverse(r_e)]
     if add != list(zip(*add)):
-        return False
+        return None
     gens = _generators(add, n.bit_length())  # floor(log2 n) + 1
     # Light's test: + is associative iff (x+g)+y = x+(g+y) for every x, y
     # and every g of a generating set
     if gens is None or any(add[ax[g]] != tuple(map(ax.__getitem__, add[g]))
                            for g in gens for ax in add):
-        return False
+        return None
     zero = e[0][0]
     # alpha(x) = R_e(x) - R_e(zero), beta(y) = L_e(y) - L_e(zero)
     alpha = list(map(add[add[r_e[zero]].index(zero)].__getitem__, r_e))
@@ -230,8 +241,10 @@ def _is_medial_quasigroup(t):
         # a map that respects + at each generator respects it everywhere
         if any(list(map(phi.__getitem__, add[g])) != list(map(add[phi[g]].__getitem__, phi))
                for g in gens):
-            return False
-    return list(map(alpha.__getitem__, beta)) == list(map(beta.__getitem__, alpha))
+            return None
+    if list(map(alpha.__getitem__, beta)) != list(map(beta.__getitem__, alpha)):
+        return None
+    return zero, tuple(gens)
 
 
 def _generators(add, limit):
@@ -263,68 +276,80 @@ def _generators(add, limit):
     return gens
 
 
-def _check_weave_left(t):
+def _check_weave_left(t, dom=None):
     # x * (y * (y*x)) = ((x*y) * x) * y
     e = t.entries
-    for x in range(t.n):
-        for y in range(t.n):
+    dom = range(t.n) if dom is None else dom
+    for x in dom:
+        for y in dom:
             if e[x][e[y][e[y][x]]] != e[e[e[x][y]][x]][y]:
                 return (x, y)
     return None
 
 
-def _check_weave_right(t):
+def _check_weave_right(t, dom=None):
     # ((x*y) * y) * x = y * (x * (y*x))
     e = t.entries
-    for x in range(t.n):
-        for y in range(t.n):
+    dom = range(t.n) if dom is None else dom
+    for x in dom:
+        for y in dom:
             if e[e[e[x][y]][y]][x] != e[y][e[x][e[y][x]]]:
                 return (x, y)
     return None
 
 
-def _check_alterability(t):
+def _check_alterability(t, dom=None):
     # x*y = z*w  if and only if  y*z = w*x
     # For fixed (x, y, z) the left side holds for the set of w with
     # z*w = x*y and the right side for the set of w with w*x = y*z; the law
     # fails at every w in one set but not the other.  The sets are bitmasks
-    # over w: in_row[v][z] holds the w with z*w = v, in_col[x][v] the w
-    # with w*x = v, so the law at (x, y) is one list comparison over all z.
+    # over w: in_row[v][i] holds the w with dom[i]*w = v, in_col[x][v] the
+    # w with w*x = v, so the law at (x, y) is one list comparison over the
+    # z of dom.
     e = t.entries
     n = t.n
+    dom = range(n) if dom is None else dom
     bit = [1 << w for w in range(n)]
+    cols = {x: list(map(itemgetter(x), e)) for x in dom}
     if _is_latin(t):
         # each set is the single w of a division table
-        in_row = [list(map(bit.__getitem__, col)) for col in zip(*map(_inverse, e))]
-        in_col = [list(map(bit.__getitem__, _inverse(col))) for col in zip(*e)]
+        in_row = [list(sets) for sets in
+                  zip(*(map(bit.__getitem__, _inverse(e[z])) for z in dom))]
+        in_col = {x: list(map(bit.__getitem__, _inverse(col))) for x, col in cols.items()}
     else:
-        in_row = [[0] * n for _ in range(n)]
-        in_col = [[0] * n for _ in range(n)]
-        for z, row in enumerate(e):
-            for w, v in enumerate(row):
-                in_row[v][z] |= bit[w]
-                in_col[w][v] |= bit[z]
-    for x in range(n):
+        in_row = [[0] * len(dom) for _ in range(n)]
+        for i, z in enumerate(dom):
+            for w, v in enumerate(e[z]):
+                in_row[v][i] |= bit[w]
+        in_col = {}
+        for x, col in cols.items():
+            sets = in_col[x] = [0] * n
+            for w, v in enumerate(col):
+                sets[v] |= bit[w]
+    # row y of the table at the z of dom
+    sub = {y: list(map(e[y].__getitem__, dom)) for y in dom}
+    for x in dom:
         ex = e[x]
         col_x = in_col[x].__getitem__
-        for y in range(n):
+        for y in dom:
             left = in_row[ex[y]]
-            right = list(map(col_x, e[y]))
+            right = list(map(col_x, sub[y]))
             if left != right:
-                for z in range(n):
-                    diff = left[z] ^ right[z]
+                for z, w_left, w_right in zip(dom, left, right):
+                    diff = w_left ^ w_right
                     if diff:
                         return (x, y, z, (diff & -diff).bit_length() - 1)
     return None
 
 
-def _check_quadratical_law(t):
+def _check_quadratical_law(t, dom=None):
     # (x*y) * x = (z*x) * (y*z)
     e = t.entries
-    for x in range(t.n):
-        for y in range(t.n):
+    dom = range(t.n) if dom is None else dom
+    for x in dom:
+        for y in dom:
             m = e[e[x][y]][x]
-            for z in range(t.n):
+            for z in dom:
                 if m != e[e[z][x]][e[y][z]]:
                     return (x, y, z)
     return None
@@ -421,13 +446,42 @@ BASIC_IDENTITY_IDS = (
 )
 
 
+# The laws whose scans take a domain.  On a medial quasigroup
+# x*y = alpha(x) + beta(y) + c each side of each is an affine map
+# Q^k -> Q (for alterability, z\(x*y) and (y*z)/x), and two affine maps
+# agree everywhere when they agree at (zero, ..., zero) and at each tuple
+# with one generator of (Q, +) among zeros.
+_AFFINE_CHECKS = frozenset((
+    _check_quadratical_law, _check_elasticity, _check_strong_elasticity,
+    _check_bookend, _check_left_distributivity, _check_right_distributivity,
+    _check_weave_left, _check_weave_right, _check_alterability,
+))
+
+
+def _affine_domain(t):
+    """sorted({zero} | gens) of t's Toyoda-Bruck form, or None when t is
+    not a medial quasigroup: an affine law that holds over this domain
+    holds on all of t."""
+    form = _medial_form(t)
+    if form is None:
+        return None
+    zero, gens = form
+    return sorted({zero, *gens})
+
+
 def check_identity(t: CayleyTable, ident: str) -> tuple | None:
-    """Exhaustively check one identity; None means it holds, otherwise the
-    lexicographically least violating variable tuple is returned."""
+    """Check one identity; None means it holds, otherwise the
+    lexicographically least violating variable tuple is returned.  An
+    affine law on a medial quasigroup is decided on its affine domain
+    first; any failure, and every other case, scans the whole table."""
     try:
         fn = IDENTITY_CHECKS[ident]
     except KeyError:
         raise ValueError(f"unknown identity {ident!r}") from None
+    if fn in _AFFINE_CHECKS:
+        dom = _affine_domain(t)
+        if dom is not None and fn(t, dom) is None:
+            return None
     return fn(t)
 
 
@@ -446,11 +500,11 @@ def quadratical_report(t: CayleyTable) -> dict:
 @lru_cache(maxsize=32)
 def is_quadratical(t: CayleyTable) -> bool:
     """True iff t is an idempotent, bookend, medial quasigroup."""
+    dom = _affine_domain(t)
     return (
-        _is_latin(t)
+        dom is not None
         and _check_idempotency(t) is None
-        and _check_bookend(t) is None
-        and _is_medial_quasigroup(t)
+        and _check_bookend(t, dom) is None
     )
 
 
@@ -584,10 +638,12 @@ def four_cycles(t: CayleyTable, a: int, b: int) -> list[tuple[int, int, int, int
 # isomorphism
 # ---------------------------------------------------------------------------
 
-# Generator images find_isomorphism tries before it gives up.  Two
-# generators of order n need at most n^2 (4225 for Z_65 against Z_5 x Z_13)
-# and three generators of order 30 need 27,000; a table with no small
-# generating set, such as a projection x*y = x of order 8, needs n^n.
+# Generator images find_isomorphism tries before it gives up.  Against a
+# quadratical table only the images sending the first generator to 0 are
+# needed: n^(k-1) for k generators of order n, so 65 for Z_65 against
+# Z_5 x Z_13.  Other tables need up to n^k, so three generators of order
+# 30 need 27,000; a table with no small generating set, such as a
+# projection x*y = x of order 8, needs n^n.
 ISO_SEARCH_CAP = 100_000
 
 
@@ -650,14 +706,22 @@ def _extend_map(t1: CayleyTable, t2: CayleyTable, gens, images):
 def find_isomorphism(t1: CayleyTable, t2: CayleyTable):
     """A bijection phi with phi(x*y) = phi(x)*phi(y), or None after an
     exhaustive generator-image search.  Raises SearchCapExceeded instead of
-    trying more than ISO_SEARCH_CAP generator images."""
+    trying more than ISO_SEARCH_CAP generator images.
+
+    The left translations of a quadratical t2 are automorphisms that act
+    transitively, so when any isomorphism exists one sends the first
+    generator to 0; those images come first in the search order, and
+    after them a quadratical t2 has no isomorphism left to find."""
     if t1.n != t2.n:
         raise ValueError(f"orders differ: {t1.n} vs {t2.n}")
     if t1.entries == t2.entries:
         return tuple(range(t1.n))
     gens = _generating_sequence(t1)
     n = t1.n
+    first_at_zero = n ** (len(gens) - 1)
     for tried, images in enumerate(itertools.product(range(n), repeat=len(gens))):
+        if tried == first_at_zero and is_quadratical(t2):
+            return None
         if tried == ISO_SEARCH_CAP:
             raise SearchCapExceeded(
                 f"isomorphism search tried {ISO_SEARCH_CAP} generator images")

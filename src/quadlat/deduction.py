@@ -661,7 +661,9 @@ class _Replay:
     or conflict prints must each name a known cell with its value, and
     must name every known cell its check reads: the cells that place a
     link rule's two cells, the cell whose value the step copies, and for a
-    latin rule one cell per value or position it rules out."""
+    latin rule one cell per value or position it rules out.  An
+    alterability step must print its first three in the engine's order:
+    the two equal products, then the copied cell."""
 
     def __init__(self, blocks: int, choice: int):
         n = self.n = 4 * blocks + 1
@@ -753,16 +755,21 @@ class _Replay:
             raise ReplayError(f"step cell or value not in 0..{n - 1}: {step}")
         if type(rule) is not str:
             raise ReplayError(f"unknown rule {rule!r}")
-        if premises:
-            self.check_premises(premises)
         entry = _STEP_CHECKS.get(rule)
         if entry is None:
+            if premises:
+                self.check_premises(premises)
             if not rule.startswith("seed:"):
                 raise ReplayError(f"unknown rule {rule!r}")
             ok = self.seeds.get(((r, c), v)) == rule
         else:
-            arity, check = entry
+            arity, own, check = entry
             try:
+                # the check itself compares the first own premises with
+                # known cells
+                rest = premises[own:]
+                if rest:
+                    self.check_premises(rest)
                 if arity and len(binding) != arity:
                     raise ReplayError(f"{rule} binding of the wrong length: {step}")
                 ok = check(self, r, c, v, premises, binding)
@@ -807,7 +814,9 @@ class _Replay:
                 and self.positions_cited(premises, 1, c, v) | (1 << r) == self.full)
 
     def _alterability(self, r, c, v, premises, binding):
-        # the most frequent rule, so get, known and cited are inlined
+        # the most frequent rule, so get, known and cited are inlined; the
+        # engine prints the two products, then the cell the step copies,
+        # and these three premises are compared by position
         x, y, z, w = binding
         n = self.n
         if not (0 <= x < n and 0 <= y < n and 0 <= z < n and 0 <= w < n):
@@ -818,10 +827,17 @@ class _Replay:
             raise ReplayError(f"alterability premise of {binding} not yet known")
         if xy != rows[z][w]:
             raise ReplayError("alterability premises are not equal products")
-        if ((x, y), xy) not in premises or ((z, w), xy) not in premises:
-            raise ReplayError(f"alterability premises of {binding} not cited")
-        return ((r == y and c == z and ((w, x), v) in premises)
-                or (r == w and c == x and ((y, z), v) in premises))
+        if r == y and c == z:
+            copied = (w, x)
+            held = rows[w][x]
+        elif r == w and c == x:
+            copied = (y, z)
+            held = rows[y][z]
+        else:
+            return False
+        if premises[:3] != (((x, y), xy), ((z, w), xy), (copied, v)):
+            raise ReplayError(f"alterability premises of {binding} not cited in order")
+        return held == v
 
     def apply_step(self, step: Step):
         r, c = step.cell
@@ -870,16 +886,17 @@ class _Replay:
             raise ReplayError(f"{kind} conflict not justified: {conflict}")
 
 
-# rule -> (binding length, or 0 when the rule does not read its binding,
-# and the check); seed rules are looked up in the seed list instead
+# rule -> (binding length, or 0 when the rule does not read its binding;
+# how many leading premises the check compares by position with known
+# cells; and the check); seed rules are looked up in the seed list instead
 _STEP_CHECKS = {
-    "assume": (0, _Replay._assume),
-    "bookend": (2, _Replay._bookend),
-    "strong-elasticity": (2, _Replay._strong_elasticity),
-    "latin-cell-single": (0, _Replay._latin_cell),
-    "latin-row-single": (0, _Replay._latin_row),
-    "latin-col-single": (0, _Replay._latin_col),
-    "alterability": (4, _Replay._alterability),
+    "assume": (0, 0, _Replay._assume),
+    "bookend": (2, 0, _Replay._bookend),
+    "strong-elasticity": (2, 0, _Replay._strong_elasticity),
+    "latin-cell-single": (0, 0, _Replay._latin_cell),
+    "latin-row-single": (0, 0, _Replay._latin_row),
+    "latin-col-single": (0, 0, _Replay._latin_col),
+    "alterability": (4, 3, _Replay._alterability),
 }
 
 

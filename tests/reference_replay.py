@@ -5,6 +5,10 @@ It scans rows and columns in Python and checks each latin case with its own
 loop.  Like the new replay, it requires each step and conflict to cite
 every known cell its check reads, one cell per value or position a latin
 rule rules out, and a cell-mismatch to state the value the cell holds.
+It also compares an alterability step's first three premises by position with the two equal products and then the copied
+cell, the order the engine prints them in, so it refuses the same
+premises reordered; any further premise, such as a row-duplicate
+conflict's witness, is only checked to hold.
 On well-formed input the new replay must accept and reject exactly what
 this one does; on malformed input, where this one may raise IndexError
 or ValueError or wrap a negative index, the new one raises ReplayError.
@@ -46,37 +50,39 @@ class Replay:
             if ((r, c), self.known(r, c)) not in premises:
                 raise ReplayError(f"cell ({r},{c}) is read but not cited")
 
-    def derivation_sides(self, step):
-        """The two cells forced equal by this step's rule, or None for
-        rules handled specially."""
-        rule, binding, premises = step.rule, step.binding, step.premises
-        if rule == "strong-elasticity":
-            x, y = binding
-            u = self.get(y, x)
-            v = self.get(x, y)
-            cells = []
-            read = []
-            if u != -1:
-                cells += [(x, u), (u, y)]
-                read.append((y, x))
-            if v != -1:
-                cells.append((v, x))
-                read.append((x, y))
-            self.require_cited(premises, *read)
-            if step.cell not in cells:
-                raise ReplayError("strong-elasticity conclusion not addressable")
-            others = [cl for cl in cells
-                      if cl != step.cell and (cl, step.value) in premises]
-            if not others:
-                raise ReplayError("strong-elasticity source value missing")
-            return None
-        if rule == "alterability":
-            x, y, z, w = binding
-            if self.known(x, y) != self.known(z, w):
-                raise ReplayError("alterability premises are not equal products")
-            self.require_cited(premises, (x, y), (z, w))
-            return (y, z), (w, x)
-        raise ReplayError(f"unknown rule {rule!r}")
+    def strong_elasticity(self, step):
+        """Require the step's cell to be one of the cells strong
+        elasticity forces equal, and a premise to give another its value."""
+        x, y = step.binding
+        u = self.get(y, x)
+        v = self.get(x, y)
+        cells = []
+        read = []
+        if u != -1:
+            cells += [(x, u), (u, y)]
+            read.append((y, x))
+        if v != -1:
+            cells.append((v, x))
+            read.append((x, y))
+        self.require_cited(step.premises, *read)
+        if step.cell not in cells:
+            raise ReplayError("strong-elasticity conclusion not addressable")
+        if not any(cl != step.cell and (cl, step.value) in step.premises for cl in cells):
+            raise ReplayError("strong-elasticity source value missing")
+
+    def alterability(self, step):
+        """Require the two products to be equal and the step's cell to be
+        one of the two cells alterability then forces equal, with the
+        premises printed as the products and then the other cell."""
+        x, y, z, w = step.binding
+        xy = self.known(x, y)
+        if xy != self.known(z, w):
+            raise ReplayError("alterability premises are not equal products")
+        for mine, other in (((y, z), (w, x)), ((w, x), (y, z))):
+            if step.cell == mine and step.premises[:3] == (
+                    ((x, y), xy), ((z, w), xy), (other, step.value)):
+                return
+        raise ReplayError(f"alterability step not justified: {step}")
 
     def verify_step(self, step: Step):
         rule = step.rule
@@ -100,14 +106,11 @@ class Replay:
                 raise ReplayError(f"bookend step not justified: {step}")
             return
         if rule == "strong-elasticity":
-            self.derivation_sides(step)
+            self.strong_elasticity(step)
             return
         if rule == "alterability":
-            s1, s2 = self.derivation_sides(step)
-            for mine, other in ((s1, s2), (s2, s1)):
-                if step.cell == mine and (other, v) in step.premises:
-                    return
-            raise ReplayError(f"{rule} step not justified: {step}")
+            self.alterability(step)
+            return
         if rule == "latin-cell-single":
             if self.get(r, c) != -1:
                 raise ReplayError("latin-cell-single over a known cell")

@@ -5,6 +5,7 @@ Each test prints a single PASS line once its assertions hold, so running
 Stated runtime bounds are asserted with a monotonic clock.
 """
 
+import random
 import time
 
 from quadlat import (
@@ -20,6 +21,7 @@ from quadlat import (
     feasible_k_idempotent_quadratical,
     find_isomorphism,
     find_translatable_ordering,
+    identity_report,
     idempotent_first_row,
     is_quadratical,
     quadratical_over_zm,
@@ -244,3 +246,30 @@ def test_criterion_10_order25_tables_not_products():
                 assert x == y
     _ok(10, "neither modulus-25 table is isomorphic to any order-25 "
             "product, and the separating identity behaves as published")
+
+
+def test_runtime_identities_at_order_257():
+    # every law of a relabelled Z_257, decided from its medial form; the
+    # O(n^3) scans of the whole table take about 5.7 s
+    n = 257
+    t = relabel(quadratical_over_zm(n, solve_quadratic_congruence(n)[0]),
+                random.Random(n).sample(range(n), n))
+    t0 = time.monotonic()
+    report = identity_report(t)
+    elapsed = time.monotonic() - t0
+    assert all(v is None for v in report.values()), report
+    assert elapsed < 1.5, elapsed
+    print(f"PASS runtime: 15 identities on relabelled Z_257 in {elapsed:.2f}s")
+
+
+def test_runtime_iso_none_at_order_65():
+    # Z_65(24) and Z_5(2) x Z_13(3) are both quadratical and not isomorphic;
+    # the search stops after the images sending the first generator to 0
+    z65 = quadratical_over_zm(65, 24)
+    z5xz13 = direct_product(quadratical_over_zm(5, 2), quadratical_over_zm(13, 3))
+    t0 = time.monotonic()
+    phi = find_isomorphism(z65, z5xz13)
+    elapsed = time.monotonic() - t0
+    assert phi is None
+    assert elapsed < 0.1, elapsed
+    print(f"PASS runtime: iso Z_65 vs Z_5 x Z_13 answered none in {elapsed:.3f}s")

@@ -9,6 +9,7 @@ ReplayError, where the reference may crash with IndexError or ValueError
 or accept by wrapping a negative index."""
 
 import copy
+import itertools
 import random
 
 import pytest
@@ -203,6 +204,29 @@ def test_replay_rejects_malformed_input():
     with pytest.raises(ReplayError):
         replay_trace(1, 2, complete_qn(1, 2).trace, Conflict(
             "cell-no-candidate", "latin-cell", (0, 0), -1, -1, (), (0, 0)))
+
+
+def test_reordered_alterability_premises_refused():
+    """Both replays compare an alterability step's first three premises by
+    position (the two products, then the copied cell), so the same
+    premises in any other order are refused."""
+    trace = complete_qn(3, 1).trace
+    cut = next(i for i, step in enumerate(trace) if step.rule == "alterability")
+    step = trace[cut]
+    replay_trace(3, 1, trace[:cut + 1])
+    ref = reference_replay.Replay(3, 1)
+    for earlier in trace[:cut]:
+        ref.verify_step(earlier)
+        ref.apply_step(earlier)
+    ref.verify_step(step)
+    for order in itertools.permutations(step.premises):
+        if order == step.premises:
+            continue
+        reordered = step._replace(premises=order)
+        with pytest.raises(ReplayError):
+            replay_trace(3, 1, trace[:cut] + (reordered,))
+        with pytest.raises(ReplayError):
+            ref.verify_step(reordered)
 
 
 @pytest.mark.parametrize("field, new", [
