@@ -11,15 +11,17 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
+        "audit": ("replay_trace",),
+        "cayley": ("CayleyTable", "is_quadratical"),
         "core": (
-            "BASIC_IDENTITY_IDS", "CayleyTable", "IDENTITY_IDS", "TwoGenerationReport",
+            "BASIC_IDENTITY_IDS", "IDENTITY_IDS", "TwoGenerationReport",
             "check_identity", "direct_product", "dual", "find_isomorphism", "four_cycles",
-            "generated_subgroupoid", "identity_report", "is_quadratical",
-            "quadratical_report", "relabel", "two_generation_report",
+            "generated_subgroupoid", "identity_report", "quadratical_report", "relabel",
+            "two_generation_report",
         ),
         "deduction": (
             "Completed", "Contradiction", "PartialTable", "RefutationReport", "Stuck",
-            "complete_qn", "refute_case", "refute_q6", "replay_trace", "trace_text",
+            "complete_qn", "refute_case", "refute_q6", "trace_text",
         ),
         "errors": ("SearchCapExceeded",),
         "qn": ("QnDecomposition", "detect_form", "dual_element_map", "h_chain"),
@@ -44,8 +46,8 @@ _EXPORTS = {
 __all__ = sorted(_EXPORTS)
 
 _SUBMODULES = frozenset({
-    "cli", "core", "deduction", "errors", "fixtures", "qn", "refdata", "sweep",
-    "tableio", "translatable", "zm",
+    "audit", "cayley", "cli", "core", "deduction", "errors", "fixtures", "qn", "refdata",
+    "steps", "sweep", "tableio", "translatable", "zm",
 })
 
 

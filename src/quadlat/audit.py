@@ -1,0 +1,319 @@
+"""The trace auditor: replay_trace re-derives every step of a deduction
+trace, and its final conflict, from the rule schema.
+
+It shares only the trace records (quadlat.steps) with the engine in
+quadlat.deduction, and reads none of the engine's state, so a trace is
+checked independently of the code that made it.  Each step must print
+the premises its rule reads.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from operator import is_
+
+from .steps import Conflict, ReplayError, Step, _collector_paused, seed_steps
+
+
+class _Replay:
+    """Re-derives each trace step from the rule schema against the running
+    partial table, kept both by rows (rows[r][c]) and by columns
+    (cols[c][r]) with a bitmask of the values each row and each column
+    holds; raises ReplayError on the first unjustified or malformed step.
+    Each rule's check is found through _STEP_CHECKS.  The premises a step
+    or conflict prints must each name a known cell with its value, and
+    must name every known cell its check reads: the cells that place a
+    link rule's two cells, the cell whose value the step copies, and for a
+    latin rule one cell per value or position it rules out.  An
+    alterability step must print its first three in the engine's order:
+    the two equal products, then the copied cell."""
+
+    def __init__(self, blocks: int, choice: int):
+        n = self.n = 4 * blocks + 1
+        self.full = (1 << n) - 1
+        self.rows = [[-1] * n for _ in range(n)]
+        self.cols = [[-1] * n for _ in range(n)]
+        self.row_vals = [0] * n
+        self.col_vals = [0] * n
+        self.seeds = {(step.cell, step.value): step.rule for step in seed_steps(blocks, choice)}
+
+    def copy(self) -> "_Replay":
+        """A replay of its own from the same table; the seed map, which no
+        step changes, is shared."""
+        twin = _Replay.__new__(_Replay)
+        twin.n = self.n
+        twin.full = self.full
+        twin.rows = [row[:] for row in self.rows]
+        twin.cols = [col[:] for col in self.cols]
+        twin.row_vals = self.row_vals[:]
+        twin.col_vals = self.col_vals[:]
+        twin.seeds = self.seeds
+        return twin
+
+    def get(self, r, c):
+        if not (0 <= r < self.n and 0 <= c < self.n):
+            raise ReplayError(f"cell ({r},{c}) out of range")
+        return self.rows[r][c]
+
+    def known(self, r, c):
+        v = self.get(r, c)
+        if v == -1:
+            raise ReplayError(f"premise cell ({r},{c}) not yet known")
+        return v
+
+    def cited(self, premises, r, c):
+        """The value of the known cell (r, c), which premises must name."""
+        v = self.known(r, c)
+        if ((r, c), v) not in premises:
+            raise ReplayError(f"cell({r},{c})={v} is read but not cited")
+        return v
+
+    def open_values(self, r, c) -> int:
+        """The bitmask of the values neither row r nor column c holds, at
+        an unknown cell."""
+        if self.get(r, c) != -1:
+            raise ReplayError(f"latin rule over the known cell ({r},{c})")
+        return ~(self.row_vals[r] | self.col_vals[c]) & self.full
+
+    def open_cells(self, lines, line_vals, cross_vals, i, v) -> set:
+        """The unknown cells of line i that value v may still take: the
+        positions j with lines[i][j] unknown and v absent from cross line
+        j.  Called with (rows, row_vals, col_vals) for row i and (cols,
+        col_vals, row_vals) for column i."""
+        if not (0 <= i < self.n and 0 <= v < self.n):
+            raise ReplayError(f"line {i} or value {v} out of range")
+        if line_vals[i] >> v & 1:
+            raise ReplayError(f"value {v} already present in line {i}")
+        line = lines[i]
+        return {j for j in range(self.n) if line[j] == -1 and not cross_vals[j] >> v & 1}
+
+    @staticmethod
+    def values_cited(premises, r, c) -> int:
+        """The bitmask of the values premises place in row r or column c."""
+        mask = 0
+        for (pr, pc), u in premises:
+            if pr == r or pc == c:
+                mask |= 1 << u
+        return mask
+
+    @staticmethod
+    def positions_cited(premises, axis, i, v) -> int:
+        """The bitmask of the positions j of line i, a row when axis is 0
+        and a column when it is 1, that premises rule out for value v: the
+        line's own cell at j, or a cell of v in the crossing line j."""
+        mask = 0
+        for cell, u in premises:
+            if cell[axis] == i or u == v:
+                mask |= 1 << cell[1 - axis]
+        return mask
+
+    def check_premises(self, premises):
+        """Each premise ((r, c), v) names a cell already known to hold v."""
+        n = self.n
+        rows = self.rows
+        try:
+            for (r, c), v in premises:
+                if not (0 <= r < n and 0 <= c < n) or v == -1 or rows[r][c] != v:
+                    raise ReplayError(f"premise cell({r},{c})={v} is not a known cell")
+        except (TypeError, ValueError):
+            raise ReplayError(f"malformed premises {premises!r}") from None
+
+    def verify_step(self, step: Step):
+        try:
+            rule, (r, c), v, premises, binding = step
+        except (TypeError, ValueError):
+            raise ReplayError(f"malformed step {step!r}") from None
+        n = self.n
+        if not (type(r) is type(c) is type(v) is int
+                and 0 <= r < n and 0 <= c < n and 0 <= v < n):
+            raise ReplayError(f"step cell or value not in 0..{n - 1}: {step}")
+        if type(rule) is not str:
+            raise ReplayError(f"unknown rule {rule!r}")
+        entry = _STEP_CHECKS.get(rule)
+        if entry is None:
+            if premises:
+                self.check_premises(premises)
+            if not rule.startswith("seed:"):
+                raise ReplayError(f"unknown rule {rule!r}")
+            ok = self.seeds.get(((r, c), v)) == rule
+        else:
+            arity, own, check = entry
+            try:
+                # the check itself compares the first own premises with
+                # known cells
+                rest = premises[own:]
+                if rest:
+                    self.check_premises(rest)
+                if arity and len(binding) != arity:
+                    raise ReplayError(f"{rule} binding of the wrong length: {step}")
+                ok = check(self, r, c, v, premises, binding)
+            except (TypeError, ValueError):
+                raise ReplayError(f"malformed binding or premises: {step}") from None
+        if not ok:
+            raise ReplayError(f"{rule} step not justified: {step}")
+
+    # -- one check per rule, each true when the step is justified ----------
+
+    def _assume(self, r, c, v, premises, binding):
+        return self.rows[r][c] == -1
+
+    def _bookend(self, r, c, v, premises, binding):
+        x, y = binding
+        return (r, c) == (self.cited(premises, y, x), self.cited(premises, x, y)) and v == x
+
+    def _strong_elasticity(self, r, c, v, premises, binding):
+        # x(yx) = (xy)x = (yx)y over the sides whose inner product is known;
+        # with y*x unknown there is one side at most, nothing to copy from
+        x, y = binding
+        u = self.cited(premises, y, x)
+        sides = [(x, u), (u, y)]
+        w = self.get(x, y)
+        if w != -1:
+            self.cited(premises, x, y)
+            sides.append((w, x))
+        cell = (r, c)
+        return cell in sides and any(
+            other != cell and (other, v) in premises for other in sides)
+
+    def _latin_cell(self, r, c, v, premises, binding):
+        return (not self.open_values(r, c) & ~(1 << v)
+                and self.values_cited(premises, r, c) | (1 << v) == self.full)
+
+    def _latin_row(self, r, c, v, premises, binding):
+        return (self.open_cells(self.rows, self.row_vals, self.col_vals, r, v) <= {c}
+                and self.positions_cited(premises, 0, r, v) | (1 << c) == self.full)
+
+    def _latin_col(self, r, c, v, premises, binding):
+        return (self.open_cells(self.cols, self.col_vals, self.row_vals, c, v) <= {r}
+                and self.positions_cited(premises, 1, c, v) | (1 << r) == self.full)
+
+    def _alterability(self, r, c, v, premises, binding):
+        # the most frequent rule, so get, known and cited are inlined; the
+        # engine prints the two products, then the cell the step copies,
+        # and these three premises are compared by position
+        x, y, z, w = binding
+        n = self.n
+        if not (0 <= x < n and 0 <= y < n and 0 <= z < n and 0 <= w < n):
+            raise ReplayError(f"alterability binding out of range: {binding}")
+        rows = self.rows
+        xy = rows[x][y]
+        if xy == -1 or rows[z][w] == -1:
+            raise ReplayError(f"alterability premise of {binding} not yet known")
+        if xy != rows[z][w]:
+            raise ReplayError("alterability premises are not equal products")
+        if r == y and c == z:
+            copied = (w, x)
+            held = rows[w][x]
+        elif r == w and c == x:
+            copied = (y, z)
+            held = rows[y][z]
+        else:
+            return False
+        if premises[:3] != (((x, y), xy), ((z, w), xy), (copied, v)):
+            raise ReplayError(f"alterability premises of {binding} not cited in order")
+        return held == v
+
+    def apply_step(self, step: Step):
+        r, c = step.cell
+        v = step.value
+        if self.rows[r][c] != -1:
+            raise ReplayError(f"cell ({r},{c}) assigned twice")
+        if (self.row_vals[r] | self.col_vals[c]) >> v & 1:
+            raise ReplayError(f"step duplicates value {v} at ({r},{c})")
+        self.rows[r][c] = self.cols[c][r] = v
+        self.row_vals[r] |= 1 << v
+        self.col_vals[c] |= 1 << v
+
+    def verify_conflict(self, conflict: Conflict):
+        try:
+            kind, (r, c), v, premises = (
+                conflict.kind, conflict.cell, conflict.value, conflict.premises)
+        except (AttributeError, TypeError, ValueError):
+            raise ReplayError(f"malformed conflict {conflict!r}") from None
+        if not (type(r) is type(c) is type(v) is int):
+            raise ReplayError(f"malformed conflict {conflict!r}")
+        self.check_premises(premises)
+        if kind in ("cell-mismatch", "row-duplicate", "col-duplicate"):
+            self.verify_step(Step(conflict.rule, conflict.cell, v,
+                                  premises, conflict.binding))
+            cur = self.rows[r][c]
+            if kind == "cell-mismatch":
+                ok = cur not in (-1, v) and cur == conflict.existing
+            else:
+                # a cell of v in the row or column, and the premise naming it
+                axis, line = (0, r) if kind == "row-duplicate" else (1, c)
+                held = (self.row_vals, self.col_vals)[axis][line]
+                ok = cur == -1 and held >> v & 1 and any(
+                    cell[axis] == line and u == v for cell, u in premises)
+        elif kind == "cell-no-candidate":
+            ok = (not self.open_values(r, c)
+                  and self.values_cited(premises, r, c) == self.full)
+        elif kind == "row-value-impossible":
+            ok = (not self.open_cells(self.rows, self.row_vals, self.col_vals, r, v)
+                  and self.positions_cited(premises, 0, r, v) == self.full)
+        elif kind == "col-value-impossible":
+            ok = (not self.open_cells(self.cols, self.col_vals, self.row_vals, c, v)
+                  and self.positions_cited(premises, 1, c, v) == self.full)
+        else:
+            raise ReplayError(f"unknown conflict kind {kind!r}")
+        if not ok:
+            raise ReplayError(f"{kind} conflict not justified: {conflict}")
+
+
+# rule -> (binding length, or 0 when the rule does not read its binding;
+# how many leading premises the check compares by position with known
+# cells; and the check); seed rules are looked up in the seed list instead
+_STEP_CHECKS = {
+    "assume": (0, 0, _Replay._assume),
+    "bookend": (2, 0, _Replay._bookend),
+    "strong-elasticity": (2, 0, _Replay._strong_elasticity),
+    "latin-cell-single": (0, 0, _Replay._latin_cell),
+    "latin-row-single": (0, 0, _Replay._latin_row),
+    "latin-col-single": (0, 0, _Replay._latin_col),
+    "alterability": (4, 3, _Replay._alterability),
+}
+
+
+# A few (blocks, choice) at a time: a refutation replays the leaves of one
+# block count's four choices.  Each entry holds a whole table, which at
+# 256 blocks is about 17 MB.  Typed like seed_steps.
+@lru_cache(maxsize=4, typed=True)
+def _seeded(blocks: int, choice: int):
+    """(seeds, rp): the seed steps of (blocks, choice), and a replay that
+    has verified and applied all of them, or None when a seed is refused
+    (the seeds of some choices clash)."""
+    seeds = seed_steps(blocks, choice)
+    rp = _Replay(blocks, choice)
+    try:
+        for step in seeds:
+            rp.verify_step(step)
+            rp.apply_step(step)
+    except ReplayError:
+        return seeds, None
+    return seeds, rp
+
+
+@_collector_paused
+def replay_trace(blocks: int, choice: int, trace, conflict: Conflict | None = None) -> None:
+    """Verify every step of a trace against the rule set, then verify the
+    final conflict when given; raises ReplayError otherwise.
+
+    A trace whose leading steps are the very objects of
+    steps.seed_steps(blocks, choice), as the engine's traces are, is
+    replayed from a copy of a table on which those seeds were verified
+    once; any other trace from an empty table.  Both verify each step
+    with the same checks on the same table, so they accept the same
+    traces.  Pauses the process's cyclic garbage collector while it runs
+    (see steps._collector_paused)."""
+    seeds, seeded = _seeded(blocks, choice)
+    trace = tuple(trace)
+    if seeded is not None and len(trace) >= len(seeds) and all(map(is_, seeds, trace)):
+        rp = seeded.copy()
+        trace = trace[len(seeds):]
+    else:
+        rp = _Replay(blocks, choice)
+    for step in trace:
+        rp.verify_step(step)
+        rp.apply_step(step)
+    if conflict is not None:
+        rp.verify_conflict(conflict)

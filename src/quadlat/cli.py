@@ -189,7 +189,7 @@ def _cmd_detect_form(args):
 
 
 def _cmd_complete_qn(args):
-    from . import core, deduction, tableio
+    from . import cayley, deduction, tableio
 
     choice = deduction.parse_choice(args.blocks, args.choice)
     out = deduction.complete_qn(args.blocks, choice)
@@ -200,7 +200,7 @@ def _cmd_complete_qn(args):
     if isinstance(out, deduction.Completed):
         table = out.table
         if not args.seed_labels:
-            table = core.CayleyTable(table.n, table.entries)
+            table = cayley.CayleyTable(table.n, table.entries)
         return _emit(args, {"outcome": "completed", **_table_json(table)},
                      lambda: "completed\n" + tableio.format_table(table))
     if isinstance(out, deduction.Contradiction):

@@ -1,7 +1,7 @@
-"""Finite groupoids as Cayley tables.
+"""Identities, closure and isomorphism of finite groupoids.
 
-Elements are always the indices 0..n-1; any symbolic names live in the
-optional ``labels`` field.  All operations here are pure functions over
+Tables and the quadratical test live in ``quadlat.cayley``; every name
+there is available here too.  All operations here are pure functions over
 immutable tables, so tables can be shared freely between threads or
 processes.
 """
@@ -9,10 +9,21 @@ processes.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
+# _generators is not used here; it stays importable from this module
+from .cayley import (
+    CayleyTable,
+    _affine_domain,
+    _check_bookend,
+    _check_idempotency,
+    _generators,
+    _inverse,
+    _is_latin,
+    _medial_form,
+    is_quadratical,
+)
 from .errors import SearchCapExceeded
 
 # An identity verdict is None when it holds, otherwise the lexicographically
@@ -20,79 +31,9 @@ from .errors import SearchCapExceeded
 # appear in the defining equation).
 
 
-class CayleyTable:
-    """An n by n operation table: entries[x][y] is the product x*y.
-
-    Checked when built and immutable after, so a table is valid wherever it
-    is shared.  Tables compare and hash by (n, entries, labels)."""
-
-    __slots__ = ("n", "entries", "labels")
-
-    def __init__(self, n: int, entries: tuple[tuple[int, ...], ...],
-                 labels: tuple[str, ...] | None = None):
-        if n < 1:
-            raise ValueError(f"order must be positive, got {n}")
-        if len(entries) != n:
-            raise ValueError(f"expected {n} rows, got {len(entries)}")
-        for x, row in enumerate(entries):
-            if len(row) != n:
-                raise ValueError(f"row {x} has {len(row)} entries, expected {n}")
-            for y, v in enumerate(row):
-                if not (0 <= v < n):
-                    raise ValueError(f"entry [{x}][{y}] = {v} out of range 0..{n - 1}")
-        if labels is not None:
-            if len(labels) != n:
-                raise ValueError(f"expected {n} labels, got {len(labels)}")
-            if len(set(labels)) != n:
-                raise ValueError("labels must be distinct")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "labels", labels)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.entries, self.labels) == (other.n, other.entries, other.labels)
-
-    def __hash__(self):
-        return hash((self.n, self.entries, self.labels))
-
-    def __reduce__(self):
-        return (CayleyTable, (self.n, self.entries, self.labels))
-
-    @classmethod
-    def from_rows(cls, rows, labels=None) -> "CayleyTable":
-        entries = tuple(tuple(int(v) for v in row) for row in rows)
-        return cls(len(entries), entries, tuple(labels) if labels is not None else None)
-
-    @classmethod
-    def from_function(cls, n: int, op, labels=None) -> "CayleyTable":
-        return cls.from_rows([[op(x, y) for y in range(n)] for x in range(n)], labels)
-
-    def mul(self, x: int, y: int) -> int:
-        return self.entries[x][y]
-
-    def __repr__(self):
-        return f"CayleyTable(n={self.n})"
-
-
 # ---------------------------------------------------------------------------
 # identity checking
 # ---------------------------------------------------------------------------
-
-def _check_idempotency(t):
-    e = t.entries
-    for x in range(t.n):
-        if e[x][x] != x:
-            return (x,)
-    return None
-
 
 def _check_elasticity(t, dom=None):
     # x * (y*x) = (x*y) * x
@@ -114,17 +55,6 @@ def _check_strong_elasticity(t, dom=None):
             yx = e[y][x]
             m = e[x][yx]
             if m != e[e[x][y]][x] or m != e[yx][y]:
-                return (x, y)
-    return None
-
-
-def _check_bookend(t, dom=None):
-    # (y*x) * (x*y) = x
-    e = t.entries
-    dom = range(t.n) if dom is None else dom
-    for x in dom:
-        for y in dom:
-            if e[e[y][x]][e[x][y]] != x:
                 return (x, y)
     return None
 
@@ -199,81 +129,6 @@ def _check_mediality(t):
                 if exy[ez[w]] != exz[ey[w]]:
                     return (x, y, z, w)
     return None
-
-
-# bounded like is_quadratical's cache; check_identity reads the form once
-# per law, so a report on one table builds it once
-@lru_cache(maxsize=32)
-def _medial_form(t):
-    """(zero, gens) when t is a medial quasigroup, else None; decided in
-    O(n^2 log n).
-
-    Toyoda-Bruck: a quasigroup is medial iff x*y = alpha(x) + beta(y) + c
-    over an abelian group (Q, +), with alpha and beta commuting
-    automorphisms; and when it is medial, every loop isotope
-    x + y = R_e^-1(x) * L_e^-1(y) is that group.  So with e = 0 this
-    builds +, whose zero is e*e, and checks that + is commutative and
-    associative (Light's test on a generating set) and that
-    alpha = R_e - R_e(zero) and beta = L_e - L_e(zero) are commuting
-    automorphisms; then x*y = R_e(x) + L_e(y) = alpha(x) + beta(y) + c.
-    zero is the zero of + and gens a generating set of (Q, +)."""
-    e = t.entries
-    n = t.n
-    if not _is_latin(t):
-        return None
-    r_e = [row[0] for row in e]
-    l_e = e[0]
-    l_inv = _inverse(l_e)
-    add = [tuple(map(e[x].__getitem__, l_inv)) for x in _inverse(r_e)]
-    if add != list(zip(*add)):
-        return None
-    gens = _generators(add, n.bit_length())  # floor(log2 n) + 1
-    # Light's test: + is associative iff (x+g)+y = x+(g+y) for every x, y
-    # and every g of a generating set
-    if gens is None or any(add[ax[g]] != tuple(map(ax.__getitem__, add[g]))
-                           for g in gens for ax in add):
-        return None
-    zero = e[0][0]
-    # alpha(x) = R_e(x) - R_e(zero), beta(y) = L_e(y) - L_e(zero)
-    alpha = list(map(add[add[r_e[zero]].index(zero)].__getitem__, r_e))
-    beta = list(map(add[add[l_e[zero]].index(zero)].__getitem__, l_e))
-    for phi in (alpha, beta):
-        # a map that respects + at each generator respects it everywhere
-        if any(list(map(phi.__getitem__, add[g])) != list(map(add[phi[g]].__getitem__, phi))
-               for g in gens):
-            return None
-    if list(map(alpha.__getitem__, beta)) != list(map(beta.__getitem__, alpha)):
-        return None
-    return zero, tuple(gens)
-
-
-def _generators(add, limit):
-    """A generating set of the commutative magma add, grown greedily from
-    the least element not yet generated; None once it would exceed limit
-    elements.  In a group each new generator at least doubles the
-    generated subgroup, so a group of order n needs at most
-    floor(log2 n) + 1 of them."""
-    gens = []
-    closed = set()
-    members = []
-    for g in range(len(add)):
-        if g in closed:
-            continue
-        if len(gens) == limit:
-            return None
-        gens.append(g)
-        closed.add(g)
-        members.append(g)
-        frontier = [g]
-        while frontier:
-            new = []
-            for x in frontier:
-                fresh = set(map(add[x].__getitem__, members)) - closed
-                closed |= fresh
-                new.extend(fresh)
-            members.extend(new)
-            frontier = new
-    return gens
 
 
 def _check_weave_left(t, dom=None):
@@ -355,39 +210,39 @@ def _check_quadratical_law(t, dom=None):
     return None
 
 
+def _first_repeat(lines, n):
+    """(i, j1, j2) for the first line i, in order, that is not a
+    permutation, with j1 < j2 the first positions of a repeated value, or
+    None.  Lines that are permutations are passed over by their set sizes,
+    and only the first line that fails is scanned."""
+    for i, line in enumerate(lines):
+        if len(set(line)) != n:
+            seen = {}
+            for j, v in enumerate(line):
+                if v in seen:
+                    return (i, seen[v], j)
+                seen[v] = j
+    return None
+
+
 def _check_left_cancellation(t):
     # x*y = x*z implies y = z; counterexample (x, y, z) with y < z
-    e = t.entries
-    for x in range(t.n):
-        seen = {}
-        for y in range(t.n):
-            v = e[x][y]
-            if v in seen:
-                return (x, seen[v], y)
-            seen[v] = y
-    return None
+    return _first_repeat(t.entries, t.n)
 
 
 def _check_right_cancellation(t):
     # y*x = z*x implies y = z; counterexample (x, y, z) with y < z
-    e = t.entries
-    for x in range(t.n):
-        seen = {}
-        for y in range(t.n):
-            v = e[y][x]
-            if v in seen:
-                return (x, seen[v], y)
-            seen[v] = y
-    return None
+    return _first_repeat(zip(*t.entries), t.n)
 
 
 def _check_right_solvability(t):
     # for all a, b there is y with a*y = b; counterexample (a, b)
-    for a in range(t.n):
-        have = set(t.entries[a])
-        for b in range(t.n):
-            if b not in have:
-                return (a, b)
+    n = t.n
+    for a, row in enumerate(t.entries):
+        have = set(row)
+        if len(have) != n:
+            # entries lie in 0..n-1, so a row of n values holds every b
+            return (a, next(b for b in range(n) if b not in have))
     return None
 
 
@@ -399,16 +254,6 @@ def _check_latin_square(t):
     if row is not None:
         return row
     return _check_right_cancellation(t)
-
-
-def _is_latin(t):
-    n = t.n
-    return all(len(set(line)) == n for line in itertools.chain(t.entries, zip(*t.entries)))
-
-
-def _inverse(perm):
-    """The inverse of a permutation of 0..n-1."""
-    return sorted(range(len(perm)), key=perm.__getitem__)
 
 
 IDENTITY_CHECKS = {
@@ -458,17 +303,6 @@ _AFFINE_CHECKS = frozenset((
 ))
 
 
-def _affine_domain(t):
-    """sorted({zero} | gens) of t's Toyoda-Bruck form, or None when t is
-    not a medial quasigroup: an affine law that holds over this domain
-    holds on all of t."""
-    form = _medial_form(t)
-    if form is None:
-        return None
-    zero, gens = form
-    return sorted({zero, *gens})
-
-
 def check_identity(t: CayleyTable, ident: str) -> tuple | None:
     """Check one identity; None means it holds, otherwise the
     lexicographically least violating variable tuple is returned.  An
@@ -493,19 +327,6 @@ def identity_report(t: CayleyTable, idents=IDENTITY_IDS) -> dict:
 def quadratical_report(t: CayleyTable) -> dict:
     """The four checks characterizing quadratical quasigroups."""
     return identity_report(t, ("latin-square", "idempotency", "bookend", "mediality"))
-
-
-# bounded: the cache holds whole tables, and a long run checks many; a
-# command re-checks only the few tables it is working on
-@lru_cache(maxsize=32)
-def is_quadratical(t: CayleyTable) -> bool:
-    """True iff t is an idempotent, bookend, medial quasigroup."""
-    dom = _affine_domain(t)
-    return (
-        dom is not None
-        and _check_idempotency(t) is None
-        and _check_bookend(t, dom) is None
-    )
 
 
 # ---------------------------------------------------------------------------

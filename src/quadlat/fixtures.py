@@ -6,7 +6,7 @@ the order-5 trio are shift-generated quasigroups given by their first rows.
 
 from __future__ import annotations
 
-from .core import CayleyTable
+from .cayley import CayleyTable
 
 # Coefficient rows ((x, y, z, u) weights for each output coordinate) of the
 # six order-9 products on Z_3 x Z_3.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import CayleyTable, is_quadratical
+from .cayley import CayleyTable, is_quadratical
 
 
 class QnDecomposition(NamedTuple):

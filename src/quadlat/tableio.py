@@ -8,7 +8,7 @@ this format.
 
 from __future__ import annotations
 
-from .core import CayleyTable
+from .cayley import CayleyTable
 
 LABEL_PREFIX = "# labels:"
 

@@ -128,8 +128,8 @@ class LinearSpec:
 
 
 def linear_table(spec: LinearSpec):
-    """The Cayley table of x*y = ax + by + c (mod m), a core.CayleyTable."""
-    from .core import CayleyTable  # only table building needs core
+    """The Cayley table of x*y = ax + by + c (mod m), a cayley.CayleyTable."""
+    from .cayley import CayleyTable  # only table building needs cayley
 
     m, a, b, c = spec.m, spec.a, spec.b, spec.c
     rows = []

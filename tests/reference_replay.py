@@ -1,5 +1,5 @@
 """The trace replay as it was before it kept the table by rows and by
-columns, a test oracle for quadlat.deduction._Replay.
+columns, a test oracle for quadlat.audit._Replay.
 
 It scans rows and columns in Python and checks each latin case with its own
 loop.  Like the new replay, it requires each step and conflict to cite
@@ -8,7 +8,9 @@ rule rules out, and a cell-mismatch to state the value the cell holds.
 It also compares an alterability step's first three premises by position with the two equal products and then the copied
 cell, the order the engine prints them in, so it refuses the same
 premises reordered; any further premise, such as a row-duplicate
-conflict's witness, is only checked to hold.
+conflict's witness, is only checked to hold.  A step's or conflict's cell
+and value must be ints: a bool indexes the table like 0 or 1 and equals
+it in the seed set, yet the engine never prints one.
 On well-formed input the new replay must accept and reject exactly what
 this one does; on malformed input, where this one may raise IndexError
 or ValueError or wrap a negative index, the new one raises ReplayError.
@@ -39,6 +41,11 @@ class Replay:
         if v == -1:
             raise ReplayError(f"premise cell ({r},{c}) not yet known")
         return v
+
+    @staticmethod
+    def require_ints(*coords):
+        if not all(type(x) is int for x in coords):
+            raise ReplayError(f"cell or value not an int: {coords}")
 
     def check_premises(self, premises):
         for (r, c), v in premises:
@@ -88,6 +95,7 @@ class Replay:
         rule = step.rule
         r, c = step.cell
         v = step.value
+        self.require_ints(r, c, v)
         self.check_premises(step.premises)
         if rule.startswith("seed:"):
             if self.seeds.get((step.cell, v)) != rule:
@@ -180,6 +188,7 @@ class Replay:
     def verify_conflict(self, conflict: Conflict):
         kind = conflict.kind
         r, c = conflict.cell
+        self.require_ints(r, c, conflict.value)
         self.check_premises(conflict.premises)
         if kind in ("cell-mismatch", "row-duplicate", "col-duplicate"):
             pseudo = Step(conflict.rule, conflict.cell, conflict.value,

@@ -290,3 +290,74 @@ def test_quadratical_order_congruence(q1, q2, q3, q4):
     for t in (q1, q2, q3, q4):
         assert is_quadratical(t)
         assert t.n % 4 == 1
+
+
+def _brute_cancellation(e, n, by_rows):
+    # the least (x, y, z), y < z, with x*y = x*z (rows) or y*x = z*x (columns)
+    for x in range(n):
+        for z in range(n):
+            for y in range(z):
+                if (e[x][y] == e[x][z]) if by_rows else (e[y][x] == e[z][x]):
+                    return (x, y, z)
+    return None
+
+
+def _brute_solvability(e, n):
+    for a in range(n):
+        for b in range(n):
+            if all(e[a][y] != b for y in range(n)):
+                return (a, b)
+    return None
+
+
+def test_latin_scans_match_brute_force():
+    """The four latin-derived identities pass over each row or column
+    that is a permutation by its set size; their counterexamples must be
+    those of a plain scan of every cell."""
+    rng = random.Random(19)
+    tables = []
+    for n in (1, 2, 3, 4, 5, 7, 9, 12):
+        for _ in range(6):
+            # a latin square: a cyclic one with rows, columns and symbols permuted
+            rows, cols, syms = (rng.sample(range(n), n) for _ in range(3))
+            latin = [[syms[(rows[x] + cols[y]) % n] for y in range(n)] for x in range(n)]
+            tables.append(latin)
+            changed = [row[:] for row in latin]
+            changed[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+            tables.append(changed)
+            tables.append([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+    seen = set()
+    for rows in tables:
+        t = CayleyTable.from_rows(rows)
+        e, n = t.entries, t.n
+        left = _brute_cancellation(e, n, True)
+        right = _brute_cancellation(e, n, False)
+        want = {
+            "left-cancellation": left,
+            "right-cancellation": right,
+            "right-solvability": _brute_solvability(e, n),
+            "latin-square": left if left is not None else right,
+        }
+        for ident, verdict in want.items():
+            assert check_identity(t, ident) == verdict, (rows, ident)
+            seen.add((ident, verdict is None))
+    assert len(seen) == 8  # every identity both holds and fails somewhere
+
+
+def test_table_hash_is_kept():
+    import copy
+    import pickle
+
+    t = relabel(quadratical_over_zm(13, 3), [3, 1, 4, 0, 5, 9, 2, 6, 8, 7, 12, 10, 11])
+    labelled = CayleyTable.from_rows(t.entries, [f"e{i}" for i in range(t.n)])
+    for table in (t, labelled):
+        want = hash((table.n, table.entries, table.labels))
+        assert hash(table) == want
+        assert hash(table) == want  # the kept value
+        for twin in (copy.copy(table), copy.deepcopy(table),
+                     pickle.loads(pickle.dumps(table))):
+            assert twin == table
+            assert hash(twin) == want
+    assert t != labelled
+    with pytest.raises(AttributeError):
+        t._hash = 0

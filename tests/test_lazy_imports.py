@@ -44,7 +44,8 @@ EXPORTED = {
         "complete_qn", "refute_case", "refute_q6", "replay_trace", "trace_text",
     ),
 }
-SUBMODULES = ("core", "deduction", "qn", "refdata", "sweep", "tableio", "translatable", "zm")
+SUBMODULES = ("audit", "cayley", "core", "deduction", "qn", "refdata", "steps", "sweep",
+              "tableio", "translatable", "zm")
 
 # standard modules that no command should load unless it needs them:
 # dataclasses imports inspect, ast and dis, which slows every process's
@@ -94,17 +95,19 @@ def table_file(tmp_path_factory):
     (["k", "-m", "13", "-a", "3"], {"zm"}),
     (["scan", "--max-m", "100", "--max-k", "10"], {"sweep", "zm"}),
     (["classify", "--max-m", "100"], {"sweep", "zm"}),
-    (["check", "-i", "{t}", "--all"], {"core", "tableio"}),
-    (["dual", "-i", "{t}"], {"core", "tableio"}),
-    (["product", "{t}", "{t}"], {"core", "tableio"}),
-    (["iso", "{t}", "{t}"], {"core", "tableio"}),
+    (["check", "-i", "{t}", "--all"], {"cayley", "core", "tableio"}),
+    (["dual", "-i", "{t}"], {"cayley", "core", "tableio"}),
+    (["product", "{t}", "{t}"], {"cayley", "core", "tableio"}),
+    (["iso", "{t}", "{t}"], {"cayley", "core", "tableio"}),
     (["scan", "--max-m", "100", "--max-k", "10", "--format", "json"], {"sweep", "zm", "json"}),
     (["classify", "--max-m", "100", "--discrepancies", "d.txt"], {"sweep", "zm", "refdata"}),
+    # the engine alone: neither the auditor (audit) nor the other
+    # identities, closure and isomorphism (core)
     (["complete-qn", "-n", "2", "--choice", "2"],
-     {"core", "qn", "deduction", "tableio"}),
-    (["refute-q6"], {"core", "qn", "deduction"}),
-    (["detect-form", "-i", "{t}"], {"core", "qn", "tableio"}),
-    (["order-search", "-i", "{t}"], {"core", "tableio", "translatable", "zm"}),
+     {"cayley", "qn", "steps", "deduction", "tableio"}),
+    (["refute-q6"], {"cayley", "qn", "steps", "deduction"}),
+    (["detect-form", "-i", "{t}"], {"cayley", "qn", "tableio"}),
+    (["order-search", "-i", "{t}"], {"cayley", "core", "tableio", "translatable", "zm"}),
 ])
 def test_command_import_set(argv, extra, table_file, tmp_path):
     argv = [a.format(t=table_file) for a in argv]
@@ -116,8 +119,15 @@ def test_command_import_set(argv, extra, table_file, tmp_path):
 
 def test_package_import_set(tmp_path):
     assert loaded("import quadlat", tmp_path) == {"quadlat"}
-    assert loaded("from quadlat import deduction", tmp_path) == {
-        "quadlat", "quadlat.errors", "quadlat.core", "quadlat.qn", "quadlat.deduction"}
+    engine = {"quadlat", "quadlat.errors", "quadlat.cayley", "quadlat.qn", "quadlat.steps",
+              "quadlat.deduction"}
+    assert loaded("from quadlat import deduction", tmp_path) == engine
+    # the auditor is loaded when replay_trace is first read
+    assert loaded("from quadlat import deduction; deduction.replay_trace", tmp_path) == {
+        *engine, "quadlat.audit"}
+    assert loaded("from quadlat.deduction import replay_trace", tmp_path) == {
+        *engine, "quadlat.audit"}
+    assert loaded("from quadlat import CayleyTable", tmp_path) == {"quadlat", "quadlat.cayley"}
 
 
 def test_exported_names_resolve():

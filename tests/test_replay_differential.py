@@ -14,12 +14,12 @@ import random
 
 import pytest
 
+from quadlat.audit import _Replay
 from quadlat.deduction import (
     Conflict,
     ReplayError,
     Step,
     Stuck,
-    _Replay,
     complete_qn,
     refute_case,
     replay_trace,
