@@ -3,9 +3,8 @@
 One driver, _rows, reads the roots of every modulus in a range off its
 representations m = x^2 + y^2, on one thread; scan, classify and the
 checkpointed scan filter its rows.  Results are a pure function of the
-bounds.  The checkpoint format is a single line ``last_m=<digits>``; anything
-else is refused as corrupt, and so is a row archive holding a row that
-fails its congruences or is out of (m, a) order.
+bounds.  The checkpoint holds only the largest bound scanned, as the
+single line ``last_m=<digits>``; anything else is refused as corrupt.
 """
 
 from __future__ import annotations
@@ -139,16 +138,6 @@ def emit(rows, fmt: str, path, columns=SCAN_COLUMNS) -> None:
 # checkpointed scans
 # ---------------------------------------------------------------------------
 
-# moduli per checkpoint flush: a flush costs about 0.25 ms, far more than
-# the root work for one m, and redoing a block after an interrupt takes
-# milliseconds
-CHECKPOINT_EVERY = 1000
-
-
-def _rows_path(checkpoint_path) -> str:
-    return str(checkpoint_path) + ".rows"
-
-
 def _recorded_last_m(checkpoint_path) -> int:
     """last_m from the checkpoint, or 1 when there is none.  Raises
     ValueError on a checkpoint other than ``last_m=<digits>``."""
@@ -162,82 +151,14 @@ def _recorded_last_m(checkpoint_path) -> int:
     return int(digits)
 
 
-def _load_checkpoint(checkpoint_path):
-    """The recorded last_m and the archived rows with m <= last_m.
-
-    Each flush appends a window: its rows, then the count line
-    ``#<first m>,<last m>,<number of rows>``.  The windows must run from
-    m = 2 (or below) to last_m without a gap; a window past last_m is a
-    flush the checkpoint never recorded, and is dropped.  Raises
-    ValueError on a corrupt checkpoint, and on an archive line that is
-    neither four integers nor a count line, a row that fails validate(),
-    rows not strictly increasing in (m, a), a window whose rows do not
-    match its count line, or windows that do not reach last_m."""
-    if not os.path.exists(checkpoint_path):
-        return 1, []
-    last_m = _recorded_last_m(checkpoint_path)
-    saved = []
-    # the rows since the last count line, and the last m that line covers
-    window = []
-    end = 1
-    rows_path = _rows_path(checkpoint_path)
-    if os.path.exists(rows_path):
-        with open(rows_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                count_line = line.startswith("#")
-                try:
-                    fields = [int(p) for p in (line[1:] if count_line else line).split(",")]
-                    if count_line:
-                        first, window_end, count = fields
-                    else:
-                        k, m, a, b = fields
-                except ValueError:
-                    raise ValueError(
-                        f"corrupt row archive {rows_path}: {line!r}") from None
-                if count_line:
-                    if window_end > last_m:
-                        break
-                    if (first > end + 1 or window_end <= end or count != len(window)
-                            or window and window[-1].m > window_end):
-                        raise ValueError(
-                            f"corrupt row archive {rows_path}: {line!r} does not count "
-                            f"the {len(window)} rows after the window ending at m={end}")
-                    saved += window
-                    window = []
-                    end = window_end
-                    continue
-                if m > last_m:
-                    continue
-                row = ClassificationRow(m, a, b, k)
-                try:
-                    row.validate()
-                except (InvariantViolation, ValueError) as exc:
-                    raise ValueError(
-                        f"corrupt row archive {rows_path}: {exc}") from None
-                before = window or saved
-                if before and (m, a) <= (before[-1].m, before[-1].a):
-                    raise ValueError(f"corrupt row archive {rows_path}: {line!r} "
-                                     f"does not follow the row before it in (m, a)")
-                window.append(row)
-    if window or end < last_m:
-        raise ValueError(f"corrupt row archive {rows_path}: no count line "
-                         f"closes the rows up to last_m={last_m}")
-    return last_m, saved
-
-
 def scan_with_checkpoint(max_m: int, max_k: int, checkpoint_path) -> list[ClassificationRow]:
-    """Resumable scan: recomputes from the recorded last_m + 1 and merges
-    with the saved partial rows; the result is identical to an
-    uninterrupted scan_k_table(max_m, max_k).  The row archive next to the
-    checkpoint stores every row of each fully processed m, so the bounds
-    may differ between runs.  Progress is flushed whenever m reaches a
-    multiple of CHECKPOINT_EVERY, and once more at max_m, so an interrupt
-    loses at most one block of moduli.  One writer per checkpoint: the
-    scan holds an exclusive lock on PATH.lock throughout, and raises
-    CheckpointBusy at once if another open file holds it."""
+    """scan_k_table(max_m, max_k), recording in the checkpoint the largest
+    bound scanned: a max_m above the recorded last_m replaces it through
+    PATH.tmp.  Every run rebuilds its rows, which costs no more than
+    reading them back from a file would.  Raises ValueError on a corrupt
+    checkpoint.  One writer per checkpoint: the scan holds an exclusive
+    lock on PATH.lock throughout, and raises CheckpointBusy at once if
+    another open file holds it."""
     import fcntl  # only checkpointed scans lock
 
     lock_path = str(checkpoint_path) + ".lock"
@@ -248,52 +169,14 @@ def scan_with_checkpoint(max_m: int, max_k: int, checkpoint_path) -> list[Classi
             raise CheckpointBusy(
                 f"checkpoint {checkpoint_path} is in use: another writer "
                 f"holds {lock_path}") from None
-        return _locked_scan(max_m, max_k, checkpoint_path)
-
-
-def _locked_scan(max_m: int, max_k: int, checkpoint_path) -> list[ClassificationRow]:
-    last_m, saved = _load_checkpoint(checkpoint_path)
-    rows_path = _rows_path(checkpoint_path)
-    _reset_archive(rows_path, last_m, saved)
-    all_rows = list(saved)
-    if last_m < max_m:
-        first = last_m + 1
-        # flush at each multiple of CHECKPOINT_EVERY past last_m, then at max_m
-        ends = range(-(-first // CHECKPOINT_EVERY) * CHECKPOINT_EVERY, max_m, CHECKPOINT_EVERY)
-        for end in (*ends, max_m):
-            got = _rows(first, end)
-            all_rows.extend(got)
-            _flush_checkpoint(checkpoint_path, rows_path, end, got)
-            first = end + 1
-    return _scan_order(r for r in all_rows if r.m <= max_m and r.k < max_k)
-
-
-def _reset_archive(rows_path, last_m, saved) -> None:
-    """Rewrite the archive as the loaded rows, one window up to last_m, or
-    empty before the first flush.  This drops any window past the recorded
-    frontier (a flush may have been interrupted between the archive append
-    and the checkpoint write), and an archive left without its checkpoint,
-    which a fresh scan would otherwise append to."""
-    with open(rows_path, "w", encoding="utf-8") as fh:
-        if last_m > 1:
-            _write_window(fh, 2, last_m, saved)
-
-
-def _write_window(fh, first, last, rows) -> None:
-    for r in rows:
-        fh.write(f"{r.k},{r.m},{r.a},{r.b}\n")
-    fh.write(f"#{first},{last},{len(rows)}\n")
-
-
-def _flush_checkpoint(checkpoint_path, rows_path, last_m, pending) -> None:
-    # the window starts after the last m the checkpoint records
-    first = _recorded_last_m(checkpoint_path) + 1
-    with open(rows_path, "a", encoding="utf-8") as fh:
-        _write_window(fh, first, last_m, pending)
-    tmp = str(checkpoint_path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(f"last_m={last_m}\n")
-    os.replace(tmp, checkpoint_path)
+        last_m = _recorded_last_m(checkpoint_path)
+        rows = scan_k_table(max_m, max_k)
+        if max_m > last_m:
+            tmp = str(checkpoint_path) + ".tmp"
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(f"last_m={max_m}\n")
+            os.replace(tmp, checkpoint_path)
+        return rows
 
 
 # ---------------------------------------------------------------------------

@@ -290,21 +290,3 @@ def sweep_rows(first, last, representatives=False):
     return [r for m in range(first, last + 1) for r in sweep.rows_for_modulus(m)
             if not representatives or r.a < r.b]
 
-
-def scan_with_checkpoint(max_m, max_k, checkpoint_path):
-    # the checkpointed scan over every m, flushing when m is a multiple of
-    # CHECKPOINT_EVERY or max_m; the checkpoint I/O is sweep's own
-    last_m, saved = sweep._load_checkpoint(checkpoint_path)
-    rows_path = sweep._rows_path(checkpoint_path)
-    sweep._reset_archive(rows_path, last_m, saved)
-    all_rows = list(saved)
-    pending = []
-    for m in range(last_m + 1, max_m + 1):
-        got = sweep.rows_for_modulus(m)
-        all_rows.extend(got)
-        pending.extend(got)
-        if m % sweep.CHECKPOINT_EVERY == 0 or m == max_m:
-            sweep._flush_checkpoint(checkpoint_path, rows_path, m, pending)
-            pending = []
-    return sorted((r for r in all_rows if r.m <= max_m and r.k < max_k),
-                  key=lambda r: (r.k, r.m, r.a))

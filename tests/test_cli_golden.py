@@ -21,12 +21,13 @@ from quadlat.cli import main
 # one output path, then recomputed when `hchain -n 0` and
 # `complete-qn --choice abc` became usage errors (exit 1, was 2), and again
 # when the checkpoint's row archive gained a count line after each flushed
-# window (`#2,150,48`, `#151,300,46`); with those lines dropped, every
-# record is as before
-CLI_DIGEST = "8bca2d868e32d3ee9a7d67b9f1b40ba6b5552ecdda768ba017d965159932e3e7"
+# window (`#2,150,48`, `#151,300,46`), and again when checkpointed scans
+# stopped writing that archive: the four `ck.rows` records now read
+# absent, and with them dropped every record is as before
+CLI_DIGEST = "ee9994515e0081931fd57ca6c5a313e0eab6e30a9c5613c2a4fd4515bb781a8f"
 
-# (argv, side files it writes), in run order: the second checkpointed scan
-# resumes from the first
+# (argv, side files it names), in run order: the second checkpointed scan
+# resumes from the first, and `ck.rows` pins that no row archive is written
 COMMAND_LINES = [
     (["solve", "-m", "65"], []),
     (["solve", "-m", "3"], []),

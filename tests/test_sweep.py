@@ -5,7 +5,7 @@ import json
 import pytest
 
 import naive_passes
-from quadlat import all_valid_k, classify, emit, quadratical_over_zm, scan_k_table, sweep
+from quadlat import all_valid_k, classify, emit, quadratical_over_zm, scan_k_table
 from quadlat.cli import main
 from quadlat.errors import CheckpointBusy
 from quadlat.sweep import (
@@ -180,11 +180,10 @@ def test_emit_empty(tmp_path):
     assert (tmp_path / "empty.csv").read_text() == "k,m,a,b\n"
 
 
-def test_checkpoint_resume_equals_one_shot(tmp_path, monkeypatch):
-    monkeypatch.setattr(sweep, "CHECKPOINT_EVERY", 50)
+def test_checkpoint_resume_equals_one_shot(tmp_path):
     ck = tmp_path / "scan.ck"
     full = scan_k_table(400, 40)
-    # simulate an interrupt: run to 150 first (CHECKPOINT_EVERY divides it)
+    # simulate an interrupt: run to 150 first
     part = scan_with_checkpoint(150, 40, ck)
     assert part == scan_k_table(150, 40)
     assert ck.read_text() == "last_m=150\n"
@@ -201,22 +200,7 @@ def test_checkpoint_beyond_bound(tmp_path):
     ck = tmp_path / "scan.ck"
     scan_with_checkpoint(200, 40, ck)
     assert scan_with_checkpoint(100, 40, ck) == scan_k_table(100, 40)
-
-
-def test_checkpoint_flushes_per_block(tmp_path, monkeypatch):
-    flushed = []
-    real = sweep._flush_checkpoint
-
-    def spy(checkpoint_path, rows_path, last_m, pending):
-        flushed.append(last_m)
-        real(checkpoint_path, rows_path, last_m, pending)
-
-    monkeypatch.setattr(sweep, "_flush_checkpoint", spy)
-    ck = tmp_path / "scan.ck"
-    every = sweep.CHECKPOINT_EVERY
-    assert scan_with_checkpoint(2 * every + 7, 40, ck) == scan_k_table(2 * every + 7, 40)
-    assert flushed == [every, 2 * every, 2 * every + 7]
-    assert ck.read_text() == f"last_m={2 * every + 7}\n"
+    assert ck.read_text() == "last_m=200\n"
 
 
 def test_checkpoint_single_writer(tmp_path, capsys):
@@ -248,105 +232,25 @@ def test_corrupt_checkpoint_refused(tmp_path):
 
 def _archive_resume(path, capsys, edit):
     # a finished checkpointed scan to m = 100 in the new directory path,
-    # whose files edit() alters; returns the resumed scan's outcome
+    # whose checkpoint edit() alters; returns the resumed scan's outcome
     path.mkdir()
     ck = path / "scan.ck"
     assert main(["scan", "--max-m", "100", "--max-k", "40", "--checkpoint", str(ck)]) == 0
-    edit(ck, path / "scan.ck.rows")
+    edit(ck)
     capsys.readouterr()
     code = main(["scan", "--max-m", "100", "--max-k", "40", "--checkpoint", str(ck)])
     out, err = capsys.readouterr()
     return code, out, err
 
 
-def test_checkpoint_row_archive_rows_validated(tmp_path, capsys):
-    # wrong shift, wrong a, a not reduced, zero modulus
-    for i, bogus in enumerate(("3,5,2,9", "7,13,1,1", "2,5,7,4", "2,0,1,1")):
-        def edit(ck, rows):
-            rows.write_text(rows.read_text() + bogus + "\n")
-        code, out, err = _archive_resume(tmp_path / str(i), capsys, edit)
-        assert (code, out) == (2, ""), bogus
-        assert err.startswith(f"error: corrupt row archive {tmp_path / str(i)}"
-                              f"/scan.ck.rows: ClassificationRow("), (bogus, err)
-
-
-def test_checkpoint_row_archive_order_checked(tmp_path, capsys):
-    # every archived row is valid, but one is repeated or two are swapped
-    def repeat(ck, rows):
-        lines = rows.read_text().splitlines()
-        rows.write_text("\n".join(lines[:3] + lines[2:]) + "\n")
-
-    def swap(ck, rows):
-        lines = rows.read_text().splitlines()
-        rows.write_text("\n".join([lines[1], lines[0]] + lines[2:]) + "\n")
-
-    for edit in (repeat, swap):
-        code, out, err = _archive_resume(tmp_path / edit.__name__, capsys, edit)
-        assert (code, out) == (2, "")
-        assert err.startswith("error: corrupt row archive "), err
-        assert err.endswith("does not follow the row before it in (m, a)\n"), err
-
-
-def test_checkpoint_row_archive_counts_checked(tmp_path, capsys):
-    # a deleted row, a deleted count line and a truncated archive: each
-    # used to resume with rows missing and exit 0
-    def delete_row(ck, rows):
-        lines = rows.read_text().splitlines()
-        rows.write_text("\n".join(lines[:2] + lines[3:]) + "\n")
-
-    def delete_count(ck, rows):
-        rows.write_text("".join(rows.read_text().splitlines(True)[:-1]))
-
-    def truncate(ck, rows):
-        rows.write_text("")
-
-    full = scan_k_table(100, 40)
-    assert len(full) == 24
-    for edit in (delete_row, delete_count, truncate):
-        code, out, err = _archive_resume(tmp_path / edit.__name__, capsys, edit)
-        assert (code, out) == (2, ""), edit.__name__
-        assert err.startswith("error: corrupt row archive "), err
-    # the archive of one flush: its rows, then their count line
-    scan_with_checkpoint(100, 40, tmp_path / "scan.ck")
-    lines = (tmp_path / "scan.ck.rows").read_text().splitlines()
-    assert lines[-1] == f"#2,100,{len(lines) - 1}"
-
-
-def test_checkpoint_deleted_window_refused(tmp_path, monkeypatch, capsys):
-    # windows m 2..50, 51..100, 101..150; the middle one deleted with its
-    # count line leaves a gap
-    monkeypatch.setattr(sweep, "CHECKPOINT_EVERY", 50)
-    ck = tmp_path / "scan.ck"
-    scan_with_checkpoint(150, 40, ck)
-    rows = tmp_path / "scan.ck.rows"
-    lines = rows.read_text().splitlines()
-    counts = [i for i, line in enumerate(lines) if line.startswith("#")]
-    assert [lines[i].split(",")[:2] for i in counts] == [
-        ["#2", "50"], ["#51", "100"], ["#101", "150"]]
-    rows.write_text("\n".join(lines[:counts[0] + 1] + lines[counts[1] + 1:]) + "\n")
-    with pytest.raises(ValueError, match="corrupt row archive .* does not count"):
-        scan_with_checkpoint(150, 40, ck)
-
-
 def test_checkpoint_last_m_ascii_digits_only(tmp_path, capsys):
     # superscript two and Arabic-Indic digits pass str.isdigit()
     for i, text in enumerate(("last_m=\u00b2", "last_m=\u0661\u0660", "last_m=-5")):
-        def edit(ck, rows):
+        def edit(ck):
             ck.write_text(text + "\n")
         code, out, err = _archive_resume(tmp_path / str(i), capsys, edit)
         assert (code, out) == (2, ""), text
         assert err == f"error: corrupt checkpoint {tmp_path / str(i) / 'scan.ck'}: {text!r}\n"
-
-
-def test_archive_without_checkpoint_is_replaced(tmp_path, capsys):
-    # a fresh scan next to a stale archive used to append to it, and the
-    # next resume then returned every row twice
-    def drop_checkpoint(ck, rows):
-        ck.unlink()
-    code, out, err = _archive_resume(tmp_path / "run", capsys, drop_checkpoint)
-    assert (code, err) == (0, "")
-    ck = tmp_path / "run" / "scan.ck"
-    assert scan_with_checkpoint(100, 40, ck) == scan_k_table(100, 40)
 
 
 def test_classify_million_digest():
@@ -370,27 +274,17 @@ def test_sweeps_match_every_modulus_walk():
 
 
 @pytest.mark.parametrize("bounds", [(2000, 3000), (1234, 3001), (999, 1000)])
-def test_checkpoint_files_match_every_modulus_walk(tmp_path, monkeypatch, bounds):
-    # same flush points, same rows and byte-identical files after each run
-    flushed = []
-    real = sweep._flush_checkpoint
-
-    def spy(checkpoint_path, rows_path, last_m, pending):
-        flushed.append((checkpoint_path.parent.name, last_m))
-        real(checkpoint_path, rows_path, last_m, pending)
-
-    monkeypatch.setattr(sweep, "_flush_checkpoint", spy)
-    runs = {}
-    for name, scan in (("walk", naive_passes.scan_with_checkpoint),
-                       ("sieve", scan_with_checkpoint)):
-        (tmp_path / name).mkdir()
-        ck = tmp_path / name / "scan.ck"
-        archive = tmp_path / name / "scan.ck.rows"
-        runs[name] = []
-        for max_m in bounds:
-            rows = scan(max_m, 40, ck)
-            runs[name].append((rows, ck.read_bytes(), archive.read_bytes()))
-    assert runs["sieve"] == runs["walk"]
-    assert runs["sieve"][-1][0] == scan_k_table(bounds[-1], 40)
-    assert ([m for name, m in flushed if name == "sieve"]
-            == [m for name, m in flushed if name == "walk"])
+def test_checkpoint_ignores_row_archive(tmp_path, bounds):
+    # a fresh scan writes no PATH.rows, and one left beside the checkpoint
+    # by an earlier version, stale or corrupt, is neither read nor changed
+    ck = tmp_path / "scan.ck"
+    archive = tmp_path / "scan.ck.rows"
+    first, last = bounds
+    assert scan_with_checkpoint(first, 40, ck) == scan_k_table(first, 40)
+    assert ck.read_text() == f"last_m={first}\n"
+    assert not archive.exists()
+    for stale in (b"3,5,2,9\n#2,50,1\n", b"not a row\n"):
+        archive.write_bytes(stale)
+        assert scan_with_checkpoint(last, 40, ck) == scan_k_table(last, 40)
+        assert ck.read_text() == f"last_m={last}\n"
+        assert archive.read_bytes() == stale
