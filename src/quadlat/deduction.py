@@ -14,6 +14,13 @@ first use, so a process that only deduces never loads it.  It accepts only
 the rules the engine emits, so it refuses a step by either of them as an
 unknown rule.
 
+refute_case keeps each Contradiction leaf's trace trimmed to the cone of
+its conflict (_conflict_cone): the seed steps, then only the steps the
+conflict rests on, followed back through their premises, the backward
+check of DRAT-trim (Wetzler, Heule and Hunt, SAT 2014).  At 12 blocks that
+keeps 39,021 of the leaves' 92,380 steps.  complete_qn's outcomes, and a
+Completed or Stuck search outcome, keep every step.
+
 Skip invariant.  A pass drops every rule instance that provably would
 neither assign a cell nor raise a conflict, and runs the per-instance code
 on the rest in the original order, so traces, conflicts, splits and leaves
@@ -97,11 +104,14 @@ class _State:
     # set_cell assigns it and None before: the cell of its Step (unless the
     # step is a shared seed step, see _seed_state) and every premise or
     # conflict record that names the known cell reference it, so a trace
-    # holds one premise object per cell, not one per mention
+    # holds one premise object per cell, not one per mention.  step_at[r][c]
+    # is the index in trace of the step that assigned the known cell, and
+    # seeded the number of seed steps that open the trace: _conflict_cone
+    # follows a conflict's premises back through them.
     __slots__ = (
-        "n", "blocks", "choice", "val", "cols", "facts", "row_vals", "col_vals",
-        "row_known", "col_known", "value_rows", "value_cols",
-        "rows_by_value", "cols_by_value", "unknown", "trace", "conflict",
+        "n", "blocks", "choice", "val", "cols", "facts", "step_at", "row_vals",
+        "col_vals", "row_known", "col_known", "value_rows", "value_cols",
+        "rows_by_value", "cols_by_value", "unknown", "trace", "seeded", "conflict",
     )
 
     def __init__(self, blocks: int, choice: int):
@@ -113,6 +123,7 @@ class _State:
         # the same table by columns: cols[c][r] = val[r][c]
         self.cols = [[-1] * n for _ in range(n)]
         self.facts = [[None] * n for _ in range(n)]
+        self.step_at = [[-1] * n for _ in range(n)]
         self.row_vals = [0] * n
         self.col_vals = [0] * n
         self.row_known = [0] * n
@@ -126,6 +137,7 @@ class _State:
         self.cols_by_value = [[] for _ in range(n)]
         self.unknown = n * n
         self.trace = []
+        self.seeded = 0
         self.conflict = None
 
     def clone(self) -> "_State":
@@ -136,6 +148,7 @@ class _State:
         st.val = [row[:] for row in self.val]
         st.cols = [col[:] for col in self.cols]
         st.facts = [row[:] for row in self.facts]
+        st.step_at = [row[:] for row in self.step_at]
         st.row_vals = self.row_vals[:]
         st.col_vals = self.col_vals[:]
         st.row_known = self.row_known[:]
@@ -146,6 +159,7 @@ class _State:
         st.cols_by_value = [lst[:] for lst in self.cols_by_value]
         st.unknown = self.unknown
         st.trace = self.trace[:]
+        st.seeded = self.seeded
         st.conflict = None
         return st
 
@@ -171,6 +185,7 @@ class _State:
                 premises + (facts[self.cols[c].index(v)][c],), binding))
         cell = (r, c)
         facts[r][c] = (cell, v)
+        self.step_at[r][c] = len(self.trace)
         row[c] = v
         self.cols[c][r] = v
         self.row_vals[r] |= bit
@@ -450,6 +465,7 @@ def _seed_state(blocks: int, choice: int) -> _State:
                 st.trace[-1] = step
     except _ConflictError as exc:
         st.conflict = exc.record
+    st.seeded = len(st.trace)
     return st
 
 
@@ -539,12 +555,40 @@ def _least_unknown_cell(st: _State):
     return best
 
 
+def _conflict_cone(st: _State) -> tuple[Step, ...]:
+    """The trace a refutation leaf keeps: the seed steps, whole, so that
+    replay_trace still starts from its verified seed table, then in trace
+    order the other steps the conflict rests on.  The cone starts at the
+    cells the conflict cites, plus for a cell-mismatch the clashing cell,
+    which the conflict check reads without citing; each step in it adds
+    the steps that assigned its premises.  The auditor verifies each kept
+    step forward with the same checks: they need only the cited cells
+    known, and the cells a kept step leaves unknown were unknown at that
+    step in the whole trace too."""
+    trace = st.trace
+    step_at = st.step_at
+    seeded = st.seeded
+    cells = [cell for cell, _ in st.conflict.premises]
+    if st.conflict.kind == "cell-mismatch":
+        cells.append(st.conflict.cell)
+    keep = set()
+    while cells:
+        r, c = cells.pop()
+        i = step_at[r][c]
+        if i >= seeded and i not in keep:
+            keep.add(i)
+            cells.extend(cell for cell, _ in trace[i].premises)
+    return (*trace[:seeded], *map(trace.__getitem__, sorted(keep)))
+
+
 def _refute_search(st: _State, depth: int, max_depth: int, stats: dict):
     """DFS over assumptions on the least-unknown cell.  Returns the list of
-    Contradiction leaves, or the first Completed or Stuck outcome."""
-    if st.conflict is not None or st.unknown == 0 or depth >= max_depth:
-        out = _outcome(st)
-        return [out] if isinstance(out, Contradiction) else out
+    Contradiction leaves, each with its trace trimmed to the cone of its
+    conflict, or the first Completed or Stuck outcome, untrimmed."""
+    if st.conflict is not None:
+        return [Contradiction(st.conflict, _conflict_cone(st), st.blocks, st.choice)]
+    if st.unknown == 0 or depth >= max_depth:
+        return _outcome(st)
     stats["splits"] += 1
     stats["max_depth"] = max(stats["max_depth"], depth + 1)
     r, c, cand = _least_unknown_cell(st)

@@ -30,6 +30,8 @@ def parse_table(text: str) -> CayleyTable:
         n = int(lines[0])
     except ValueError:
         raise ValueError(f"first line must be the order, got {lines[0]!r}") from None
+    if n < 1:
+        raise ValueError(f"the order must be at least 1, got {n}")
     if len(lines) < n + 1:
         raise ValueError(f"expected {n} rows after the order line, got {len(lines) - 1}")
     rows = []

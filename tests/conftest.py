@@ -1,8 +1,9 @@
 import os
+from contextlib import contextmanager
 
 import pytest
 
-from quadlat import read_table, relabel
+from quadlat import deduction, read_table, relabel
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -57,3 +58,13 @@ def block_fixture_to_canonical(t):
         for k in range(1, 5):
             order.append((k - 1) if tt == 1 else (tt - 1) * 4 + k)
     return relabel(t, order)
+
+
+@contextmanager
+def untrimmed():
+    """Inside the block, refute_case's leaves keep their whole traces: the
+    trim of each leaf to the cone of its conflict is patched out.  For
+    tests that feed on every step of a branch."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(deduction, "_conflict_cone", lambda st: tuple(st.trace))
+        yield

@@ -167,6 +167,16 @@ def test_bad_input_never_raises(capsys, tmp_path, monkeypatch, code, argv):
     assert err.startswith("usage error: " if code == 1 else "error: "), err
 
 
+@pytest.mark.parametrize("order", ["0", "-3"])
+def test_order_below_one_refused_by_name(capsys, tmp_path, order):
+    # "-3" was reported as "unexpected text after table rows"
+    path = tmp_path / "t.txt"
+    path.write_text(f"{order}\n0 1 2\n1 2 0\n")
+    code, out, err = run(capsys, "check", "-i", str(path), "--all")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: the order must be at least 1, got {order}\n"
+
+
 def test_order_search_cap_not_an_integer(capsys, tmp_path, monkeypatch):
     p5 = tmp_path / "q5.txt"
     run(capsys, "table", "-m", "5", "-a", "2", "-o", str(p5))

@@ -27,7 +27,7 @@ from quadlat.deduction import (
 )
 from quadlat.errors import SearchCapExceeded
 
-from conftest import block_fixture_to_canonical
+from conftest import block_fixture_to_canonical, untrimmed
 
 
 def outcome_kind(out):
@@ -172,8 +172,10 @@ def test_replay_requires_cited_premises():
 
 
 def test_replay_checks_premises():
-    # an alterability step whose printed premise names no known cell
-    leaf = refute_case(6, 1).leaves[0]
+    # an alterability step whose printed premise names no known cell, in
+    # the whole trace of the first leaf
+    with untrimmed():
+        leaf = refute_case(6, 1).leaves[0]
     i = next(i for i, step in enumerate(leaf.trace) if step.rule == "alterability")
     bad = leaf.trace[i]._replace(premises=(((0, 0), 99),))
     assert trace_text([bad]) == (
@@ -271,14 +273,16 @@ def _held_bytes(root) -> int:
 
 
 def test_refutation_leaves_share_cell_facts():
-    # The leaves of refute_case(12, c), c = 1..4, hold 92,380 steps.  With
-    # one ((r, c), v) tuple per assigned cell shared by every premise that
-    # names it, they hold about 9 MB; a fresh tuple per premise would hold
-    # about 17 MB.  tracemalloc reads the same two figures but slows the run
-    # about seventeenfold, so the held objects are counted directly.
+    # The leaves of refute_case(12, c), c = 1..4, each trimmed to the cone
+    # of its conflict, hold 39,021 steps (92,380 untrimmed).  With one
+    # ((r, c), v) tuple per assigned cell shared by every premise that names
+    # it, they hold about 1.6 MB (9 MB untrimmed; a fresh tuple per premise
+    # would hold about 17 MB untrimmed).  tracemalloc reads the same
+    # figures but slows the run about seventeenfold, so the held objects
+    # are counted directly.
     held = [refute_case(12, choice) for choice in (1, 2, 3, 4)]
-    assert sum(len(leaf.trace) for case in held for leaf in case.leaves) == 92380
-    assert _held_bytes(held) < 12_000_000
+    assert sum(len(leaf.trace) for case in held for leaf in case.leaves) == 39021
+    assert _held_bytes(held) < 2_500_000
 
 
 def test_collector_left_as_found():

@@ -1,10 +1,11 @@
 """The deduction engine's rule passes skip rule instances that provably
 cannot change the state.  These tests pin that the skipping changes
-nothing: golden digests of every trace for 1..12 and 13..16 blocks, and
-each pass against its naive reference (tests/naive_passes.py) on random
-partial states.  The engine does not schedule distributivity and
-mediality; a naive saturation that also runs them must give the same
-traces."""
+nothing: golden digests of every trace for 1..12 and 13..16 blocks (for
+1..12 also with refute_case's leaves untrimmed, as they were when the
+skipping came in), and each pass against its naive reference
+(tests/naive_passes.py) on random partial states.  The engine does not
+schedule distributivity and mediality; a naive saturation that also runs
+them must give the same traces."""
 
 import hashlib
 import itertools
@@ -34,18 +35,23 @@ from quadlat.deduction import (
 )
 
 import naive_passes
+from conftest import untrimmed
 from test_properties import quadratical_test_tables
 
-# SHA-256 of engine_digest(12), computed with the engine before any rule
-# instance was skipped
-ENGINE_DIGEST_1_TO_12 = "aae364d0a1d6b232195528fe11c6228e4f2c640ccf47709751afb932adf23869"
-# SHA-256 of engine_digest(16, first=13), computed with the engine before
-# the latin pass skipped by counting bounds
-ENGINE_DIGEST_13_TO_16 = "1b4a11935edbbae0024061a5ed78e580b121578e853661c2666514018ff299b9"
-# SHA-256 of engine_digest(30, first=17), computed with the engine that
-# still remembered between passes which instances were idle.  It takes
-# about two minutes, so CI checks it in a step of its own, outside tier-1.
-ENGINE_DIGEST_17_TO_30 = "c943cbfa18d7ee062f8d53750e66b291988f8160bf704841a0928a4c447721f4"
+# SHA-256 of engine_digest(12), computed when refute_case began to trim
+# each leaf's trace to the cone of its conflict
+ENGINE_DIGEST_1_TO_12 = "7b08d5f89d22a3ac7e7a3c45dbaaf209ac0054caddb7b87910606405d29d84d9"
+# SHA-256 of engine_digest(12) with the trim patched out: the whole leaf
+# traces, as computed with the engine before any rule instance was skipped.
+# The trim changes what a leaf keeps, not the search.
+ENGINE_DIGEST_1_TO_12_UNTRIMMED = (
+    "aae364d0a1d6b232195528fe11c6228e4f2c640ccf47709751afb932adf23869")
+# SHA-256 of engine_digest(16, first=13), computed with trimmed leaves
+ENGINE_DIGEST_13_TO_16 = "eebd6b138a1c32ee59252a4153acc340114251b372a54bbc2ba4e33099fd54a2"
+# SHA-256 of engine_digest(30, first=17), computed with trimmed leaves.  It
+# takes about two minutes, so CI checks it in a step of its own, outside
+# tier-1.
+ENGINE_DIGEST_17_TO_30 = "9a410e6c876d7d3922458086e6aad30be8818eb3a9034bd83c86b1771afc8f96"
 
 
 def outcome_text(out) -> str:
@@ -81,6 +87,11 @@ def test_engine_digest_1_to_12_blocks():
     assert engine_digest(12) == ENGINE_DIGEST_1_TO_12
 
 
+def test_engine_digest_1_to_12_blocks_untrimmed():
+    with untrimmed():
+        assert engine_digest(12) == ENGINE_DIGEST_1_TO_12_UNTRIMMED
+
+
 def test_engine_digest_13_to_16_blocks():
     assert engine_digest(16, first=13) == ENGINE_DIGEST_13_TO_16
 
@@ -91,12 +102,14 @@ def test_engine_digest_13_to_16_blocks():
 
 def _source_traces(max_blocks, first=1):
     """Full traces to cut prefixes from: saturations, and split leaves and
-    completions, which carry assume steps."""
+    completions, which carry assume steps.  The leaves are taken whole, not
+    trimmed to the cones of their conflicts."""
     for blocks in range(first, max_blocks + 1):
         for choice in (1, 2, 3, 4):
             out = complete_qn(blocks, choice)
             yield blocks, choice, out.partial.trace if hasattr(out, "partial") else out.trace
-            case = refute_case(blocks, choice)
+            with untrimmed():
+                case = refute_case(blocks, choice)
             for leaf in case.leaves:
                 yield blocks, choice, leaf.trace
             if case.completed is not None:
@@ -169,9 +182,10 @@ def test_passes_match_naive_on_large_states():
     checked = 0
     for blocks in (13, 16):
         traces = list(_source_traces(blocks, first=blocks))
-        cuts = [(choice, leaf.trace, len(leaf.trace)) for choice in (1, 2, 3, 4)
-                for leaf in refute_case(blocks, choice).leaves
-                if leaf.conflict.rule.startswith("latin")]
+        with untrimmed():
+            cases = [refute_case(blocks, choice) for choice in (1, 2, 3, 4)]
+        cuts = [(case.choice, leaf.trace, len(leaf.trace)) for case in cases
+                for leaf in case.leaves if leaf.conflict.rule.startswith("latin")]
         for _, choice, trace in rng.sample(traces, 40):
             for _ in range(2):
                 if rng.random() < 0.7:

@@ -1,6 +1,8 @@
 """The replay auditor against its reference (tests/reference_replay.py):
 every trace of complete_qn and of refute_case for 1..7 blocks, then one
-random mutation of every step and forty of every conflict.
+random mutation of every step and forty of every conflict.  The leaves of
+refute_case are taken whole, not trimmed to the cones of their conflicts,
+so that every step of every branch is mutated.
 
 On well-formed input both replays must accept and reject the same steps
 and conflicts.  Malformed input (a cell or value out of range, or a
@@ -26,6 +28,7 @@ from quadlat.deduction import (
 )
 
 import reference_replay
+from conftest import untrimmed
 
 RULES = (
     "assume", "bookend", "strong-elasticity", "left-distributivity",
@@ -46,7 +49,8 @@ def _traces(max_blocks):
             out = complete_qn(blocks, choice)
             trace = out.partial.trace if isinstance(out, Stuck) else out.trace
             yield blocks, choice, trace, getattr(out, "conflict", None)
-            case = refute_case(blocks, choice)
+            with untrimmed():
+                case = refute_case(blocks, choice)
             for leaf in case.leaves:
                 yield blocks, choice, leaf.trace, leaf.conflict
             if case.completed is not None:
@@ -246,7 +250,8 @@ def test_every_printed_premise_is_needed():
     or the one witness that rules out a value or position."""
     outcomes = [(3, 1, complete_qn(3, 1).trace, None)]
     for blocks, choice in ((4, 1), (5, 2), (6, 1)):
-        leaf = refute_case(blocks, choice).leaves[0]
+        with untrimmed():
+            leaf = refute_case(blocks, choice).leaves[0]
         outcomes.append((blocks, choice, leaf.trace, leaf.conflict))
     rules, kinds = set(), set()
     for blocks, choice, trace, conflict in outcomes:

@@ -9,7 +9,7 @@ tests/reference_replay.py and of quadlat.audit._Replay run step by step.
 
 agree_with_reference(first, last) replays every leaf and completion of
 refute_case through both replays; tier-1 runs it at small block counts,
-and CI at 13-16 blocks.
+and CI at 13-20 blocks.
 """
 
 import random

@@ -34,6 +34,10 @@ def test_parse_errors():
         parse_table("2\n0 1\n1 0\nstray\n")
     with pytest.raises(ValueError):
         parse_table("2\n0 7\n1 0\n")
+    # a first line below 1 is refused as an order, not read as rows
+    for order in ("0", "-3"):
+        with pytest.raises(ValueError, match=f"order must be at least 1, got {order}$"):
+            parse_table(f"{order}\n0 1\n1 0\n")
 
 
 def test_read_missing_file(tmp_path):
