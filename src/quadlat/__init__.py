@@ -25,8 +25,7 @@ _EXPORTS = {
         ),
         "errors": ("SearchCapExceeded",),
         "qn": ("QnDecomposition", "detect_form", "dual_element_map", "h_chain"),
-        "sweep": ("ClassificationRow", "classify", "emit", "scan_k_table",
-                  "scan_with_checkpoint"),
+        "sweep": ("ClassificationRow", "classify", "scan_k_table", "scan_with_checkpoint"),
         "tableio": ("format_table", "parse_table", "read_table", "write_table"),
         "translatable": (
             "TranslatabilityReport", "all_valid_k", "build_idempotent_k_translatable",
@@ -46,8 +45,8 @@ _EXPORTS = {
 __all__ = sorted(_EXPORTS)
 
 _SUBMODULES = frozenset({
-    "audit", "cayley", "cli", "core", "deduction", "errors", "fixtures", "qn", "refdata",
-    "steps", "sweep", "tableio", "translatable", "zm",
+    "audit", "cayley", "cli", "core", "deduction", "errors", "qn", "refdata", "steps",
+    "sweep", "tableio", "translatable", "zm",
 })
 
 

@@ -4,8 +4,9 @@ Elements are always the indices 0..n-1; any symbolic names live in the
 optional ``labels`` field.  Tables are immutable, so they can be shared
 freely between threads or processes.  This module holds only the table
 and what ``is_quadratical`` reads, so that the deduction engine, the block
-forms and the table format load nothing else; ``quadlat.core`` re-exports
-every name here and adds the other identities, closure and isomorphism.
+forms and the table format load nothing else; ``quadlat.core`` adds the
+other identities, closure and isomorphism.  The idempotency and bookend
+checks return verdicts as core's identity checks do.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-# An identity verdict is None when it holds, otherwise the lexicographically
-# least tuple of element indices violating it (variables in the order they
-# appear in the defining equation).
+# The largest order of a table built from a formula (zm.linear_table,
+# core.direct_product) or a block count (deduction.MAX_BLOCKS), about a
+# million cells.  A larger one raises SearchCapExceeded before any row is
+# built, so the command line exits 3 instead of filling memory.
+MAX_ORDER = 1025
 
 
 class CayleyTable:
@@ -79,9 +82,6 @@ class CayleyTable:
     @classmethod
     def from_function(cls, n: int, op, labels=None) -> "CayleyTable":
         return cls.from_rows([[op(x, y) for y in range(n)] for x in range(n)], labels)
-
-    def mul(self, x: int, y: int) -> int:
-        return self.entries[x][y]
 
     def __repr__(self):
         return f"CayleyTable(n={self.n})"

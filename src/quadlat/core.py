@@ -1,9 +1,8 @@
 """Identities, closure and isomorphism of finite groupoids.
 
-Tables and the quadratical test live in ``quadlat.cayley``; every name
-there is available here too.  All operations here are pure functions over
-immutable tables, so tables can be shared freely between threads or
-processes.
+Tables and the quadratical test live in ``quadlat.cayley``.  All
+operations here are pure functions over immutable tables, so tables can be
+shared freely between threads or processes.
 """
 
 from __future__ import annotations
@@ -12,13 +11,12 @@ import itertools
 from operator import itemgetter
 from typing import NamedTuple
 
-# _generators is not used here; it stays importable from this module
 from .cayley import (
+    MAX_ORDER,
     CayleyTable,
     _affine_domain,
     _check_bookend,
     _check_idempotency,
-    _generators,
     _inverse,
     _is_latin,
     _medial_form,
@@ -26,14 +24,14 @@ from .cayley import (
 )
 from .errors import SearchCapExceeded
 
+# ---------------------------------------------------------------------------
+# identity checking
+# ---------------------------------------------------------------------------
+
 # An identity verdict is None when it holds, otherwise the lexicographically
 # least tuple of element indices violating it (variables in the order they
 # appear in the defining equation).
 
-
-# ---------------------------------------------------------------------------
-# identity checking
-# ---------------------------------------------------------------------------
 
 def _check_elasticity(t, dom=None):
     # x * (y*x) = (x*y) * x
@@ -341,8 +339,11 @@ def dual(t: CayleyTable) -> CayleyTable:
 
 def direct_product(t1: CayleyTable, t2: CayleyTable) -> CayleyTable:
     """Componentwise product on pairs, indexed lexicographically:
-    pair (x1, x2) gets index x1*t2.n + x2."""
+    pair (x1, x2) gets index x1*t2.n + x2.  Raises SearchCapExceeded when
+    the product's order exceeds cayley.MAX_ORDER."""
     n2 = t2.n
+    if t1.n * n2 > MAX_ORDER:
+        raise SearchCapExceeded(f"order {t1.n * n2} exceeds the cap of {MAX_ORDER}")
     e1, e2 = t1.entries, t2.entries
     rows = []
     for x1 in range(t1.n):

@@ -53,12 +53,10 @@ from itertools import combinations, compress
 from operator import itemgetter, ne
 from typing import NamedTuple
 
-from .cayley import CayleyTable, is_quadratical
+from .cayley import MAX_ORDER, CayleyTable, is_quadratical
 from .errors import SearchCapExceeded
-# ReplayError and seed_assignments are not used here, but stay importable
-# from this module
-from .qn import canonical_labels, seed_assignments
-from .steps import Conflict, ReplayError, Step, _collector_paused, seed_steps
+from .qn import canonical_labels
+from .steps import Conflict, Step, _collector_paused, seed_steps
 
 
 class PartialTable(NamedTuple):
@@ -443,11 +441,13 @@ def _saturate(st: _State) -> None:
         st.conflict = exc.record
 
 
-# The largest block count the engine takes: a table of order 4*256+1 =
-# 1025, about a million cells per partial table.  A larger count raises
-# SearchCapExceeded before any table is allocated (the command line exits
-# 3), instead of filling memory.
-MAX_BLOCKS = 256
+# The largest block count the engine takes, 256: a table of order 4*256+1 =
+# cayley.MAX_ORDER.  A larger count raises SearchCapExceeded before any
+# table is allocated (the command line exits 3), instead of filling memory.
+MAX_BLOCKS = (MAX_ORDER - 1) // 4
+
+# How deep refute_case splits cases before the split budget is exhausted.
+SPLIT_DEPTH = 3
 
 
 def _seed_state(blocks: int, choice: int) -> _State:
@@ -581,13 +581,13 @@ def _conflict_cone(st: _State) -> tuple[Step, ...]:
     return (*trace[:seeded], *map(trace.__getitem__, sorted(keep)))
 
 
-def _refute_search(st: _State, depth: int, max_depth: int, stats: dict):
+def _refute_search(st: _State, depth: int, stats: dict):
     """DFS over assumptions on the least-unknown cell.  Returns the list of
     Contradiction leaves, each with its trace trimmed to the cone of its
     conflict, or the first Completed or Stuck outcome, untrimmed."""
     if st.conflict is not None:
         return [Contradiction(st.conflict, _conflict_cone(st), st.blocks, st.choice)]
-    if st.unknown == 0 or depth >= max_depth:
+    if st.unknown == 0 or depth >= SPLIT_DEPTH:
         return _outcome(st)
     stats["splits"] += 1
     stats["max_depth"] = max(stats["max_depth"], depth + 1)
@@ -600,7 +600,7 @@ def _refute_search(st: _State, depth: int, max_depth: int, stats: dict):
         child = st.clone()
         child.set_cell(r, c, bit.bit_length() - 1, "assume", (), (depth + 1,))
         _saturate(child)
-        found = _refute_search(child, depth + 1, max_depth, stats)
+        found = _refute_search(child, depth + 1, stats)
         if not isinstance(found, list):
             return found
         leaves.extend(found)
@@ -608,15 +608,15 @@ def _refute_search(st: _State, depth: int, max_depth: int, stats: dict):
 
 
 @_collector_paused
-def refute_case(blocks: int, choice: int, split_depth: int = 3) -> RefutationCase:
-    """Saturate one centre*a choice and, if needed, case-split up to the
-    given depth; every branch must end in a conflict for a refutation.
+def refute_case(blocks: int, choice: int) -> RefutationCase:
+    """Saturate one centre*a choice and, if needed, case-split up to
+    SPLIT_DEPTH; every branch must end in a conflict for a refutation.
     Pauses the process's cyclic garbage collector while it runs (see
     _collector_paused)."""
     st = _seed_state(blocks, choice)
     _saturate(st)
     stats = {"splits": 0, "max_depth": 0}
-    found = _refute_search(st, 0, split_depth, stats)
+    found = _refute_search(st, 0, stats)
     if isinstance(found, list):
         return RefutationCase(
             choice, True, tuple(found), stats["splits"], stats["max_depth"], None, None)
@@ -626,11 +626,11 @@ def refute_case(blocks: int, choice: int, split_depth: int = 3) -> RefutationCas
         found if isinstance(found, Stuck) else None)
 
 
-def refute_q6(split_depth: int = 3) -> RefutationReport:
+def refute_q6() -> RefutationReport:
     """Run all four centre*a choices for a six-block table; a full report
     with four refuted cases is a machine check that no such quasigroup
     exists."""
-    return RefutationReport(6, tuple(refute_case(6, c, split_depth) for c in (1, 2, 3, 4)))
+    return RefutationReport(6, tuple(refute_case(6, c) for c in (1, 2, 3, 4)))
 
 
 # ---------------------------------------------------------------------------

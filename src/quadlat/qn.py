@@ -158,15 +158,6 @@ def canonical_labels(blocks: int) -> tuple[str, ...]:
     return tuple(labels)
 
 
-def dual_index_permutation(blocks: int) -> tuple[int, ...]:
-    """dual_element_map as a permutation of canonical indices (centre
-    fixed)."""
-    perm = [0] * (4 * blocks + 1)
-    for (t, k), (t2, k2) in dual_element_map(blocks).items():
-        perm[canonical_index(blocks, t, k)] = canonical_index(blocks, t2, k2)
-    return tuple(perm)
-
-
 def seed_assignments(blocks: int, choice: int) -> list[tuple[str, tuple[int, int], int]]:
     """The deterministic seed list for a block-form table: idempotency and
     the block laws, one product per slot k, with H = H(t), P = H(t-1) and

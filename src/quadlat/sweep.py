@@ -1,6 +1,6 @@
 """Sweeps over moduli regenerating the classification tables.
 
-One driver, _rows, reads the roots of every modulus in a range off its
+One driver, _rows, reads the roots of every modulus up to a bound off its
 representations m = x^2 + y^2, on one thread; scan, classify and the
 checkpointed scan filter its rows.  Results are a pure function of the
 bounds.  The checkpoint holds only the largest bound scanned, as the
@@ -39,9 +39,6 @@ class ClassificationRow(NamedTuple):
         if self.k + dual_k != self.m:
             raise InvariantViolation(f"{self}: dual shift {dual_k} does not pair")
 
-    def as_dict(self, columns) -> dict:
-        return {c: getattr(self, c) for c in columns}
-
 
 def _row(m: int, a: int) -> ClassificationRow:
     """The validated row of the root a modulo m.  Its shift solves
@@ -60,8 +57,8 @@ def rows_for_modulus(m: int) -> list[ClassificationRow]:
     return [_row(m, a) for a in solve_quadratic_congruence(m)]
 
 
-def _rows(first: int, last: int, representatives: bool = False) -> list[ClassificationRow]:
-    """The rows_for_modulus(m) of m = first..last, sorted by (m, a); with
+def _rows(last: int, representatives: bool = False) -> list[ClassificationRow]:
+    """The rows_for_modulus(m) of every m <= last, sorted by (m, a); with
     representatives, only the a < b row of each dual pair.
 
     The roots are a = (1 + s)/2 for the square roots s of -1 mod m, and
@@ -70,11 +67,9 @@ def _rows(first: int, last: int, representatives: bool = False) -> list[Classifi
     An odd m needs x - y odd, so the walk over those pairs meets every m
     with roots, each root once, and no other m."""
     found = []
-    for x in range(max(2, math.isqrt(first // 2)), math.isqrt(last - 1) + 1):
-        low = first - x * x
-        y0 = math.isqrt(low - 1) + 1 if low > 1 else 1   # least y with y^2 >= low
-        y0 += (x + y0 + 1) % 2   # opposite parity to x
-        for y in range(y0, min(x - 1, math.isqrt(last - x * x)) + 1, 2):
+    for x in range(2, math.isqrt(last - 1) + 1):
+        # y from 1 or 2, of the parity opposite to x's
+        for y in range(1 + x % 2, min(x - 1, math.isqrt(last - x * x)) + 1, 2):
             if math.gcd(x, y) != 1:
                 continue
             m = x * x + y * y
@@ -89,15 +84,11 @@ def _rows(first: int, last: int, representatives: bool = False) -> list[Classifi
     return [_row(m, a) for m, a in found]
 
 
-def _scan_order(rows) -> list[ClassificationRow]:
-    return sorted(rows, key=lambda r: (r.k, r.m, r.a))
-
-
 def scan_k_table(max_m: int, max_k: int) -> list[ClassificationRow]:
     """All rows with m <= max_m and k < max_k, sorted by (k, m, a)."""
     if max_m < 1 or max_k < 1:
         raise ValueError("bounds must be positive")
-    return _scan_order(r for r in _rows(2, max_m) if r.k < max_k)
+    return sorted((r for r in _rows(max_m) if r.k < max_k), key=lambda r: (r.k, r.m, r.a))
 
 
 def classify(max_m: int) -> list[ClassificationRow]:
@@ -105,7 +96,7 @@ def classify(max_m: int) -> list[ClassificationRow]:
     representative, sorted by (m, a)."""
     if max_m < 1:
         raise ValueError("bound must be positive")
-    return _rows(2, max_m, representatives=True)
+    return _rows(max_m, representatives=True)
 
 
 # ---------------------------------------------------------------------------
@@ -122,16 +113,8 @@ def emit_text(rows, fmt: str, columns=SCAN_COLUMNS) -> str:
     if fmt == "json":
         import json  # only --format json needs it
 
-        return json.dumps([r.as_dict(columns) for r in rows], indent=0) + "\n"
+        return json.dumps([{c: getattr(r, c) for c in columns} for r in rows], indent=0) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def emit(rows, fmt: str, path, columns=SCAN_COLUMNS) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(emit_text(rows, fmt, columns))
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +179,8 @@ class Discrepancy(NamedTuple):
                 f"{self.reference_value} computed={self.computed_value} ({self.note})")
 
 
-def _compare(computed: dict, reference: dict) -> list[Discrepancy]:
+def _compare(rows, reference: dict) -> list[Discrepancy]:
+    computed = {(r.m, r.a): {"b": r.b, "k": r.k} for r in rows}
     out = []
     for key in sorted(set(computed) | set(reference)):
         m, a = key
@@ -223,22 +207,20 @@ def scan_discrepancies(rows, max_m: int, max_k: int) -> list[Discrepancy]:
     restricted to the sweep bounds."""
     from . import refdata  # only the discrepancy reports read it
 
-    computed = {(r.m, r.a): {"b": r.b, "k": r.k} for r in rows}
     reference = {
         (m, a): {"b": b, "k": k}
         for (k, m, a, b) in refdata.REFERENCE_SCAN_ROWS
         if m <= max_m and k < max_k
     }
-    return _compare(computed, reference)
+    return _compare(rows, reference)
 
 
 def classify_discrepancies(rows, max_m: int) -> list[Discrepancy]:
     from . import refdata
 
-    computed = {(r.m, r.a): {"b": r.b, "k": r.k} for r in rows}
     reference = {
         (m, a): {"b": b, "k": k}
         for (m, a, b, k) in refdata.REFERENCE_CLASSIFY_ROWS
         if m <= max_m
     }
-    return _compare(computed, reference)
+    return _compare(rows, reference)

@@ -12,7 +12,8 @@ import math
 from typing import NamedTuple
 
 from . import zm
-from .core import CayleyTable, check_identity
+from .cayley import CayleyTable
+from .core import check_identity
 from .errors import SearchCapExceeded
 
 

@@ -128,10 +128,13 @@ class LinearSpec:
 
 
 def linear_table(spec: LinearSpec):
-    """The Cayley table of x*y = ax + by + c (mod m), a cayley.CayleyTable."""
-    from .cayley import CayleyTable  # only table building needs cayley
+    """The Cayley table of x*y = ax + by + c (mod m), a cayley.CayleyTable.
+    Raises SearchCapExceeded when m exceeds cayley.MAX_ORDER."""
+    from .cayley import MAX_ORDER, CayleyTable  # only table building needs cayley
 
     m, a, b, c = spec.m, spec.a, spec.b, spec.c
+    if m > MAX_ORDER:
+        raise SearchCapExceeded(f"order {m} exceeds the cap of {MAX_ORDER}")
     rows = []
     for x in range(m):
         base = a * x + c

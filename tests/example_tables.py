@@ -1,4 +1,4 @@
-"""Small example groupoids built from closed forms.
+"""Small example groupoids built from closed forms, shared by the tests.
 
 The order-9 family lives on pairs over Z_3 (pair (x, y) gets index 3x + y);
 the order-5 trio are shift-generated quasigroups given by their first rows.
@@ -6,7 +6,7 @@ the order-5 trio are shift-generated quasigroups given by their first rows.
 
 from __future__ import annotations
 
-from .cayley import CayleyTable
+from quadlat import CayleyTable
 
 # Coefficient rows ((x, y, z, u) weights for each output coordinate) of the
 # six order-9 products on Z_3 x Z_3.

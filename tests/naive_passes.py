@@ -18,9 +18,10 @@ These functions are test oracles only.
 import math
 
 from quadlat import sweep
-from quadlat.core import is_quadratical
-from quadlat.deduction import Conflict, _ConflictError
+from quadlat.cayley import is_quadratical
+from quadlat.deduction import _ConflictError
 from quadlat.qn import _chain_blocks, _validate_chain
+from quadlat.steps import Conflict
 from quadlat.translatable import build_idempotent_k_translatable
 
 

@@ -16,7 +16,8 @@ this one does; on malformed input, where this one may raise IndexError
 or ValueError or wrap a negative index, the new one raises ReplayError.
 """
 
-from quadlat.deduction import Conflict, ReplayError, Step, seed_assignments
+from quadlat.qn import seed_assignments
+from quadlat.steps import Conflict, ReplayError, Step
 
 
 class Replay:

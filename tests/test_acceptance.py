@@ -32,10 +32,10 @@ from quadlat import (
     solve_quadratic_congruence,
     translatability_k_quadratical,
 )
-from quadlat.fixtures import order5_translatable_examples, pair_product_table
 from quadlat.refdata import REFERENCE_CLASSIFY_ROWS, REFERENCE_SCAN_ROWS
 from quadlat.sweep import classify_discrepancies, scan_discrepancies
 
+from example_tables import order5_translatable_examples, pair_product_table
 import test_properties
 from conftest import block_fixture_to_canonical, fixture_table
 

@@ -1,9 +1,10 @@
 import json
 import time
+import tracemalloc
 
 import pytest
 
-from quadlat import CayleyTable, parse_table, quadratical_over_zm, write_table, zm
+from quadlat import CayleyTable, cayley, parse_table, quadratical_over_zm, write_table, zm
 from quadlat.cli import main
 
 
@@ -299,6 +300,27 @@ def test_complete_qn_block_cap(capsys):
     assert (code, out) == (3, "")
     assert err == ("cap exceeded: 1000000 blocks exceed the cap of 256 blocks "
                    "(order 1025)\n")
+
+
+def test_table_and_product_order_cap(capsys, tmp_path):
+    # just above cayley.MAX_ORDER, both refuse before building a row: the
+    # second call of each is traced once its modules are loaded
+    assert cayley.MAX_ORDER == 1025
+    t33 = tmp_path / "t33.txt"
+    write_table(zm.linear_table(zm.LinearSpec(33, 1, 1)), t33)
+    for argv, order in ((["table", "-m", "1026", "-a", "1", "-b", "1"], 1026),
+                        (["product", str(t33), str(t33)], 33 * 33)):
+        for traced in (False, True):
+            if traced:
+                tracemalloc.start()
+            try:
+                code, out, err = run(capsys, *argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (code, out) == (3, "")
+            assert err == f"cap exceeded: order {order} exceeds the cap of 1025\n"
+            assert peak < 1_000_000
 
 
 def test_refute_q6_command(capsys):

@@ -22,7 +22,8 @@ from quadlat import (
     solve_quadratic_congruence,
     two_generation_report,
 )
-from quadlat.core import BASIC_IDENTITY_IDS, IDENTITY_IDS, _generators, _medial_form
+from quadlat.cayley import _generators, _medial_form
+from quadlat.core import BASIC_IDENTITY_IDS, IDENTITY_IDS
 
 
 def additive_table(n):

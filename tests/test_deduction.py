@@ -17,15 +17,10 @@ from quadlat import (
     replay_trace,
     trace_text,
 )
-from quadlat.deduction import (
-    MAX_BLOCKS,
-    Conflict,
-    ReplayError,
-    Step,
-    parse_choice,
-    seed_assignments,
-)
+from quadlat.deduction import MAX_BLOCKS, parse_choice
 from quadlat.errors import SearchCapExceeded
+from quadlat.qn import seed_assignments
+from quadlat.steps import Conflict, ReplayError, Step
 
 from conftest import block_fixture_to_canonical, untrimmed
 

@@ -1,15 +1,12 @@
-import pytest
-
 from quadlat import (
     complete_qn,
     direct_product,
-    emit,
     find_isomorphism,
     find_translatable_ordering,
     refute_q6,
     relabel,
-    scan_k_table,
 )
+from quadlat.cli import main
 
 
 def test_engine_traces_identical_across_runs():
@@ -50,8 +47,9 @@ def test_iso_greedy_generator_path(q1):
             assert phi[e[x][y]] == f[phi[x]][phi[y]]
 
 
-def test_emit_path_error(tmp_path):
-    rows = scan_k_table(10, 10)
+def test_emit_path_error(tmp_path, capsys):
+    # the command line's one emitter reports an unwritable -o by its path
     target = tmp_path / "missing-dir" / "rows.csv"
-    with pytest.raises(OSError, match="rows.csv"):
-        emit(rows, "csv", target)
+    assert main(["scan", "--max-m", "10", "--max-k", "10", "-o", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "rows.csv" in err

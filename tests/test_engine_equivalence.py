@@ -20,7 +20,7 @@ from quadlat import (
     quadratical_over_zm,
     solve_quadratic_congruence,
 )
-from quadlat.core import _medial_form
+from quadlat.cayley import _medial_form
 from quadlat.deduction import (
     Completed,
     Contradiction,

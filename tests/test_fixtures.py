@@ -8,7 +8,8 @@ from quadlat import (
     is_quadratical,
     quadratical_report,
 )
-from quadlat.fixtures import order9_pair_tables, pair_product_table
+
+from example_tables import order9_pair_tables, pair_product_table
 
 
 def test_all_pair_products_quadratical():

@@ -27,7 +27,7 @@ EXPORTED = {
         "relabel", "two_generation_report",
     ),
     "qn": ("QnDecomposition", "detect_form", "dual_element_map", "h_chain"),
-    "sweep": ("ClassificationRow", "classify", "emit", "scan_k_table", "scan_with_checkpoint"),
+    "sweep": ("ClassificationRow", "classify", "scan_k_table", "scan_with_checkpoint"),
     "tableio": ("format_table", "parse_table", "read_table", "write_table"),
     "translatable": (
         "SearchCapExceeded", "TranslatabilityReport", "all_valid_k",

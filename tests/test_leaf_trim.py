@@ -11,8 +11,8 @@ import pytest
 
 from quadlat import audit, deduction
 from quadlat.audit import _Replay
-from quadlat.deduction import ReplayError, refute_case, replay_trace
-from quadlat.steps import seed_steps
+from quadlat.deduction import refute_case, replay_trace
+from quadlat.steps import ReplayError, seed_steps
 
 import reference_replay
 from test_replay_seeded import _whole

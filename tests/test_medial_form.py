@@ -20,7 +20,8 @@ from quadlat import (
     quadratical_over_zm,
     relabel,
 )
-from quadlat.core import IDENTITY_CHECKS, _AFFINE_CHECKS, _generating_sequence, _medial_form
+from quadlat.cayley import _medial_form
+from quadlat.core import IDENTITY_CHECKS, _AFFINE_CHECKS, _generating_sequence
 
 from test_properties import quadratical_test_tables
 

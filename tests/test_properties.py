@@ -23,9 +23,9 @@ from quadlat import (
     build_idempotent_k_translatable,
 )
 from quadlat.core import IDENTITY_IDS
-from quadlat.fixtures import order5_translatable_examples, order9_pair_tables
 from quadlat.translatable import _table_from_first_row
 
+from example_tables import order5_translatable_examples, order9_pair_tables
 from conftest import fixture_table
 
 CASES = 1000

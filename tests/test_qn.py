@@ -18,7 +18,7 @@ from quadlat import (
     relabel,
     solve_quadratic_congruence,
 )
-from quadlat.qn import canonical_index, canonical_labels, dual_index_permutation
+from quadlat.qn import canonical_index, canonical_labels, dual_element_map
 
 import naive_passes
 
@@ -184,9 +184,10 @@ def test_canonical_helpers():
     assert canonical_index(2, 1, 1) == 1
     assert canonical_index(2, 2, 4) == 8
     assert canonical_labels(2) == ("aba", "a", "ab", "ba", "b", "21", "22", "23", "24")
-    perm = dual_index_permutation(2)
-    assert perm[0] == 0
-    assert perm[canonical_index(2, 1, 2)] == canonical_index(2, 1, 3)
+    # the dual swaps ab and ba, and maps no slot to the centre
+    dual = dual_element_map(2)
+    assert all(canonical_index(2, *img) > 0 for img in dual.values())
+    assert canonical_index(2, *dual[(1, 2)]) == canonical_index(2, 1, 3)
     with pytest.raises(ValueError):
         canonical_index(2, 3, 1)
 

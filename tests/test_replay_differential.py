@@ -17,15 +17,8 @@ import random
 import pytest
 
 from quadlat.audit import _Replay
-from quadlat.deduction import (
-    Conflict,
-    ReplayError,
-    Step,
-    Stuck,
-    complete_qn,
-    refute_case,
-    replay_trace,
-)
+from quadlat.deduction import Stuck, complete_qn, refute_case, replay_trace
+from quadlat.steps import Conflict, ReplayError, Step
 
 import reference_replay
 from conftest import untrimmed

@@ -18,15 +18,8 @@ import pytest
 
 from quadlat import audit
 from quadlat.audit import _Replay
-from quadlat.deduction import (
-    Contradiction,
-    ReplayError,
-    Step,
-    complete_qn,
-    refute_case,
-    replay_trace,
-)
-from quadlat.steps import seed_steps
+from quadlat.deduction import Contradiction, complete_qn, refute_case, replay_trace
+from quadlat.steps import ReplayError, Step, seed_steps
 
 import reference_replay
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import naive_passes
-from quadlat import all_valid_k, classify, emit, quadratical_over_zm, scan_k_table
+from quadlat import all_valid_k, classify, quadratical_over_zm, scan_k_table
 from quadlat.cli import main
 from quadlat.errors import CheckpointBusy
 from quadlat.sweep import (
@@ -143,11 +143,11 @@ def test_rows_check_against_tables():
 def test_emit_csv_json(tmp_path):
     rows = scan_k_table(40, 40)
     path = tmp_path / "rows.csv"
-    emit(rows, "csv", path)
+    path.write_text(emit_text(rows, "csv"), encoding="utf-8")
     text = path.read_text()
     assert text.splitlines()[0] == "k,m,a,b"
     assert text.splitlines()[1] == "2,5,2,4"
-    emit(rows, "json", tmp_path / "rows.json", SCAN_COLUMNS)
+    (tmp_path / "rows.json").write_text(emit_text(rows, "json", SCAN_COLUMNS), encoding="utf-8")
     data = json.loads((tmp_path / "rows.json").read_text())
     assert data[0] == {"k": 2, "m": 5, "a": 2, "b": 4}
     crows = classify(40)
@@ -176,7 +176,7 @@ def test_emit_golden_bytes():
 
 
 def test_emit_empty(tmp_path):
-    emit([], "csv", tmp_path / "empty.csv")
+    (tmp_path / "empty.csv").write_text(emit_text([], "csv"), encoding="utf-8")
     assert (tmp_path / "empty.csv").read_text() == "k,m,a,b\n"
 
 

@@ -18,8 +18,8 @@ from quadlat import (
     relabel,
     translatability_report,
 )
-from quadlat.fixtures import order5_translatable_examples
 
+from example_tables import order5_translatable_examples
 import naive_passes
 
 
