@@ -9,17 +9,19 @@ the premises its rule reads.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from operator import is_
+from functools import lru_cache, partial
+from operator import is_, itemgetter
 
+from .cayley import MAX_ORDER
+from .errors import SearchCapExceeded
 from .steps import Conflict, ReplayError, Step, _collector_paused, seed_steps
 
 
 class _Replay:
     """Re-derives each trace step from the rule schema against the running
-    partial table, kept both by rows (rows[r][c]) and by columns
-    (cols[c][r]) with a bitmask of the values each row and each column
-    holds; raises ReplayError on the first unjustified or malformed step.
+    partial table, kept by rows (rows[r][c]) with a bitmask of the values
+    each row and each column holds; raises ReplayError on the first
+    unjustified or malformed step.
     Each rule's check is found through _STEP_CHECKS.  The premises a step
     or conflict prints must each name a known cell with its value, and
     must name every known cell its check reads: the cells that place a
@@ -32,7 +34,6 @@ class _Replay:
         n = self.n = 4 * blocks + 1
         self.full = (1 << n) - 1
         self.rows = [[-1] * n for _ in range(n)]
-        self.cols = [[-1] * n for _ in range(n)]
         self.row_vals = [0] * n
         self.col_vals = [0] * n
         self.seeds = {(step.cell, step.value): step.rule for step in seed_steps(blocks, choice)}
@@ -44,7 +45,6 @@ class _Replay:
         twin.n = self.n
         twin.full = self.full
         twin.rows = [row[:] for row in self.rows]
-        twin.cols = [col[:] for col in self.cols]
         twin.row_vals = self.row_vals[:]
         twin.col_vals = self.col_vals[:]
         twin.seeds = self.seeds
@@ -68,44 +68,23 @@ class _Replay:
             raise ReplayError(f"cell({r},{c})={v} is read but not cited")
         return v
 
-    def open_values(self, r, c) -> int:
-        """The bitmask of the values neither row r nor column c holds, at
-        an unknown cell."""
-        if self.get(r, c) != -1:
-            raise ReplayError(f"latin rule over the known cell ({r},{c})")
-        return ~(self.row_vals[r] | self.col_vals[c]) & self.full
-
-    def open_cells(self, lines, line_vals, cross_vals, i, v) -> set:
-        """The unknown cells of line i that value v may still take: the
-        positions j with lines[i][j] unknown and v absent from cross line
-        j.  Called with (rows, row_vals, col_vals) for row i and (cols,
-        col_vals, row_vals) for column i."""
-        if not (0 <= i < self.n and 0 <= v < self.n):
-            raise ReplayError(f"line {i} or value {v} out of range")
-        if line_vals[i] >> v & 1:
-            raise ReplayError(f"value {v} already present in line {i}")
-        line = lines[i]
-        return {j for j in range(self.n) if line[j] == -1 and not cross_vals[j] >> v & 1}
-
-    @staticmethod
-    def values_cited(premises, r, c) -> int:
-        """The bitmask of the values premises place in row r or column c."""
-        mask = 0
-        for (pr, pc), u in premises:
-            if pr == r or pc == c:
-                mask |= 1 << u
-        return mask
-
-    @staticmethod
-    def positions_cited(premises, axis, i, v) -> int:
-        """The bitmask of the positions j of line i, a row when axis is 0
-        and a column when it is 1, that premises rule out for value v: the
-        line's own cell at j, or a cell of v in the crossing line j."""
-        mask = 0
+    def latin(self, r, c, v, premises, binding=(), *, view, conflict=False) -> bool:
+        """The latin check of one view: a step places k at (i, j) when its
+        premises rule out every other k, and a conflict when they rule out
+        every k.  A premise rules out its own k when its view coordinates
+        share i or j.  (i, j) must be in range and not yet placed.  The
+        premises are known cells (check_premises), so no k they rule out
+        is open at (i, j): the open ones need no scan of the table."""
+        ijk, placed = view
+        i, j, k = ijk((r, c, v))
+        if not (0 <= i < self.n and 0 <= j < self.n) or placed(self, i, j):
+            raise ReplayError(f"latin rule over ({i},{j}), out of range or already placed")
+        cited = 0
         for cell, u in premises:
-            if cell[axis] == i or u == v:
-                mask |= 1 << cell[1 - axis]
-        return mask
+            pi, pj, pk = ijk((*cell, u))
+            if pi == i or pj == j:
+                cited |= 1 << pk
+        return cited | (0 if conflict else 1 << k) == self.full
 
     def check_premises(self, premises):
         """Each premise ((r, c), v) names a cell already known to hold v."""
@@ -175,18 +154,6 @@ class _Replay:
         return cell in sides and any(
             other != cell and (other, v) in premises for other in sides)
 
-    def _latin_cell(self, r, c, v, premises, binding):
-        return (not self.open_values(r, c) & ~(1 << v)
-                and self.values_cited(premises, r, c) | (1 << v) == self.full)
-
-    def _latin_row(self, r, c, v, premises, binding):
-        return (self.open_cells(self.rows, self.row_vals, self.col_vals, r, v) <= {c}
-                and self.positions_cited(premises, 0, r, v) | (1 << c) == self.full)
-
-    def _latin_col(self, r, c, v, premises, binding):
-        return (self.open_cells(self.cols, self.col_vals, self.row_vals, c, v) <= {r}
-                and self.positions_cited(premises, 1, c, v) | (1 << r) == self.full)
-
     def _alterability(self, r, c, v, premises, binding):
         # the most frequent rule, so get, known and cited are inlined; the
         # engine prints the two products, then the cell the step copies,
@@ -220,7 +187,7 @@ class _Replay:
             raise ReplayError(f"cell ({r},{c}) assigned twice")
         if (self.row_vals[r] | self.col_vals[c]) >> v & 1:
             raise ReplayError(f"step duplicates value {v} at ({r},{c})")
-        self.rows[r][c] = self.cols[c][r] = v
+        self.rows[r][c] = v
         self.row_vals[r] |= 1 << v
         self.col_vals[c] |= 1 << v
 
@@ -245,20 +212,24 @@ class _Replay:
                 held = (self.row_vals, self.col_vals)[axis][line]
                 ok = cur == -1 and held >> v & 1 and any(
                     cell[axis] == line and u == v for cell, u in premises)
-        elif kind == "cell-no-candidate":
-            ok = (not self.open_values(r, c)
-                  and self.values_cited(premises, r, c) == self.full)
-        elif kind == "row-value-impossible":
-            ok = (not self.open_cells(self.rows, self.row_vals, self.col_vals, r, v)
-                  and self.positions_cited(premises, 0, r, v) == self.full)
-        elif kind == "col-value-impossible":
-            ok = (not self.open_cells(self.cols, self.col_vals, self.row_vals, c, v)
-                  and self.positions_cited(premises, 1, c, v) == self.full)
+        elif kind in _CONFLICT_VIEWS:
+            ok = self.latin(r, c, v, premises, view=_CONFLICT_VIEWS[kind], conflict=True)
         else:
             raise ReplayError(f"unknown conflict kind {kind!r}")
         if not ok:
             raise ReplayError(f"{kind} conflict not justified: {conflict}")
 
+
+# The three conjugates of the partial latin square.  A view fixes a pair
+# (i, j) and places the third coordinate k: ijk picks (i, j, k) out of
+# (row, column, value), and placed(rp, i, j) is true when a known cell of
+# the replay rp already has view coordinates (i, j).
+_CELL = (itemgetter(0, 1, 2), lambda rp, r, c: rp.rows[r][c] != -1)
+_ROW = (itemgetter(0, 2, 1), lambda rp, r, v: rp.row_vals[r] >> v & 1)
+_COL = (itemgetter(1, 2, 0), lambda rp, c, v: rp.col_vals[c] >> v & 1)
+
+_CONFLICT_VIEWS = {
+    "cell-no-candidate": _CELL, "row-value-impossible": _ROW, "col-value-impossible": _COL}
 
 # rule -> (binding length, or 0 when the rule does not read its binding;
 # how many leading premises the check compares by position with known
@@ -267,10 +238,10 @@ _STEP_CHECKS = {
     "assume": (0, 0, _Replay._assume),
     "bookend": (2, 0, _Replay._bookend),
     "strong-elasticity": (2, 0, _Replay._strong_elasticity),
-    "latin-cell-single": (0, 0, _Replay._latin_cell),
-    "latin-row-single": (0, 0, _Replay._latin_row),
-    "latin-col-single": (0, 0, _Replay._latin_col),
     "alterability": (4, 3, _Replay._alterability),
+    "latin-cell-single": (0, 0, partial(_Replay.latin, view=_CELL)),
+    "latin-row-single": (0, 0, partial(_Replay.latin, view=_ROW)),
+    "latin-col-single": (0, 0, partial(_Replay.latin, view=_COL)),
 }
 
 
@@ -303,8 +274,14 @@ def replay_trace(blocks: int, choice: int, trace, conflict: Conflict | None = No
     replayed from a copy of a table on which those seeds were verified
     once; any other trace from an empty table.  Both verify each step
     with the same checks on the same table, so they accept the same
-    traces.  Pauses the process's cyclic garbage collector while it runs
+    traces.  A block count whose table would exceed cayley.MAX_ORDER
+    raises SearchCapExceeded before any table is built, as the engine
+    refuses it.  Pauses the process's cyclic garbage collector while it runs
     (see steps._collector_paused)."""
+    if 4 * blocks + 1 > MAX_ORDER:
+        raise SearchCapExceeded(
+            f"{blocks} blocks exceed the cap of {(MAX_ORDER - 1) // 4} blocks "
+            f"(order {MAX_ORDER})")
     seeds, seeded = _seeded(blocks, choice)
     trace = tuple(trace)
     if seeded is not None and len(trace) >= len(seeds) and all(map(is_, seeds, trace)):

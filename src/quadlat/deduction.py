@@ -31,13 +31,13 @@ are those of a pass that visits every instance:
   (x, y), and only where y*x is known.  Alterability compares, per first
   cell, a row of the table against a column of its transposed view over
   all the value's cells at once.
-- Counting bounds (latin elimination).  A cell (r, c) is a single or has
-  no candidate only when |row r| + |col c| >= n-1 known cells, since
-  each known cell rules out at most one value.  A value v missing from a
-  row (column) has one place or none only when the line's known cells
-  plus the cells of v number at least n-1, since v sits in at most one
-  column (row) per cell.  The counts are exact when an instance is
-  visited: they are recomputed after every assignment of the pass.
+- Counting bound (latin elimination, one rule over the three views of
+  _VIEWS).  A pair (i, j) of a view has one third coordinate or none
+  only when |xs[i]| + |ys[j]| >= n-1, since each known cell rules out at
+  most one k.  In the cell view these are the known cells of row r and
+  of column c; in the row (column) view, the known cells of the line and
+  the cells of v.  The counts are exact when an instance is visited:
+  they are recomputed after every assignment of the pass.
 
 Passes keep no memory between passes and read only the current table:
 remembering which instances were idle, to skip them until an input
@@ -50,7 +50,7 @@ tuple comparisons it skipped.
 from __future__ import annotations
 
 from itertools import combinations, compress
-from operator import itemgetter, ne
+from operator import attrgetter, itemgetter, ne
 from typing import NamedTuple
 
 from .cayley import MAX_ORDER, CayleyTable, is_quadratical
@@ -219,116 +219,68 @@ class _State:
 
     # -- rule passes --------------------------------------------------------
 
-    def _latin_bounds(self) -> tuple:
-        """Known cells per row and per column, and by k the columns and the
-        values with at least k known cells (see the module docstring)."""
-        n = self.n
-        col_n = [m.bit_count() for m in self.col_known]
-        return ([m.bit_count() for m in self.row_known], col_n,
-                _at_least(col_n, n), _at_least(list(map(len, self.rows_by_value)), n))
-
     def latin_pass(self) -> bool:
-        # Only the cells, row values and column values the counting bounds
-        # allow are examined: a cell (r, c) needs |row r| + |col c| >= n-1,
-        # a row or column value v needs |line| + cells(v) >= n-1.  The
-        # bounds are recomputed after every assignment (see the module
-        # docstring).
+        changed = False
+        for view in _VIEWS:
+            changed |= self._latin_view(view)
+        return changed
+
+    def _latin_view(self, view) -> bool:
+        # Only the pairs (i, j) the counting bound allows are examined:
+        # |xs[i]| + |ys[j]| >= n-1.  The bound is recomputed after every
+        # assignment (see the module docstring).
+        rcv = view.rcv
+        xs, ys, placed = view.planes(self)
         n = self.n
         lim = n - 1
         full = (1 << n) - 1
         changed = False
-        row_n, col_n, cols_ge, vals_ge = self._latin_bounds()
-        for r in range(n):
-            row_v = self.row_vals[r]
-            todo = full & ~self.row_known[r] & cols_ge[lim - row_n[r]]
+        ys_ge = _at_least([m.bit_count() for m in ys], n)
+        for i in range(n):
+            todo = full & ~placed[i] & ys_ge[lim - xs[i].bit_count()]
             while todo:
                 bit = todo & -todo
                 todo ^= bit
-                c = bit.bit_length() - 1
-                cand = ~(row_v | self.col_vals[c]) & full
+                j = bit.bit_length() - 1
+                cand = ~(xs[i] | ys[j]) & full
                 if cand == 0:
+                    r, c, v = rcv((i, j, -1))
                     raise _ConflictError(Conflict(
-                        "cell-no-candidate", "latin-cell", (r, c), -1, -1,
-                        self._coverage_cell(r, c), (r, c)))
+                        view.kind, view.rule, (r, c), v, -1, self._coverage(view, i, j),
+                        (i, j)))
                 if cand & (cand - 1) == 0:
-                    v = cand.bit_length() - 1
+                    r, c, v = rcv((i, j, cand.bit_length() - 1))
                     changed |= self.set_cell(
-                        r, c, v, "latin-cell-single", self._coverage_cell(r, c), (r, c))
-                    row_v = self.row_vals[r]
-                    row_n, col_n, cols_ge, vals_ge = self._latin_bounds()
-                    todo = (full & ~self.row_known[r] & cols_ge[lim - row_n[r]]
-                            & -(bit << 1))
-        for r in range(n):
-            todo = full & ~self.row_vals[r] & vals_ge[lim - row_n[r]]
-            while todo:
-                bit = todo & -todo
-                todo ^= bit
-                v = bit.bit_length() - 1
-                # the unknown cells of row r whose column lacks v
-                spots = full & ~self.row_known[r] & ~self.value_cols[v]
-                if spots == 0:
-                    raise _ConflictError(Conflict(
-                        "row-value-impossible", "latin-row", (r, -1), v, -1,
-                        self._coverage_row(r, v), (r, v)))
-                if spots & (spots - 1) == 0:
-                    spot = spots.bit_length() - 1
-                    changed |= self.set_cell(
-                        r, spot, v, "latin-row-single", self._coverage_row(r, v), (r, v))
-                    row_n, col_n, cols_ge, vals_ge = self._latin_bounds()
-                    todo = (full & ~self.row_vals[r] & vals_ge[lim - row_n[r]]
-                            & -(bit << 1))
-        for c in range(n):
-            todo = full & ~self.col_vals[c] & vals_ge[lim - col_n[c]]
-            while todo:
-                bit = todo & -todo
-                todo ^= bit
-                v = bit.bit_length() - 1
-                # the unknown cells of column c whose row lacks v
-                spots = full & ~self.col_known[c] & ~self.value_rows[v]
-                if spots == 0:
-                    raise _ConflictError(Conflict(
-                        "col-value-impossible", "latin-col", (-1, c), v, -1,
-                        self._coverage_col(c, v), (c, v)))
-                if spots & (spots - 1) == 0:
-                    spot = spots.bit_length() - 1
-                    changed |= self.set_cell(
-                        spot, c, v, "latin-col-single",
-                        self._coverage_col(c, v), (c, v))
-                    row_n, col_n, cols_ge, vals_ge = self._latin_bounds()
-                    todo = (full & ~self.col_vals[c] & vals_ge[lim - col_n[c]]
+                        r, c, v, view.single, self._coverage(view, i, j), (i, j))
+                    ys_ge = _at_least([m.bit_count() for m in ys], n)
+                    todo = (full & ~placed[i] & ys_ge[lim - xs[i].bit_count()]
                             & -(bit << 1))
         return changed
 
-    def _coverage_cell(self, r, c) -> tuple:
+    def _coverage(self, view, i, j) -> tuple:
+        """The known cells that rule out the third coordinates of (i, j) in
+        a view, by k in increasing order: the cell in plane i when xs[i]
+        holds k, and otherwise the one in plane j."""
+        rcv = view.rcv
+        xs, ys, _ = view.planes(self)
+        val = self.val
+        cols = self.cols
         facts = self.facts
+        x = xs[i]
         out = []
-        for v in range(self.n):
-            if self.val[r][c] == v:
-                continue
-            if self.row_vals[r] >> v & 1:
-                out.append(facts[r][self.val[r].index(v)])
-            elif self.col_vals[c] >> v & 1:
-                out.append(facts[self.cols[c].index(v)][c])
-        return tuple(out)
-
-    def _coverage_row(self, r, v) -> tuple:
-        facts = self.facts
-        out = []
-        for c in range(self.n):
-            if self.val[r][c] != -1:
-                out.append(facts[r][c])
-            elif self.col_vals[c] >> v & 1:
-                out.append(facts[self.cols[c].index(v)][c])
-        return tuple(out)
-
-    def _coverage_col(self, c, v) -> tuple:
-        facts = self.facts
-        out = []
-        for r in range(self.n):
-            if self.val[r][c] != -1:
-                out.append(facts[r][c])
-            elif self.row_vals[r] >> v & 1:
-                out.append(facts[r][self.val[r].index(v)])
+        ruled_out = x | ys[j]
+        while ruled_out:
+            bit = ruled_out & -ruled_out
+            ruled_out ^= bit
+            k = bit.bit_length() - 1
+            # the known triple of plane i or plane j with third coordinate
+            # k; a missing row or column is read off the table
+            r, c, v = rcv((i, -1, k) if x & bit else (-1, j, k))
+            if r == -1:
+                r = cols[c].index(v)
+            elif c == -1:
+                c = val[r].index(v)
+            out.append(facts[r][c])
         return tuple(out)
 
     def pairs_pass(self) -> bool:
@@ -425,6 +377,34 @@ def _at_least(counts: list, n: int) -> list:
     for k in range(n, -1, -1):
         masks[k] |= masks[k + 1]
     return masks
+
+
+class _View(NamedTuple):
+    """One of the three conjugates of the partial latin square.  A view
+    fixes a pair (i, j) and places the third coordinate k: xs[i] holds the
+    k that a known cell of plane i rules out, ys[j] those that a known
+    cell of plane j rules out, and placed[i] holds j when (i, j) is
+    already placed.  rcv maps (i, j, k) to (row, column, value), and
+    planes reads (xs, ys, placed) off a state.  A single is a step by rule
+    single; a pair with no k is a conflict of kind by rule, whose cell and
+    value are (i, j, k) with k = -1."""
+
+    single: str
+    kind: str
+    rule: str
+    rcv: itemgetter
+    planes: attrgetter
+
+
+# in the order latin_pass runs them
+_VIEWS = (
+    _View("latin-cell-single", "cell-no-candidate", "latin-cell", itemgetter(0, 1, 2),
+          attrgetter("row_vals", "col_vals", "row_known")),
+    _View("latin-row-single", "row-value-impossible", "latin-row", itemgetter(0, 2, 1),
+          attrgetter("row_known", "value_cols", "row_vals")),
+    _View("latin-col-single", "col-value-impossible", "latin-col", itemgetter(2, 0, 1),
+          attrgetter("col_known", "value_rows", "col_vals")),
+)
 
 
 def _saturate(st: _State) -> None:

@@ -11,9 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from . import zm
-from .cayley import CayleyTable
-from .core import check_identity
+from .cayley import CayleyTable, _is_latin
 from .errors import SearchCapExceeded
 
 
@@ -173,6 +171,9 @@ def feasible_k_idempotent_quadratical(n: int) -> set[int]:
         raise ValueError(f"order must be odd, got {n}")
     if n < 5:
         return set()
+    # imported here, so that order-search, which never calls this, loads no zm
+    from . import zm
+
     return {zm.translatability_k_quadratical(n, a) for a in zm.solve_quadratic_congruence(n)}
 
 
@@ -188,4 +189,4 @@ def gcd_quasigroup_property_test(first_row, k: int) -> tuple[bool, bool]:
         raise ValueError(f"shift k={k} outside 1..{n - 1}")
     cancellable = sorted(first_row) == list(range(n))
     t = _table_from_first_row(first_row, k)
-    return cancellable, check_identity(t, "latin-square") is None
+    return cancellable, _is_latin(t)

@@ -19,10 +19,12 @@ import math
 
 from quadlat import sweep
 from quadlat.cayley import is_quadratical
-from quadlat.deduction import _ConflictError
+from quadlat.deduction import _VIEWS, _ConflictError
 from quadlat.qn import _chain_blocks, _validate_chain
 from quadlat.steps import Conflict
 from quadlat.translatable import build_idempotent_k_translatable
+
+CELL, ROW, COL = _VIEWS
 
 
 def latin_pass(st) -> bool:
@@ -39,11 +41,11 @@ def latin_pass(st) -> bool:
             if cand == 0:
                 raise _ConflictError(Conflict(
                     "cell-no-candidate", "latin-cell", (r, c), -1, -1,
-                    st._coverage_cell(r, c), (r, c)))
+                    st._coverage(CELL, r, c), (r, c)))
             if cand & (cand - 1) == 0:
                 v = cand.bit_length() - 1
                 changed |= st.set_cell(
-                    r, c, v, "latin-cell-single", st._coverage_cell(r, c), (r, c))
+                    r, c, v, "latin-cell-single", st._coverage(CELL, r, c), (r, c))
                 row_v = st.row_vals[r]
     for r in range(n):
         missing = full & ~st.row_vals[r]
@@ -62,10 +64,10 @@ def latin_pass(st) -> bool:
             if count == 0:
                 raise _ConflictError(Conflict(
                     "row-value-impossible", "latin-row", (r, -1), v, -1,
-                    st._coverage_row(r, v), (r, v)))
+                    st._coverage(ROW, r, v), (r, v)))
             if count == 1:
                 changed |= st.set_cell(
-                    r, spot, v, "latin-row-single", st._coverage_row(r, v), (r, v))
+                    r, spot, v, "latin-row-single", st._coverage(ROW, r, v), (r, v))
     for c in range(n):
         missing = full & ~st.col_vals[c]
         while missing:
@@ -83,10 +85,10 @@ def latin_pass(st) -> bool:
             if count == 0:
                 raise _ConflictError(Conflict(
                     "col-value-impossible", "latin-col", (-1, c), v, -1,
-                    st._coverage_col(c, v), (c, v)))
+                    st._coverage(COL, c, v), (c, v)))
             if count == 1:
                 changed |= st.set_cell(
-                    spot, c, v, "latin-col-single", st._coverage_col(c, v), (c, v))
+                    spot, c, v, "latin-col-single", st._coverage(COL, c, v), (c, v))
     return changed
 
 

@@ -1,5 +1,6 @@
 import gc
 import sys
+import tracemalloc
 
 import pytest
 
@@ -17,6 +18,7 @@ from quadlat import (
     replay_trace,
     trace_text,
 )
+from quadlat import audit
 from quadlat.deduction import MAX_BLOCKS, parse_choice
 from quadlat.errors import SearchCapExceeded
 from quadlat.qn import seed_assignments
@@ -227,6 +229,22 @@ def test_block_count_cap():
             complete_qn(blocks, 1)
         with pytest.raises(SearchCapExceeded):
             refute_case(blocks, 2)
+
+
+def test_replay_block_count_cap():
+    # the auditor refuses the counts the engine refuses, before it builds or
+    # caches a table or a seed list: at MAX_BLOCKS + 1 those peaked at tens
+    # of megabytes
+    before = audit._seeded.cache_info()
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchCapExceeded, match=f"{MAX_BLOCKS + 1} blocks exceed"):
+            replay_trace(MAX_BLOCKS + 1, 1, ())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert audit._seeded.cache_info() == before
 
 
 def test_deduction_leaves_no_cyclic_garbage():

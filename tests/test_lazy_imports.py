@@ -107,7 +107,7 @@ def table_file(tmp_path_factory):
      {"cayley", "qn", "steps", "deduction", "tableio"}),
     (["refute-q6"], {"cayley", "qn", "steps", "deduction"}),
     (["detect-form", "-i", "{t}"], {"cayley", "qn", "tableio"}),
-    (["order-search", "-i", "{t}"], {"cayley", "core", "tableio", "translatable", "zm"}),
+    (["order-search", "-i", "{t}"], {"cayley", "tableio", "translatable"}),
 ])
 def test_command_import_set(argv, extra, table_file, tmp_path):
     argv = [a.format(t=table_file) for a in argv]

@@ -61,8 +61,8 @@ def _verdict(fn, *args) -> str:
 
 
 def _fork(rp):
-    """A copy of rp with its own table lists (val, or rows and cols) and
-    its own flat int lists (the value bitmasks)."""
+    """A copy of rp with its own table list (val or rows) and its own
+    flat int lists (the bitmasks)."""
     twin = copy.copy(rp)
     for name, lines in vars(rp).items():
         if isinstance(lines, list):
@@ -201,6 +201,42 @@ def test_replay_rejects_malformed_input():
     with pytest.raises(ReplayError):
         replay_trace(1, 2, complete_qn(1, 2).trace, Conflict(
             "cell-no-candidate", "latin-cell", (0, 0), -1, -1, (), (0, 0)))
+
+
+def _assumed(cells):
+    """A trace of assume steps placing each ((r, c), v) of cells."""
+    return tuple(Step("assume", cell, v, (), (1,)) for cell, v in cells)
+
+
+@pytest.mark.parametrize("cells, conflict", [
+    # a cell single at a known cell, citing every other value, its own
+    # included: the open values there are only the one it claims
+    ([((0, c), c) for c in range(4)],
+     Conflict("cell-mismatch", "latin-cell-single", (0, 0), 4, 0,
+              tuple(((0, c), c) for c in range(4)), (0, 0))),
+    # a row single for a value its row already holds
+    ([((0, c), c) for c in range(4)],
+     Conflict("row-duplicate", "latin-row-single", (0, 4), 0, -1,
+              tuple(((0, c), c) for c in range(4)), (0, 0))),
+    # a column single at a known cell, for a value its column already holds
+    ([((r, 0), r) for r in range(5)],
+     Conflict("cell-mismatch", "latin-col-single", (0, 0), 1, 0,
+              tuple(((r, 0), r) for r in range(5)), (0, 1))),
+])
+def test_latin_rule_over_a_placed_pair_refused(cells, conflict):
+    """A latin step is refused where its view's pair is already placed;
+    without that check the auditor accepted each of these conflicts,
+    whose deduction is checked as a step but never applied."""
+    trace = _assumed(cells)
+    replay_trace(1, 1, trace)
+    with pytest.raises(ReplayError, match="already placed"):
+        replay_trace(1, 1, trace, conflict)
+    ref = reference_replay.Replay(1, 1)
+    for step in trace:
+        ref.verify_step(step)
+        ref.apply_step(step)
+    with pytest.raises(ReplayError):
+        ref.verify_conflict(conflict)
 
 
 def test_reordered_alterability_premises_refused():
