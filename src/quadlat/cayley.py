@@ -24,28 +24,42 @@ MAX_ORDER = 1025
 class CayleyTable:
     """An n by n operation table: entries[x][y] is the product x*y.
 
-    Checked when built and immutable after, so a table is valid wherever it
-    is shared.  Tables compare and hash by (n, entries, labels); the hash
-    is computed on first use and kept, since every cache lookup by table
-    needs it and hashing reads all n^2 entries."""
+    The constructor is the one place that decides what a table is: n rows
+    of n ints in 0..n-1, and optionally n distinct str labels.  Rows and
+    labels may come in any iterables and are copied to tuples, so a table
+    is checked when built and immutable after, and valid wherever it is
+    shared.  A ValueError names the first bad row, entry or label.
+
+    Tables compare and hash by (n, entries, labels); the hash is computed
+    on first use and kept, since every cache lookup by table needs it and
+    hashing reads all n^2 entries."""
 
     __slots__ = ("n", "entries", "labels", "_hash")
 
-    def __init__(self, n: int, entries: tuple[tuple[int, ...], ...],
-                 labels: tuple[str, ...] | None = None):
-        if n < 1:
-            raise ValueError(f"order must be positive, got {n}")
+    def __init__(self, n: int, entries, labels=None):
+        # each row is checked at C speed; only a row that fails is scanned
+        # in Python, to name its first bad entry
+        if type(n) is not int or n < 1:
+            raise ValueError(f"order must be a positive int, got {n!r}")
+        entries = tuple(map(tuple, entries))
         if len(entries) != n:
             raise ValueError(f"expected {n} rows, got {len(entries)}")
         for x, row in enumerate(entries):
             if len(row) != n:
                 raise ValueError(f"row {x} has {len(row)} entries, expected {n}")
-            for y, v in enumerate(row):
-                if not (0 <= v < n):
-                    raise ValueError(f"entry [{x}][{y}] = {v} out of range 0..{n - 1}")
+            if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
+                for y, v in enumerate(row):
+                    if type(v) is not int:
+                        raise ValueError(f"entry [{x}][{y}] = {v!r} is not an int")
+                    if not 0 <= v < n:
+                        raise ValueError(f"entry [{x}][{y}] = {v} out of range 0..{n - 1}")
         if labels is not None:
+            labels = tuple(labels)
             if len(labels) != n:
                 raise ValueError(f"expected {n} labels, got {len(labels)}")
+            for label in labels:
+                if type(label) is not str:
+                    raise ValueError(f"label {label!r} is not a str")
             if len(set(labels)) != n:
                 raise ValueError("labels must be distinct")
         object.__setattr__(self, "n", n)
@@ -76,8 +90,8 @@ class CayleyTable:
 
     @classmethod
     def from_rows(cls, rows, labels=None) -> "CayleyTable":
-        entries = tuple(tuple(int(v) for v in row) for row in rows)
-        return cls(len(entries), entries, tuple(labels) if labels is not None else None)
+        rows = tuple(rows)
+        return cls(len(rows), rows, labels)
 
     @classmethod
     def from_function(cls, n: int, op, labels=None) -> "CayleyTable":

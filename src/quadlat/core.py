@@ -333,8 +333,7 @@ def quadratical_report(t: CayleyTable) -> dict:
 
 def dual(t: CayleyTable) -> CayleyTable:
     """Reverse the product: result[x][y] = t[y][x]."""
-    entries = tuple(tuple(t.entries[y][x] for y in range(t.n)) for x in range(t.n))
-    return CayleyTable(t.n, entries, t.labels)
+    return CayleyTable(t.n, zip(*t.entries), t.labels)
 
 
 def direct_product(t1: CayleyTable, t2: CayleyTable) -> CayleyTable:

@@ -37,7 +37,8 @@ are those of a pass that visits every instance:
   most one k.  In the cell view these are the known cells of row r and
   of column c; in the row (column) view, the known cells of the line and
   the cells of v.  The counts are exact when an instance is visited:
-  they are recomputed after every assignment of the pass.
+  an assignment of the pass adds one k to one ys[j], so it raises that
+  one count by one.
 
 Passes keep no memory between passes and read only the current table:
 remembering which instances were idle, to skip them until an input
@@ -227,8 +228,8 @@ class _State:
 
     def _latin_view(self, view) -> bool:
         # Only the pairs (i, j) the counting bound allows are examined:
-        # |xs[i]| + |ys[j]| >= n-1.  The bound is recomputed after every
-        # assignment (see the module docstring).
+        # |xs[i]| + |ys[j]| >= n-1, kept exact as each assignment raises
+        # one count (see the module docstring).
         rcv = view.rcv
         xs, ys, placed = view.planes(self)
         n = self.n
@@ -252,7 +253,8 @@ class _State:
                     r, c, v = rcv((i, j, cand.bit_length() - 1))
                     changed |= self.set_cell(
                         r, c, v, view.single, self._coverage(view, i, j), (i, j))
-                    ys_ge = _at_least([m.bit_count() for m in ys], n)
+                    # the assignment added k to ys[j] alone
+                    ys_ge[ys[j].bit_count()] |= bit
                     todo = (full & ~placed[i] & ys_ge[lim - xs[i].bit_count()]
                             & -(bit << 1))
         return changed
@@ -460,8 +462,7 @@ def _outcome(st: _State):
     if st.conflict is not None:
         return Contradiction(st.conflict, tuple(st.trace), st.blocks, st.choice)
     if st.unknown == 0:
-        table = CayleyTable(
-            st.n, tuple(tuple(row) for row in st.val), canonical_labels(st.blocks))
+        table = CayleyTable(st.n, st.val, canonical_labels(st.blocks))
         if not is_quadratical(table):
             raise AssertionError("completed table failed the quadratical check")
         return Completed(table, tuple(st.trace), st.blocks, st.choice)

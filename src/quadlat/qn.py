@@ -39,50 +39,12 @@ def _turn(k: int, j: int) -> int:
     return _TURN[(_TURN.index(k) + j) % 4]
 
 
-def _chain_blocks(t: CayleyTable, a: int, b: int, depth: int):
-    """Blocks by the recurrences, without validation."""
-    e = t.entries
-    blocks = [(a, e[a][b], e[b][a], b)]
-    for _ in range(1, depth):
-        p1, p2, p3, p4 = blocks[-1]
-        blocks.append((e[p1][p2], e[p2][p4], e[p3][p1], e[p4][p3]))
-    return blocks
-
-
-def _validate_chain(t: CayleyTable, blocks, center: int):
-    """Name of the first structural check that fails, or None."""
-    e = t.entries
-    seen: dict[int, int] = {}
-    for idx, (t1, t2, t3, t4) in enumerate(blocks, start=1):
-        blk = (t1, t2, t3, t4)
-        if len(set(blk)) != 4:
-            return f"block {idx} has repeated elements"
-        if center in blk:
-            return f"block {idx} contains the centre"
-        for x in blk:
-            if x in seen:
-                return f"blocks {seen[x]} and {idx} overlap"
-            seen[x] = idx
-        # within one block: t1*t4=t2, t2*t3=t4, t3*t2=t1, t4*t1=t3
-        if e[t1][t4] != t2 or e[t2][t3] != t4 or e[t3][t2] != t1 or e[t4][t1] != t3:
-            return f"block {idx} violates the cycle product law"
-        if e[t1][t3] != center or e[t2][t1] != center or e[t3][t4] != center or e[t4][t2] != center:
-            return f"cross products in block {idx} do not all equal the centre"
-        if idx > 1:
-            prev = blocks[idx - 2]
-            for k in range(4):
-                if e[center][blk[k]] != prev[k]:
-                    return f"centre row translation fails at block {idx}"
-            down = (prev[1], prev[3], prev[0], prev[2])
-            for k in range(4):
-                if e[blk[k]][center] != down[k]:
-                    return f"centre column translation fails at block {idx}"
-    return None
-
-
 def h_chain(t: CayleyTable, a: int, b: int, depth: int) -> QnDecomposition:
-    """Compute H1..H(depth) from base (a, b) and validate the block laws;
-    raises ValueError naming the first failing check."""
+    """Compute H1..H(depth) from base (a, b) by the recurrences, checking
+    each block against the block laws as it is built; raises ValueError
+    naming the first failing check.  Each block's checks read only the
+    blocks before it, so a chain stops at its first failing block, however
+    deep it was asked to go."""
     if a == b:
         raise ValueError("base elements must be distinct")
     if depth < 1:
@@ -91,10 +53,36 @@ def h_chain(t: CayleyTable, a: int, b: int, depth: int) -> QnDecomposition:
         raise ValueError("base elements out of range")
     e = t.entries
     center = e[e[a][b]][a]
-    blocks = _chain_blocks(t, a, b, depth)
-    problem = _validate_chain(t, blocks, center)
-    if problem is not None:
-        raise ValueError(problem)
+    blocks = []
+    seen: dict[int, int] = {}
+    blk = (a, e[a][b], e[b][a], b)
+    for idx in range(1, depth + 1):
+        if idx > 1:
+            p1, p2, p3, p4 = prev = blk
+            blk = (e[p1][p2], e[p2][p4], e[p3][p1], e[p4][p3])
+        t1, t2, t3, t4 = blk
+        if len(set(blk)) != 4:
+            raise ValueError(f"block {idx} has repeated elements")
+        if center in blk:
+            raise ValueError(f"block {idx} contains the centre")
+        for x in blk:
+            if x in seen:
+                raise ValueError(f"blocks {seen[x]} and {idx} overlap")
+            seen[x] = idx
+        # within one block: t1*t4=t2, t2*t3=t4, t3*t2=t1, t4*t1=t3
+        if e[t1][t4] != t2 or e[t2][t3] != t4 or e[t3][t2] != t1 or e[t4][t1] != t3:
+            raise ValueError(f"block {idx} violates the cycle product law")
+        if e[t1][t3] != center or e[t2][t1] != center or e[t3][t4] != center or e[t4][t2] != center:
+            raise ValueError(f"cross products in block {idx} do not all equal the centre")
+        if idx > 1:
+            for k in range(4):
+                if e[center][blk[k]] != prev[k]:
+                    raise ValueError(f"centre row translation fails at block {idx}")
+            down = (prev[1], prev[3], prev[0], prev[2])
+            for k in range(4):
+                if e[blk[k]][center] != down[k]:
+                    raise ValueError(f"centre column translation fails at block {idx}")
+        blocks.append(blk)
     return QnDecomposition(depth, (a, b), center, tuple(blocks))
 
 
@@ -108,8 +96,8 @@ def detect_form(t: CayleyTable):
     with x*a = 0 it maps a valid chain from (a, b), its centre and every
     block law onto a valid chain from (0, x*b).  So a valid pair exists iff
     one with a = 0 does, and the least valid pair has a = 0.  A chain that
-    passes _validate_chain has 4n distinct elements besides its centre,
-    so it covers the table.
+    passes h_chain has 4n distinct elements besides its centre, so it
+    covers the table.
     """
     if not is_quadratical(t):
         raise ValueError("table is not quadratical")
@@ -118,11 +106,12 @@ def detect_form(t: CayleyTable):
     depth = (t.n - 1) // 4
     if depth == 0:
         return None
-    e = t.entries
     for b in range(1, t.n):
-        blocks = _chain_blocks(t, 0, b, depth)
-        if _validate_chain(t, blocks, e[e[0][b]][0]) is None:
-            return depth, 0, b
+        try:
+            h_chain(t, 0, b, depth)
+        except ValueError:
+            continue
+        return depth, 0, b
     return None
 
 

@@ -2,8 +2,8 @@
 
 Line 1 is the order n, lines 2..n+1 hold n space-separated integers each
 (row x lists x*0 .. x*(n-1)), and an optional trailing comment line
-``# labels: ...`` names the elements.  Every CLI command reads and writes
-this format.
+``# labels: ...`` names the elements, each label a non-empty string
+without whitespace.  Every CLI command reads and writes this format.
 """
 
 from __future__ import annotations
@@ -14,9 +14,14 @@ LABEL_PREFIX = "# labels:"
 
 
 def format_table(t: CayleyTable) -> str:
+    """The table as text; raises ValueError on a label that parse_table
+    would not read back: an empty one, or one holding whitespace."""
     lines = [str(t.n)]
     lines.extend(" ".join(str(v) for v in row) for row in t.entries)
     if t.labels is not None:
+        for label in t.labels:
+            if label.split() != [label]:
+                raise ValueError(f"label {label!r} is empty or holds whitespace")
         lines.append(f"{LABEL_PREFIX} " + " ".join(t.labels))
     return "\n".join(lines) + "\n"
 
@@ -36,11 +41,10 @@ def parse_table(text: str) -> CayleyTable:
         raise ValueError(f"expected {n} rows after the order line, got {len(lines) - 1}")
     rows = []
     for i in range(1, n + 1):
-        parts = lines[i].split()
-        if len(parts) != n:
-            raise ValueError(f"row {i - 1} has {len(parts)} entries, expected {n}")
+        # each token is converted once; the table checks the rows' lengths
+        # and ranges
         try:
-            rows.append([int(p) for p in parts])
+            rows.append(tuple(map(int, lines[i].split())))
         except ValueError:
             raise ValueError(f"row {i - 1} contains a non-integer entry") from None
     labels = None
@@ -49,7 +53,7 @@ def parse_table(text: str) -> CayleyTable:
         if len(rest) != 1 or not rest[0].startswith(LABEL_PREFIX):
             raise ValueError("unexpected text after table rows")
         labels = tuple(rest[0][len(LABEL_PREFIX):].split())
-    return CayleyTable.from_rows(rows, labels)
+    return CayleyTable(n, rows, labels)
 
 
 def read_table(path) -> CayleyTable:

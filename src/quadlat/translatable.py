@@ -123,8 +123,9 @@ def find_translatable_ordering(t: CayleyTable, max_order: int = 10, ks=None):
 
 def _table_from_first_row(first_row, k: int) -> CayleyTable:
     n = len(first_row)
-    rows = [tuple(first_row[(j - i * k) % n] for j in range(n)) for i in range(n)]
-    return CayleyTable(n, tuple(rows))
+    # row i is the first row turned right by i*k places, that is left by t
+    turns = (-i * k % n for i in range(n))
+    return CayleyTable(n, (first_row[t:] + first_row[:t] for t in turns))
 
 
 def idempotent_first_row(n: int, k: int) -> list[int]:

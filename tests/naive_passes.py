@@ -20,7 +20,7 @@ import math
 from quadlat import sweep
 from quadlat.cayley import is_quadratical
 from quadlat.deduction import _VIEWS, _ConflictError
-from quadlat.qn import _chain_blocks, _validate_chain
+from quadlat.qn import h_chain
 from quadlat.steps import Conflict
 from quadlat.translatable import build_idempotent_k_translatable
 
@@ -252,7 +252,9 @@ def check_alterability(t):
 
 def detect_form(t):
     # every ordered base pair (a, b) in order; the table must be quadratical
-    # and of order 4n + 1 with n >= 1
+    # and of order 4n + 1 with n >= 1.  The chain is built here by its own
+    # recurrence, and only its block laws are checked by qn.h_chain, whose
+    # blocks must be this chain
     depth = (t.n - 1) // 4
     e = t.entries
     for a in range(t.n):
@@ -260,7 +262,10 @@ def detect_form(t):
             if a == b:
                 continue
             center = e[e[a][b]][a]
-            blocks = _chain_blocks(t, a, b, depth)
+            blocks = [(a, e[a][b], e[b][a], b)]
+            while len(blocks) < depth:
+                p1, p2, p3, p4 = blocks[-1]
+                blocks.append((e[p1][p2], e[p2][p4], e[p3][p1], e[p4][p3]))
             covered = {center}
             ok = True
             for blk in blocks:
@@ -271,8 +276,14 @@ def detect_form(t):
                     covered.add(x)
                 if not ok:
                     break
-            if ok and len(covered) == t.n and _validate_chain(t, blocks, center) is None:
-                return depth, a, b
+            if not ok or len(covered) != t.n:
+                continue
+            try:
+                chain = h_chain(t, a, b, depth)
+            except ValueError:
+                continue
+            assert chain.center == center and chain.blocks == tuple(blocks)
+            return depth, a, b
     return None
 
 

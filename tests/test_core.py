@@ -39,6 +39,56 @@ def test_table_validation():
         CayleyTable.from_rows([[0, 1], [1, 0]], labels=["a", "a"])
 
 
+def test_list_rows_and_labels_are_stored_as_tuples():
+    # the table copies list rows and labels, so it cannot be changed through
+    # them, and it hashes and compares as the tuple-built table
+    rows, labels = [[0, 1], [1, 0]], ["e", "g"]
+    t = CayleyTable(2, rows, labels)
+    rows[0][1] = 7
+    labels[0] = "x"
+    want = CayleyTable(2, ((0, 1), (1, 0)), ("e", "g"))
+    assert (t.entries, t.labels) == (((0, 1), (1, 0)), ("e", "g"))
+    assert t == want and hash(t) == hash(want)
+    assert not is_quadratical(t)
+    with pytest.raises(TypeError):
+        t.entries[0][1] = 7
+
+
+@pytest.mark.parametrize("rows, message", [
+    (((0, 1.0), (1, 0)), r"entry \[0\]\[1\] = 1.0 is not an int$"),
+    (((0, 1), (True, 0)), r"entry \[1\]\[0\] = True is not an int$"),
+    (((0, 1), (1, "0")), r"entry \[1\]\[1\] = '0' is not an int$"),
+    (((0, 1), (1, 2)), r"entry \[1\]\[1\] = 2 out of range 0..1$"),
+    (((0, -1), (1, 0.5)), r"entry \[0\]\[1\] = -1 out of range 0..1$"),
+    (((0, 1), (1,)), r"row 1 has 1 entries, expected 2$"),
+    (((0, 1),), r"expected 2 rows, got 1$"),
+])
+def test_constructor_names_the_first_bad_entry(rows, message):
+    with pytest.raises(ValueError, match=message):
+        CayleyTable(2, rows)
+
+
+def test_constructor_refuses_the_first_bad_entry_of_a_row():
+    # the first bad entry of the row, whatever else is wrong after it
+    with pytest.raises(ValueError, match=r"entry \[0\]\[1\] = 1.5 is not an int$"):
+        CayleyTable(3, ((0, 1.5, 9), (0, 1, 2), (0, 1, 2)))
+    with pytest.raises(ValueError, match="order must be a positive int"):
+        CayleyTable(2.0, ((0, 1), (1, 0)))
+
+
+def test_from_rows_converts_nothing():
+    # no truncation of floats and no parsing of strings: only ints are entries
+    for rows in ([[0, 1.7], [1.2, 1]], [["0", "1"], ["1", "0"]], [[0, 1], [1, 0.0]]):
+        with pytest.raises(ValueError, match="is not an int"):
+            CayleyTable.from_rows(rows)
+
+
+def test_labels_must_be_strings():
+    for labels in ([1, 2], ["a", None], (b"a", b"b")):
+        with pytest.raises(ValueError, match="is not a str"):
+            CayleyTable(2, ((0, 1), (1, 0)), labels)
+
+
 def test_identity_ids_closed():
     assert len(IDENTITY_IDS) == 15
     assert set(BASIC_IDENTITY_IDS) < set(IDENTITY_IDS)

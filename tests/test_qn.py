@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -60,6 +61,24 @@ def test_h_chain_rejections(q1):
     add = CayleyTable.from_function(5, lambda x, y: (x + y) % 5)
     with pytest.raises(ValueError):
         h_chain(add, 0, 1, 1)
+
+
+def test_h_chain_stops_at_its_first_failing_block():
+    # an order-13 table has room for three blocks besides the centre, so a
+    # deeper chain fails at its fourth block: at once, and with the message
+    # of depth 4, however deep it was asked to go
+    t = quadratical_over_zm(13, 11)
+    with pytest.raises(ValueError) as short:
+        h_chain(t, 0, 1, 4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as deep:
+            h_chain(t, 0, 1, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(deep.value) == str(short.value)
+    assert peak < 1 << 20
 
 
 def test_detect_form_q2(q2):

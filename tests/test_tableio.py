@@ -1,3 +1,6 @@
+import random
+import string
+
 import pytest
 
 from quadlat import CayleyTable, format_table, parse_table, read_table, write_table
@@ -43,3 +46,32 @@ def test_parse_errors():
 def test_read_missing_file(tmp_path):
     with pytest.raises(OSError):
         read_table(tmp_path / "absent.txt")
+
+
+def test_unreadable_labels_are_not_written():
+    # the reader splits the labels line on whitespace, so a label that is
+    # empty or holds whitespace would not read back
+    for labels in (["a b", "c"], ["", "c"], ["a\tb", "c"], ["c", "d\n"]):
+        t = CayleyTable.from_rows([[0, 1], [1, 0]], labels)
+        with pytest.raises(ValueError, match="is empty or holds whitespace"):
+            format_table(t)
+
+
+def test_row_length_refused_by_the_table():
+    with pytest.raises(ValueError, match="row 0 has 3 entries, expected 2$"):
+        parse_table("2\n0 1 1\n1 0\n")
+    with pytest.raises(ValueError, match="row 1 contains a non-integer entry$"):
+        parse_table("2\n0 1\n1 0.0\n")
+
+
+def test_round_trip_property():
+    # random tables of orders 1-40, with and without labels drawn from
+    # letters, digits, punctuation and non-ASCII letters
+    rng = random.Random(2017)
+    alphabet = string.ascii_letters + string.digits + string.punctuation + "éλж"
+    for n in range(1, 41):
+        rows = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        labels = ["".join(rng.choices(alphabet, k=rng.randint(1, 4))) + str(i)
+                  for i in range(n)]
+        for t in (CayleyTable.from_rows(rows), CayleyTable.from_rows(rows, labels)):
+            assert parse_table(format_table(t)) == t
