@@ -24,11 +24,12 @@ class _Replay:
     unjustified or malformed step.
     Each rule's check is found through _STEP_CHECKS.  The premises a step
     or conflict prints must each name a known cell with its value, and
-    must name every known cell its check reads: the cells that place a
-    link rule's two cells, the cell whose value the step copies, and for a
-    latin rule one cell per value or position it rules out.  An
-    alterability step must print its first three in the engine's order:
-    the two equal products, then the copied cell."""
+    must name every known cell its check reads: for alterability the two
+    equal products, then the cell whose value the step copies, in that
+    order, and for a latin rule one cell per value or position it rules
+    out.  A step by any rule but these, assume and the seed rules is
+    refused as unknown: bookend, strong elasticity, distributivity and
+    mediality too, since the engine does not run them."""
 
     def __init__(self, blocks: int, choice: int):
         n = self.n = 4 * blocks + 1
@@ -49,24 +50,6 @@ class _Replay:
         twin.col_vals = self.col_vals[:]
         twin.seeds = self.seeds
         return twin
-
-    def get(self, r, c):
-        if not (0 <= r < self.n and 0 <= c < self.n):
-            raise ReplayError(f"cell ({r},{c}) out of range")
-        return self.rows[r][c]
-
-    def known(self, r, c):
-        v = self.get(r, c)
-        if v == -1:
-            raise ReplayError(f"premise cell ({r},{c}) not yet known")
-        return v
-
-    def cited(self, premises, r, c):
-        """The value of the known cell (r, c), which premises must name."""
-        v = self.known(r, c)
-        if ((r, c), v) not in premises:
-            raise ReplayError(f"cell({r},{c})={v} is read but not cited")
-        return v
 
     def latin(self, r, c, v, premises, binding=(), *, view, conflict=False) -> bool:
         """The latin check of one view: a step places k at (i, j) when its
@@ -136,28 +119,9 @@ class _Replay:
     def _assume(self, r, c, v, premises, binding):
         return self.rows[r][c] == -1
 
-    def _bookend(self, r, c, v, premises, binding):
-        x, y = binding
-        return (r, c) == (self.cited(premises, y, x), self.cited(premises, x, y)) and v == x
-
-    def _strong_elasticity(self, r, c, v, premises, binding):
-        # x(yx) = (xy)x = (yx)y over the sides whose inner product is known;
-        # with y*x unknown there is one side at most, nothing to copy from
-        x, y = binding
-        u = self.cited(premises, y, x)
-        sides = [(x, u), (u, y)]
-        w = self.get(x, y)
-        if w != -1:
-            self.cited(premises, x, y)
-            sides.append((w, x))
-        cell = (r, c)
-        return cell in sides and any(
-            other != cell and (other, v) in premises for other in sides)
-
     def _alterability(self, r, c, v, premises, binding):
-        # the most frequent rule, so get, known and cited are inlined; the
-        # engine prints the two products, then the cell the step copies,
-        # and these three premises are compared by position
+        # the engine prints the two products, then the cell the step
+        # copies, and these three premises are compared by position
         x, y, z, w = binding
         n = self.n
         if not (0 <= x < n and 0 <= y < n and 0 <= z < n and 0 <= w < n):
@@ -236,8 +200,6 @@ _CONFLICT_VIEWS = {
 # cells; and the check); seed rules are looked up in the seed list instead
 _STEP_CHECKS = {
     "assume": (0, 0, _Replay._assume),
-    "bookend": (2, 0, _Replay._bookend),
-    "strong-elasticity": (2, 0, _Replay._strong_elasticity),
     "alterability": (4, 3, _Replay._alterability),
     "latin-cell-single": (0, 0, partial(_Replay.latin, view=_CELL)),
     "latin-row-single": (0, 0, partial(_Replay.latin, view=_ROW)),

@@ -1,18 +1,19 @@
 """Forward-chaining completion of block-form Cayley tables.
 
 A partial table over the symbols {centre} + H1..Hn is seeded from the
-block laws plus one choice for centre*a, then saturated under a fixed rule
-set: latin elimination, bookend, strong elasticity and alterability,
-repeated until none assigns a cell.  Each pass scans in a fixed order, so
-traces are deterministic.  Known cells never change: a clashing deduction
-is a conflict, not an overwrite.  Left and right distributivity and
+block laws plus one choice for centre*a, then saturated under two rules,
+latin elimination and alterability, repeated until neither assigns a
+cell.  Each pass scans in a fixed order, so traces are deterministic.
+Known cells never change: a clashing deduction is a conflict, not an
+overwrite.  Bookend, strong elasticity, left and right distributivity and
 mediality also hold in a quadratical quasigroup but are not scheduled: at
-every fixpoint of the four rules, over 1-30 blocks in complete_qn and in
-every branch of refute_case, they assigned no cell and raised no conflict.
-The auditor, replay_trace, lives in quadlat.audit and is read from here on
-first use, so a process that only deduces never loads it.  It accepts only
-the rules the engine emits, so it refuses a step by either of them as an
-unknown rule.
+every fixpoint of the two rules, over 1-30 blocks in complete_qn and in
+every branch of refute_case, they assigned no cell and raised no
+conflict.  The rules are monotone, so adding them would reach the same
+fixpoints.  The auditor, replay_trace, lives in quadlat.audit and is read
+from here on first use, so a process that only deduces never loads it.
+It accepts only the rules the engine emits, so it refuses a step by any
+of the five as an unknown rule.
 
 refute_case keeps each Contradiction leaf's trace trimmed to the cone of
 its conflict (_conflict_cone): the seed steps, then only the steps the
@@ -26,11 +27,10 @@ neither assign a cell nor raise a conflict, and runs the per-instance code
 on the rest in the original order, so traces, conflicts, splits and leaves
 are those of a pass that visits every instance:
 
-- A link of two cells is idle when both hold the same value, unknown
-  included.  Strong elasticity and bookend are tested inline per pair
-  (x, y), and only where y*x is known.  Alterability compares, per first
-  cell, a row of the table against a column of its transposed view over
-  all the value's cells at once.
+- Alterability links two cells, idle when both hold the same value,
+  unknown included.  It compares, per first cell, a row of the table
+  against a column of its transposed view over all the value's cells at
+  once.
 - Counting bound (latin elimination, one rule over the three views of
   _VIEWS).  A pair (i, j) of a view has one third coordinate or none
   only when |xs[i]| + |ys[j]| >= n-1, since each known cell rules out at
@@ -50,7 +50,7 @@ tuple comparisons it skipped.
 
 from __future__ import annotations
 
-from itertools import combinations, compress
+from itertools import compress
 from operator import attrgetter, itemgetter, ne
 from typing import NamedTuple
 
@@ -199,25 +199,6 @@ class _State:
         self.trace.append(Step(rule, cell, v, premises, binding))
         return True
 
-    def link(self, cell1, cell2, rule, binding, premise_cells) -> bool:
-        """Require the two cells to hold equal values; propagate or clash."""
-        val = self.val
-        v1 = val[cell1[0]][cell1[1]]
-        v2 = val[cell2[0]][cell2[1]]
-        if v1 == v2:
-            return False
-        facts = self.facts
-        prem = tuple([facts[r][c] for r, c in premise_cells])
-        if v2 == -1:
-            return self.set_cell(
-                cell2[0], cell2[1], v1, rule, prem + (facts[cell1[0]][cell1[1]],), binding)
-        if v1 == -1:
-            return self.set_cell(
-                cell1[0], cell1[1], v2, rule, prem + (facts[cell2[0]][cell2[1]],), binding)
-        raise _ConflictError(Conflict(
-            "cell-mismatch", rule, cell2, v1, v2,
-            prem + (facts[cell1[0]][cell1[1]],), binding))
-
     # -- rule passes --------------------------------------------------------
 
     def latin_pass(self) -> bool:
@@ -284,39 +265,6 @@ class _State:
                 c = val[r].index(v)
             out.append(facts[r][c])
         return tuple(out)
-
-    def pairs_pass(self) -> bool:
-        # bookend (y*x)(x*y) = x and the three-way strong elasticity chain
-        # x(yx) = (xy)x = (yx)y; a pair (x, y) is idle when y*x is unknown
-        # (one cell at most, nothing to link) or every known side agrees
-        n = self.n
-        val = self.val
-        facts = self.facts
-        changed = False
-        for x in range(n):
-            vx = val[x]
-            for y in range(n):
-                if x == y:
-                    continue
-                u = val[y][x]
-                if u == -1:
-                    continue
-                v = vx[y]
-                if v == -1:
-                    if vx[u] == val[u][y]:
-                        continue
-                elif val[u][v] == x and vx[u] == val[u][y] == val[v][x]:
-                    continue
-                base = [(y, x)]
-                cells = [(x, u), (u, y)]
-                if v != -1:
-                    changed |= self.set_cell(
-                        u, v, x, "bookend", (facts[y][x], facts[x][y]), (x, y))
-                    base.append((x, y))
-                    cells.append((v, x))
-                for cell1, cell2 in combinations(cells, 2):
-                    changed |= self.link(cell1, cell2, "strong-elasticity", (x, y), base)
-        return changed
 
     def alter_pass(self) -> bool:
         # x*y = z*w implies y*z = w*x, over pairs of equal known cells; the
@@ -415,7 +363,6 @@ def _saturate(st: _State) -> None:
     try:
         while True:
             ch = st.latin_pass()
-            ch = st.pairs_pass() or ch
             ch = st.alter_pass() or ch
             if not ch:
                 return

@@ -14,6 +14,8 @@ import os
 from typing import NamedTuple
 
 from .errors import CheckpointBusy, InvariantViolation
+# nothing here calls solve_quadratic_congruence, but perfbench/traced.py
+# wraps it under this module's name too
 from .zm import solve_quadratic_congruence, translatability_k_quadratical
 
 SCAN_COLUMNS = ("k", "m", "a", "b")
@@ -49,17 +51,9 @@ def _row(m: int, a: int) -> ClassificationRow:
     return row
 
 
-def rows_for_modulus(m: int) -> list[ClassificationRow]:
-    """One validated row per solution a of the quadratic congruence mod m,
-    in increasing a; empty below the smallest admissible order 5."""
-    if m < 5:
-        return []
-    return [_row(m, a) for a in solve_quadratic_congruence(m)]
-
-
 def _rows(last: int, representatives: bool = False) -> list[ClassificationRow]:
-    """The rows_for_modulus(m) of every m <= last, sorted by (m, a); with
-    representatives, only the a < b row of each dual pair.
+    """The validated row of every root of every modulus m <= last, sorted
+    by (m, a); with representatives, only the a < b row of each dual pair.
 
     The roots are a = (1 + s)/2 for the square roots s of -1 mod m, and
     those come in pairs {s, -s}, one pair s = x/y (mod m) for each

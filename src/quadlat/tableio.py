@@ -3,7 +3,8 @@
 Line 1 is the order n, lines 2..n+1 hold n space-separated integers each
 (row x lists x*0 .. x*(n-1)), and an optional trailing comment line
 ``# labels: ...`` names the elements, each label a non-empty string
-without whitespace.  Every CLI command reads and writes this format.
+without whitespace.  An integer is ASCII digits after an optional minus
+sign.  Every CLI command reads and writes this format.
 """
 
 from __future__ import annotations
@@ -26,13 +27,23 @@ def format_table(t: CayleyTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _integers(line: str) -> tuple[int, ...]:
+    """The whitespace-separated integers of a line, each ASCII digits after
+    an optional minus sign; ValueError on any other token.  int alone also
+    reads +1 and 0_1 as 1, and non-ASCII decimal digits."""
+    tokens = line.split()
+    if "_" in line or "+" in line or not (line.isascii() or all(map(str.isascii, tokens))):
+        raise ValueError(line)
+    return tuple(map(int, tokens))
+
+
 def parse_table(text: str) -> CayleyTable:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines:
         raise ValueError("empty table text")
     try:
-        n = int(lines[0])
+        (n,) = _integers(lines[0])
     except ValueError:
         raise ValueError(f"first line must be the order, got {lines[0]!r}") from None
     if n < 1:
@@ -44,7 +55,7 @@ def parse_table(text: str) -> CayleyTable:
         # each token is converted once; the table checks the rows' lengths
         # and ranges
         try:
-            rows.append(tuple(map(int, lines[i].split())))
+            rows.append(_integers(lines[i]))
         except ValueError:
             raise ValueError(f"row {i - 1} contains a non-integer entry") from None
     labels = None

@@ -6,13 +6,14 @@ quadlat.translatable.feasible_k_idempotent_quadratical replace by what the
 structure gives, and the sweep walk over every modulus that quadlat.sweep
 restricts to the moduli with roots.
 
-Every pass here visits every rule instance and calls the engine's own
-link/set_cell on it, so a pass of quadlat.deduction._State that skips
+Every pass here visits every rule instance and assigns through the
+engine's own set_cell, so a pass of quadlat.deduction._State that skips
 instances must produce the same new trace steps, the same change flag and
-the same conflict.  distrib_pass and mediality_pass have no engine
-counterpart: the engine does not schedule those rules, and a saturation
-that still runs them at each fixpoint must give the engine's traces.
-These functions are test oracles only.
+the same conflict.  pairs_pass (bookend and strong elasticity),
+distrib_pass and mediality_pass have no engine counterpart: the engine
+does not schedule those rules, and a saturation that still runs them at
+each fixpoint must give the engine's traces.  These functions are test
+oracles only.
 """
 
 import math
@@ -23,8 +24,31 @@ from quadlat.deduction import _VIEWS, _ConflictError
 from quadlat.qn import h_chain
 from quadlat.steps import Conflict
 from quadlat.translatable import build_idempotent_k_translatable
+from quadlat.zm import solve_quadratic_congruence
 
 CELL, ROW, COL = _VIEWS
+
+
+def link(st, cell1, cell2, rule, binding, premise_cells) -> bool:
+    """Require the two cells of st to hold equal values; propagate or
+    clash.  The premises are the known cells of premise_cells, then the
+    cell whose value is copied, or for a clash the first cell."""
+    val = st.val
+    v1 = val[cell1[0]][cell1[1]]
+    v2 = val[cell2[0]][cell2[1]]
+    if v1 == v2:
+        return False
+    facts = st.facts
+    prem = tuple([facts[r][c] for r, c in premise_cells])
+    if v2 == -1:
+        return st.set_cell(
+            cell2[0], cell2[1], v1, rule, prem + (facts[cell1[0]][cell1[1]],), binding)
+    if v1 == -1:
+        return st.set_cell(
+            cell1[0], cell1[1], v2, rule, prem + (facts[cell2[0]][cell2[1]],), binding)
+    raise _ConflictError(Conflict(
+        "cell-mismatch", rule, cell2, v1, v2,
+        prem + (facts[cell1[0]][cell1[1]],), binding))
 
 
 def latin_pass(st) -> bool:
@@ -119,8 +143,8 @@ def pairs_pass(st) -> bool:
                     base.append((x, y))
                 for a in range(len(cells) - 1):
                     for b in range(a + 1, len(cells)):
-                        changed |= st.link(
-                            cells[a], cells[b], "strong-elasticity", (x, y), base)
+                        changed |= link(
+                            st, cells[a], cells[b], "strong-elasticity", (x, y), base)
     return changed
 
 
@@ -133,8 +157,8 @@ def alter_pass(st) -> bool:
             x, y = lst[a]
             for b in range(a + 1, m):
                 z, w = lst[b]
-                changed |= st.link(
-                    (y, z), (w, x), "alterability", (x, y, z, w),
+                changed |= link(
+                    st, (y, z), (w, x), "alterability", (x, y, z, w),
                     ((x, y), (z, w)))
     return changed
 
@@ -161,8 +185,8 @@ def distrib_pass(st) -> bool:
                 z = bit.bit_length() - 1
                 a_yz = val[y][z]
                 c_xz = vx[z]
-                changed |= st.link(
-                    (x, a_yz), (b_xy, c_xz), "left-distributivity",
+                changed |= link(
+                    st, (x, a_yz), (b_xy, c_xz), "left-distributivity",
                     (x, y, z), ((y, z), (x, y), (x, z)))
             m2 = both
             while m2:
@@ -171,8 +195,8 @@ def distrib_pass(st) -> bool:
                 z = bit.bit_length() - 1
                 b_xz = vx[z]
                 c_yz = val[y][z]
-                changed |= st.link(
-                    (b_xy, z), (b_xz, c_yz), "right-distributivity",
+                changed |= link(
+                    st, (b_xy, z), (b_xz, c_yz), "right-distributivity",
                     (x, y, z), ((x, y), (x, z), (y, z)))
     return changed
 
@@ -202,15 +226,15 @@ def mediality_pass(st) -> bool:
                     w = bit.bit_length() - 1
                     if w == z or w == y:
                         continue
-                    changed |= st.link(
-                        (a_xy, vz[w]), (c_xz, val[y][w]), "mediality",
+                    changed |= link(
+                        st, (a_xy, vz[w]), (c_xz, val[y][w]), "mediality",
                         (x, y, z, w), ((x, y), (z, w), (x, z), (y, w)))
     return changed
 
 
+# the engine's passes, by their names on quadlat.deduction._State
 PASSES = {
     "latin_pass": latin_pass,
-    "pairs_pass": pairs_pass,
     "alter_pass": alter_pass,
 }
 
@@ -299,8 +323,16 @@ def feasible_k_idempotent_quadratical(n):
     return out
 
 
+def rows_for_modulus(m):
+    """One validated row per solution a of the quadratic congruence mod m,
+    in increasing a; empty below the smallest admissible order 5."""
+    if m < 5:
+        return []
+    return [sweep._row(m, a) for a in solve_quadratic_congruence(m)]
+
+
 def sweep_rows(first, last, representatives=False):
     # rows_for_modulus for every m in first..last, roots or not
-    return [r for m in range(first, last + 1) for r in sweep.rows_for_modulus(m)
+    return [r for m in range(first, last + 1) for r in rows_for_modulus(m)
             if not representatives or r.a < r.b]
 

@@ -10,7 +10,9 @@ cell, the order the engine prints them in, so it refuses the same
 premises reordered; any further premise, such as a row-duplicate
 conflict's witness, is only checked to hold.  A step's or conflict's cell
 and value must be ints: a bool indexes the table like 0 or 1 and equals
-it in the seed set, yet the engine never prints one.
+it in the seed set, yet the engine never prints one.  Like the new
+replay, it knows only the rules the engine runs, so a bookend or
+strong-elasticity step is refused as an unknown rule.
 On well-formed input the new replay must accept and reject exactly what
 this one does; on malformed input, where this one may raise IndexError
 or ValueError or wrap a negative index, the new one raises ReplayError.
@@ -53,31 +55,6 @@ class Replay:
             if self.known(r, c) != v:
                 raise ReplayError(f"premise cell({r},{c})={v} does not hold")
 
-    def require_cited(self, premises, *cells):
-        for r, c in cells:
-            if ((r, c), self.known(r, c)) not in premises:
-                raise ReplayError(f"cell ({r},{c}) is read but not cited")
-
-    def strong_elasticity(self, step):
-        """Require the step's cell to be one of the cells strong
-        elasticity forces equal, and a premise to give another its value."""
-        x, y = step.binding
-        u = self.get(y, x)
-        v = self.get(x, y)
-        cells = []
-        read = []
-        if u != -1:
-            cells += [(x, u), (u, y)]
-            read.append((y, x))
-        if v != -1:
-            cells.append((v, x))
-            read.append((x, y))
-        self.require_cited(step.premises, *read)
-        if step.cell not in cells:
-            raise ReplayError("strong-elasticity conclusion not addressable")
-        if not any(cl != step.cell and (cl, step.value) in step.premises for cl in cells):
-            raise ReplayError("strong-elasticity source value missing")
-
     def alterability(self, step):
         """Require the two products to be equal and the step's cell to be
         one of the two cells alterability then forces equal, with the
@@ -105,17 +82,6 @@ class Replay:
         if rule == "assume":
             if self.get(r, c) != -1:
                 raise ReplayError("assumption over a known cell")
-            return
-        if rule == "bookend":
-            x, y = step.binding
-            u = self.known(y, x)
-            vv = self.known(x, y)
-            self.require_cited(step.premises, (y, x), (x, y))
-            if (r, c) != (u, vv) or v != x:
-                raise ReplayError(f"bookend step not justified: {step}")
-            return
-        if rule == "strong-elasticity":
-            self.strong_elasticity(step)
             return
         if rule == "alterability":
             self.alterability(step)

@@ -23,8 +23,11 @@ from quadlat.cli import main
 # when the checkpoint's row archive gained a count line after each flushed
 # window (`#2,150,48`, `#151,300,46`), and again when checkpointed scans
 # stopped writing that archive: the four `ck.rows` records now read
-# absent, and with them dropped every record is as before
-CLI_DIGEST = "ee9994515e0081931fd57ca6c5a313e0eab6e30a9c5613c2a4fd4515bb781a8f"
+# absent, and with them dropped every record is as before; and again when
+# the engine stopped running bookend and strong elasticity: only the trace
+# file of `complete-qn -n 4 --choice 1 --trace` moved, its 30
+# strong-elasticity steps now alterability steps over the same 193 cells
+CLI_DIGEST = "a8d2816fc3fd9edac1dcde842a8427570be9b5c0a5d3606139001c5e91d30862"
 
 # (argv, side files it names), in run order: the second checkpointed scan
 # resumes from the first, and `ck.rows` pins that no row archive is written

@@ -158,12 +158,15 @@ def test_replay_rejects_tampering():
 
 def test_replay_requires_cited_premises():
     # each of these steps, its premises dropped, printed "from []" and
-    # replayed: the replay checked the premises printed, not the ones read
+    # replayed: the replay checked the premises printed, not the ones read.
+    # Alterability steps of both directions: with binding (x, y, z, w),
+    # step 79 fills y*z and step 80 fills w*x
     out = complete_qn(3, 1)
-    for i, rule in ((79, "strong-elasticity"), (113, "alterability")):
-        assert out.trace[i].rule == rule
-        bare = out.trace[i]._replace(premises=())
-        assert trace_text([bare]).endswith(f"  by {rule} from []\n")
+    for i, binding, cell in ((79, (1, 3, 12, 10), (3, 12)), (80, (2, 1, 9, 11), (11, 2))):
+        step = out.trace[i]
+        assert (step.rule, step.binding, step.cell) == ("alterability", binding, cell)
+        bare = step._replace(premises=())
+        assert trace_text([bare]).endswith("  by alterability from []\n")
         with pytest.raises(ReplayError, match="not cited"):
             replay_trace(3, 1, out.trace[:i] + (bare,) + out.trace[i + 1:])
 
@@ -176,7 +179,7 @@ def test_replay_checks_premises():
     i = next(i for i, step in enumerate(leaf.trace) if step.rule == "alterability")
     bad = leaf.trace[i]._replace(premises=(((0, 0), 99),))
     assert trace_text([bad]) == (
-        "cell(3,6) := 22  by alterability from [cell(0,0)=99]\n")
+        "cell(3,24) := 18  by alterability from [cell(0,0)=99]\n")
     tampered = leaf.trace[:i] + (bad,) + leaf.trace[i + 1:]
     with pytest.raises(ReplayError, match="premise"):
         replay_trace(6, 1, tampered, leaf.conflict)
@@ -287,14 +290,14 @@ def _held_bytes(root) -> int:
 
 def test_refutation_leaves_share_cell_facts():
     # The leaves of refute_case(12, c), c = 1..4, each trimmed to the cone
-    # of its conflict, hold 39,021 steps (92,380 untrimmed).  With one
+    # of its conflict, hold 37,381 steps (94,166 untrimmed).  With one
     # ((r, c), v) tuple per assigned cell shared by every premise that names
     # it, they hold about 1.6 MB (9 MB untrimmed; a fresh tuple per premise
     # would hold about 17 MB untrimmed).  tracemalloc reads the same
     # figures but slows the run about seventeenfold, so the held objects
     # are counted directly.
     held = [refute_case(12, choice) for choice in (1, 2, 3, 4)]
-    assert sum(len(leaf.trace) for case in held for leaf in case.leaves) == 39021
+    assert sum(len(leaf.trace) for case in held for leaf in case.leaves) == 37381
     assert _held_bytes(held) < 2_500_000
 
 

@@ -1,15 +1,19 @@
 """The deduction engine's rule passes skip rule instances that provably
 cannot change the state.  These tests pin that the skipping changes
 nothing: golden digests of every trace for 1..12 and 13..16 blocks (for
-1..12 also with refute_case's leaves untrimmed, as they were when the
-skipping came in), and each pass against its naive reference
-(tests/naive_passes.py) on random partial states.  The engine does not
-schedule distributivity and mediality; a naive saturation that also runs
-them must give the same traces."""
+1..12 also with refute_case's leaves untrimmed), and each pass against its
+naive reference (tests/naive_passes.py) on random partial states.  The
+engine schedules latin elimination and alterability only; a naive
+saturation that also runs bookend, strong elasticity, distributivity and
+mediality at each fixpoint of those two must give the same traces, and
+pairs_idle_at_fixpoints checks bookend and strong elasticity at the
+fixpoints of larger block counts."""
 
 import hashlib
 import itertools
 import random
+
+import pytest
 
 from quadlat import (
     CayleyTable,
@@ -20,6 +24,7 @@ from quadlat import (
     quadratical_over_zm,
     solve_quadratic_congruence,
 )
+from quadlat import deduction
 from quadlat.cayley import _medial_form
 from quadlat.deduction import (
     Completed,
@@ -38,21 +43,20 @@ import naive_passes
 from conftest import untrimmed
 from test_properties import quadratical_test_tables
 
-# SHA-256 of engine_digest(12), computed when refute_case began to trim
-# each leaf's trace to the cone of its conflict
-ENGINE_DIGEST_1_TO_12 = "7b08d5f89d22a3ac7e7a3c45dbaaf209ac0054caddb7b87910606405d29d84d9"
+# SHA-256 of engine_digest(12), computed when the engine stopped running
+# bookend and strong elasticity; the verdicts, splits and leaf counts it
+# hashes did not move then, only the steps of the traces
+ENGINE_DIGEST_1_TO_12 = "abf7b61acdcefcf5ff3902ac00506194cd1eeed204813cda69e46d8fa46c6a80"
 # SHA-256 of engine_digest(12) with the trim patched out: the whole leaf
-# traces, as computed with the engine before any rule instance was skipped.
-# The trim changes what a leaf keeps, not the search.
+# traces, which pin the search itself.  Computed at the same point.
 ENGINE_DIGEST_1_TO_12_UNTRIMMED = (
-    "aae364d0a1d6b232195528fe11c6228e4f2c640ccf47709751afb932adf23869")
+    "fe15ad63f25fa693a95081bf1894927f232318c4983a307a6143b2d997b428b5")
 # SHA-256 of engine_digest(16, first=13), computed with trimmed leaves
-ENGINE_DIGEST_13_TO_16 = "eebd6b138a1c32ee59252a4153acc340114251b372a54bbc2ba4e33099fd54a2"
+ENGINE_DIGEST_13_TO_16 = "5db3af1a268178ef2af217e4c04bfa2892cf5218c3a9c193e746cd5dc3bc8f77"
 # SHA-256 of engine_digest(30, first=17), computed with trimmed leaves.  It
 # takes about two minutes, so CI checks it in a step of its own, outside
 # tier-1.
-ENGINE_DIGEST_17_TO_30 = "9a410e6c876d7d3922458086e6aad30be8818eb3a9034bd83c86b1771afc8f96"
-
+ENGINE_DIGEST_17_TO_30 = "d75e7dceb20ec57667737d5e5326b99b8dbe4170b806106245fd43b4f2740594"
 
 def outcome_text(out) -> str:
     if isinstance(out, Completed):
@@ -177,7 +181,7 @@ def test_passes_match_naive_on_large_states():
     # traces of the leaves that end in a latin conflict; the passes run in
     # turn with one more step fed in between
     rng = random.Random(1316)
-    names = ("latin_pass", "pairs_pass", "alter_pass")
+    names = ("latin_pass", "alter_pass")
     seen = {name: set() for name in names}
     checked = 0
     for blocks in (13, 16):
@@ -262,25 +266,28 @@ def test_passes_match_naive_on_revealed_tables():
         assert outcomes == {True, False}, (name, outcomes)
 
 
+# the rules the engine does not run, tried in turn at each fixpoint of the
+# two it runs
+_UNSCHEDULED = (naive_passes.pairs_pass, naive_passes.distrib_pass,
+                naive_passes.mediality_pass)
+
+
 def _naive_saturate(st) -> None:
-    """deduction._saturate with the naive passes, plus the naive
-    distributivity and mediality passes at each fixpoint of the other
-    three, which the engine does not run."""
+    """deduction._saturate with the naive latin and alterability passes,
+    and at each fixpoint of those two the naive bookend and strong
+    elasticity, distributivity and mediality passes, which the engine does
+    not run."""
     if st.conflict is not None:
         return
     try:
         while True:
             while True:
                 ch = naive_passes.latin_pass(st)
-                ch = naive_passes.pairs_pass(st) or ch
                 ch = naive_passes.alter_pass(st) or ch
                 if not ch:
                     break
-            if naive_passes.distrib_pass(st):
-                continue
-            if naive_passes.mediality_pass(st):
-                continue
-            return
+            if not any(run(st) for run in _UNSCHEDULED):
+                return
     except _ConflictError as exc:
         st.conflict = exc.record
 
@@ -288,7 +295,8 @@ def _naive_saturate(st) -> None:
 def test_saturation_matches_naive_saturation():
     # the seeded saturation and every first-level split branch, as
     # refute_case runs them, give the same trace and conflict both ways:
-    # distributivity and mediality find nothing at the engine's fixpoints
+    # bookend, strong elasticity, distributivity and mediality find nothing
+    # at the engine's fixpoints
     for blocks in range(1, 7):
         for choice in (1, 2, 3, 4):
             st = _seed_state(blocks, choice)
@@ -309,6 +317,43 @@ def test_saturation_matches_naive_saturation():
                 _saturate(child)
                 _naive_saturate(naive)
                 assert (child.trace, child.conflict) == (naive.trace, naive.conflict)
+
+
+def pairs_idle_at_fixpoints(max_blocks: int, first: int = 1) -> int:
+    """Run complete_qn and refute_case for every block count from first to
+    max_blocks and every choice, and at each saturation's fixpoint that
+    holds no conflict run the naive bookend and strong elasticity pass on a
+    copy of the state.  Fails if that pass assigns a cell or raises a
+    conflict; returns the number of fixpoints probed.  CI runs it at 7..30
+    blocks, outside tier-1."""
+    saturate = deduction._saturate
+    probed = 0
+
+    def probing(st):
+        nonlocal probed
+        saturate(st)
+        if st.conflict is None:
+            changed, conflict, steps = _run(st.clone(), naive_passes.pairs_pass)
+            assert not changed and conflict is None and not steps, (
+                st.blocks, st.choice, len(st.trace), conflict, steps[:1])
+            probed += 1
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(deduction, "_saturate", probing)
+        for blocks in range(first, max_blocks + 1):
+            for choice in (1, 2, 3, 4):
+                complete_qn(blocks, choice)
+                refute_case(blocks, choice)
+    return probed
+
+
+# conflict-free fixpoints at 1..6 blocks, each choice: complete_qn's, then
+# refute_case's root and branches
+FIXPOINTS_1_TO_6 = 28
+
+
+def test_pairs_idle_at_fixpoints():
+    assert pairs_idle_at_fixpoints(6) == FIXPOINTS_1_TO_6
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,13 @@ from quadlat.sweep import (
     CLASSIFY_COLUMNS,
     classify_discrepancies,
     emit_text,
-    rows_for_modulus,
     scan_discrepancies,
     scan_with_checkpoint,
 )
 
 
 def test_rows_for_modulus():
+    rows_for_modulus = naive_passes.rows_for_modulus
     assert rows_for_modulus(4) == []
     assert rows_for_modulus(9) == []
     got = rows_for_modulus(5)

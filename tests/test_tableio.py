@@ -64,6 +64,21 @@ def test_row_length_refused_by_the_table():
         parse_table("2\n0 1\n1 0.0\n")
 
 
+def test_only_the_formats_integers_are_read():
+    # int alone reads each of these as 1: a plus sign, an underscore
+    # between digits, and an Arabic-Indic or a fullwidth digit
+    for token in ("+1", "0_1", "\u0661", "\uff11"):
+        with pytest.raises(ValueError, match="row 1 contains a non-integer entry$"):
+            parse_table(f"2\n0 1\n{token} 0\n")
+        with pytest.raises(ValueError, match="first line must be the order, got"):
+            parse_table(f"{token}\n0\n")
+    # negative entries and orders still reach their own messages
+    with pytest.raises(ValueError, match=r"entry \[1\]\[0\] = -1 out of range 0..1$"):
+        parse_table("2\n0 1\n-1 0\n")
+    # any whitespace still separates entries
+    assert parse_table("2\n0\t1\n1\u00a00\n") == CayleyTable.from_rows([[0, 1], [1, 0]])
+
+
 def test_round_trip_property():
     # random tables of orders 1-40, with and without labels drawn from
     # letters, digits, punctuation and non-ASCII letters
