@@ -4,17 +4,18 @@ trace, and its final conflict, from the rule schema.
 It shares only the trace records (quadlat.steps) with the engine in
 quadlat.deduction, and reads none of the engine's state, so a trace is
 checked independently of the code that made it.  Each step must print
-the premises its rule reads.
+the premises its rule reads.  Every trace replays from an empty table,
+its seed steps verified like any other, so a refutation leaf trimmed to
+the cone of its conflict keeps only the seeds that the cone cites.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from operator import is_, itemgetter
+from operator import itemgetter
 
-from .cayley import MAX_ORDER
-from .errors import SearchCapExceeded
-from .steps import Conflict, ReplayError, Step, _collector_paused, seed_steps
+from .qn import seed_assignments
+from .steps import Conflict, ReplayError, Step, _collector_paused, check_blocks
 
 
 class _Replay:
@@ -37,19 +38,7 @@ class _Replay:
         self.rows = [[-1] * n for _ in range(n)]
         self.row_vals = [0] * n
         self.col_vals = [0] * n
-        self.seeds = {(step.cell, step.value): step.rule for step in seed_steps(blocks, choice)}
-
-    def copy(self) -> "_Replay":
-        """A replay of its own from the same table; the seed map, which no
-        step changes, is shared."""
-        twin = _Replay.__new__(_Replay)
-        twin.n = self.n
-        twin.full = self.full
-        twin.rows = [row[:] for row in self.rows]
-        twin.row_vals = self.row_vals[:]
-        twin.col_vals = self.col_vals[:]
-        twin.seeds = self.seeds
-        return twin
+        self.seeds = _seed_rules(blocks, choice)
 
     def latin(self, r, c, v, premises, binding=(), *, view, conflict=False) -> bool:
         """The latin check of one view: a step places k at (i, j) when its
@@ -207,50 +196,27 @@ _STEP_CHECKS = {
 }
 
 
-# A few (blocks, choice) at a time: a refutation replays the leaves of one
-# block count's four choices.  Each entry holds a whole table, which at
-# 256 blocks is about 17 MB.  Typed like seed_steps.
+# One entry per (blocks, choice): a refutation replays the leaves of one
+# block count's four choices, each leaf from an empty table, so the map is
+# built once per choice instead of once per leaf.  Typed, so that 5.0
+# blocks are not served the map of 5.
 @lru_cache(maxsize=4, typed=True)
-def _seeded(blocks: int, choice: int):
-    """(seeds, rp): the seed steps of (blocks, choice), and a replay that
-    has verified and applied all of them, or None when a seed is refused
-    (the seeds of some choices clash)."""
-    seeds = seed_steps(blocks, choice)
-    rp = _Replay(blocks, choice)
-    try:
-        for step in seeds:
-            rp.verify_step(step)
-            rp.apply_step(step)
-    except ReplayError:
-        return seeds, None
-    return seeds, rp
+def _seed_rules(blocks: int, choice: int) -> dict:
+    """{(cell, value): rule} over qn.seed_assignments(blocks, choice); no
+    step changes it."""
+    return {(cell, v): rule for rule, cell, v in seed_assignments(blocks, choice)}
 
 
 @_collector_paused
 def replay_trace(blocks: int, choice: int, trace, conflict: Conflict | None = None) -> None:
-    """Verify every step of a trace against the rule set, then verify the
-    final conflict when given; raises ReplayError otherwise.
-
-    A trace whose leading steps are the very objects of
-    steps.seed_steps(blocks, choice), as the engine's traces are, is
-    replayed from a copy of a table on which those seeds were verified
-    once; any other trace from an empty table.  Both verify each step
-    with the same checks on the same table, so they accept the same
-    traces.  A block count whose table would exceed cayley.MAX_ORDER
-    raises SearchCapExceeded before any table is built, as the engine
-    refuses it.  Pauses the process's cyclic garbage collector while it runs
-    (see steps._collector_paused)."""
-    if 4 * blocks + 1 > MAX_ORDER:
-        raise SearchCapExceeded(
-            f"{blocks} blocks exceed the cap of {(MAX_ORDER - 1) // 4} blocks "
-            f"(order {MAX_ORDER})")
-    seeds, seeded = _seeded(blocks, choice)
-    trace = tuple(trace)
-    if seeded is not None and len(trace) >= len(seeds) and all(map(is_, seeds, trace)):
-        rp = seeded.copy()
-        trace = trace[len(seeds):]
-    else:
-        rp = _Replay(blocks, choice)
+    """Verify every step of a trace against the rule set, from an empty
+    table, then verify the final conflict when given; raises ReplayError
+    otherwise.  A block count above steps.MAX_BLOCKS raises
+    SearchCapExceeded before any table or cache entry is built, as the
+    engine refuses it.  Pauses the process's cyclic garbage collector while
+    it runs (see steps._collector_paused)."""
+    check_blocks(blocks)
+    rp = _Replay(blocks, choice)
     for step in trace:
         rp.verify_step(step)
         rp.apply_step(step)

@@ -15,7 +15,7 @@ import itertools
 from functools import lru_cache
 
 # The largest order of a table built from a formula (zm.linear_table,
-# core.direct_product) or a block count (deduction.MAX_BLOCKS), about a
+# core.direct_product) or a block count (steps.MAX_BLOCKS), about a
 # million cells.  A larger one raises SearchCapExceeded before any row is
 # built, so the command line exits 3 instead of filling memory.
 MAX_ORDER = 1025

@@ -16,11 +16,11 @@ It accepts only the rules the engine emits, so it refuses a step by any
 of the five as an unknown rule.
 
 refute_case keeps each Contradiction leaf's trace trimmed to the cone of
-its conflict (_conflict_cone): the seed steps, then only the steps the
-conflict rests on, followed back through their premises, the backward
-check of DRAT-trim (Wetzler, Heule and Hunt, SAT 2014).  At 12 blocks that
-keeps 39,021 of the leaves' 92,380 steps.  complete_qn's outcomes, and a
-Completed or Stuck search outcome, keep every step.
+its conflict (_conflict_cone): only the steps the conflict rests on,
+followed back through their premises to the seeds and assumptions, the
+backward check of DRAT-trim (Wetzler, Heule and Hunt, SAT 2014).  At 12
+blocks that keeps 9,082 of the leaves' 94,166 steps.  complete_qn's
+outcomes, and a Completed or Stuck search outcome, keep every step.
 
 Skip invariant.  A pass drops every rule instance that provably would
 neither assign a cell nor raise a conflict, and runs the per-instance code
@@ -54,10 +54,9 @@ from itertools import compress
 from operator import attrgetter, itemgetter, ne
 from typing import NamedTuple
 
-from .cayley import MAX_ORDER, CayleyTable, is_quadratical
-from .errors import SearchCapExceeded
-from .qn import canonical_labels
-from .steps import Conflict, Step, _collector_paused, seed_steps
+from .cayley import CayleyTable, is_quadratical
+from .qn import canonical_labels, seed_assignments
+from .steps import Conflict, Step, _collector_paused, check_blocks
 
 
 class PartialTable(NamedTuple):
@@ -100,17 +99,15 @@ class _ConflictError(Exception):
 
 class _State:
     # facts[r][c] is the one ((r, c), v) tuple of a known cell, made when
-    # set_cell assigns it and None before: the cell of its Step (unless the
-    # step is a shared seed step, see _seed_state) and every premise or
-    # conflict record that names the known cell reference it, so a trace
-    # holds one premise object per cell, not one per mention.  step_at[r][c]
-    # is the index in trace of the step that assigned the known cell, and
-    # seeded the number of seed steps that open the trace: _conflict_cone
-    # follows a conflict's premises back through them.
+    # set_cell assigns it and None before: the cell of its Step and every
+    # premise or conflict record that names the known cell reference it, so
+    # a trace holds one premise object per cell, not one per mention.
+    # step_at[r][c] is the index in trace of the step that assigned the
+    # known cell: _conflict_cone follows a conflict's premises back by it.
     __slots__ = (
         "n", "blocks", "choice", "val", "cols", "facts", "step_at", "row_vals",
         "col_vals", "row_known", "col_known", "value_rows", "value_cols",
-        "rows_by_value", "cols_by_value", "unknown", "trace", "seeded", "conflict",
+        "rows_by_value", "cols_by_value", "unknown", "trace", "conflict",
     )
 
     def __init__(self, blocks: int, choice: int):
@@ -136,7 +133,6 @@ class _State:
         self.cols_by_value = [[] for _ in range(n)]
         self.unknown = n * n
         self.trace = []
-        self.seeded = 0
         self.conflict = None
 
     def clone(self) -> "_State":
@@ -158,7 +154,6 @@ class _State:
         st.cols_by_value = [lst[:] for lst in self.cols_by_value]
         st.unknown = self.unknown
         st.trace = self.trace[:]
-        st.seeded = self.seeded
         st.conflict = None
         return st
 
@@ -370,31 +365,18 @@ def _saturate(st: _State) -> None:
         st.conflict = exc.record
 
 
-# The largest block count the engine takes, 256: a table of order 4*256+1 =
-# cayley.MAX_ORDER.  A larger count raises SearchCapExceeded before any
-# table is allocated (the command line exits 3), instead of filling memory.
-MAX_BLOCKS = (MAX_ORDER - 1) // 4
-
 # How deep refute_case splits cases before the split budget is exhausted.
 SPLIT_DEPTH = 3
 
 
 def _seed_state(blocks: int, choice: int) -> _State:
-    if blocks > MAX_BLOCKS:
-        raise SearchCapExceeded(
-            f"{blocks} blocks exceed the cap of {MAX_BLOCKS} blocks "
-            f"(order {4 * MAX_BLOCKS + 1})")
+    check_blocks(blocks)
     st = _State(blocks, choice)
     try:
-        for step in seed_steps(blocks, choice):
-            r, c = step.cell
-            if st.set_cell(r, c, step.value, step.rule, (), ()):
-                # the shared seed step itself, by which replay_trace
-                # recognises a trace's seed prefix
-                st.trace[-1] = step
+        for rule, (r, c), v in seed_assignments(blocks, choice):
+            st.set_cell(r, c, v, rule, (), ())
     except _ConflictError as exc:
         st.conflict = exc.record
-    st.seeded = len(st.trace)
     return st
 
 
@@ -484,18 +466,16 @@ def _least_unknown_cell(st: _State):
 
 
 def _conflict_cone(st: _State) -> tuple[Step, ...]:
-    """The trace a refutation leaf keeps: the seed steps, whole, so that
-    replay_trace still starts from its verified seed table, then in trace
-    order the other steps the conflict rests on.  The cone starts at the
-    cells the conflict cites, plus for a cell-mismatch the clashing cell,
-    which the conflict check reads without citing; each step in it adds
-    the steps that assigned its premises.  The auditor verifies each kept
-    step forward with the same checks: they need only the cited cells
-    known, and the cells a kept step leaves unknown were unknown at that
-    step in the whole trace too."""
+    """The trace a refutation leaf keeps: in trace order, the steps the
+    conflict rests on.  The cone starts at the cells the conflict cites,
+    plus for a cell-mismatch the clashing cell, which the conflict check
+    reads without citing; each step in it adds the steps that assigned its
+    premises, down to seeds and assumptions, which have none.  The auditor
+    verifies each kept step forward from an empty table with the same
+    checks: they need only the cited cells known, and the cells a kept
+    step leaves unknown were unknown at that step in the whole trace too."""
     trace = st.trace
     step_at = st.step_at
-    seeded = st.seeded
     cells = [cell for cell, _ in st.conflict.premises]
     if st.conflict.kind == "cell-mismatch":
         cells.append(st.conflict.cell)
@@ -503,10 +483,10 @@ def _conflict_cone(st: _State) -> tuple[Step, ...]:
     while cells:
         r, c = cells.pop()
         i = step_at[r][c]
-        if i >= seeded and i not in keep:
+        if i not in keep:
             keep.add(i)
             cells.extend(cell for cell, _ in trace[i].premises)
-    return (*trace[:seeded], *map(trace.__getitem__, sorted(keep)))
+    return tuple(map(trace.__getitem__, sorted(keep)))
 
 
 def _refute_search(st: _State, depth: int, stats: dict):

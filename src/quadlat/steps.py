@@ -1,17 +1,31 @@
 """The trace records that the deduction engine writes and its auditor reads.
 
 ``quadlat.deduction`` makes traces of these records and ``quadlat.audit``
-replays them; this small module is all the two share, so a process that
-only deduces loads no auditor.
+replays them; this small module, with the block cap both refuse past, is
+all the two share, so a process that only deduces loads no auditor.
 """
 
 from __future__ import annotations
 
 import gc
-from functools import lru_cache, wraps
+from functools import wraps
 from typing import NamedTuple
 
-from .qn import seed_assignments
+from .cayley import MAX_ORDER
+from .errors import SearchCapExceeded
+
+# The largest block count the engine and the auditor take, 256: a table of
+# order 4*256+1 = cayley.MAX_ORDER.  check_blocks refuses a larger count
+# with SearchCapExceeded before any table is allocated (the command line
+# exits 3), instead of filling memory.
+MAX_BLOCKS = (MAX_ORDER - 1) // 4
+
+
+def check_blocks(blocks: int) -> None:
+    if blocks > MAX_BLOCKS:
+        raise SearchCapExceeded(
+            f"{blocks} blocks exceed the cap of {MAX_BLOCKS} blocks "
+            f"(order {4 * MAX_BLOCKS + 1})")
 
 
 class Step(NamedTuple):
@@ -34,17 +48,6 @@ class Conflict(NamedTuple):
 
 class ReplayError(Exception):
     """A trace step or conflict is not justified by the rule set."""
-
-
-# One entry per (blocks, choice): the refutation of one block count runs
-# four choices, and the blocks benchmark's 5-12 blocks are 32.  Typed, so
-# that 5.0 blocks are not served the steps of 5.
-@lru_cache(maxsize=32, typed=True)
-def seed_steps(blocks: int, choice: int) -> tuple[Step, ...]:
-    """The seed list of qn.seed_assignments as trace steps, one object per
-    seed.  The engine puts these very objects in its traces, so the
-    auditor can tell a trace that starts with them by identity."""
-    return tuple(Step(rule, cell, v, (), ()) for rule, cell, v in seed_assignments(blocks, choice))
 
 
 def _collector_paused(fn):

@@ -19,11 +19,12 @@ from quadlat import (
     trace_text,
 )
 from quadlat import audit
-from quadlat.deduction import MAX_BLOCKS, parse_choice
+from quadlat.deduction import parse_choice
 from quadlat.errors import SearchCapExceeded
 from quadlat.qn import seed_assignments
-from quadlat.steps import Conflict, ReplayError, Step
+from quadlat.steps import MAX_BLOCKS, Conflict, ReplayError, Step
 
+import reference_replay
 from conftest import block_fixture_to_canonical, untrimmed
 
 
@@ -215,6 +216,22 @@ def test_refute_q6_all_choices():
             replay_trace(6, case.choice, leaf.trace, leaf.conflict)
 
 
+def test_refute_q6_leaves_replay_from_an_empty_table():
+    # the 18 leaves, each trimmed to its conflict's cone through the seeds,
+    # hold 238 steps (2,792 when every leaf kept all of its seeds); both
+    # replays start from an empty table
+    report = refute_q6()
+    leaves = [(case.choice, leaf) for case in report.cases for leaf in case.leaves]
+    assert sum(len(leaf.trace) for _, leaf in leaves) == 238
+    for choice, leaf in leaves:
+        replay_trace(6, choice, leaf.trace, leaf.conflict)
+        ref = reference_replay.Replay(6, choice)
+        for step in leaf.trace:
+            ref.verify_step(step)
+            ref.apply_step(step)
+        ref.verify_conflict(leaf.conflict)
+
+
 def test_parse_choice():
     assert parse_choice(6, "2") == 2
     assert parse_choice(6, "62") == 2
@@ -235,10 +252,10 @@ def test_block_count_cap():
 
 
 def test_replay_block_count_cap():
-    # the auditor refuses the counts the engine refuses, before it builds or
-    # caches a table or a seed list: at MAX_BLOCKS + 1 those peaked at tens
-    # of megabytes
-    before = audit._seeded.cache_info()
+    # the auditor refuses the counts the engine refuses, before it builds a
+    # table or caches a seed map: at MAX_BLOCKS + 1 those peaked at tens of
+    # megabytes
+    before = audit._seed_rules.cache_info()
     tracemalloc.start()
     try:
         with pytest.raises(SearchCapExceeded, match=f"{MAX_BLOCKS + 1} blocks exceed"):
@@ -247,7 +264,7 @@ def test_replay_block_count_cap():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-    assert audit._seeded.cache_info() == before
+    assert audit._seed_rules.cache_info() == before
 
 
 def test_deduction_leaves_no_cyclic_garbage():
@@ -290,14 +307,14 @@ def _held_bytes(root) -> int:
 
 def test_refutation_leaves_share_cell_facts():
     # The leaves of refute_case(12, c), c = 1..4, each trimmed to the cone
-    # of its conflict, hold 37,381 steps (94,166 untrimmed).  With one
-    # ((r, c), v) tuple per assigned cell shared by every premise that names
-    # it, they hold about 1.6 MB (9 MB untrimmed; a fresh tuple per premise
-    # would hold about 17 MB untrimmed).  tracemalloc reads the same
+    # of its conflict, seeds included, hold 9,082 steps (94,166 untrimmed).
+    # With one ((r, c), v) tuple per assigned cell shared by every premise
+    # that names it, they hold about 1.3 MB (9 MB untrimmed; a fresh tuple
+    # per premise would hold about 17 MB untrimmed).  tracemalloc reads the same
     # figures but slows the run about seventeenfold, so the held objects
     # are counted directly.
     held = [refute_case(12, choice) for choice in (1, 2, 3, 4)]
-    assert sum(len(leaf.trace) for case in held for leaf in case.leaves) == 37381
+    assert sum(len(leaf.trace) for case in held for leaf in case.leaves) == 9082
     assert _held_bytes(held) < 2_500_000
 
 

@@ -43,20 +43,21 @@ import naive_passes
 from conftest import untrimmed
 from test_properties import quadratical_test_tables
 
-# SHA-256 of engine_digest(12), computed when the engine stopped running
-# bookend and strong elasticity; the verdicts, splits and leaf counts it
-# hashes did not move then, only the steps of the traces
-ENGINE_DIGEST_1_TO_12 = "abf7b61acdcefcf5ff3902ac00506194cd1eeed204813cda69e46d8fa46c6a80"
+# SHA-256 of engine_digest(12), computed when each leaf's trim first
+# followed its conflict's cone into the seed steps; the verdicts, splits and
+# leaf counts it hashes did not move then, only the steps of the leaves
+ENGINE_DIGEST_1_TO_12 = "c7e647d53863f0d0afca38345fd79903302dd7355fe0424052c2ee96cd57ef5b"
 # SHA-256 of engine_digest(12) with the trim patched out: the whole leaf
-# traces, which pin the search itself.  Computed at the same point.
+# traces, which pin the search itself.  Computed when the engine stopped
+# running bookend and strong elasticity.
 ENGINE_DIGEST_1_TO_12_UNTRIMMED = (
     "fe15ad63f25fa693a95081bf1894927f232318c4983a307a6143b2d997b428b5")
 # SHA-256 of engine_digest(16, first=13), computed with trimmed leaves
-ENGINE_DIGEST_13_TO_16 = "5db3af1a268178ef2af217e4c04bfa2892cf5218c3a9c193e746cd5dc3bc8f77"
+ENGINE_DIGEST_13_TO_16 = "be4a8159005d1c6b60305c22c59d77665cea1722cf2e263614f908fa8e54ab19"
 # SHA-256 of engine_digest(30, first=17), computed with trimmed leaves.  It
 # takes about two minutes, so CI checks it in a step of its own, outside
 # tier-1.
-ENGINE_DIGEST_17_TO_30 = "d75e7dceb20ec57667737d5e5326b99b8dbe4170b806106245fd43b4f2740594"
+ENGINE_DIGEST_17_TO_30 = "bc1ffd72139bccfe6263fa6e66b733721bfbef09e8ea212b6f61d116233e8516"
 
 def outcome_text(out) -> str:
     if isinstance(out, Completed):

@@ -1,11 +1,10 @@
-"""replay_trace's seeded start against the step-by-step replays.
+"""replay_trace on the seed steps of a trace, against the reference replay.
 
-replay_trace starts from a copy of a table on which the seed steps of
-(blocks, choice) were verified once, when a trace begins with those very
-step objects, as the engine's traces do; every other trace replays from an
-empty table.  On engine traces whose seed prefix was tampered with, on
-rebuilt traces and on seed conflicts it must give the verdict of
-tests/reference_replay.py and of quadlat.audit._Replay run step by step.
+Every trace replays from an empty table, its seed steps verified against
+the seed list of (blocks, choice) like any other step.  On engine traces
+whose seed prefix was tampered with, on rebuilt traces and on seed
+conflicts, replay_trace must give the verdict of tests/reference_replay.py
+and of quadlat.audit._Replay run step by step.
 
 agree_with_reference(first, last) replays every leaf and completion of
 refute_case through both replays; tier-1 runs it at 1-12 blocks, and CI
@@ -17,10 +16,9 @@ import random
 
 import pytest
 
-from quadlat import audit
 from quadlat.audit import _Replay
 from quadlat.deduction import Contradiction, complete_qn, refute_case, replay_trace
-from quadlat.steps import ReplayError, Step, seed_steps
+from quadlat.steps import ReplayError, Step
 
 import reference_replay
 
@@ -74,13 +72,19 @@ def _tampered(rng, trace, k, n):
     step = trace[i]
     swapped = list(trace)
     swapped[i], swapped[j] = swapped[j], swapped[i]
-    # a bool equals the int 0 or 1, so these steps equal the seeds they replace
-    b = rng.choice([h for h in range(k) if trace[h].cell[0] in (0, 1)])
-    r, c = trace[b].cell
-    yield "bool cell", trace[:b] + (trace[b]._replace(cell=(bool(r), c)),) + trace[b + 1:]
-    b = rng.choice([h for h in range(k) if trace[h].value in (0, 1)])
-    yield "bool value", trace[:b] + (trace[b]._replace(value=bool(trace[b].value)),) \
-        + trace[b + 1:]
+    # a bool equals the int 0 or 1, so these steps equal the seeds they
+    # replace; a trimmed leaf may keep no seed in row 0 or 1, or of value 0
+    # or 1
+    rows = [h for h in range(k) if trace[h].cell[0] in (0, 1)]
+    if rows:
+        b = rng.choice(rows)
+        r, c = trace[b].cell
+        yield "bool cell", trace[:b] + (trace[b]._replace(cell=(bool(r), c)),) + trace[b + 1:]
+    values = [h for h in range(k) if trace[h].value in (0, 1)]
+    if values:
+        b = rng.choice(values)
+        yield "bool value", trace[:b] + (trace[b]._replace(value=bool(trace[b].value)),) \
+            + trace[b + 1:]
     yield "swapped", tuple(swapped)
     yield "dropped", trace[:i] + trace[i + 1:]
     yield "dropped last", trace[:k - 1] + trace[k:]
@@ -119,8 +123,8 @@ def test_tampered_seed_prefix_same_verdict():
     rng = random.Random(19)
     tally = {"accepted": 0, "rejected": 0}
     for blocks, choice, trace, conflict in _engine_outcomes():
-        k = len(seed_steps(blocks, choice))
-        assert all(a is b for a, b in zip(trace, seed_steps(blocks, choice)))
+        # the engine seeds before it deduces, so the seed steps open the trace
+        k = sum(step.rule.startswith("seed:") for step in trace)
         assert _verdicts(blocks, choice, trace, conflict) == ("accepted",) * 3
         for name, bad in _tampered(rng, trace, k, 4 * blocks + 1):
             for tail in ((conflict,) if name in ("fresh steps", "swapped") else (None,)):
@@ -133,7 +137,7 @@ def test_tampered_seed_prefix_same_verdict():
 
 def test_seed_conflicts_same_verdict():
     # choices whose seeds clash: the trace is seeds only and ends at a
-    # seed conflict, and no seeded table exists for them
+    # seed conflict
     found = 0
     for blocks in range(1, 5):
         for choice in (1, 2, 3, 4):
@@ -141,7 +145,6 @@ def test_seed_conflicts_same_verdict():
             if not (isinstance(out, Contradiction) and out.conflict.rule.startswith("seed:")):
                 continue
             found += 1
-            assert audit._seeded(blocks, choice)[1] is None
             assert _verdicts(blocks, choice, out.trace, out.conflict) == ("accepted",) * 3
             wrong = out.conflict._replace(value=(out.conflict.value + 1) % (4 * blocks + 1))
             fast, slow, ref = _verdicts(blocks, choice, out.trace, wrong)
@@ -149,37 +152,8 @@ def test_seed_conflicts_same_verdict():
     assert found == 8
 
 
-def test_seeded_start_skips_the_seed_prefix(monkeypatch):
-    """The seed prefix is verified once per (blocks, choice); each trace
-    that starts with it has only its other steps verified."""
-    calls = []
-    verify = _Replay.verify_step
-
-    def counted(self, step):
-        calls.append(step)
-        return verify(self, step)
-
-    monkeypatch.setattr(_Replay, "verify_step", counted)
-    first, second = refute_case(6, 1).leaves[:2]
-    k = len(seed_steps(6, 1))
-    # a conflict of these kinds verifies its deduction as a step
-    own = [leaf.conflict.kind in ("cell-mismatch", "row-duplicate", "col-duplicate")
-           for leaf in (first, second)]
-    audit._seeded.cache_clear()
-    replay_trace(6, 1, first.trace, first.conflict)
-    assert len(calls) == len(first.trace) + own[0]
-    calls.clear()
-    replay_trace(6, 1, second.trace, second.conflict)
-    assert len(calls) == len(second.trace) - k + own[1]
-    calls.clear()
-    # equal steps that are other objects replay from an empty table
-    replay_trace(6, 1, tuple(Step(*s) for s in second.trace), second.conflict)
-    assert len(calls) == len(second.trace) + own[1]
-
-
 def test_block_count_must_be_an_int():
-    # the caches are typed, so 5.0 blocks fail as they do on an empty
-    # table instead of being served the seeded table of 5
+    # 5.0 blocks are refused, not replayed as 5
     leaf = refute_case(5, 1).leaves[0]
     replay_trace(5, 1, leaf.trace, leaf.conflict)
     with pytest.raises(TypeError):
@@ -189,19 +163,3 @@ def test_block_count_must_be_an_int():
 def test_agree_with_reference_small():
     # 433 traces: every block count the blocks benchmark runs
     assert agree_with_reference(1, 12) >= 400
-
-
-@pytest.mark.parametrize("blocks, choice", [(5, 1), (7, 2)])
-def test_seeded_table_is_the_replayed_seeds(blocks, choice):
-    seeds, seeded = audit._seeded(blocks, choice)
-    assert seeds is seed_steps(blocks, choice)
-    rp = _Replay(blocks, choice)
-    for step in seeds:
-        rp.verify_step(step)
-        rp.apply_step(step)
-    twin = seeded.copy()
-    assert vars(twin) == vars(rp)
-    # the copy is a table of its own
-    for lines in (twin.rows, [twin.row_vals, twin.col_vals]):
-        lines[0][0] = -2
-    assert vars(seeded) == vars(rp)
