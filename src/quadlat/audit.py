@@ -11,8 +11,7 @@ the cone of its conflict keeps only the seeds that the cone cites.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
-from operator import itemgetter
+from functools import lru_cache
 
 from .qn import seed_assignments
 from .steps import Conflict, ReplayError, Step, _collector_paused, check_blocks
@@ -27,10 +26,13 @@ class _Replay:
     or conflict prints must each name a known cell with its value, and
     must name every known cell its check reads: for alterability the two
     equal products, then the cell whose value the step copies, in that
-    order, and for a latin rule one cell per value or position it rules
-    out.  A step by any rule but these, assume and the seed rules is
-    refused as unknown: bookend, strong elasticity, distributivity and
-    mediality too, since the engine does not run them."""
+    order, and for latin elimination one cell per value it rules out.  A
+    step by any rule but these, assume and the seed rules is refused as
+    unknown, and so is a conflict of any kind but a clash, a duplicate and
+    cell-no-candidate: the row and column latin views (latin-row-single,
+    row-value-impossible and their column twins), bookend, strong
+    elasticity, distributivity and mediality too, since the engine does not
+    run them."""
 
     def __init__(self, blocks: int, choice: int):
         n = self.n = 4 * blocks + 1
@@ -40,23 +42,21 @@ class _Replay:
         self.col_vals = [0] * n
         self.seeds = _seed_rules(blocks, choice)
 
-    def latin(self, r, c, v, premises, binding=(), *, view, conflict=False) -> bool:
-        """The latin check of one view: a step places k at (i, j) when its
-        premises rule out every other k, and a conflict when they rule out
-        every k.  A premise rules out its own k when its view coordinates
-        share i or j.  (i, j) must be in range and not yet placed.  The
-        premises are known cells (check_premises), so no k they rule out
-        is open at (i, j): the open ones need no scan of the table."""
-        ijk, placed = view
-        i, j, k = ijk((r, c, v))
-        if not (0 <= i < self.n and 0 <= j < self.n) or placed(self, i, j):
-            raise ReplayError(f"latin rule over ({i},{j}), out of range or already placed")
+    def latin(self, r, c, v, premises, binding=(), *, conflict=False) -> bool:
+        """Latin elimination at cell (r, c): a step places v there when its
+        premises rule out every other value, and a conflict when they rule
+        out every value.  A premise rules out its own value when it shares
+        row r or column c.  (r, c) must be in range and not yet placed.
+        The premises are known cells (check_premises), so no value they
+        rule out is open at (r, c): the open ones need no scan of the
+        table."""
+        if not (0 <= r < self.n and 0 <= c < self.n) or self.rows[r][c] != -1:
+            raise ReplayError(f"latin rule over ({r},{c}), out of range or already placed")
         cited = 0
-        for cell, u in premises:
-            pi, pj, pk = ijk((*cell, u))
-            if pi == i or pj == j:
-                cited |= 1 << pk
-        return cited | (0 if conflict else 1 << k) == self.full
+        for (pr, pc), u in premises:
+            if pr == r or pc == c:
+                cited |= 1 << u
+        return cited | (0 if conflict else 1 << v) == self.full
 
     def check_premises(self, premises):
         """Each premise ((r, c), v) names a cell already known to hold v."""
@@ -165,24 +165,13 @@ class _Replay:
                 held = (self.row_vals, self.col_vals)[axis][line]
                 ok = cur == -1 and held >> v & 1 and any(
                     cell[axis] == line and u == v for cell, u in premises)
-        elif kind in _CONFLICT_VIEWS:
-            ok = self.latin(r, c, v, premises, view=_CONFLICT_VIEWS[kind], conflict=True)
+        elif kind == "cell-no-candidate":
+            ok = self.latin(r, c, v, premises, conflict=True)
         else:
             raise ReplayError(f"unknown conflict kind {kind!r}")
         if not ok:
             raise ReplayError(f"{kind} conflict not justified: {conflict}")
 
-
-# The three conjugates of the partial latin square.  A view fixes a pair
-# (i, j) and places the third coordinate k: ijk picks (i, j, k) out of
-# (row, column, value), and placed(rp, i, j) is true when a known cell of
-# the replay rp already has view coordinates (i, j).
-_CELL = (itemgetter(0, 1, 2), lambda rp, r, c: rp.rows[r][c] != -1)
-_ROW = (itemgetter(0, 2, 1), lambda rp, r, v: rp.row_vals[r] >> v & 1)
-_COL = (itemgetter(1, 2, 0), lambda rp, c, v: rp.col_vals[c] >> v & 1)
-
-_CONFLICT_VIEWS = {
-    "cell-no-candidate": _CELL, "row-value-impossible": _ROW, "col-value-impossible": _COL}
 
 # rule -> (binding length, or 0 when the rule does not read its binding;
 # how many leading premises the check compares by position with known
@@ -190,9 +179,7 @@ _CONFLICT_VIEWS = {
 _STEP_CHECKS = {
     "assume": (0, 0, _Replay._assume),
     "alterability": (4, 3, _Replay._alterability),
-    "latin-cell-single": (0, 0, partial(_Replay.latin, view=_CELL)),
-    "latin-row-single": (0, 0, partial(_Replay.latin, view=_ROW)),
-    "latin-col-single": (0, 0, partial(_Replay.latin, view=_COL)),
+    "latin-cell-single": (0, 0, _Replay.latin),
 }
 
 

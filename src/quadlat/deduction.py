@@ -1,44 +1,43 @@
 """Forward-chaining completion of block-form Cayley tables.
 
 A partial table over the symbols {centre} + H1..Hn is seeded from the
-block laws plus one choice for centre*a, then saturated under two rules,
-latin elimination and alterability, repeated until neither assigns a
-cell.  Each pass scans in a fixed order, so traces are deterministic.
-Known cells never change: a clashing deduction is a conflict, not an
-overwrite.  Bookend, strong elasticity, left and right distributivity and
-mediality also hold in a quadratical quasigroup but are not scheduled: at
-every fixpoint of the two rules, over 1-30 blocks in complete_qn and in
-every branch of refute_case, they assigned no cell and raised no
-conflict.  The rules are monotone, so adding them would reach the same
-fixpoints.  The auditor, replay_trace, lives in quadlat.audit and is read
-from here on first use, so a process that only deduces never loads it.
-It accepts only the rules the engine emits, so it refuses a step by any
-of the five as an unknown rule.
+block laws plus one choice for centre*a, then saturated under two rules:
+alterability, repeated until it assigns no cell, and then latin
+elimination over the cells, the two in turn until neither assigns a cell.
+Each pass scans in a fixed order, so traces are deterministic.  Known
+cells never change: a clashing deduction is a conflict, not an overwrite.
+
+Alterability does the deducing: over 5-12 blocks x 4 choices in
+refute_case it assigns 72,454 cells and latin elimination none.  The latin
+check stays for its conflict.  A cell whose row and column hold every
+value ends a branch; without the check refute_case(5, 2) and (5, 4) split
+on such a cell, try no value, and report a refutation with no leaf, and
+complete_qn(5, 2) and (5, 4) end Stuck.  The row and column latin views (a
+value with one open place, or none, in a row or a column), bookend, strong
+elasticity, left and right distributivity and mediality also hold in a
+quadratical quasigroup but are not scheduled: at every conflict-free
+fixpoint of the two rules, over 1-30 blocks in complete_qn and in every
+branch of refute_case, they assigned no cell and raised no conflict.  The
+rules are monotone, so adding them would reach the same fixpoints.  The
+auditor, replay_trace, lives in quadlat.audit and is read from here on
+first use, so a process that only deduces never loads it.  It accepts only
+the rules the engine emits, so it refuses a step by any of those others as
+an unknown rule.
 
 refute_case keeps each Contradiction leaf's trace trimmed to the cone of
 its conflict (_conflict_cone): only the steps the conflict rests on,
 followed back through their premises to the seeds and assumptions, the
 backward check of DRAT-trim (Wetzler, Heule and Hunt, SAT 2014).  At 12
-blocks that keeps 9,082 of the leaves' 94,166 steps.  complete_qn's
+blocks that keeps 7,968 of the leaves' 94,147 steps.  complete_qn's
 outcomes, and a Completed or Stuck search outcome, keep every step.
 
-Skip invariant.  A pass drops every rule instance that provably would
-neither assign a cell nor raise a conflict, and runs the per-instance code
-on the rest in the original order, so traces, conflicts, splits and leaves
-are those of a pass that visits every instance:
-
-- Alterability links two cells, idle when both hold the same value,
-  unknown included.  It compares, per first cell, a row of the table
-  against a column of its transposed view over all the value's cells at
-  once.
-- Counting bound (latin elimination, one rule over the three views of
-  _VIEWS).  A pair (i, j) of a view has one third coordinate or none
-  only when |xs[i]| + |ys[j]| >= n-1, since each known cell rules out at
-  most one k.  In the cell view these are the known cells of row r and
-  of column c; in the row (column) view, the known cells of the line and
-  the cells of v.  The counts are exact when an instance is visited:
-  an assignment of the pass adds one k to one ys[j], so it raises that
-  one count by one.
+Skip invariant.  Alterability links two cells, idle when both hold the
+same value, unknown included.  Its pass drops every such instance, and
+runs the per-instance code on the rest in the original order, so traces,
+conflicts, splits and leaves are those of a pass that visits every
+instance: it compares, per first cell, a row of the table against a
+column of its transposed view over all the value's cells at once.  The
+latin pass visits every unknown cell.
 
 Passes keep no memory between passes and read only the current table:
 remembering which instances were idle, to skip them until an input
@@ -51,7 +50,7 @@ tuple comparisons it skipped.
 from __future__ import annotations
 
 from itertools import compress
-from operator import attrgetter, itemgetter, ne
+from operator import itemgetter, ne
 from typing import NamedTuple
 
 from .cayley import CayleyTable, is_quadratical
@@ -106,8 +105,7 @@ class _State:
     # known cell: _conflict_cone follows a conflict's premises back by it.
     __slots__ = (
         "n", "blocks", "choice", "val", "cols", "facts", "step_at", "row_vals",
-        "col_vals", "row_known", "col_known", "value_rows", "value_cols",
-        "rows_by_value", "cols_by_value", "unknown", "trace", "conflict",
+        "col_vals", "rows_by_value", "cols_by_value", "unknown", "trace", "conflict",
     )
 
     def __init__(self, blocks: int, choice: int):
@@ -120,13 +118,9 @@ class _State:
         self.cols = [[-1] * n for _ in range(n)]
         self.facts = [[None] * n for _ in range(n)]
         self.step_at = [[-1] * n for _ in range(n)]
+        # bitmasks of the values each row and each column holds
         self.row_vals = [0] * n
         self.col_vals = [0] * n
-        self.row_known = [0] * n
-        self.col_known = [0] * n
-        # bitmasks of the rows and of the columns that hold each value
-        self.value_rows = [0] * n
-        self.value_cols = [0] * n
         # the cells of each value in assignment order, as a list of rows and
         # a parallel list of columns
         self.rows_by_value = [[] for _ in range(n)]
@@ -146,10 +140,6 @@ class _State:
         st.step_at = [row[:] for row in self.step_at]
         st.row_vals = self.row_vals[:]
         st.col_vals = self.col_vals[:]
-        st.row_known = self.row_known[:]
-        st.col_known = self.col_known[:]
-        st.value_rows = self.value_rows[:]
-        st.value_cols = self.value_cols[:]
         st.rows_by_value = [lst[:] for lst in self.rows_by_value]
         st.cols_by_value = [lst[:] for lst in self.cols_by_value]
         st.unknown = self.unknown
@@ -184,10 +174,6 @@ class _State:
         self.cols[c][r] = v
         self.row_vals[r] |= bit
         self.col_vals[c] |= bit
-        self.row_known[r] |= 1 << c
-        self.col_known[c] |= 1 << r
-        self.value_rows[v] |= 1 << r
-        self.value_cols[v] |= 1 << c
         self.rows_by_value[v].append(r)
         self.cols_by_value[v].append(c)
         self.unknown -= 1
@@ -197,68 +183,43 @@ class _State:
     # -- rule passes --------------------------------------------------------
 
     def latin_pass(self) -> bool:
-        changed = False
-        for view in _VIEWS:
-            changed |= self._latin_view(view)
-        return changed
-
-    def _latin_view(self, view) -> bool:
-        # Only the pairs (i, j) the counting bound allows are examined:
-        # |xs[i]| + |ys[j]| >= n-1, kept exact as each assignment raises
-        # one count (see the module docstring).
-        rcv = view.rcv
-        xs, ys, placed = view.planes(self)
+        # latin elimination over the cells, in row-major order: an unknown
+        # cell whose row and column hold every value but one takes it, and
+        # one whose row and column hold every value is a conflict
         n = self.n
-        lim = n - 1
         full = (1 << n) - 1
+        row_vals = self.row_vals
+        col_vals = self.col_vals
         changed = False
-        ys_ge = _at_least([m.bit_count() for m in ys], n)
-        for i in range(n):
-            todo = full & ~placed[i] & ys_ge[lim - xs[i].bit_count()]
-            while todo:
-                bit = todo & -todo
-                todo ^= bit
-                j = bit.bit_length() - 1
-                cand = ~(xs[i] | ys[j]) & full
+        for r, row in enumerate(self.val):
+            for c in [c for c, v in enumerate(row) if v == -1]:
+                cand = ~(row_vals[r] | col_vals[c]) & full
+                if cand & (cand - 1):
+                    continue
                 if cand == 0:
-                    r, c, v = rcv((i, j, -1))
                     raise _ConflictError(Conflict(
-                        view.kind, view.rule, (r, c), v, -1, self._coverage(view, i, j),
-                        (i, j)))
-                if cand & (cand - 1) == 0:
-                    r, c, v = rcv((i, j, cand.bit_length() - 1))
-                    changed |= self.set_cell(
-                        r, c, v, view.single, self._coverage(view, i, j), (i, j))
-                    # the assignment added k to ys[j] alone
-                    ys_ge[ys[j].bit_count()] |= bit
-                    todo = (full & ~placed[i] & ys_ge[lim - xs[i].bit_count()]
-                            & -(bit << 1))
+                        "cell-no-candidate", "latin-cell", (r, c), -1, -1,
+                        self._coverage(r, c), (r, c)))
+                changed |= self.set_cell(
+                    r, c, cand.bit_length() - 1, "latin-cell-single",
+                    self._coverage(r, c), (r, c))
         return changed
 
-    def _coverage(self, view, i, j) -> tuple:
-        """The known cells that rule out the third coordinates of (i, j) in
-        a view, by k in increasing order: the cell in plane i when xs[i]
-        holds k, and otherwise the one in plane j."""
-        rcv = view.rcv
-        xs, ys, _ = view.planes(self)
-        val = self.val
-        cols = self.cols
+    def _coverage(self, r, c) -> tuple:
+        """The known cells that rule out values at cell (r, c), by value in
+        increasing order: the cell of row r that holds it, and otherwise
+        the one of column c."""
+        row = self.val[r]
+        col = self.cols[c]
         facts = self.facts
-        x = xs[i]
+        in_row = self.row_vals[r]
         out = []
-        ruled_out = x | ys[j]
+        ruled_out = in_row | self.col_vals[c]
         while ruled_out:
             bit = ruled_out & -ruled_out
             ruled_out ^= bit
-            k = bit.bit_length() - 1
-            # the known triple of plane i or plane j with third coordinate
-            # k; a missing row or column is read off the table
-            r, c, v = rcv((i, -1, k) if x & bit else (-1, j, k))
-            if r == -1:
-                r = cols[c].index(v)
-            elif c == -1:
-                c = val[r].index(v)
-            out.append(facts[r][c])
+            v = bit.bit_length() - 1
+            out.append(facts[r][row.index(v)] if in_row & bit else facts[col.index(v)][c])
         return tuple(out)
 
     def alter_pass(self) -> bool:
@@ -313,53 +274,14 @@ class _State:
         return changed
 
 
-def _at_least(counts: list, n: int) -> list:
-    """masks[k]: the bitmask of the i with counts[i] >= k, for k = 0..n+1;
-    masks[-1] is masks[n+1], which is empty."""
-    masks = [0] * (n + 2)
-    for i, k in enumerate(counts):
-        masks[k] |= 1 << i
-    for k in range(n, -1, -1):
-        masks[k] |= masks[k + 1]
-    return masks
-
-
-class _View(NamedTuple):
-    """One of the three conjugates of the partial latin square.  A view
-    fixes a pair (i, j) and places the third coordinate k: xs[i] holds the
-    k that a known cell of plane i rules out, ys[j] those that a known
-    cell of plane j rules out, and placed[i] holds j when (i, j) is
-    already placed.  rcv maps (i, j, k) to (row, column, value), and
-    planes reads (xs, ys, placed) off a state.  A single is a step by rule
-    single; a pair with no k is a conflict of kind by rule, whose cell and
-    value are (i, j, k) with k = -1."""
-
-    single: str
-    kind: str
-    rule: str
-    rcv: itemgetter
-    planes: attrgetter
-
-
-# in the order latin_pass runs them
-_VIEWS = (
-    _View("latin-cell-single", "cell-no-candidate", "latin-cell", itemgetter(0, 1, 2),
-          attrgetter("row_vals", "col_vals", "row_known")),
-    _View("latin-row-single", "row-value-impossible", "latin-row", itemgetter(0, 2, 1),
-          attrgetter("row_known", "value_cols", "row_vals")),
-    _View("latin-col-single", "col-value-impossible", "latin-col", itemgetter(2, 0, 1),
-          attrgetter("col_known", "value_rows", "col_vals")),
-)
-
-
 def _saturate(st: _State) -> None:
     if st.conflict is not None:
         return
     try:
         while True:
-            ch = st.latin_pass()
-            ch = st.alter_pass() or ch
-            if not ch:
+            while st.alter_pass():
+                pass
+            if not st.latin_pass():
                 return
     except _ConflictError as exc:
         st.conflict = exc.record

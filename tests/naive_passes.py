@@ -9,24 +9,23 @@ restricts to the moduli with roots.
 Every pass here visits every rule instance and assigns through the
 engine's own set_cell, so a pass of quadlat.deduction._State that skips
 instances must produce the same new trace steps, the same change flag and
-the same conflict.  pairs_pass (bookend and strong elasticity),
-distrib_pass and mediality_pass have no engine counterpart: the engine
-does not schedule those rules, and a saturation that still runs them at
-each fixpoint must give the engine's traces.  These functions are test
-oracles only.
+the same conflict.  latin_lines_pass (latin elimination over the row and
+column views), pairs_pass (bookend and strong elasticity), distrib_pass
+and mediality_pass have no engine counterpart: the engine does not
+schedule those rules, and a saturation that still runs them at each
+fixpoint must give the engine's traces.  These functions are test oracles
+only.
 """
 
 import math
 
 from quadlat import sweep
 from quadlat.cayley import is_quadratical
-from quadlat.deduction import _VIEWS, _ConflictError
+from quadlat.deduction import _ConflictError
 from quadlat.qn import h_chain
 from quadlat.steps import Conflict
 from quadlat.translatable import build_idempotent_k_translatable
 from quadlat.zm import solve_quadratic_congruence
-
-CELL, ROW, COL = _VIEWS
 
 
 def link(st, cell1, cell2, rule, binding, premise_cells) -> bool:
@@ -57,62 +56,79 @@ def latin_pass(st) -> bool:
     val = st.val
     changed = False
     for r in range(n):
-        row_v = st.row_vals[r]
         for c in range(n):
             if val[r][c] != -1:
                 continue
-            cand = ~(row_v | st.col_vals[c]) & full
+            cand = ~(st.row_vals[r] | st.col_vals[c]) & full
             if cand == 0:
                 raise _ConflictError(Conflict(
                     "cell-no-candidate", "latin-cell", (r, c), -1, -1,
-                    st._coverage(CELL, r, c), (r, c)))
+                    st._coverage(r, c), (r, c)))
             if cand & (cand - 1) == 0:
                 v = cand.bit_length() - 1
                 changed |= st.set_cell(
-                    r, c, v, "latin-cell-single", st._coverage(CELL, r, c), (r, c))
-                row_v = st.row_vals[r]
+                    r, c, v, "latin-cell-single", st._coverage(r, c), (r, c))
+    return changed
+
+
+def _row_coverage(st, r, cols, v) -> tuple:
+    """For each column c of cols in order, the known cell that rules out
+    value v at (r, c): the cell itself when known, otherwise the cell of v
+    in column c."""
+    return tuple(st.facts[r][c] if st.val[r][c] != -1 else st.facts[st.cols[c].index(v)][c]
+                 for c in cols)
+
+
+def _col_coverage(st, c, rows, v) -> tuple:
+    """For each row r of rows in order, the known cell that rules out value
+    v at (r, c): the cell itself when known, otherwise the cell of v in
+    row r."""
+    return tuple(st.facts[r][c] if st.val[r][c] != -1 else st.facts[r][st.val[r].index(v)]
+                 for r in rows)
+
+
+def latin_lines_pass(st) -> bool:
+    """Latin elimination over the row and column views, which the engine
+    does not run: a value missing from a row (column) with one open cell
+    left there takes that cell, and with none left is a conflict.  The
+    rows are scanned first, then the columns, each by value in increasing
+    order."""
+    n = st.n
+    full = (1 << n) - 1
+    val = st.val
+    changed = False
     for r in range(n):
         missing = full & ~st.row_vals[r]
         while missing:
             bit = missing & -missing
             missing ^= bit
             v = bit.bit_length() - 1
-            spot = -1
-            count = 0
-            for c in range(n):
-                if val[r][c] == -1 and not (st.col_vals[c] & bit):
-                    spot = c
-                    count += 1
-                    if count > 1:
-                        break
-            if count == 0:
+            spots = [c for c in range(n) if val[r][c] == -1 and not st.col_vals[c] & bit]
+            if not spots:
                 raise _ConflictError(Conflict(
                     "row-value-impossible", "latin-row", (r, -1), v, -1,
-                    st._coverage(ROW, r, v), (r, v)))
-            if count == 1:
+                    _row_coverage(st, r, range(n), v), (r, v)))
+            if len(spots) == 1:
+                c = spots[0]
+                others = [cc for cc in range(n) if cc != c]
                 changed |= st.set_cell(
-                    r, spot, v, "latin-row-single", st._coverage(ROW, r, v), (r, v))
+                    r, c, v, "latin-row-single", _row_coverage(st, r, others, v), (r, v))
     for c in range(n):
         missing = full & ~st.col_vals[c]
         while missing:
             bit = missing & -missing
             missing ^= bit
             v = bit.bit_length() - 1
-            spot = -1
-            count = 0
-            for r in range(n):
-                if val[r][c] == -1 and not (st.row_vals[r] & bit):
-                    spot = r
-                    count += 1
-                    if count > 1:
-                        break
-            if count == 0:
+            spots = [r for r in range(n) if val[r][c] == -1 and not st.row_vals[r] & bit]
+            if not spots:
                 raise _ConflictError(Conflict(
                     "col-value-impossible", "latin-col", (-1, c), v, -1,
-                    st._coverage(COL, c, v), (c, v)))
-            if count == 1:
+                    _col_coverage(st, c, range(n), v), (c, v)))
+            if len(spots) == 1:
+                r = spots[0]
+                others = [rr for rr in range(n) if rr != r]
                 changed |= st.set_cell(
-                    spot, c, v, "latin-col-single", st._coverage(COL, c, v), (c, v))
+                    r, c, v, "latin-col-single", _col_coverage(st, c, others, v), (c, v))
     return changed
 
 
@@ -165,7 +181,11 @@ def alter_pass(st) -> bool:
 
 def _known_cols(st) -> list:
     """The known columns of each row, in increasing order."""
-    return [[c for c in range(st.n) if mask >> c & 1] for mask in st.row_known]
+    return [[c for c, v in enumerate(row) if v != -1] for row in st.val]
+
+
+def _mask(cols) -> int:
+    return sum(1 << c for c in cols)
 
 
 def distrib_pass(st) -> bool:
@@ -173,11 +193,12 @@ def distrib_pass(st) -> bool:
     val = st.val
     changed = False
     kc = _known_cols(st)
+    known = [_mask(cols) for cols in kc]
     for x in range(n):
         vx = val[x]
         for y in kc[x]:
             b_xy = vx[y]
-            both = st.row_known[x] & st.row_known[y]
+            both = known[x] & known[y]
             m2 = both
             while m2:
                 bit = m2 & -m2
@@ -206,6 +227,7 @@ def mediality_pass(st) -> bool:
     val = st.val
     changed = False
     kc = _known_cols(st)
+    known = [_mask(cols) for cols in kc]
     for x in range(n):
         vx = val[x]
         cols_x = kc[x]
@@ -213,13 +235,13 @@ def mediality_pass(st) -> bool:
             if y == x:
                 continue
             a_xy = vx[y]
-            ky = st.row_known[y]
+            ky = known[y]
             for z in cols_x:
                 if z == x or z == y:
                     continue
                 c_xz = vx[z]
                 vz = val[z]
-                mask = st.row_known[z] & ky
+                mask = known[z] & ky
                 while mask:
                     bit = mask & -mask
                     mask ^= bit

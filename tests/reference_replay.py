@@ -3,16 +3,18 @@ columns, a test oracle for quadlat.audit._Replay.
 
 It scans rows and columns in Python and checks each latin case with its own
 loop.  Like the new replay, it requires each step and conflict to cite
-every known cell its check reads, one cell per value or position a latin
-rule rules out, and a cell-mismatch to state the value the cell holds.
+every known cell its check reads, one cell per value a latin step rules
+out, and a cell-mismatch to state the value the cell holds.
 It also compares an alterability step's first three premises by position with the two equal products and then the copied
 cell, the order the engine prints them in, so it refuses the same
 premises reordered; any further premise, such as a row-duplicate
 conflict's witness, is only checked to hold.  A step's or conflict's cell
 and value must be ints: a bool indexes the table like 0 or 1 and equals
 it in the seed set, yet the engine never prints one.  Like the new
-replay, it knows only the rules the engine runs, so a bookend or
-strong-elasticity step is refused as an unknown rule.
+replay, it knows only the rules and conflict kinds the engine makes, so a
+bookend or strong-elasticity step, a latin step over a row or a column
+(latin-row-single, latin-col-single) and a row-value-impossible or
+col-value-impossible conflict are refused as unknown.
 On well-formed input the new replay must accept and reject exactly what
 this one does; on malformed input, where this one may raise IndexError
 or ValueError or wrap a negative index, the new one raises ReplayError.
@@ -97,46 +99,12 @@ class Replay:
                 if not self._cites_value(step.premises, r, c, w):
                     raise ReplayError(f"no premise excludes value {w} at ({r},{c})")
             return
-        if rule == "latin-row-single":
-            if self._value_in_row(r, v):
-                raise ReplayError("latin-row-single for a present value")
-            for cc in range(self.n):
-                if cc == c:
-                    continue
-                if self.get(r, cc) == -1 and not self._value_in_col(cc, v):
-                    raise ReplayError(f"column {cc} not excluded for value {v}")
-                if not self._cites_row_position(step.premises, r, cc, v):
-                    raise ReplayError(f"no premise excludes column {cc} for value {v}")
-            return
-        if rule == "latin-col-single":
-            if self._value_in_col(c, v):
-                raise ReplayError("latin-col-single for a present value")
-            for rr in range(self.n):
-                if rr == r:
-                    continue
-                if self.get(rr, c) == -1 and not self._value_in_row(rr, v):
-                    raise ReplayError(f"row {rr} not excluded for value {v}")
-                if not self._cites_col_position(step.premises, rr, c, v):
-                    raise ReplayError(f"no premise excludes row {rr} for value {v}")
-            return
         raise ReplayError(f"unknown rule {rule!r}")
 
     @staticmethod
     def _cites_value(premises, r, c, w):
         """A premise places value w in row r or in column c."""
         return any(u == w and (pr == r or pc == c) for (pr, pc), u in premises)
-
-    @staticmethod
-    def _cites_row_position(premises, r, c, v):
-        """A premise rules out value v at position c of row r: it names
-        cell (r, c), or a cell of v in column c."""
-        return any((pr, pc) == (r, c) or (pc == c and u == v) for (pr, pc), u in premises)
-
-    @staticmethod
-    def _cites_col_position(premises, r, c, v):
-        """A premise rules out value v at position r of column c: it names
-        cell (r, c), or a cell of v in row r."""
-        return any((pr, pc) == (r, c) or (pr == r and u == v) for (pr, pc), u in premises)
 
     def _value_in_row(self, r, v):
         return v in self.val[r]
@@ -188,25 +156,5 @@ class Replay:
                     raise ReplayError(f"value {w} still possible at ({r},{c})")
                 if not self._cites_value(conflict.premises, r, c, w):
                     raise ReplayError(f"no premise excludes value {w} at ({r},{c})")
-            return
-        if kind == "row-value-impossible":
-            v = conflict.value
-            if self._value_in_row(r, v):
-                raise ReplayError("value already present in row")
-            for cc in range(self.n):
-                if self.get(r, cc) == -1 and not self._value_in_col(cc, v):
-                    raise ReplayError(f"column {cc} still open for value {v}")
-                if not self._cites_row_position(conflict.premises, r, cc, v):
-                    raise ReplayError(f"no premise excludes column {cc} for value {v}")
-            return
-        if kind == "col-value-impossible":
-            v = conflict.value
-            if self._value_in_col(c, v):
-                raise ReplayError("value already present in column")
-            for rr in range(self.n):
-                if self.get(rr, c) == -1 and not self._value_in_row(rr, v):
-                    raise ReplayError(f"row {rr} still open for value {v}")
-                if not self._cites_col_position(conflict.premises, rr, c, v):
-                    raise ReplayError(f"no premise excludes row {rr} for value {v}")
             return
         raise ReplayError(f"unknown conflict kind {kind!r}")

@@ -26,8 +26,12 @@ from quadlat.cli import main
 # absent, and with them dropped every record is as before; and again when
 # the engine stopped running bookend and strong elasticity: only the trace
 # file of `complete-qn -n 4 --choice 1 --trace` moved, its 30
-# strong-elasticity steps now alterability steps over the same 193 cells
-CLI_DIGEST = "a8d2816fc3fd9edac1dcde842a8427570be9b5c0a5d3606139001c5e91d30862"
+# strong-elasticity steps now alterability steps over the same 193 cells;
+# and again when alterability came to run to its fixpoint before latin
+# elimination: only the trace file of `complete-qn -n 2 --choice 22
+# --trace` moved, in both formats, its 28 latin steps now alterability
+# steps over the same 81 cells and values
+CLI_DIGEST = "1ee7abca3ae62b8413ac0180153e5bf2ab15cca52482232c5e5b9cc095bc759f"
 
 # (argv, side files it names), in run order: the second checkpointed scan
 # resumes from the first, and `ck.rows` pins that no row archive is written

@@ -184,13 +184,21 @@ def test_replay_checks_premises():
     tampered = leaf.trace[:i] + (bad,) + leaf.trace[i + 1:]
     with pytest.raises(ReplayError, match="premise"):
         replay_trace(6, 1, tampered, leaf.conflict)
-    # a conflict's premises are checked too, whatever its kind
+    # a conflict's premises are checked too, whatever its kind, by both
+    # replays; the row and column kinds, which the engine no longer makes,
+    # are refused as well
     replay_trace(6, 1, leaf.trace, leaf.conflict)
+    ref = reference_replay.Replay(6, 1)
+    for step in leaf.trace:
+        ref.verify_step(step)
+        ref.apply_step(step)
     for kind in ("cell-mismatch", "row-duplicate", "cell-no-candidate",
                  "row-value-impossible", "col-value-impossible"):
         conflict = Conflict(kind, "latin-cell", (0, 1), 2, -1, (((0, 0), 99),), (0, 1))
         with pytest.raises(ReplayError, match="premise"):
             replay_trace(6, 1, leaf.trace, conflict)
+        with pytest.raises(ReplayError, match="premise"):
+            ref.verify_conflict(conflict)
 
 
 def test_trace_text_format():
@@ -307,14 +315,14 @@ def _held_bytes(root) -> int:
 
 def test_refutation_leaves_share_cell_facts():
     # The leaves of refute_case(12, c), c = 1..4, each trimmed to the cone
-    # of its conflict, seeds included, hold 9,082 steps (94,166 untrimmed).
+    # of its conflict, seeds included, hold 7,968 steps (94,147 untrimmed).
     # With one ((r, c), v) tuple per assigned cell shared by every premise
     # that names it, they hold about 1.3 MB (9 MB untrimmed; a fresh tuple
     # per premise would hold about 17 MB untrimmed).  tracemalloc reads the same
     # figures but slows the run about seventeenfold, so the held objects
     # are counted directly.
     held = [refute_case(12, choice) for choice in (1, 2, 3, 4)]
-    assert sum(len(leaf.trace) for case in held for leaf in case.leaves) == 9082
+    assert sum(len(leaf.trace) for case in held for leaf in case.leaves) == 7968
     assert _held_bytes(held) < 2_500_000
 
 

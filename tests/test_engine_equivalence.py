@@ -2,12 +2,16 @@
 cannot change the state.  These tests pin that the skipping changes
 nothing: golden digests of every trace for 1..12 and 13..16 blocks (for
 1..12 also with refute_case's leaves untrimmed), and each pass against its
-naive reference (tests/naive_passes.py) on random partial states.  The
-engine schedules latin elimination and alterability only; a naive
-saturation that also runs bookend, strong elasticity, distributivity and
-mediality at each fixpoint of those two must give the same traces, and
-pairs_idle_at_fixpoints checks bookend and strong elasticity at the
-fixpoints of larger block counts."""
+naive reference (tests/naive_passes.py) on random partial states.  Apart
+from the traces, golden digests of the search's outcomes (verdicts,
+splits, depths, leaf counts, completed and stuck tables) pin what the
+search decides, across changes that move every trace.  The engine runs
+alterability to its fixpoint, then latin elimination over the cells; a
+naive saturation that also runs the row and column latin views, bookend,
+strong elasticity, distributivity and mediality at each fixpoint of those
+two must give the same traces, and pairs_idle_at_fixpoints checks the row
+and column views, bookend and strong elasticity at the fixpoints of
+larger block counts."""
 
 import hashlib
 import itertools
@@ -43,21 +47,33 @@ import naive_passes
 from conftest import untrimmed
 from test_properties import quadratical_test_tables
 
-# SHA-256 of engine_digest(12), computed when each leaf's trim first
-# followed its conflict's cone into the seed steps; the verdicts, splits and
-# leaf counts it hashes did not move then, only the steps of the leaves
-ENGINE_DIGEST_1_TO_12 = "c7e647d53863f0d0afca38345fd79903302dd7355fe0424052c2ee96cd57ef5b"
+# The trace digests below were last computed when alterability came to run
+# to its fixpoint before each latin pass, and latin elimination to run over
+# the cells only: the traces moved, while ENGINE_OUTCOMES_1_TO_12 and
+# ENGINE_OUTCOMES_13_TO_30, taken before that change, did not.
+# SHA-256 of engine_digest(12), with each leaf trimmed to its conflict's
+# cone, seeds included
+ENGINE_DIGEST_1_TO_12 = "12558e9f3dcfe2d88f64f7b68ec7630ff562742be8af7073084628b8032b44a1"
 # SHA-256 of engine_digest(12) with the trim patched out: the whole leaf
-# traces, which pin the search itself.  Computed when the engine stopped
-# running bookend and strong elasticity.
+# traces, which pin the search itself
 ENGINE_DIGEST_1_TO_12_UNTRIMMED = (
-    "fe15ad63f25fa693a95081bf1894927f232318c4983a307a6143b2d997b428b5")
+    "50e5d09b66d222d2d2cd944808a6e9b186c8634975acd37a5082f53bc6256609")
 # SHA-256 of engine_digest(16, first=13), computed with trimmed leaves
-ENGINE_DIGEST_13_TO_16 = "be4a8159005d1c6b60305c22c59d77665cea1722cf2e263614f908fa8e54ab19"
+ENGINE_DIGEST_13_TO_16 = "22f068fbe787a65a6998c10e7b792c98120d9ac5c8215c036f1e59063b426efe"
 # SHA-256 of engine_digest(30, first=17), computed with trimmed leaves.  It
 # takes about two minutes, so CI checks it in a step of its own, outside
 # tier-1.
-ENGINE_DIGEST_17_TO_30 = "bc1ffd72139bccfe6263fa6e66b733721bfbef09e8ea212b6f61d116233e8516"
+ENGINE_DIGEST_17_TO_30 = "aa998c32ba2a5fac823b8b06b91ecbd06c5d81cc2772c1f25353632bb84c3d3d"
+# SHA-256 of engine_outcomes_digest(12) and of engine_outcomes_digest(30,
+# first=13): verdicts, splits, depths, leaf counts and completed and stuck
+# tables, not traces, so a change of rule schedule that leaves the search's
+# decisions alone leaves them as they are.  Computed while latin
+# elimination still ran over cells, rows and columns before every
+# alterability pass.  The second takes about two minutes, so CI checks it
+# in a step of its own, outside tier-1.
+ENGINE_OUTCOMES_1_TO_12 = "55e7bf5a42b93d56005f7c38381a420a64eb709e499f719c5998f6b78f161077"
+ENGINE_OUTCOMES_13_TO_30 = "a35efb2266a6c22a202924b7cddc55701c20e10f8312e3f7fb2bd807bd516225"
+
 
 def outcome_text(out) -> str:
     if isinstance(out, Completed):
@@ -86,6 +102,35 @@ def engine_digest(max_blocks: int, first: int = 1) -> str:
                 if end is not None:
                     h.update(outcome_text(end).encode())
     return h.hexdigest()
+
+
+def _table(end):
+    """The cells of a Completed or Stuck outcome, or None."""
+    if end is None:
+        return None
+    return end.table.entries if isinstance(end, Completed) else end.partial.entries
+
+
+def engine_outcomes_digest(max_blocks: int, first: int = 1) -> str:
+    """What the search decides, apart from its traces: for every block
+    count from first to max_blocks and every choice, complete_qn's outcome
+    kind and its completed or stuck table, and refute_case's verdict,
+    splits, depth, leaf count and completed or stuck table."""
+    h = hashlib.sha256()
+    for blocks in range(first, max_blocks + 1):
+        for choice in (1, 2, 3, 4):
+            out = complete_qn(blocks, choice)
+            h.update(repr(("complete_qn", blocks, choice, type(out).__name__,
+                           None if isinstance(out, Contradiction) else _table(out))).encode())
+            case = refute_case(blocks, choice)
+            h.update(repr(("refute_case", blocks, choice, case.refuted, case.splits,
+                           case.max_depth_used, len(case.leaves),
+                           _table(case.completed), _table(case.stuck))).encode())
+    return h.hexdigest()
+
+
+def test_engine_outcomes_1_to_12_blocks():
+    assert engine_outcomes_digest(12) == ENGINE_OUTCOMES_1_TO_12
 
 
 def test_engine_digest_1_to_12_blocks():
@@ -176,11 +221,21 @@ def test_passes_match_naive_reference():
     assert any("conflict" in outcomes for outcomes in seen.values())
 
 
+def _no_candidate_at_end(blocks, choice, trace) -> bool:
+    """Whether the state trace builds holds an unknown cell whose row and
+    column hold every value, so that the latin pass raises a conflict."""
+    st = _State(blocks, choice)
+    return _replay(st, trace) and _run(st, _State.latin_pass)[1] is not None
+
+
 def test_passes_match_naive_on_large_states():
-    # states cut from 13- and 16-block traces, mostly near their ends, where
-    # the latin bounds skip the most rows, columns and values, and the full
-    # traces of the leaves that end in a latin conflict; the passes run in
-    # turn with one more step fed in between
+    # states cut from 13- and 16-block traces, mostly near their ends, and
+    # the full traces of the leaves whose last state also holds a cell with
+    # no candidate; the passes run in turn with one more step fed in
+    # between.  The engine runs latin elimination only at a fixpoint of
+    # alterability, where it finds nothing; a state cut before that
+    # fixpoint can hold a latin single, and a leaf's last state, where
+    # alterability clashed first, a cell with no candidate
     rng = random.Random(1316)
     names = ("latin_pass", "alter_pass")
     seen = {name: set() for name in names}
@@ -190,7 +245,8 @@ def test_passes_match_naive_on_large_states():
         with untrimmed():
             cases = [refute_case(blocks, choice) for choice in (1, 2, 3, 4)]
         cuts = [(case.choice, leaf.trace, len(leaf.trace)) for case in cases
-                for leaf in case.leaves if leaf.conflict.rule.startswith("latin")]
+                for leaf in case.leaves
+                if _no_candidate_at_end(blocks, case.choice, leaf.trace)]
         for _, choice, trace in rng.sample(traces, 40):
             for _ in range(2):
                 if rng.random() < 0.7:
@@ -269,23 +325,26 @@ def test_passes_match_naive_on_revealed_tables():
 
 # the rules the engine does not run, tried in turn at each fixpoint of the
 # two it runs
-_UNSCHEDULED = (naive_passes.pairs_pass, naive_passes.distrib_pass,
-                naive_passes.mediality_pass)
+_UNSCHEDULED = (naive_passes.latin_lines_pass, naive_passes.pairs_pass,
+                naive_passes.distrib_pass, naive_passes.mediality_pass)
+# the unscheduled passes pairs_idle_at_fixpoints tries at every fixpoint
+_IDLE = (naive_passes.latin_lines_pass, naive_passes.pairs_pass)
 
 
 def _naive_saturate(st) -> None:
-    """deduction._saturate with the naive latin and alterability passes,
-    and at each fixpoint of those two the naive bookend and strong
-    elasticity, distributivity and mediality passes, which the engine does
-    not run."""
+    """deduction._saturate with the naive passes: alterability until it
+    assigns nothing, then latin elimination over the cells, until neither
+    assigns; and at each fixpoint of those two the naive passes the engine
+    does not run, the row and column latin views, bookend and strong
+    elasticity, distributivity and mediality."""
     if st.conflict is not None:
         return
     try:
         while True:
             while True:
-                ch = naive_passes.latin_pass(st)
-                ch = naive_passes.alter_pass(st) or ch
-                if not ch:
+                while naive_passes.alter_pass(st):
+                    pass
+                if not naive_passes.latin_pass(st):
                     break
             if not any(run(st) for run in _UNSCHEDULED):
                 return
@@ -296,8 +355,8 @@ def _naive_saturate(st) -> None:
 def test_saturation_matches_naive_saturation():
     # the seeded saturation and every first-level split branch, as
     # refute_case runs them, give the same trace and conflict both ways:
-    # bookend, strong elasticity, distributivity and mediality find nothing
-    # at the engine's fixpoints
+    # the row and column latin views, bookend, strong elasticity,
+    # distributivity and mediality find nothing at the engine's fixpoints
     for blocks in range(1, 7):
         for choice in (1, 2, 3, 4):
             st = _seed_state(blocks, choice)
@@ -323,10 +382,11 @@ def test_saturation_matches_naive_saturation():
 def pairs_idle_at_fixpoints(max_blocks: int, first: int = 1) -> int:
     """Run complete_qn and refute_case for every block count from first to
     max_blocks and every choice, and at each saturation's fixpoint that
-    holds no conflict run the naive bookend and strong elasticity pass on a
-    copy of the state.  Fails if that pass assigns a cell or raises a
-    conflict; returns the number of fixpoints probed.  CI runs it at 7..30
-    blocks, outside tier-1."""
+    holds no conflict run, each on its own copy of the state, the naive
+    latin pass over the row and column views and the naive bookend and
+    strong elasticity pass.  Fails if either pass assigns a cell or raises
+    a conflict; returns the number of fixpoints probed.  CI runs it at
+    7..30 blocks, outside tier-1."""
     saturate = deduction._saturate
     probed = 0
 
@@ -334,9 +394,11 @@ def pairs_idle_at_fixpoints(max_blocks: int, first: int = 1) -> int:
         nonlocal probed
         saturate(st)
         if st.conflict is None:
-            changed, conflict, steps = _run(st.clone(), naive_passes.pairs_pass)
-            assert not changed and conflict is None and not steps, (
-                st.blocks, st.choice, len(st.trace), conflict, steps[:1])
+            for idle in _IDLE:
+                changed, conflict, steps = _run(st.clone(), idle)
+                assert not changed and conflict is None and not steps, (
+                    idle.__name__, st.blocks, st.choice, len(st.trace), conflict,
+                    steps[:1])
             probed += 1
 
     with pytest.MonkeyPatch.context() as mp:

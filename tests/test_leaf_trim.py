@@ -1,6 +1,6 @@
 """refute_case trims each leaf's trace to the cone of its conflict: the
 steps the conflict rests on, followed back through their premises to the
-seeds and assumptions.  For every leaf at 2-9 blocks and every choice,
+seeds and assumptions.  For every leaf at 2-10 blocks and every choice,
 the trimmed trace must be a subsequence, by identity, of the branch's
 whole trace, replay from an empty table under replay_trace and the
 reference replay, and need every step it keeps, seeds included."""
@@ -18,11 +18,11 @@ from test_replay_seeded import _whole
 @pytest.fixture(scope="module")
 def leaves():
     """(blocks, choice, whole trace, trimmed trace, conflict) for every leaf
-    of refute_case at 2-9 blocks, both traces from the same run."""
+    of refute_case at 2-10 blocks, both traces from the same run."""
     cone = deduction._conflict_cone
     found = []
     with pytest.MonkeyPatch.context() as mp:
-        for blocks in range(2, 10):
+        for blocks in range(2, 11):
             for choice in (1, 2, 3, 4):
                 seen = []
 
@@ -53,7 +53,7 @@ def test_trimmed_trace_is_a_subsequence(leaves):
         kept_steps += len(kept)
         whole_steps += len(whole)
     assert len(leaves) >= 100
-    # 4,017 of 51,675 steps are kept
+    # 6,872 of 101,493 steps are kept
     assert kept_steps * 10 < whole_steps, (kept_steps, whole_steps)
 
 
@@ -73,5 +73,5 @@ def test_every_kept_step_is_needed(leaves):
                 replay_trace(blocks, choice, kept[:i] + kept[i + 1:], conflict)
             dropped += 1
             seeds += kept[i].rule.startswith("seed:")
-    # 4,017 steps, 2,472 of them seeds
+    # 6,872 steps, 4,372 of them seeds
     assert dropped >= 4000 and seeds >= 2400, (dropped, seeds)

@@ -17,7 +17,7 @@ import random
 import pytest
 
 from quadlat.audit import _Replay
-from quadlat.deduction import Stuck, complete_qn, refute_case, replay_trace
+from quadlat.deduction import Stuck, _seed_state, complete_qn, refute_case, replay_trace
 from quadlat.steps import Conflict, ReplayError, Step
 
 import reference_replay
@@ -130,10 +130,6 @@ def _malformed_conflict(n, conflict, table) -> bool:
     (r, c), v = conflict.cell, conflict.value
     if conflict.kind == "cell-no-candidate":
         return not _in_range(n, r, c) or table[r][c] != -1
-    if conflict.kind == "row-value-impossible":
-        return not _in_range(n, r, v)
-    if conflict.kind == "col-value-impossible":
-        return not _in_range(n, c, v)
     return not _in_range(n, r, c, v)
 
 
@@ -179,10 +175,10 @@ def test_replay_rejects_malformed_input():
     # each of these raised IndexError or ValueError before the replay
     # checked ranges and binding lengths
     with pytest.raises(ReplayError):
-        replay_trace(1, 1, [Step("latin-row-single", (99, 0), 0, (), ())])
+        replay_trace(1, 1, [Step("latin-cell-single", (99, 0), 0, (), ())])
     with pytest.raises(ReplayError):
         replay_trace(1, 1, [], Conflict(
-            "row-value-impossible", "latin-row", (7, -1), 0, -1, (), (7, 0)))
+            "cell-no-candidate", "latin-cell", (7, -1), -1, -1, (), (7, -1)))
     out = complete_qn(3, 1)
     cut = next(i for i, step in enumerate(out.trace) if step.rule == "alterability")
     shortened = out.trace[cut]._replace(binding=out.trace[cut].binding[:2])
@@ -215,19 +211,21 @@ def _assumed(cells):
     ([((0, c), c) for c in range(4)],
      Conflict("cell-mismatch", "latin-cell-single", (0, 0), 4, 0,
               tuple(((0, c), c) for c in range(4)), (0, 0))),
-    # a row single for a value its row already holds
-    ([((0, c), c) for c in range(4)],
-     Conflict("row-duplicate", "latin-row-single", (0, 4), 0, -1,
-              tuple(((0, c), c) for c in range(4)), (0, 0))),
-    # a column single at a known cell, for a value its column already holds
+    # the same down a column: a cell single at a known cell of a full
+    # column, citing every value but its own
     ([((r, 0), r) for r in range(5)],
-     Conflict("cell-mismatch", "latin-col-single", (0, 0), 1, 0,
-              tuple(((r, 0), r) for r in range(5)), (0, 1))),
+     Conflict("cell-mismatch", "latin-cell-single", (0, 0), 1, 0,
+              tuple(((r, 0), r) for r in range(5) if r != 1), (0, 0))),
+    # and across a row and a column: values 0 and 1 in row 0, 2 and 3 in
+    # column 0
+    ([((0, 0), 0), ((0, 1), 1), ((1, 0), 2), ((2, 0), 3)],
+     Conflict("cell-mismatch", "latin-cell-single", (0, 0), 4, 0,
+              (((0, 0), 0), ((0, 1), 1), ((1, 0), 2), ((2, 0), 3)), (0, 0))),
 ])
 def test_latin_rule_over_a_placed_pair_refused(cells, conflict):
-    """A latin step is refused where its view's pair is already placed;
-    without that check the auditor accepted each of these conflicts,
-    whose deduction is checked as a step but never applied."""
+    """A latin step is refused at a cell already placed; without that
+    check the auditor accepted each of these conflicts, whose deduction is
+    checked as a step but never applied."""
     trace = _assumed(cells)
     replay_trace(1, 1, trace)
     with pytest.raises(ReplayError, match="already placed"):
@@ -238,6 +236,43 @@ def test_latin_rule_over_a_placed_pair_refused(cells, conflict):
         ref.apply_step(step)
     with pytest.raises(ReplayError):
         ref.verify_conflict(conflict)
+
+
+# latin elimination over a row or a column, each justified under the rule:
+# the engine no longer runs those views, so both replays refuse them as
+# unknown, whether as a step or as a conflict
+_ROW_COL_LATIN = [
+    # value 4 has one place left in row 0
+    ([((0, c), c) for c in range(4)],
+     Step("latin-row-single", (0, 4), 4, tuple(((0, c), c) for c in range(4)), (0, 4))),
+    # value 4 has one place left in column 0
+    ([((r, 0), r) for r in range(4)],
+     Step("latin-col-single", (4, 0), 4, tuple(((r, 0), r) for r in range(4)), (0, 4))),
+    # value 4 has no place left in row 0: column 4 holds it
+    ([((0, c), c) for c in range(4)] + [((1, 4), 4)],
+     Conflict("row-value-impossible", "latin-row", (0, -1), 4, -1,
+              tuple(((0, c), c) for c in range(4)) + (((1, 4), 4),), (0, 4))),
+    # value 4 has no place left in column 0: row 4 holds it
+    ([((r, 0), r) for r in range(4)] + [((4, 1), 4)],
+     Conflict("col-value-impossible", "latin-col", (-1, 0), 4, -1,
+              tuple(((r, 0), r) for r in range(4)) + (((4, 1), 4),), (0, 4))),
+]
+
+
+@pytest.mark.parametrize("cells, item", _ROW_COL_LATIN)
+def test_row_and_column_latin_refused(cells, item):
+    trace = _assumed(cells)
+    replay_trace(1, 1, trace)
+    for rp in (_Replay(1, 1), reference_replay.Replay(1, 1)):
+        for step in trace:
+            rp.verify_step(step)
+            rp.apply_step(step)
+        verify = rp.verify_conflict if isinstance(item, Conflict) else rp.verify_step
+        with pytest.raises(ReplayError, match="unknown"):
+            verify(item)
+    tail = (item,) if isinstance(item, Step) else ()
+    with pytest.raises(ReplayError, match="unknown"):
+        replay_trace(1, 1, trace + tail, None if tail else item)
 
 
 def test_reordered_alterability_premises_refused():
@@ -279,7 +314,13 @@ def test_every_printed_premise_is_needed():
     is refused by both replays: each premise names a cell the rule read,
     or the one witness that rules out a value or position."""
     outcomes = [(3, 1, complete_qn(3, 1).trace, None)]
-    for blocks, choice in ((4, 1), (5, 2), (6, 1), (6, 4)):
+    # the engine runs latin elimination at alterability's fixpoint, where it
+    # places nothing; on the seeds of (2 blocks, choice 2) alone it places
+    # 21 cells
+    seeded = _seed_state(2, 2)
+    seeded.latin_pass()
+    outcomes.append((2, 2, tuple(seeded.trace), None))
+    for blocks, choice in ((4, 1), (5, 2), (6, 1), (6, 2), (6, 4)):
         with untrimmed():
             leaf = refute_case(blocks, choice).leaves[0]
         outcomes.append((blocks, choice, leaf.trace, leaf.conflict))
@@ -300,6 +341,5 @@ def test_every_printed_premise_is_needed():
             for rp in replays:
                 rp.verify_step(item)
                 rp.apply_step(item)
-    assert rules >= {"alterability", "latin-cell-single", "latin-row-single",
-                     "latin-col-single"}
+    assert rules >= {"alterability", "latin-cell-single"}
     assert kinds == {"cell-mismatch", "cell-no-candidate", "col-duplicate", "row-duplicate"}
