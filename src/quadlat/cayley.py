@@ -109,10 +109,9 @@ def _check_idempotency(t):
     return None
 
 
-def _check_bookend(t, dom=None):
+def _check_bookend(t, dom):
     # (y*x) * (x*y) = x
     e = t.entries
-    dom = range(t.n) if dom is None else dom
     for x in dom:
         for y in dom:
             if e[e[y][x]][e[x][y]] != x:

@@ -8,7 +8,6 @@ shared freely between threads or processes.
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
 from typing import NamedTuple
 
 from .cayley import (
@@ -17,8 +16,6 @@ from .cayley import (
     _affine_domain,
     _check_bookend,
     _check_idempotency,
-    _inverse,
-    _is_latin,
     _medial_form,
     is_quadratical,
 )
@@ -33,10 +30,9 @@ from .errors import SearchCapExceeded
 # appear in the defining equation).
 
 
-def _check_elasticity(t, dom=None):
+def _check_elasticity(t, dom):
     # x * (y*x) = (x*y) * x
     e = t.entries
-    dom = range(t.n) if dom is None else dom
     for x in dom:
         for y in dom:
             if e[x][e[y][x]] != e[e[x][y]][x]:
@@ -44,10 +40,9 @@ def _check_elasticity(t, dom=None):
     return None
 
 
-def _check_strong_elasticity(t, dom=None):
+def _check_strong_elasticity(t, dom):
     # x * (y*x) = (x*y) * x = (y*x) * y
     e = t.entries
-    dom = range(t.n) if dom is None else dom
     for x in dom:
         for y in dom:
             yx = e[y][x]
@@ -57,10 +52,9 @@ def _check_strong_elasticity(t, dom=None):
     return None
 
 
-def _check_left_distributivity(t, dom=None):
+def _check_left_distributivity(t, dom):
     # x * (y*z) = (x*y) * (x*z)
     e = t.entries
-    dom = range(t.n) if dom is None else dom
     for x in dom:
         ex = e[x]
         for y in dom:
@@ -70,10 +64,9 @@ def _check_left_distributivity(t, dom=None):
     return None
 
 
-def _check_right_distributivity(t, dom=None):
+def _check_right_distributivity(t, dom):
     # (x*y) * z = (x*z) * (y*z)
     e = t.entries
-    dom = range(t.n) if dom is None else dom
     for x in dom:
         for y in dom:
             xy = e[x][y]
@@ -129,10 +122,9 @@ def _check_mediality(t):
     return None
 
 
-def _check_weave_left(t, dom=None):
+def _check_weave_left(t, dom):
     # x * (y * (y*x)) = ((x*y) * x) * y
     e = t.entries
-    dom = range(t.n) if dom is None else dom
     for x in dom:
         for y in dom:
             if e[x][e[y][e[y][x]]] != e[e[e[x][y]][x]][y]:
@@ -140,10 +132,9 @@ def _check_weave_left(t, dom=None):
     return None
 
 
-def _check_weave_right(t, dom=None):
+def _check_weave_right(t, dom):
     # ((x*y) * y) * x = y * (x * (y*x))
     e = t.entries
-    dom = range(t.n) if dom is None else dom
     for x in dom:
         for y in dom:
             if e[e[e[x][y]][y]][x] != e[y][e[x][e[y][x]]]:
@@ -151,7 +142,7 @@ def _check_weave_right(t, dom=None):
     return None
 
 
-def _check_alterability(t, dom=None):
+def _check_alterability(t, dom):
     # x*y = z*w  if and only if  y*z = w*x
     # For fixed (x, y, z) the left side holds for the set of w with
     # z*w = x*y and the right side for the set of w with w*x = y*z; the law
@@ -161,24 +152,16 @@ def _check_alterability(t, dom=None):
     # z of dom.
     e = t.entries
     n = t.n
-    dom = range(n) if dom is None else dom
     bit = [1 << w for w in range(n)]
-    cols = {x: list(map(itemgetter(x), e)) for x in dom}
-    if _is_latin(t):
-        # each set is the single w of a division table
-        in_row = [list(sets) for sets in
-                  zip(*(map(bit.__getitem__, _inverse(e[z])) for z in dom))]
-        in_col = {x: list(map(bit.__getitem__, _inverse(col))) for x, col in cols.items()}
-    else:
-        in_row = [[0] * len(dom) for _ in range(n)]
-        for i, z in enumerate(dom):
-            for w, v in enumerate(e[z]):
-                in_row[v][i] |= bit[w]
-        in_col = {}
-        for x, col in cols.items():
-            sets = in_col[x] = [0] * n
-            for w, v in enumerate(col):
-                sets[v] |= bit[w]
+    in_row = [[0] * len(dom) for _ in range(n)]
+    for i, z in enumerate(dom):
+        for w, v in enumerate(e[z]):
+            in_row[v][i] |= bit[w]
+    in_col = {}
+    for x in dom:
+        sets = in_col[x] = [0] * n
+        for w, row in enumerate(e):
+            sets[row[x]] |= bit[w]
     # row y of the table at the z of dom
     sub = {y: list(map(e[y].__getitem__, dom)) for y in dom}
     for x in dom:
@@ -195,10 +178,9 @@ def _check_alterability(t, dom=None):
     return None
 
 
-def _check_quadratical_law(t, dom=None):
+def _check_quadratical_law(t, dom):
     # (x*y) * x = (z*x) * (y*z)
     e = t.entries
-    dom = range(t.n) if dom is None else dom
     for x in dom:
         for y in dom:
             m = e[e[x][y]][x]
@@ -314,6 +296,7 @@ def check_identity(t: CayleyTable, ident: str) -> tuple | None:
         dom = _affine_domain(t)
         if dom is not None and fn(t, dom) is None:
             return None
+        return fn(t, range(t.n))
     return fn(t)
 
 
@@ -372,6 +355,34 @@ def relabel(t: CayleyTable, order) -> CayleyTable:
     return CayleyTable(t.n, entries, labels)
 
 
+def _closure(e, seeds):
+    """The elements that the distinct seeds generate under the product e,
+    in the order found, and a recipe: for each element found after the
+    seeds, one product (v, x, y) with v = x*y and x, y found before v."""
+    members = list(seeds)
+    frontier = list(seeds)
+    closed = set(seeds)
+    recipe = []
+    while frontier:
+        new = []
+        for x in frontier:
+            ex = e[x]
+            for y in members:
+                v = ex[y]
+                if v not in closed:
+                    closed.add(v)
+                    new.append(v)
+                    recipe.append((v, x, y))
+                v = e[y][x]
+                if v not in closed:
+                    closed.add(v)
+                    new.append(v)
+                    recipe.append((v, y, x))
+        members.extend(new)
+        frontier = new
+    return members, recipe
+
+
 def generated_subgroupoid(t: CayleyTable, seeds) -> frozenset:
     """Least subset containing seeds and closed under the product."""
     seeds = set(seeds)
@@ -380,21 +391,7 @@ def generated_subgroupoid(t: CayleyTable, seeds) -> frozenset:
     for s in seeds:
         if not (0 <= s < t.n):
             raise ValueError(f"seed {s} out of range")
-    e = t.entries
-    closed = set(seeds)
-    frontier = list(seeds)
-    members = list(seeds)
-    while frontier:
-        new = []
-        for x in frontier:
-            for y in members:
-                for v in (e[x][y], e[y][x]):
-                    if v not in closed:
-                        closed.add(v)
-                        new.append(v)
-        members.extend(new)
-        frontier = new
-    return frozenset(closed)
+    return frozenset(_closure(t.entries, seeds)[0])
 
 
 class TwoGenerationReport(NamedTuple):
@@ -428,6 +425,8 @@ def four_cycles(t: CayleyTable, a: int, b: int) -> list[tuple[int, int, int, int
     sorted by that element."""
     if a == b:
         raise ValueError("base elements must be distinct")
+    if not (0 <= a < t.n and 0 <= b < t.n):
+        raise ValueError("base elements out of range")
     if not is_quadratical(t):
         raise ValueError("table is not quadratical")
     e = t.entries
@@ -468,60 +467,26 @@ def four_cycles(t: CayleyTable, a: int, b: int) -> list[tuple[int, int, int, int
 ISO_SEARCH_CAP = 100_000
 
 
-def _generating_sequence(t: CayleyTable) -> list[int]:
-    """A small generating sequence: the lex-least generating pair when one
-    exists, otherwise a greedily grown generating set."""
-    full = frozenset(range(t.n))
-    if t.n == 1:
-        return [0]
-    for x in range(t.n):
-        for y in range(t.n):
-            if x != y and generated_subgroupoid(t, {x, y}) == full:
-                return [x, y]
+def _generating_sequence(t: CayleyTable) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """A small generating sequence, the lex-least generating pair when one
+    exists, otherwise a greedily grown generating set; and the recipe of
+    its closure."""
+    n = t.n
+    e = t.entries
+    if n == 1:
+        return [0], []
+    # {x, y} generates what {y, x} does, so the least pair has x < y
+    for x in range(n):
+        for y in range(x + 1, n):
+            members, recipe = _closure(e, (x, y))
+            if len(members) == n:
+                return [x, y], recipe
     gens = [0]
-    closed = generated_subgroupoid(t, {0})
-    while closed != full:
-        nxt = min(full - closed)
-        gens.append(nxt)
-        closed = generated_subgroupoid(t, gens)
-    return gens
-
-
-def _extend_map(t1: CayleyTable, t2: CayleyTable, gens, images):
-    """Extend gens -> images to a full isomorphism by closure, or None."""
-    n = t1.n
-    e1, e2 = t1.entries, t2.entries
-    phi = [-1] * n
-    used = [False] * n
-    order = []
-    for g, im in zip(gens, images):
-        if phi[g] == -1:
-            if used[im]:
-                return None
-            phi[g] = im
-            used[im] = True
-            order.append(g)
-        elif phi[g] != im:
-            return None
-    i = 0
-    while i < len(order):
-        x = order[i]
-        i += 1
-        for y in order[:i]:
-            for p, q in ((x, y), (y, x)):
-                r = e1[p][q]
-                img = e2[phi[p]][phi[q]]
-                if phi[r] == -1:
-                    if used[img]:
-                        return None
-                    phi[r] = img
-                    used[img] = True
-                    order.append(r)
-                elif phi[r] != img:
-                    return None
-    if len(order) != n:
-        return None
-    return tuple(phi)
+    members, recipe = _closure(e, gens)
+    while len(members) != n:
+        gens.append(min(set(range(n)) - set(members)))
+        members, recipe = _closure(e, gens)
+    return gens, recipe
 
 
 def find_isomorphism(t1: CayleyTable, t2: CayleyTable):
@@ -529,7 +494,10 @@ def find_isomorphism(t1: CayleyTable, t2: CayleyTable):
     exhaustive generator-image search.  Raises SearchCapExceeded instead of
     trying more than ISO_SEARCH_CAP generator images.
 
-    The left translations of a quadratical t2 are automorphisms that act
+    Each image tuple fixes phi on the generators, and phi extends along
+    the products that first generate each other element; the extension is
+    an isomorphism when it is one-to-one and respects every product.  The
+    left translations of a quadratical t2 are automorphisms that act
     transitively, so when any isomorphism exists one sends the first
     generator to 0; those images come first in the search order, and
     after them a quadratical t2 has no isomorphism left to find."""
@@ -537,8 +505,9 @@ def find_isomorphism(t1: CayleyTable, t2: CayleyTable):
         raise ValueError(f"orders differ: {t1.n} vs {t2.n}")
     if t1.entries == t2.entries:
         return tuple(range(t1.n))
-    gens = _generating_sequence(t1)
     n = t1.n
+    e1, e2 = t1.entries, t2.entries
+    gens, recipe = _generating_sequence(t1)
     first_at_zero = n ** (len(gens) - 1)
     for tried, images in enumerate(itertools.product(range(n), repeat=len(gens))):
         if tried == first_at_zero and is_quadratical(t2):
@@ -546,7 +515,20 @@ def find_isomorphism(t1: CayleyTable, t2: CayleyTable):
         if tried == ISO_SEARCH_CAP:
             raise SearchCapExceeded(
                 f"isomorphism search tried {ISO_SEARCH_CAP} generator images")
-        phi = _extend_map(t1, t2, gens, images)
-        if phi is not None:
-            return phi
+        used = set(images)
+        if len(used) != len(gens):
+            continue
+        phi = [0] * n
+        for g, im in zip(gens, images):
+            phi[g] = im
+        for v, x, y in recipe:
+            im = e2[phi[x]][phi[y]]
+            if im in used:
+                break
+            used.add(im)
+            phi[v] = im
+        else:
+            if all(list(map(phi.__getitem__, e1[x])) == list(map(e2[phi[x]].__getitem__, phi))
+                   for x in range(n)):
+                return tuple(phi)
     return None

@@ -23,7 +23,7 @@ from quadlat import (
     two_generation_report,
 )
 from quadlat.cayley import _generators, _medial_form
-from quadlat.core import BASIC_IDENTITY_IDS, IDENTITY_IDS
+from quadlat.core import BASIC_IDENTITY_IDS, IDENTITY_IDS, _closure
 
 
 def additive_table(n):
@@ -287,6 +287,11 @@ def test_four_cycles_rejects(q2):
     t = additive_table(5)
     with pytest.raises(ValueError):
         four_cycles(t, 0, 1)
+    # a negative base must not wrap round to the last element
+    z13 = quadratical_over_zm(13, 3)
+    for a, b in ((-1, 2), (0, 13)):
+        with pytest.raises(ValueError, match="base elements out of range"):
+            four_cycles(z13, a, b)
 
 
 def test_find_isomorphism_identity(q2):
@@ -361,10 +366,19 @@ def _brute_solvability(e, n):
     return None
 
 
+def _brute_alterability(e, n):
+    # x*y = z*w if and only if y*z = w*x, every quadruple in lex order
+    for x, y, z, w in itertools.product(range(n), repeat=4):
+        if (e[x][y] == e[z][w]) != (e[y][z] == e[w][x]):
+            return (x, y, z, w)
+    return None
+
+
 def test_latin_scans_match_brute_force():
     """The four latin-derived identities pass over each row or column
-    that is a permutation by its set size; their counterexamples must be
-    those of a plain scan of every cell."""
+    that is a permutation by its set size, and alterability compares
+    bitmask sets; their counterexamples must be those of a plain scan of
+    every cell or quadruple."""
     rng = random.Random(19)
     tables = []
     for n in (1, 2, 3, 4, 5, 7, 9, 12):
@@ -388,11 +402,33 @@ def test_latin_scans_match_brute_force():
             "right-cancellation": right,
             "right-solvability": _brute_solvability(e, n),
             "latin-square": left if left is not None else right,
+            "alterability": _brute_alterability(e, n),
         }
         for ident, verdict in want.items():
             assert check_identity(t, ident) == verdict, (rows, ident)
             seen.add((ident, verdict is None))
-    assert len(seen) == 8  # every identity both holds and fails somewhere
+    assert len(seen) == 10  # every identity both holds and fails somewhere
+
+
+def test_closure_recipe_builds_each_element_from_earlier_ones():
+    rng = random.Random(30)
+    tables = [quadratical_over_zm(13, 3), direct_product(quadratical_over_zm(5, 2),
+                                                         quadratical_over_zm(5, 4)),
+              linear_table(LinearSpec(12, 2, 0, 5))]
+    tables += [CayleyTable.from_rows([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+               for n in (1, 2, 6, 9)]
+    for t in tables:
+        e = t.entries
+        for k in (1, 2, 3):
+            seeds = rng.sample(range(t.n), min(k, t.n))
+            members, recipe = _closure(e, seeds)
+            assert set(members) == generated_subgroupoid(t, seeds)
+            assert len(members) == len(set(members))
+            assert members[:len(seeds)] == seeds
+            assert [v for v, _, _ in recipe] == members[len(seeds):]
+            for i, (v, x, y) in enumerate(recipe, len(seeds)):
+                assert e[x][y] == v
+                assert x in members[:i] and y in members[:i]
 
 
 def test_table_hash_is_kept():

@@ -19,6 +19,7 @@ from quadlat import (
     linear_table,
     quadratical_over_zm,
     relabel,
+    solve_quadratic_congruence,
 )
 from quadlat.cayley import _medial_form
 from quadlat.core import IDENTITY_CHECKS, _AFFINE_CHECKS, _generating_sequence
@@ -88,7 +89,7 @@ def _plain_isomorphism(t1, t2):
     _generating_sequence(t1), trying every image tuple."""
     n = t1.n
     e1, e2 = t1.entries, t2.entries
-    gens = _generating_sequence(t1)
+    gens = _generating_sequence(t1)[0]
     # each other element as a product of two elements placed before it
     placed = list(gens)
     recipe = []
@@ -110,7 +111,7 @@ def _plain_isomorphism(t1, t2):
     return None
 
 
-def test_find_isomorphism_matches_all_images_search():
+def _iso_oracle_pairs():
     rng = random.Random(25)
     z5a2, z5a4 = quadratical_over_zm(5, 2), quadratical_over_zm(5, 4)
     # the five order-25 classes, pairwise non-isomorphic
@@ -122,9 +123,32 @@ def test_find_isomorphism_matches_all_images_search():
     z65 = quadratical_over_zm(65, 24)
     z5xz13 = direct_product(z5a2, quadratical_over_zm(13, 3))
     pairs += [(z65, z5xz13), (z5xz13, z65), (z65, _relabelled(rng, z65))]
-    found = 0
-    for t1, t2 in pairs:
+    # relabelled quadratical tables, and against the tables of their other
+    # roots, up to order 101
+    for m in range(5, 102, 4):
+        roots = solve_quadratic_congruence(m)
+        if roots:
+            t = quadratical_over_zm(m, roots[0])
+            pairs += [(_relabelled(rng, t), _relabelled(rng, quadratical_over_zm(m, a)))
+                      for a in roots[:3]]
+    # relabelled linear tables: generating sequences of more than two
+    # elements, images that fail, and pairs that are not isomorphic
+    while len(pairs) < 200:
+        m = rng.randrange(2, 12)
+        t1 = linear_table(LinearSpec(m, *(rng.randrange(m) for _ in range(3))))
+        if m ** len(_generating_sequence(t1)[0]) > 2000:
+            continue
+        t2 = linear_table(LinearSpec(m, *(rng.randrange(m) for _ in range(3))))
+        pairs += [(t1, _relabelled(rng, t1)), (t1, _relabelled(rng, t2))]
+    return pairs
+
+
+def test_find_isomorphism_matches_all_images_search():
+    found = {True: 0, False: 0}
+    more_gens = 0
+    for t1, t2 in _iso_oracle_pairs():
         want = _plain_isomorphism(t1, t2)
-        assert find_isomorphism(t1, t2) == want
-        found += want is not None
-    assert found == 6
+        assert find_isomorphism(t1, t2) == want, (t1.entries, t2.entries)
+        found[want is not None] += 1
+        more_gens += len(_generating_sequence(t1)[0]) > 2
+    assert found[True] >= 90 and found[False] >= 100 and more_gens >= 20, (found, more_gens)
