@@ -145,10 +145,14 @@ def _iso_oracle_pairs():
 
 def test_find_isomorphism_matches_all_images_search():
     found = {True: 0, False: 0}
+    leading = 0
     more_gens = 0
-    for t1, t2 in _iso_oracle_pairs():
+    for i, (t1, t2) in enumerate(_iso_oracle_pairs()):
         want = _plain_isomorphism(t1, t2)
         assert find_isomorphism(t1, t2) == want, (t1.entries, t2.entries)
         found[want is not None] += 1
+        # the first 28 pairs: the order-25 classes and order 65
+        leading += i < 28 and want is not None
         more_gens += len(_generating_sequence(t1)[0]) > 2
-    assert found[True] >= 90 and found[False] >= 100 and more_gens >= 20, (found, more_gens)
+    assert leading == 6
+    assert found == {True: 95, False: 105} and more_gens == 30, (found, more_gens)
