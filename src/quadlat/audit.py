@@ -7,6 +7,10 @@ checked independently of the code that made it.  Each step must print
 the premises its rule reads.  Every trace replays from an empty table,
 its seed steps verified like any other, so a refutation leaf trimmed to
 the cone of its conflict keeps only the seeds that the cone cites.
+
+The engine runs one rule and one scan, so a trace holds seeds,
+assumptions and alterability steps, and ends, in a refutation leaf, with
+a clash, a duplicate or the latin scan's cell-no-candidate conflict.
 """
 
 from __future__ import annotations
@@ -26,13 +30,14 @@ class _Replay:
     or conflict prints must each name a known cell with its value, and
     must name every known cell its check reads: for alterability the two
     equal products, then the cell whose value the step copies, in that
-    order, and for latin elimination one cell per value it rules out.  A
-    step by any rule but these, assume and the seed rules is refused as
-    unknown, and so is a conflict of any kind but a clash, a duplicate and
-    cell-no-candidate: the row and column latin views (latin-row-single,
-    row-value-impossible and their column twins), bookend, strong
-    elasticity, distributivity and mediality too, since the engine does not
-    run them."""
+    order, and for a cell-no-candidate conflict one cell per value it rules
+    out.  A step by any rule but alterability, assume and the seed rules is
+    refused as unknown, and so is a conflict of any kind but a clash, a
+    duplicate and cell-no-candidate: a latin single over a cell, a row or a
+    column (latin-cell-single, latin-row-single, latin-col-single),
+    row-value-impossible and its column twin, bookend, strong elasticity,
+    distributivity and mediality too, since the engine does not run
+    them."""
 
     def __init__(self, blocks: int, choice: int):
         n = self.n = 4 * blocks + 1
@@ -42,21 +47,20 @@ class _Replay:
         self.col_vals = [0] * n
         self.seeds = _seed_rules(blocks, choice)
 
-    def latin(self, r, c, v, premises, binding=(), *, conflict=False) -> bool:
-        """Latin elimination at cell (r, c): a step places v there when its
-        premises rule out every other value, and a conflict when they rule
-        out every value.  A premise rules out its own value when it shares
-        row r or column c.  (r, c) must be in range and not yet placed.
-        The premises are known cells (check_premises), so no value they
-        rule out is open at (r, c): the open ones need no scan of the
-        table."""
+    def latin(self, r, c, premises) -> bool:
+        """Latin elimination at cell (r, c): a cell-no-candidate conflict
+        there is justified when its premises rule out every value.  A
+        premise rules out its own value when it shares row r or column c.
+        (r, c) must be in range and not yet placed.  The premises are known
+        cells (check_premises), so no value they rule out is open at
+        (r, c): the open ones need no scan of the table."""
         if not (0 <= r < self.n and 0 <= c < self.n) or self.rows[r][c] != -1:
             raise ReplayError(f"latin rule over ({r},{c}), out of range or already placed")
         cited = 0
         for (pr, pc), u in premises:
             if pr == r or pc == c:
                 cited |= 1 << u
-        return cited | (0 if conflict else 1 << v) == self.full
+        return cited == self.full
 
     def check_premises(self, premises):
         """Each premise ((r, c), v) names a cell already known to hold v."""
@@ -166,7 +170,7 @@ class _Replay:
                 ok = cur == -1 and held >> v & 1 and any(
                     cell[axis] == line and u == v for cell, u in premises)
         elif kind == "cell-no-candidate":
-            ok = self.latin(r, c, v, premises, conflict=True)
+            ok = self.latin(r, c, premises)
         else:
             raise ReplayError(f"unknown conflict kind {kind!r}")
         if not ok:
@@ -179,7 +183,6 @@ class _Replay:
 _STEP_CHECKS = {
     "assume": (0, 0, _Replay._assume),
     "alterability": (4, 3, _Replay._alterability),
-    "latin-cell-single": (0, 0, _Replay.latin),
 }
 
 

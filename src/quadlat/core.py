@@ -404,13 +404,15 @@ class TwoGenerationReport(NamedTuple):
 
 def two_generation_report(t: CayleyTable) -> TwoGenerationReport:
     """Entry (x, y) is True iff {x, y} generates t.  The summary flags range
-    over distinct pairs only."""
-    full = frozenset(range(t.n))
-    matrix = tuple(
-        tuple(generated_subgroupoid(t, {x, y}) == full for y in range(t.n))
-        for x in range(t.n)
-    )
-    distinct = [matrix[x][y] for x in range(t.n) for y in range(t.n) if x != y]
+    over distinct pairs only.  {x, y} and {y, x} generate the same
+    subgroupoid, so one closure per pair x <= y fills both entries."""
+    n = t.n
+    rows = [[False] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(x, n):
+            rows[x][y] = rows[y][x] = len(_closure(t.entries, {x, y})[0]) == n
+    matrix = tuple(map(tuple, rows))
+    distinct = [matrix[x][y] for x in range(n) for y in range(n) if x != y]
     return TwoGenerationReport(
         matrix=matrix,
         all_pairs_generate=all(distinct),

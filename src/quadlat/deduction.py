@@ -1,28 +1,30 @@
 """Forward-chaining completion of block-form Cayley tables.
 
 A partial table over the symbols {centre} + H1..Hn is seeded from the
-block laws plus one choice for centre*a, then saturated under two rules:
-alterability, repeated until it assigns no cell, and then latin
-elimination over the cells, the two in turn until neither assigns a cell.
-Each pass scans in a fixed order, so traces are deterministic.  Known
+block laws plus one choice for centre*a, then saturated under one rule,
+alterability, repeated until it assigns no cell.  One scan of the unknown
+cells then runs latin elimination and picks the cell refute_case splits
+on.  Each pass scans in a fixed order, so traces are deterministic.  Known
 cells never change: a clashing deduction is a conflict, not an overwrite.
 
-Alterability does the deducing: over 5-12 blocks x 4 choices in
-refute_case it assigns 72,454 cells and latin elimination none.  The latin
-check stays for its conflict.  A cell whose row and column hold every
-value ends a branch; without the check refute_case(5, 2) and (5, 4) split
-on such a cell, try no value, and report a refutation with no leaf, and
-complete_qn(5, 2) and (5, 4) end Stuck.  The row and column latin views (a
-value with one open place, or none, in a row or a column), bookend, strong
-elasticity, left and right distributivity and mediality also hold in a
-quadratical quasigroup but are not scheduled: at every conflict-free
-fixpoint of the two rules, over 1-30 blocks in complete_qn and in every
-branch of refute_case, they assigned no cell and raised no conflict.  The
-rules are monotone, so adding them would reach the same fixpoints.  The
-auditor, replay_trace, lives in quadlat.audit and is read from here on
-first use, so a process that only deduces never loads it.  It accepts only
-the rules the engine emits, so it refuses a step by any of those others as
-an unknown rule.
+Alterability does all the deducing: over 5-12 blocks x 4 choices in
+refute_case it assigns 72,454 cells.  The latin scan assigns none: at every
+conflict-free fixpoint of alterability, over 1-30 blocks in complete_qn and
+in every branch of refute_case, no unknown cell had a single candidate.
+It stays for its conflict.  A cell whose row and column hold every value
+ends a branch; without the check refute_case(5, 2) and (5, 4) split on
+such a cell, try no value, and report a refutation with no leaf, and
+complete_qn(5, 2) and (5, 4) end Stuck.  Otherwise the scan returns the
+first cell with the fewest candidates, the split cell.  The row and column latin views (a value with one open place, or
+none, in a row or a column), bookend, strong elasticity, left and right
+distributivity and mediality also hold in a quadratical quasigroup but are
+not scheduled: at every conflict-free fixpoint over 1-30 blocks they
+assigned no cell and raised no conflict.  The rules are monotone, so
+adding them would reach the same fixpoints.  The auditor, replay_trace,
+lives in quadlat.audit and is read from here on first use, so a process
+that only deduces never loads it.  It accepts only the rules the engine
+emits, so it refuses a step by any of those others, or a latin cell
+single, as an unknown rule.
 
 refute_case keeps each Contradiction leaf's trace trimmed to the cone of
 its conflict (_conflict_cone): only the steps the conflict rests on,
@@ -37,7 +39,7 @@ runs the per-instance code on the rest in the original order, so traces,
 conflicts, splits and leaves are those of a pass that visits every
 instance: it compares, per first cell, a row of the table against a
 column of its transposed view over all the value's cells at once.  The
-latin pass visits every unknown cell.
+latin scan visits every unknown cell.
 
 Passes keep no memory between passes and read only the current table:
 remembering which instances were idle, to skip them until an input
@@ -182,28 +184,29 @@ class _State:
 
     # -- rule passes --------------------------------------------------------
 
-    def latin_pass(self) -> bool:
-        # latin elimination over the cells, in row-major order: an unknown
-        # cell whose row and column hold every value but one takes it, and
-        # one whose row and column hold every value is a conflict
-        n = self.n
-        full = (1 << n) - 1
-        row_vals = self.row_vals
+    def latin_scan(self):
+        """Latin elimination over the unknown cells, in row-major order,
+        which also picks the split cell.  The first cell whose row and
+        column hold every value is a cell-no-candidate conflict; otherwise
+        the result is (r, c, candidates) for the first cell with the fewest
+        candidates, or None when no cell is unknown."""
+        full = (1 << self.n) - 1
         col_vals = self.col_vals
-        changed = False
+        best = None
+        least = self.n + 1
         for r, row in enumerate(self.val):
+            in_row = self.row_vals[r]
             for c in [c for c, v in enumerate(row) if v == -1]:
-                cand = ~(row_vals[r] | col_vals[c]) & full
-                if cand & (cand - 1):
-                    continue
-                if cand == 0:
+                cand = ~(in_row | col_vals[c]) & full
+                if not cand:
                     raise _ConflictError(Conflict(
                         "cell-no-candidate", "latin-cell", (r, c), -1, -1,
                         self._coverage(r, c), (r, c)))
-                changed |= self.set_cell(
-                    r, c, cand.bit_length() - 1, "latin-cell-single",
-                    self._coverage(r, c), (r, c))
-        return changed
+                count = cand.bit_count()
+                if count < least:
+                    best = (r, c, cand)
+                    least = count
+        return best
 
     def _coverage(self, r, c) -> tuple:
         """The known cells that rule out values at cell (r, c), by value in
@@ -274,17 +277,19 @@ class _State:
         return changed
 
 
-def _saturate(st: _State) -> None:
+def _saturate(st: _State):
+    """Run alterability to its fixpoint, then the latin scan.  Returns the
+    scan's split cell, or None when a conflict ends the state (st.conflict)
+    or no cell is unknown."""
     if st.conflict is not None:
-        return
+        return None
     try:
-        while True:
-            while st.alter_pass():
-                pass
-            if not st.latin_pass():
-                return
+        while st.alter_pass():
+            pass
+        return st.latin_scan()
     except _ConflictError as exc:
         st.conflict = exc.record
+        return None
 
 
 # How deep refute_case splits cases before the split budget is exhausted.
@@ -366,27 +371,6 @@ class RefutationReport(NamedTuple):
         return all(c.refuted for c in self.cases)
 
 
-def _least_unknown_cell(st: _State):
-    """The unknown cell with the fewest latin candidates, ties by (r, c)."""
-    n = st.n
-    full = (1 << n) - 1
-    best = None
-    best_count = n + 1
-    for r in range(n):
-        row = st.val[r]
-        for c in range(n):
-            if row[c] != -1:
-                continue
-            cand = ~(st.row_vals[r] | st.col_vals[c]) & full
-            cnt = cand.bit_count()
-            if cnt < best_count:
-                best = (r, c, cand)
-                best_count = cnt
-                if cnt <= 2:
-                    return best
-    return best
-
-
 def _conflict_cone(st: _State) -> tuple[Step, ...]:
     """The trace a refutation leaf keeps: in trace order, the steps the
     conflict rests on.  The cone starts at the cells the conflict cites,
@@ -411,17 +395,18 @@ def _conflict_cone(st: _State) -> tuple[Step, ...]:
     return tuple(map(trace.__getitem__, sorted(keep)))
 
 
-def _refute_search(st: _State, depth: int, stats: dict):
-    """DFS over assumptions on the least-unknown cell.  Returns the list of
-    Contradiction leaves, each with its trace trimmed to the cone of its
-    conflict, or the first Completed or Stuck outcome, untrimmed."""
+def _refute_search(st: _State, split, depth: int, stats: dict):
+    """DFS over assumptions on split, the cell _saturate picked for st.
+    Returns the list of Contradiction leaves, each with its trace trimmed
+    to the cone of its conflict, or the first Completed or Stuck outcome,
+    untrimmed."""
     if st.conflict is not None:
         return [Contradiction(st.conflict, _conflict_cone(st), st.blocks, st.choice)]
-    if st.unknown == 0 or depth >= SPLIT_DEPTH:
+    if split is None or depth >= SPLIT_DEPTH:
         return _outcome(st)
     stats["splits"] += 1
     stats["max_depth"] = max(stats["max_depth"], depth + 1)
-    r, c, cand = _least_unknown_cell(st)
+    r, c, cand = split
     leaves = []
     while cand:
         bit = cand & -cand
@@ -429,8 +414,7 @@ def _refute_search(st: _State, depth: int, stats: dict):
         # candidates are latin-safe, so the assumption itself never clashes
         child = st.clone()
         child.set_cell(r, c, bit.bit_length() - 1, "assume", (), (depth + 1,))
-        _saturate(child)
-        found = _refute_search(child, depth + 1, stats)
+        found = _refute_search(child, _saturate(child), depth + 1, stats)
         if not isinstance(found, list):
             return found
         leaves.extend(found)
@@ -444,9 +428,8 @@ def refute_case(blocks: int, choice: int) -> RefutationCase:
     Pauses the process's cyclic garbage collector while it runs (see
     _collector_paused)."""
     st = _seed_state(blocks, choice)
-    _saturate(st)
     stats = {"splits": 0, "max_depth": 0}
-    found = _refute_search(st, 0, stats)
+    found = _refute_search(st, _saturate(st), 0, stats)
     if isinstance(found, list):
         return RefutationCase(
             choice, True, tuple(found), stats["splits"], stats["max_depth"], None, None)

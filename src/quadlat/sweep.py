@@ -79,10 +79,16 @@ def _rows(last: int, representatives: bool = False) -> list[ClassificationRow]:
 
 
 def scan_k_table(max_m: int, max_k: int) -> list[ClassificationRow]:
-    """All rows with m <= max_m and k < max_k, sorted by (k, m, a)."""
+    """All rows with m <= max_m and k < max_k, sorted by (k, m, a).
+
+    A row's shift k is a/(a-1) = (1 + s)/(s - 1) for a square root s of -1,
+    so k^2 + 1 = 2(s^2 + 1)/(s - 1)^2 = 0 (mod m): m divides k^2 + 1.  A row
+    with k < max_k therefore has m <= (max_k - 1)^2 + 1, and the walk stops
+    there, so its cost follows max_k, not max_m."""
     if max_m < 1 or max_k < 1:
         raise ValueError("bounds must be positive")
-    return sorted((r for r in _rows(max_m) if r.k < max_k), key=lambda r: (r.k, r.m, r.a))
+    last = min(max_m, (max_k - 1) ** 2 + 1)
+    return sorted((r for r in _rows(last) if r.k < max_k), key=lambda r: (r.k, r.m, r.a))
 
 
 def classify(max_m: int) -> list[ClassificationRow]:

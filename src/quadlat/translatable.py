@@ -70,6 +70,13 @@ def find_translatable_ordering(t: CayleyTable, max_order: int = 10, ks=None):
 
     Partial orderings are pruned as soon as the shift law fails on the
     already-placed block, so the search is exhaustive within the cap.
+
+    The search fixes the first element of the ordering to 0.  The shift
+    law holds cyclically: row q is row 0 rotated right by qk, and at
+    q = n that is nk = 0 (mod n), so row 0 is row n-1 rotated by k.  Every
+    rotation of a valid ordering is therefore valid with the same shifts,
+    among them the rotation that starts with 0, and so the least valid
+    ordering starts with 0.
     """
     n = t.n
     if n > max_order:
@@ -83,8 +90,8 @@ def find_translatable_ordering(t: CayleyTable, max_order: int = 10, ks=None):
         if not (1 <= k < n):
             raise ValueError(f"shift k={k} outside 1..{n - 1}")
     e = t.entries
-    sigma = [-1] * n
-    used = [False] * n
+    sigma = [0] + [-1] * (n - 1)
+    used = [True] + [False] * (n - 1)
 
     def consistent(length: int, k: int) -> bool:
         # row q of the reordered table must equal row 0 rotated right by qk;
@@ -118,7 +125,7 @@ def find_translatable_ordering(t: CayleyTable, max_order: int = 10, ks=None):
         sigma[length] = -1
         return None
 
-    return extend(0, candidate_ks)
+    return extend(1, candidate_ks)
 
 
 def _table_from_first_row(first_row, k: int) -> CayleyTable:

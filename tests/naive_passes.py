@@ -7,9 +7,12 @@ structure gives, and the sweep walk over every modulus that quadlat.sweep
 restricts to the moduli with roots.
 
 Every pass here visits every rule instance and assigns through the
-engine's own set_cell, so a pass of quadlat.deduction._State that skips
-instances must produce the same new trace steps, the same change flag and
-the same conflict.  latin_lines_pass (latin elimination over the row and
+engine's own set_cell, so the engine's alterability pass, which skips
+instances, must produce the same new trace steps, the same change flag and
+the same conflict as alter_pass.  latin_pass, latin elimination over the
+cells, is the oracle for the conflict of the engine's latin scan, which
+places no cell: the latin singles latin_pass would place must never be
+found at the engine's fixpoints.  latin_lines_pass (latin elimination over the row and
 column views), pairs_pass (bookend and strong elasticity), distrib_pass
 and mediality_pass have no engine counterpart: the engine does not
 schedule those rules, and a saturation that still runs them at each
@@ -252,13 +255,6 @@ def mediality_pass(st) -> bool:
                         st, (a_xy, vz[w]), (c_xz, val[y][w]), "mediality",
                         (x, y, z, w), ((x, y), (z, w), (x, z), (y, w)))
     return changed
-
-
-# the engine's passes, by their names on quadlat.deduction._State
-PASSES = {
-    "latin_pass": latin_pass,
-    "alter_pass": alter_pass,
-}
 
 
 def check_mediality(t):

@@ -1,10 +1,11 @@
 """The trace replay as it was before it kept the table by rows and by
 columns, a test oracle for quadlat.audit._Replay.
 
-It scans rows and columns in Python and checks each latin case with its own
-loop.  Like the new replay, it requires each step and conflict to cite
-every known cell its check reads, one cell per value a latin step rules
-out, and a cell-mismatch to state the value the cell holds.
+It scans rows and columns in Python and checks the latin conflict with its
+own loop.  Like the new replay, it requires each step and conflict to cite
+every known cell its check reads, one cell per value a cell-no-candidate
+conflict rules out, and a cell-mismatch to state the value the cell
+holds.
 It also compares an alterability step's first three premises by position with the two equal products and then the copied
 cell, the order the engine prints them in, so it refuses the same
 premises reordered; any further premise, such as a row-duplicate
@@ -12,9 +13,11 @@ conflict's witness, is only checked to hold.  A step's or conflict's cell
 and value must be ints: a bool indexes the table like 0 or 1 and equals
 it in the seed set, yet the engine never prints one.  Like the new
 replay, it knows only the rules and conflict kinds the engine makes, so a
-bookend or strong-elasticity step, a latin step over a row or a column
-(latin-row-single, latin-col-single) and a row-value-impossible or
-col-value-impossible conflict are refused as unknown.
+bookend or strong-elasticity step, a latin single over a cell, a row or a
+column (latin-cell-single, latin-row-single, latin-col-single) and a
+row-value-impossible or col-value-impossible conflict are refused as
+unknown.  A cell-no-candidate conflict at a cell already placed is
+refused, as the new replay refuses it.
 On well-formed input the new replay must accept and reject exactly what
 this one does; on malformed input, where this one may raise IndexError
 or ValueError or wrap a negative index, the new one raises ReplayError.
@@ -88,17 +91,6 @@ class Replay:
         if rule == "alterability":
             self.alterability(step)
             return
-        if rule == "latin-cell-single":
-            if self.get(r, c) != -1:
-                raise ReplayError("latin-cell-single over a known cell")
-            for w in range(self.n):
-                if w == v:
-                    continue
-                if not (self._value_in_row(r, w) or self._value_in_col(c, w)):
-                    raise ReplayError(f"value {w} not excluded at ({r},{c})")
-                if not self._cites_value(step.premises, r, c, w):
-                    raise ReplayError(f"no premise excludes value {w} at ({r},{c})")
-            return
         raise ReplayError(f"unknown rule {rule!r}")
 
     @staticmethod
@@ -151,6 +143,8 @@ class Replay:
                     raise ReplayError("col-duplicate conflict cites no cell of its value")
             return
         if kind == "cell-no-candidate":
+            if self.get(r, c) != -1:
+                raise ReplayError(f"cell-no-candidate at ({r},{c}), already placed")
             for w in range(self.n):
                 if not (self._value_in_row(r, w) or self._value_in_col(c, w)):
                     raise ReplayError(f"value {w} still possible at ({r},{c})")

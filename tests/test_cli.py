@@ -356,6 +356,14 @@ def test_scan_classify_commands(capsys, tmp_path):
     assert (tmp_path / "ck").read_text() == "last_m=30\n"
 
 
+def test_scan_reads_only_moduli_that_divide_k_squared_plus_one(capsys):
+    # every row with k < 40 has m | k^2 + 1 <= 39^2 + 1 = 1522, so a bound
+    # of 10^12 prints the rows of the bound 1522 and walks no further
+    small = run(capsys, "scan", "--max-m", "1522", "--max-k", "40")
+    assert small[0] == 0 and small[1].count("\n") == 58
+    assert run(capsys, "scan", "--max-m", "1000000000000", "--max-k", "40") == small
+
+
 def test_json_schema_every_command(capsys, tmp_path):
     a = tmp_path / "a.txt"
     run(capsys, "table", "-m", "5", "-a", "2", "-o", str(a))

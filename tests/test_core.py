@@ -231,6 +231,28 @@ def test_two_generation(q1, q2):
     assert two_generation_report(one).all_pairs_generate
 
 
+def test_two_generation_matrix_matches_closures(q1):
+    # every ordered pair, mirrored ones included, against its own closure
+    rng = random.Random(61)
+    tables = [quadratical_over_zm(m, solve_quadratic_congruence(m)[0]) for m in (5, 13, 17, 25)]
+    tables.append(direct_product(q1, q1))
+    tables += [linear_table(LinearSpec(m, rng.randrange(m), rng.randrange(m), rng.randrange(m)))
+               for m in (4, 6, 8, 9, 10, 12) for _ in range(3)]
+    tables += [CayleyTable.from_rows([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+               for n in range(1, 9) for _ in range(3)]
+    entries = set()
+    for t in tables:
+        full = frozenset(range(t.n))
+        want = tuple(tuple(generated_subgroupoid(t, {x, y}) == full for y in range(t.n))
+                     for x in range(t.n))
+        rep = two_generation_report(t)
+        assert rep.matrix == want, t.entries
+        distinct = [want[x][y] for x in range(t.n) for y in range(t.n) if x != y]
+        assert (rep.all_pairs_generate, rep.some_pair_generates) == (all(distinct), any(distinct))
+        entries.update(distinct)
+    assert entries == {True, False}
+
+
 def test_product_not_two_generated(q1, q1_dual):
     rep = two_generation_report(direct_product(q1, q1))
     assert not rep.all_pairs_generate

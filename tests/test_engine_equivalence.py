@@ -6,11 +6,14 @@ naive reference (tests/naive_passes.py) on random partial states.  Apart
 from the traces, golden digests of the search's outcomes (verdicts,
 splits, depths, leaf counts, completed and stuck tables) pin what the
 search decides, across changes that move every trace.  The engine runs
-alterability to its fixpoint, then latin elimination over the cells; a
-naive saturation that also runs the row and column latin views, bookend,
-strong elasticity, distributivity and mediality at each fixpoint of those
-two must give the same traces, and pairs_idle_at_fixpoints checks the row
-and column views, bookend and strong elasticity at the fixpoints of
+alterability to its fixpoint, then one latin scan of the cells, which
+raises the conflict of a cell with no candidate and otherwise picks the
+split cell; the scan is checked against the naive latin pass's conflict
+and a plain least-candidate scan.  A naive saturation that also runs latin
+elimination over the cells, rows and columns, bookend, strong elasticity,
+distributivity and mediality at each fixpoint of alterability must give
+the same traces, and pairs_idle_at_fixpoints checks the cell, row and
+column latin views, bookend and strong elasticity at the fixpoints of
 larger block counts."""
 
 import hashlib
@@ -34,7 +37,6 @@ from quadlat.deduction import (
     Completed,
     Contradiction,
     _ConflictError,
-    _least_unknown_cell,
     _saturate,
     _seed_state,
     _State,
@@ -186,9 +188,76 @@ def _run(st, fn):
     return changed, conflict, st.trace[before:]
 
 
+def _least_candidates(st):
+    """The plain split-cell scan: the first unknown cell, in row-major
+    order, with the fewest latin candidates, as (r, c, candidates), or None
+    when no cell is unknown.  A cell with no candidate is the first with the
+    fewest whenever there is one."""
+    full = (1 << st.n) - 1
+    best = None
+    for r in range(st.n):
+        for c in range(st.n):
+            if st.val[r][c] == -1:
+                cand = ~(st.row_vals[r] | st.col_vals[c]) & full
+                if best is None or bin(cand).count("1") < bin(best[2]).count("1"):
+                    best = (r, c, cand)
+    return best
+
+
+class _Unplaced:
+    """A state as the naive latin pass sees it with its latin singles left
+    unplaced, as the engine's scan leaves them."""
+
+    def __init__(self, st):
+        self.st = st
+
+    def __getattr__(self, name):
+        return getattr(self.st, name)
+
+    def set_cell(self, *args):
+        return False
+
+
+def _check_scan(st) -> str:
+    """Run the engine's latin scan on st and check it against two oracles:
+    its conflict, or its absence, must be the naive latin pass's, kind,
+    cell, premises and all, and the cell it returns, or the cell its
+    conflict names, the plain least-candidate scan's.  Returns "conflict",
+    "single" (a split cell with one candidate), "split" or "full" (no cell
+    unknown)."""
+    split, conflict, steps = _run(st, _State.latin_scan)
+    assert not steps
+    assert conflict == _run(_Unplaced(st), naive_passes.latin_pass)[1]
+    want = _least_candidates(st)
+    if conflict is not None:
+        assert want[2] == 0 and conflict.cell == want[:2], (conflict, want)
+        return "conflict"
+    assert split == want and (want is None or want[2]), (split, want)
+    if split is None:
+        return "full"
+    return "single" if split[2].bit_count() == 1 else "split"
+
+
+def _check_pass(st, name):
+    """Run the engine's pass name (alter_pass or latin_scan) on st, checked
+    against its oracles; returns "conflict", or what _check_scan returns,
+    or alter_pass's change flag."""
+    if name == "latin_scan":
+        return _check_scan(st)
+    want = _run(st.clone(), naive_passes.alter_pass)
+    got = _run(st, _State.alter_pass)
+    assert got == want, name
+    changed, conflict, _ = got
+    return "conflict" if conflict else changed
+
+
+# the engine's two passes, by their names on _State
+_ENGINE_PASSES = ("alter_pass", "latin_scan")
+
+
 def test_passes_match_naive_reference():
     rng = random.Random(20240611)
-    seen = {name: set() for name in naive_passes.PASSES}
+    seen = {name: set() for name in _ENGINE_PASSES}
     checked = 0
     for blocks, choice, trace in _source_traces(5):
         for _ in range(3):
@@ -199,14 +268,11 @@ def test_passes_match_naive_reference():
             # a run of passes, with more trace steps fed in between, so
             # passes meet states they have already partly examined
             for _ in range(10):
-                name = rng.choice(sorted(naive_passes.PASSES))
-                want = _run(st.clone(), naive_passes.PASSES[name])
-                got = _run(st, getattr(_State, name))
-                assert got == want, (blocks, choice, cut, name)
+                name = rng.choice(_ENGINE_PASSES)
+                outcome = _check_pass(st, name)
                 checked += 1
-                changed, conflict, _ = got
-                seen[name].add("conflict" if conflict else bool(changed))
-                if conflict is not None:
+                seen[name].add(outcome)
+                if outcome == "conflict":
                     break
                 if rng.random() < 0.7:
                     # often one step, so a single row, column and value
@@ -216,37 +282,40 @@ def test_passes_match_naive_reference():
                         break
                     cut += more
     assert checked > 300
-    for name, outcomes in seen.items():
-        assert {True, False} <= outcomes, (name, outcomes)
-    assert any("conflict" in outcomes for outcomes in seen.values())
+    assert {True, False, "conflict"} <= seen["alter_pass"], seen
+    assert {"split", "single", "conflict"} <= seen["latin_scan"], seen
 
 
-def _no_candidate_at_end(blocks, choice, trace) -> bool:
-    """Whether the state trace builds holds an unknown cell whose row and
-    column hold every value, so that the latin pass raises a conflict."""
+def _singles_to_no_candidate(blocks, choice, trace):
+    """trace followed by the latin singles the naive latin pass places on
+    the state trace builds, when the pass then meets a cell with no
+    candidate, so that the state the result builds holds such a cell; None
+    otherwise."""
     st = _State(blocks, choice)
-    return _replay(st, trace) and _run(st, _State.latin_pass)[1] is not None
+    if not _replay(st, trace):
+        return None
+    _, conflict, steps = _run(st, naive_passes.latin_pass)
+    return None if conflict is None else tuple(trace) + tuple(steps)
 
 
 def test_passes_match_naive_on_large_states():
     # states cut from 13- and 16-block traces, mostly near their ends, and
-    # the full traces of the leaves whose last state also holds a cell with
-    # no candidate; the passes run in turn with one more step fed in
-    # between.  The engine runs latin elimination only at a fixpoint of
-    # alterability, where it finds nothing; a state cut before that
-    # fixpoint can hold a latin single, and a leaf's last state, where
-    # alterability clashed first, a cell with no candidate
+    # the states of leaves whose latin singles, once placed, leave a cell
+    # with no candidate; the passes run in turn with one more step fed in
+    # between.  The engine runs the latin scan only at a fixpoint of
+    # alterability, where it finds no latin single; a state cut before that
+    # fixpoint can hold one, and a leaf's last state, where alterability
+    # clashed first, too
     rng = random.Random(1316)
-    names = ("latin_pass", "alter_pass")
+    names = ("latin_scan", "alter_pass")
     seen = {name: set() for name in names}
     checked = 0
     for blocks in (13, 16):
         traces = list(_source_traces(blocks, first=blocks))
         with untrimmed():
             cases = [refute_case(blocks, choice) for choice in (1, 2, 3, 4)]
-        cuts = [(case.choice, leaf.trace, len(leaf.trace)) for case in cases
-                for leaf in case.leaves
-                if _no_candidate_at_end(blocks, case.choice, leaf.trace)]
+        cuts = [(case.choice, ext, len(ext)) for case in cases for leaf in case.leaves
+                if (ext := _singles_to_no_candidate(blocks, case.choice, leaf.trace))]
         for _, choice, trace in rng.sample(traces, 40):
             for _ in range(2):
                 if rng.random() < 0.7:
@@ -259,17 +328,14 @@ def test_passes_match_naive_on_large_states():
             if not _replay(st, trace[:cut]):
                 continue
             for name in names:
-                want = _run(st.clone(), naive_passes.PASSES[name])
-                got = _run(st, getattr(_State, name))
-                assert got == want, (blocks, choice, cut, name)
+                outcome = _check_pass(st, name)
                 checked += 1
-                changed, conflict, _ = got
-                seen[name].add("conflict" if conflict else bool(changed))
-                if conflict is not None or not _replay(st, trace[cut:cut + 1]):
+                seen[name].add(outcome)
+                if outcome == "conflict" or not _replay(st, trace[cut:cut + 1]):
                     break
                 cut += 1
     assert checked > 150
-    assert {True, False, "conflict"} <= seen["latin_pass"], seen
+    assert {"split", "single", "conflict"} <= seen["latin_scan"], seen
     assert {True, False} <= seen["alter_pass"], seen
 
 
@@ -291,18 +357,18 @@ def test_passes_match_naive_on_revealed_tables():
     # cells of a hidden table revealed a few at a time, with a random pass
     # after each batch: every pass meets a small set of new rows, columns,
     # values and cells.  The hidden table is quadratical, so no rule
-    # contradicts it, or a latin square, for the latin pass alone.
+    # contradicts it, or a latin square, for the latin scan alone.
     rng = random.Random(7)
     hidden = [t.entries for t in quadratical_test_tables().values()
               if t.n in (5, 9, 13, 17)]
-    seen = {name: set() for name in naive_passes.PASSES}
+    seen = {name: set() for name in _ENGINE_PASSES}
     for run in range(80):
         if run % 2:
             entries = _relabelled(rng, rng.choice(hidden))
-            names = sorted(naive_passes.PASSES)
+            names = _ENGINE_PASSES
         else:
             entries = _random_latin_square(rng, rng.choice((5, 9, 13)))
-            names = ["latin_pass"]
+            names = ["latin_scan"]
         st = _State((len(entries) - 1) // 4, 1)
         cells = [(r, c) for r in range(st.n) for c in range(st.n)]
         rng.shuffle(cells)
@@ -314,21 +380,22 @@ def test_passes_match_naive_on_revealed_tables():
                     r, c = cells.pop()
                     st.set_cell(r, c, entries[r][c], "assume", (), (0,))
             name = rng.choice(names)
-            want = _run(st.clone(), naive_passes.PASSES[name])
-            got = _run(st, getattr(_State, name))
-            assert got == want, (run, name)
-            assert got[1] is None
-            seen[name].add(got[0])
-    for name, outcomes in seen.items():
-        assert outcomes == {True, False}, (name, outcomes)
+            outcome = _check_pass(st, name)
+            assert outcome != "conflict", (run, name)
+            seen[name].add(outcome)
+    assert seen == {"alter_pass": {True, False},
+                    "latin_scan": {"split", "single", "full"}}, seen
 
 
 # the rules the engine does not run, tried in turn at each fixpoint of the
 # two it runs
 _UNSCHEDULED = (naive_passes.latin_lines_pass, naive_passes.pairs_pass,
                 naive_passes.distrib_pass, naive_passes.mediality_pass)
-# the unscheduled passes pairs_idle_at_fixpoints tries at every fixpoint
-_IDLE = (naive_passes.latin_lines_pass, naive_passes.pairs_pass)
+# the passes pairs_idle_at_fixpoints tries at every conflict-free fixpoint:
+# latin elimination over the cells, which the engine's scan only checks for
+# a conflict, and the unscheduled row and column views, bookend and strong
+# elasticity
+_IDLE = (naive_passes.latin_pass, naive_passes.latin_lines_pass, naive_passes.pairs_pass)
 
 
 def _naive_saturate(st) -> None:
@@ -336,7 +403,9 @@ def _naive_saturate(st) -> None:
     assigns nothing, then latin elimination over the cells, until neither
     assigns; and at each fixpoint of those two the naive passes the engine
     does not run, the row and column latin views, bookend and strong
-    elasticity, distributivity and mediality."""
+    elasticity, distributivity and mediality.  A latin cell single, which
+    the engine never places, would show as a step the engine's trace
+    lacks."""
     if st.conflict is not None:
         return
     try:
@@ -354,45 +423,52 @@ def _naive_saturate(st) -> None:
 
 def test_saturation_matches_naive_saturation():
     # the seeded saturation and every first-level split branch, as
-    # refute_case runs them, give the same trace and conflict both ways:
-    # the row and column latin views, bookend, strong elasticity,
-    # distributivity and mediality find nothing at the engine's fixpoints
+    # refute_case runs them, give the same trace and conflict both ways,
+    # and the split cell of the plain least-candidate scan: latin
+    # elimination over the cells, rows and columns, bookend, strong
+    # elasticity, distributivity and mediality find nothing at the
+    # engine's fixpoints
     for blocks in range(1, 7):
         for choice in (1, 2, 3, 4):
             st = _seed_state(blocks, choice)
             naive = st.clone()
             naive.conflict = st.conflict
-            _saturate(st)
+            split = _saturate(st)
             _naive_saturate(naive)
             assert (st.trace, st.conflict) == (naive.trace, naive.conflict)
-            if st.conflict is not None or st.unknown == 0:
+            if st.conflict is not None:
                 continue
-            r, c, cand = _least_unknown_cell(st)
+            assert split == _least_candidates(naive)
+            if split is None:
+                continue
+            r, c, cand = split
             for v in range(st.n):
                 if not cand >> v & 1:
                     continue
                 child = st.clone()
                 child.set_cell(r, c, v, "assume", (), (1,))
                 naive = child.clone()
-                _saturate(child)
+                child_split = _saturate(child)
                 _naive_saturate(naive)
                 assert (child.trace, child.conflict) == (naive.trace, naive.conflict)
+                if child.conflict is None:
+                    assert child_split == _least_candidates(naive)
 
 
 def pairs_idle_at_fixpoints(max_blocks: int, first: int = 1) -> int:
     """Run complete_qn and refute_case for every block count from first to
     max_blocks and every choice, and at each saturation's fixpoint that
     holds no conflict run, each on its own copy of the state, the naive
-    latin pass over the row and column views and the naive bookend and
-    strong elasticity pass.  Fails if either pass assigns a cell or raises
-    a conflict; returns the number of fixpoints probed.  CI runs it at
-    7..30 blocks, outside tier-1."""
+    latin passes over the cells and over the row and column views and the
+    naive bookend and strong elasticity pass.  Fails if any pass assigns a
+    cell or raises a conflict; returns the number of fixpoints probed.  CI
+    runs it at 7..30 blocks, outside tier-1."""
     saturate = deduction._saturate
     probed = 0
 
     def probing(st):
         nonlocal probed
-        saturate(st)
+        split = saturate(st)
         if st.conflict is None:
             for idle in _IDLE:
                 changed, conflict, steps = _run(st.clone(), idle)
@@ -400,6 +476,7 @@ def pairs_idle_at_fixpoints(max_blocks: int, first: int = 1) -> int:
                     idle.__name__, st.blocks, st.choice, len(st.trace), conflict,
                     steps[:1])
             probed += 1
+        return split
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(deduction, "_saturate", probing)

@@ -5,10 +5,9 @@ refute_case are taken whole, not trimmed to the cones of their conflicts,
 so that every step of every branch is mutated.
 
 On well-formed input both replays must accept and reject the same steps
-and conflicts.  Malformed input (a cell or value out of range, or a
-cell-no-candidate conflict at a known cell) must be rejected with
-ReplayError, where the reference may crash with IndexError or ValueError
-or accept by wrapping a negative index."""
+and conflicts.  Malformed input (a cell or value out of range) must be
+rejected with ReplayError, where the reference may crash with IndexError
+or ValueError or accept by wrapping a negative index."""
 
 import copy
 import itertools
@@ -17,7 +16,7 @@ import random
 import pytest
 
 from quadlat.audit import _Replay
-from quadlat.deduction import Stuck, _seed_state, complete_qn, refute_case, replay_trace
+from quadlat.deduction import Stuck, complete_qn, refute_case, replay_trace
 from quadlat.steps import Conflict, ReplayError, Step
 
 import reference_replay
@@ -126,10 +125,10 @@ def _malformed_step(n, step) -> bool:
     return not _in_range(n, *step.cell, step.value)
 
 
-def _malformed_conflict(n, conflict, table) -> bool:
+def _malformed_conflict(n, conflict) -> bool:
     (r, c), v = conflict.cell, conflict.value
     if conflict.kind == "cell-no-candidate":
-        return not _in_range(n, r, c) or table[r][c] != -1
+        return not _in_range(n, r, c)
     return not _in_range(n, r, c, v)
 
 
@@ -164,7 +163,7 @@ def test_replay_matches_reference():
             bad = _mutate(rng, n, conflict, bindings)
             want = _verdict(ref.verify_conflict, bad)
             got = _verdict(new.verify_conflict, bad)
-            assert got == _expected(want, _malformed_conflict(n, bad, ref.val)), (
+            assert got == _expected(want, _malformed_conflict(n, bad)), (
                 blocks, choice, bad, want)
             counts[got] += 1
     assert sum(counts.values()) >= 20000
@@ -175,7 +174,7 @@ def test_replay_rejects_malformed_input():
     # each of these raised IndexError or ValueError before the replay
     # checked ranges and binding lengths
     with pytest.raises(ReplayError):
-        replay_trace(1, 1, [Step("latin-cell-single", (99, 0), 0, (), ())])
+        replay_trace(1, 1, [Step("assume", (99, 0), 0, (), (1,))])
     with pytest.raises(ReplayError):
         replay_trace(1, 1, [], Conflict(
             "cell-no-candidate", "latin-cell", (7, -1), -1, -1, (), (7, -1)))
@@ -205,27 +204,27 @@ def _assumed(cells):
     return tuple(Step("assume", cell, v, (), (1,)) for cell, v in cells)
 
 
+def _no_candidate(cells):
+    """A cell-no-candidate conflict at (0, 0) citing every cell of cells."""
+    return Conflict("cell-no-candidate", "latin-cell", (0, 0), -1, -1,
+                    tuple(cells), (0, 0))
+
+
 @pytest.mark.parametrize("cells, conflict", [
-    # a cell single at a known cell, citing every other value, its own
-    # included: the open values there are only the one it claims
-    ([((0, c), c) for c in range(4)],
-     Conflict("cell-mismatch", "latin-cell-single", (0, 0), 4, 0,
-              tuple(((0, c), c) for c in range(4)), (0, 0))),
-    # the same down a column: a cell single at a known cell of a full
-    # column, citing every value but its own
-    ([((r, 0), r) for r in range(5)],
-     Conflict("cell-mismatch", "latin-cell-single", (0, 0), 1, 0,
-              tuple(((r, 0), r) for r in range(5) if r != 1), (0, 0))),
-    # and across a row and a column: values 0 and 1 in row 0, 2 and 3 in
-    # column 0
-    ([((0, 0), 0), ((0, 1), 1), ((1, 0), 2), ((2, 0), 3)],
-     Conflict("cell-mismatch", "latin-cell-single", (0, 0), 4, 0,
-              (((0, 0), 0), ((0, 1), 1), ((1, 0), 2), ((2, 0), 3)), (0, 0))),
+    # row 0 holds every value, so its cells rule out every value at (0, 0),
+    # which is one of them
+    ([((0, c), c) for c in range(5)], _no_candidate((((0, c), c) for c in range(5)))),
+    # the same down column 0
+    ([((r, 0), r) for r in range(5)], _no_candidate((((r, 0), r) for r in range(5)))),
+    # and across row 0 and column 0: values 0, 1 and 4 in the row, 2 and 3
+    # in the column
+    ([((0, 0), 0), ((0, 1), 1), ((0, 2), 4), ((1, 0), 2), ((2, 0), 3)],
+     _no_candidate([((0, 0), 0), ((0, 1), 1), ((0, 2), 4), ((1, 0), 2), ((2, 0), 3)])),
 ])
 def test_latin_rule_over_a_placed_pair_refused(cells, conflict):
-    """A latin step is refused at a cell already placed; without that
-    check the auditor accepted each of these conflicts, whose deduction is
-    checked as a step but never applied."""
+    """Both replays refuse a cell-no-candidate conflict at a cell already
+    placed, though its premises rule out every value there; the reference
+    replay accepted each of these."""
     trace = _assumed(cells)
     replay_trace(1, 1, trace)
     with pytest.raises(ReplayError, match="already placed"):
@@ -234,13 +233,14 @@ def test_latin_rule_over_a_placed_pair_refused(cells, conflict):
     for step in trace:
         ref.verify_step(step)
         ref.apply_step(step)
-    with pytest.raises(ReplayError):
+    with pytest.raises(ReplayError, match="already placed"):
         ref.verify_conflict(conflict)
 
 
-# latin elimination over a row or a column, each justified under the rule:
-# the engine no longer runs those views, so both replays refuse them as
-# unknown, whether as a step or as a conflict
+# latin singles over a cell, a row or a column, and latin conflicts over a
+# row or a column, each justified under its rule: the engine places no
+# latin single and runs no row or column view, so both replays refuse them
+# as unknown, whether as a step or as a conflict
 _ROW_COL_LATIN = [
     # value 4 has one place left in row 0
     ([((0, c), c) for c in range(4)],
@@ -256,6 +256,9 @@ _ROW_COL_LATIN = [
     ([((r, 0), r) for r in range(4)] + [((4, 1), 4)],
      Conflict("col-value-impossible", "latin-col", (-1, 0), 4, -1,
               tuple(((r, 0), r) for r in range(4)) + (((4, 1), 4),), (0, 4))),
+    # cell (0, 4) has one candidate left, 4: row 0 holds the others
+    ([((0, c), c) for c in range(4)],
+     Step("latin-cell-single", (0, 4), 4, tuple(((0, c), c) for c in range(4)), (0, 4))),
 ]
 
 
@@ -314,12 +317,6 @@ def test_every_printed_premise_is_needed():
     is refused by both replays: each premise names a cell the rule read,
     or the one witness that rules out a value or position."""
     outcomes = [(3, 1, complete_qn(3, 1).trace, None)]
-    # the engine runs latin elimination at alterability's fixpoint, where it
-    # places nothing; on the seeds of (2 blocks, choice 2) alone it places
-    # 21 cells
-    seeded = _seed_state(2, 2)
-    seeded.latin_pass()
-    outcomes.append((2, 2, tuple(seeded.trace), None))
     for blocks, choice in ((4, 1), (5, 2), (6, 1), (6, 2), (6, 4)):
         with untrimmed():
             leaf = refute_case(blocks, choice).leaves[0]
@@ -341,5 +338,5 @@ def test_every_printed_premise_is_needed():
             for rp in replays:
                 rp.verify_step(item)
                 rp.apply_step(item)
-    assert rules >= {"alterability", "latin-cell-single"}
+    assert rules >= {"alterability"}
     assert kinds == {"cell-mismatch", "cell-no-candidate", "col-duplicate", "row-duplicate"}

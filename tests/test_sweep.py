@@ -98,11 +98,12 @@ def test_parallel_determinism():
 
 def _scan_closed_form(max_m, max_k):
     """Scan rows from the closed form: a = k/(k-1) solves the quadratic mod
-    m iff m | k^2 + 1, for odd m with k + 2 <= m."""
+    m iff m | k^2 + 1, for odd m with k + 2 <= m.  No m above k^2 + 1
+    divides it, so the walk over m stops there."""
     rows = []
     for k in range(2, max_k):
         first = k + 3 if k % 2 == 0 else k + 2
-        for m in range(first, max_m + 1, 2):
+        for m in range(first, min(max_m, k * k + 1) + 1, 2):
             if (k * k + 1) % m == 0:
                 a = k * pow(k - 1, -1, m) % m
                 rows.append((k, m, a, (1 - a) % m))
@@ -110,7 +111,7 @@ def _scan_closed_form(max_m, max_k):
 
 
 def test_scan_matches_closed_form():
-    for max_m, max_k in ((1200, 40), (3000, 200), (5000, 5000)):
+    for max_m, max_k in ((1200, 40), (3000, 200), (5000, 5000), (10**12, 40), (10**9, 200)):
         got = [(r.k, r.m, r.a, r.b) for r in scan_k_table(max_m, max_k)]
         assert got == _scan_closed_form(max_m, max_k)
 

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from quadlat import (
@@ -78,6 +81,56 @@ def test_find_ordering_q1(q1):
     assert k == 3
     assert ordering == (0, 1, 2, 4, 3)
     assert k_translatable_check(q1p, ordering, k)
+
+
+def _plain_ordering_search(t, ks=None):
+    """The first ordering of itertools.permutations, which come in
+    lexicographic order, that some shift of ks makes t k-translatable,
+    with its least shift; None when there is none."""
+    ks = sorted(ks) if ks is not None else range(1, t.n)
+    for ordering in itertools.permutations(range(t.n)):
+        for k in ks:
+            if k_translatable_check(t, ordering, k):
+                return ordering, k
+    return None
+
+
+def test_find_ordering_matches_all_permutations():
+    # latin squares, their isotopes, relabelled linear tables, non-latin
+    # tables and relabelled k-translatable tables of orders 1-6; the search
+    # fixes the ordering's first element to 0, the oracle tries every
+    # permutation
+    rng = random.Random(1729)
+    tables = []
+    for i in range(150):
+        n = 1 + i % 6
+        p, q, r = (rng.sample(range(n), n) for _ in range(3))
+        kind = i // 6 % 5
+        if kind == 0:
+            rows = [[r[(p[x] + q[y]) % n] for y in range(n)] for x in range(n)]
+        elif kind == 1:
+            rows = [[r[(p[x] * q[y] + x) % n] for y in range(n)] for x in range(n)]
+        elif kind == 2:
+            spec = LinearSpec(n, rng.randrange(n), rng.randrange(n), rng.randrange(n))
+            rows = relabel(linear_table(spec), p).entries
+        elif kind == 3:
+            rows = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        else:
+            # row x is the first row rotated right by xk
+            first, k = [rng.randrange(n) for _ in range(n)], rng.randrange(1, n) if n > 1 else 1
+            rows = relabel(CayleyTable.from_rows(
+                [[first[(y - x * k) % n] for y in range(n)] for x in range(n)]), p).entries
+        tables.append(CayleyTable.from_rows([list(row) for row in rows]))
+    found = 0
+    for t in tables:
+        want = _plain_ordering_search(t)
+        assert find_translatable_ordering(t) == want, t.entries
+        found += want is not None
+        if t.n > 2:
+            ks = rng.sample(range(1, t.n), 2)
+            assert find_translatable_ordering(t, ks=ks) == _plain_ordering_search(t, ks), (
+                t.entries, ks)
+    assert 30 <= found < len(tables), found
 
 
 def test_find_ordering_q1_dual(q1_dual):
