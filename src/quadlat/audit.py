@@ -11,9 +11,10 @@ the cone of its conflict keeps only the seeds that the cone cites.
 The engine runs one rule and one scan, so a trace holds seeds,
 assumptions and alterability steps, and ends, in a refutation leaf, with
 a clash, a duplicate or the latin scan's cell-no-candidate conflict.
+_Replay.verify_step checks those three step kinds directly, with no rule
+table, and reads an alterability step's x*y = z*w from the cells of its
+first two premises.
 """
-
-from __future__ import annotations
 
 from functools import lru_cache
 
@@ -26,18 +27,19 @@ class _Replay:
     partial table, kept by rows (rows[r][c]) with a bitmask of the values
     each row and each column holds; raises ReplayError on the first
     unjustified or malformed step.
-    Each rule's check is found through _STEP_CHECKS.  The premises a step
+    verify_step checks the engine's three step kinds directly: a seed must
+    be in the seed set, an assumption must name an unknown cell, and an
+    alterability step must follow from its premises.  The premises a step
     or conflict prints must each name a known cell with its value, and
     must name every known cell its check reads: for alterability the two
     equal products, then the cell whose value the step copies, in that
     order, and for a cell-no-candidate conflict one cell per value it rules
-    out.  A step by any rule but alterability, assume and the seed rules is
-    refused as unknown, and so is a conflict of any kind but a clash, a
-    duplicate and cell-no-candidate: a latin single over a cell, a row or a
-    column (latin-cell-single, latin-row-single, latin-col-single),
-    row-value-impossible and its column twin, bookend, strong elasticity,
-    distributivity and mediality too, since the engine does not run
-    them."""
+    out.  A step by any other rule is refused as unknown, and so is a
+    conflict of any kind but a clash, a duplicate and cell-no-candidate: a
+    latin single over a cell, a row or a column (latin-cell-single,
+    latin-row-single, latin-col-single), row-value-impossible and its
+    column twin, bookend, strong elasticity, distributivity and mediality
+    too, since the engine does not run them."""
 
     def __init__(self, blocks: int, choice: int):
         n = self.n = 4 * blocks + 1
@@ -75,67 +77,41 @@ class _Replay:
 
     def verify_step(self, step: Step):
         try:
-            rule, (r, c), v, premises, binding = step
+            rule, (r, c), v, premises = step
         except (TypeError, ValueError):
             raise ReplayError(f"malformed step {step!r}") from None
         n = self.n
         if not (type(r) is type(c) is type(v) is int
                 and 0 <= r < n and 0 <= c < n and 0 <= v < n):
             raise ReplayError(f"step cell or value not in 0..{n - 1}: {step}")
-        if type(rule) is not str:
-            raise ReplayError(f"unknown rule {rule!r}")
-        entry = _STEP_CHECKS.get(rule)
-        if entry is None:
-            if premises:
-                self.check_premises(premises)
-            if not rule.startswith("seed:"):
-                raise ReplayError(f"unknown rule {rule!r}")
+        self.check_premises(premises)
+        if rule == "alterability":
+            ok = self._alterability(r, c, v, premises)
+        elif rule == "assume":
+            ok = self.rows[r][c] == -1
+        elif type(rule) is str and rule.startswith("seed:"):
             ok = self.seeds.get(((r, c), v)) == rule
         else:
-            arity, own, check = entry
-            try:
-                # the check itself compares the first own premises with
-                # known cells
-                rest = premises[own:]
-                if rest:
-                    self.check_premises(rest)
-                if arity and len(binding) != arity:
-                    raise ReplayError(f"{rule} binding of the wrong length: {step}")
-                ok = check(self, r, c, v, premises, binding)
-            except (TypeError, ValueError):
-                raise ReplayError(f"malformed binding or premises: {step}") from None
+            raise ReplayError(f"unknown rule {rule!r}")
         if not ok:
             raise ReplayError(f"{rule} step not justified: {step}")
 
-    # -- one check per rule, each true when the step is justified ----------
-
-    def _assume(self, r, c, v, premises, binding):
-        return self.rows[r][c] == -1
-
-    def _alterability(self, r, c, v, premises, binding):
-        # the engine prints the two products, then the cell the step
-        # copies, and these three premises are compared by position
-        x, y, z, w = binding
-        n = self.n
-        if not (0 <= x < n and 0 <= y < n and 0 <= z < n and 0 <= w < n):
-            raise ReplayError(f"alterability binding out of range: {binding}")
-        rows = self.rows
-        xy = rows[x][y]
-        if xy == -1 or rows[z][w] == -1:
-            raise ReplayError(f"alterability premise of {binding} not yet known")
-        if xy != rows[z][w]:
+    @staticmethod
+    def _alterability(r, c, v, premises) -> bool:
+        """x*y = z*w gives y*z = w*x.  The premises cite the products (x, y)
+        and (z, w), then the cell the step copies, compared by position;
+        any further one need only be known.  verify_step has checked every
+        premise against the table, its range first, so the values cited
+        are the table's."""
+        try:
+            ((x, y), xy), ((z, w), zw), copied, *_ = premises
+        except ValueError:
+            raise ReplayError(f"alterability premises not cited: {premises!r}") from None
+        if xy != zw:
             raise ReplayError("alterability premises are not equal products")
-        if r == y and c == z:
-            copied = (w, x)
-            held = rows[w][x]
-        elif r == w and c == x:
-            copied = (y, z)
-            held = rows[y][z]
-        else:
-            return False
-        if premises[:3] != (((x, y), xy), ((z, w), xy), (copied, v)):
-            raise ReplayError(f"alterability premises of {binding} not cited in order")
-        return held == v
+        if (r, c) == (y, z):
+            return copied == ((w, x), v)
+        return (r, c) == (w, x) and copied == ((y, z), v)
 
     def apply_step(self, step: Step):
         r, c = step.cell
@@ -158,8 +134,7 @@ class _Replay:
             raise ReplayError(f"malformed conflict {conflict!r}")
         self.check_premises(premises)
         if kind in ("cell-mismatch", "row-duplicate", "col-duplicate"):
-            self.verify_step(Step(conflict.rule, conflict.cell, v,
-                                  premises, conflict.binding))
+            self.verify_step(Step(conflict.rule, conflict.cell, v, premises))
             cur = self.rows[r][c]
             if kind == "cell-mismatch":
                 ok = cur not in (-1, v) and cur == conflict.existing
@@ -175,15 +150,6 @@ class _Replay:
             raise ReplayError(f"unknown conflict kind {kind!r}")
         if not ok:
             raise ReplayError(f"{kind} conflict not justified: {conflict}")
-
-
-# rule -> (binding length, or 0 when the rule does not read its binding;
-# how many leading premises the check compares by position with known
-# cells; and the check); seed rules are looked up in the seed list instead
-_STEP_CHECKS = {
-    "assume": (0, 0, _Replay._assume),
-    "alterability": (4, 3, _Replay._alterability),
-}
 
 
 # One entry per (blocks, choice): a refutation replays the leaves of one

@@ -9,8 +9,6 @@ other identities, closure and isomorphism.  The idempotency and bookend
 checks return verdicts as core's identity checks do.
 """
 
-from __future__ import annotations
-
 import itertools
 from functools import lru_cache
 

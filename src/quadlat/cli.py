@@ -6,16 +6,12 @@ format, results print as text by default or as machine formats with
 exceeded.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 
 # the exceptions main maps to exit codes; each handler imports the modules
 # it runs, so a command loads only those
 from .errors import CheckpointBusy, InvariantViolation, SearchCapExceeded
-
-ENV_MAX_ORDER_SEARCH = "QUADLAT_MAX_ORDER_SEARCH"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -142,22 +138,10 @@ def _cmd_k(args):
 
 
 def _cmd_order_search(args):
-    import os
-
     from . import tableio, translatable
 
     t = tableio.read_table(args.input)
-    cap = args.max_order
-    if cap is None:
-        raw = os.environ.get(ENV_MAX_ORDER_SEARCH, "10")
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise UsageError(
-                f"{ENV_MAX_ORDER_SEARCH} must be an integer, got {raw!r}") from None
-        if cap < 1:
-            raise UsageError(f"{ENV_MAX_ORDER_SEARCH} must be positive, got {cap}")
-    found = translatable.find_translatable_ordering(t, max_order=cap)
+    found = translatable.find_translatable_ordering(t, max_order=args.max_order)
     ordering, k = found if found is not None else (None, None)
     return _emit(args, {"ordering": ordering, "k": k},
                  lambda: "none\n" if found is None else f"ordering: {_words(ordering)}\nk: {k}\n")
@@ -367,7 +351,7 @@ def _build_parser() -> _Parser:
 
     sp = add("order-search", _cmd_order_search,
              "exhaustive search for a translatable ordering", "input")
-    sp.add_argument("--max-order", type=_positive_int, default=None)
+    sp.add_argument("--max-order", type=_positive_int, default=10)
 
     sp = add("hchain", _cmd_hchain, "block chain from a base pair", "input")
     sp.add_argument("-a", type=int, required=True)

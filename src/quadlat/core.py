@@ -5,8 +5,6 @@ operations here are pure functions over immutable tables, so tables can be
 shared freely between threads or processes.
 """
 
-from __future__ import annotations
-
 import itertools
 from typing import NamedTuple
 

@@ -15,8 +15,10 @@ It stays for its conflict.  A cell whose row and column hold every value
 ends a branch; without the check refute_case(5, 2) and (5, 4) split on
 such a cell, try no value, and report a refutation with no leaf, and
 complete_qn(5, 2) and (5, 4) end Stuck.  Otherwise the scan returns the
-first cell with the fewest candidates, the split cell.  The row and column latin views (a value with one open place, or
-none, in a row or a column), bookend, strong elasticity, left and right
+first cell with the fewest candidates, the split cell.
+
+The row and column latin views (a value with one open place, or none, in
+a row or a column), bookend, strong elasticity, left and right
 distributivity and mediality also hold in a quadratical quasigroup but are
 not scheduled: at every conflict-free fixpoint over 1-30 blocks they
 assigned no cell and raised no conflict.  The rules are monotone, so
@@ -48,8 +50,6 @@ blocks x 4 choices: 0.89 s with it, 0.77 s without, medians on 2 CPUs
 under Python 3.11), since that bookkeeping in Python cost more than the
 tuple comparisons it skipped.
 """
-
-from __future__ import annotations
 
 from itertools import compress
 from operator import itemgetter, ne
@@ -151,24 +151,24 @@ class _State:
 
     # -- assignment ---------------------------------------------------------
 
-    def set_cell(self, r, c, v, rule, premises, binding) -> bool:
+    def set_cell(self, r, c, v, rule, premises) -> bool:
         row = self.val[r]
         cur = row[c]
         if cur == v:
             return False
         if cur != -1:
             raise _ConflictError(Conflict(
-                "cell-mismatch", rule, (r, c), v, cur, premises, binding))
+                "cell-mismatch", rule, (r, c), v, cur, premises))
         bit = 1 << v
         facts = self.facts
         if self.row_vals[r] & bit:
             raise _ConflictError(Conflict(
                 "row-duplicate", rule, (r, c), v, -1,
-                premises + (facts[r][row.index(v)],), binding))
+                premises + (facts[r][row.index(v)],)))
         if self.col_vals[c] & bit:
             raise _ConflictError(Conflict(
                 "col-duplicate", rule, (r, c), v, -1,
-                premises + (facts[self.cols[c].index(v)][c],), binding))
+                premises + (facts[self.cols[c].index(v)][c],)))
         cell = (r, c)
         facts[r][c] = (cell, v)
         self.step_at[r][c] = len(self.trace)
@@ -179,7 +179,7 @@ class _State:
         self.rows_by_value[v].append(r)
         self.cols_by_value[v].append(c)
         self.unknown -= 1
-        self.trace.append(Step(rule, cell, v, premises, binding))
+        self.trace.append(Step(rule, cell, v, premises))
         return True
 
     # -- rule passes --------------------------------------------------------
@@ -201,7 +201,7 @@ class _State:
                 if not cand:
                     raise _ConflictError(Conflict(
                         "cell-no-candidate", "latin-cell", (r, c), -1, -1,
-                        self._coverage(r, c), (r, c)))
+                        self._coverage(r, c)))
                 count = cand.bit_count()
                 if count < least:
                     best = (r, c, cand)
@@ -265,15 +265,15 @@ class _State:
                     if right == -1:
                         changed |= self.set_cell(
                             w, x, left, "alterability",
-                            (facts[x][y], facts[z][w], facts[y][z]), (x, y, z, w))
+                            (facts[x][y], facts[z][w], facts[y][z]))
                     elif left == -1:
                         changed |= self.set_cell(
                             y, z, right, "alterability",
-                            (facts[x][y], facts[z][w], facts[w][x]), (x, y, z, w))
+                            (facts[x][y], facts[z][w], facts[w][x]))
                     else:
                         raise _ConflictError(Conflict(
                             "cell-mismatch", "alterability", (w, x), left, right,
-                            (facts[x][y], facts[z][w], facts[y][z]), (x, y, z, w)))
+                            (facts[x][y], facts[z][w], facts[y][z])))
         return changed
 
 
@@ -301,7 +301,7 @@ def _seed_state(blocks: int, choice: int) -> _State:
     st = _State(blocks, choice)
     try:
         for rule, (r, c), v in seed_assignments(blocks, choice):
-            st.set_cell(r, c, v, rule, (), ())
+            st.set_cell(r, c, v, rule, ())
     except _ConflictError as exc:
         st.conflict = exc.record
     return st
@@ -413,7 +413,7 @@ def _refute_search(st: _State, split, depth: int, stats: dict):
         cand ^= bit
         # candidates are latin-safe, so the assumption itself never clashes
         child = st.clone()
-        child.set_cell(r, c, bit.bit_length() - 1, "assume", (), (depth + 1,))
+        child.set_cell(r, c, bit.bit_length() - 1, "assume", ())
         found = _refute_search(child, _saturate(child), depth + 1, stats)
         if not isinstance(found, list):
             return found

@@ -6,8 +6,6 @@ quasigroup (minus the centre aba) when the quasigroup has block form; the
 number of blocks n gives order 4n + 1.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .cayley import CayleyTable, is_quadratical

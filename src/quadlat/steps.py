@@ -3,9 +3,13 @@
 ``quadlat.deduction`` makes traces of these records and ``quadlat.audit``
 replays them; this small module, with the block cap both refuse past, is
 all the two share, so a process that only deduces loads no auditor.
-"""
 
-from __future__ import annotations
+A Step states each fact once: the rule, the cell and value it assigns,
+and the premises it cites, each a known cell as ((r, c), v).  A Conflict
+adds its kind and the value the cell already holds.  What a rule reads
+beyond its own cell is in the premises: alterability's x*y = z*w are the
+cells of its first two.
+"""
 
 import gc
 from functools import wraps
@@ -33,7 +37,6 @@ class Step(NamedTuple):
     cell: tuple[int, int]
     value: int
     premises: tuple
-    binding: tuple
 
 
 class Conflict(NamedTuple):
@@ -43,7 +46,6 @@ class Conflict(NamedTuple):
     value: int
     existing: int
     premises: tuple
-    binding: tuple
 
 
 class ReplayError(Exception):

@@ -7,8 +7,6 @@ bounds.  The checkpoint holds only the largest bound scanned, as the
 single line ``last_m=<digits>``; anything else is refused as corrupt.
 """
 
-from __future__ import annotations
-
 import math
 import os
 from typing import NamedTuple

@@ -7,8 +7,6 @@ without whitespace.  An integer is ASCII digits after an optional minus
 sign.  Every CLI command reads and writes this format.
 """
 
-from __future__ import annotations
-
 from .cayley import CayleyTable
 
 LABEL_PREFIX = "# labels:"

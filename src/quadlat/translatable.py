@@ -6,8 +6,6 @@ here works on one shared row/column ordering; the first row of a report is
 the row of ordering[0] read in column order.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -5,8 +5,6 @@ The quadratical ones are exactly those with c = 0, b = 1 - a and
 unique solution of (a-1)k = a (mod m).
 """
 
-from __future__ import annotations
-
 import math
 
 from .errors import SearchCapExceeded

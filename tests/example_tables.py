@@ -4,8 +4,6 @@ The order-9 family lives on pairs over Z_3 (pair (x, y) gets index 3x + y);
 the order-5 trio are shift-generated quasigroups given by their first rows.
 """
 
-from __future__ import annotations
-
 from quadlat import CayleyTable
 
 # Coefficient rows ((x, y, z, u) weights for each output coordinate) of the

@@ -31,7 +31,7 @@ from quadlat.translatable import build_idempotent_k_translatable
 from quadlat.zm import solve_quadratic_congruence
 
 
-def link(st, cell1, cell2, rule, binding, premise_cells) -> bool:
+def link(st, cell1, cell2, rule, premise_cells) -> bool:
     """Require the two cells of st to hold equal values; propagate or
     clash.  The premises are the known cells of premise_cells, then the
     cell whose value is copied, or for a clash the first cell."""
@@ -44,13 +44,13 @@ def link(st, cell1, cell2, rule, binding, premise_cells) -> bool:
     prem = tuple([facts[r][c] for r, c in premise_cells])
     if v2 == -1:
         return st.set_cell(
-            cell2[0], cell2[1], v1, rule, prem + (facts[cell1[0]][cell1[1]],), binding)
+            cell2[0], cell2[1], v1, rule, prem + (facts[cell1[0]][cell1[1]],))
     if v1 == -1:
         return st.set_cell(
-            cell1[0], cell1[1], v2, rule, prem + (facts[cell2[0]][cell2[1]],), binding)
+            cell1[0], cell1[1], v2, rule, prem + (facts[cell2[0]][cell2[1]],))
     raise _ConflictError(Conflict(
         "cell-mismatch", rule, cell2, v1, v2,
-        prem + (facts[cell1[0]][cell1[1]],), binding))
+        prem + (facts[cell1[0]][cell1[1]],)))
 
 
 def latin_pass(st) -> bool:
@@ -66,11 +66,11 @@ def latin_pass(st) -> bool:
             if cand == 0:
                 raise _ConflictError(Conflict(
                     "cell-no-candidate", "latin-cell", (r, c), -1, -1,
-                    st._coverage(r, c), (r, c)))
+                    st._coverage(r, c)))
             if cand & (cand - 1) == 0:
                 v = cand.bit_length() - 1
                 changed |= st.set_cell(
-                    r, c, v, "latin-cell-single", st._coverage(r, c), (r, c))
+                    r, c, v, "latin-cell-single", st._coverage(r, c))
     return changed
 
 
@@ -110,12 +110,12 @@ def latin_lines_pass(st) -> bool:
             if not spots:
                 raise _ConflictError(Conflict(
                     "row-value-impossible", "latin-row", (r, -1), v, -1,
-                    _row_coverage(st, r, range(n), v), (r, v)))
+                    _row_coverage(st, r, range(n), v)))
             if len(spots) == 1:
                 c = spots[0]
                 others = [cc for cc in range(n) if cc != c]
                 changed |= st.set_cell(
-                    r, c, v, "latin-row-single", _row_coverage(st, r, others, v), (r, v))
+                    r, c, v, "latin-row-single", _row_coverage(st, r, others, v))
     for c in range(n):
         missing = full & ~st.col_vals[c]
         while missing:
@@ -126,12 +126,12 @@ def latin_lines_pass(st) -> bool:
             if not spots:
                 raise _ConflictError(Conflict(
                     "col-value-impossible", "latin-col", (-1, c), v, -1,
-                    _col_coverage(st, c, range(n), v), (c, v)))
+                    _col_coverage(st, c, range(n), v)))
             if len(spots) == 1:
                 r = spots[0]
                 others = [rr for rr in range(n) if rr != r]
                 changed |= st.set_cell(
-                    r, c, v, "latin-col-single", _col_coverage(st, c, others, v), (c, v))
+                    r, c, v, "latin-col-single", _col_coverage(st, c, others, v))
     return changed
 
 
@@ -147,7 +147,7 @@ def pairs_pass(st) -> bool:
             v = val[x][y]
             if u != -1 and v != -1:
                 prem = (((y, x), u), ((x, y), v))
-                changed |= st.set_cell(u, v, x, "bookend", prem, (x, y))
+                changed |= st.set_cell(u, v, x, "bookend", prem)
             cells = []
             if u != -1:
                 cells.append((x, u))
@@ -163,7 +163,7 @@ def pairs_pass(st) -> bool:
                 for a in range(len(cells) - 1):
                     for b in range(a + 1, len(cells)):
                         changed |= link(
-                            st, cells[a], cells[b], "strong-elasticity", (x, y), base)
+                            st, cells[a], cells[b], "strong-elasticity", base)
     return changed
 
 
@@ -177,8 +177,7 @@ def alter_pass(st) -> bool:
             for b in range(a + 1, m):
                 z, w = lst[b]
                 changed |= link(
-                    st, (y, z), (w, x), "alterability", (x, y, z, w),
-                    ((x, y), (z, w)))
+                    st, (y, z), (w, x), "alterability", ((x, y), (z, w)))
     return changed
 
 
@@ -211,7 +210,7 @@ def distrib_pass(st) -> bool:
                 c_xz = vx[z]
                 changed |= link(
                     st, (x, a_yz), (b_xy, c_xz), "left-distributivity",
-                    (x, y, z), ((y, z), (x, y), (x, z)))
+                    ((y, z), (x, y), (x, z)))
             m2 = both
             while m2:
                 bit = m2 & -m2
@@ -221,7 +220,7 @@ def distrib_pass(st) -> bool:
                 c_yz = val[y][z]
                 changed |= link(
                     st, (b_xy, z), (b_xz, c_yz), "right-distributivity",
-                    (x, y, z), ((x, y), (x, z), (y, z)))
+                    ((x, y), (x, z), (y, z)))
     return changed
 
 
@@ -253,7 +252,7 @@ def mediality_pass(st) -> bool:
                         continue
                     changed |= link(
                         st, (a_xy, vz[w]), (c_xz, val[y][w]), "mediality",
-                        (x, y, z, w), ((x, y), (z, w), (x, z), (y, w)))
+                        ((x, y), (z, w), (x, z), (y, w)))
     return changed
 
 

@@ -6,18 +6,21 @@ own loop.  Like the new replay, it requires each step and conflict to cite
 every known cell its check reads, one cell per value a cell-no-candidate
 conflict rules out, and a cell-mismatch to state the value the cell
 holds.
-It also compares an alterability step's first three premises by position with the two equal products and then the copied
-cell, the order the engine prints them in, so it refuses the same
-premises reordered; any further premise, such as a row-duplicate
-conflict's witness, is only checked to hold.  A step's or conflict's cell
-and value must be ints: a bool indexes the table like 0 or 1 and equals
-it in the seed set, yet the engine never prints one.  Like the new
-replay, it knows only the rules and conflict kinds the engine makes, so a
-bookend or strong-elasticity step, a latin single over a cell, a row or a
-column (latin-cell-single, latin-row-single, latin-col-single) and a
-row-value-impossible or col-value-impossible conflict are refused as
-unknown.  A cell-no-candidate conflict at a cell already placed is
-refused, as the new replay refuses it.
+It reads an alterability step's two equal products from the cells of its
+first two premises and compares its first three premises by position
+with the two products and then the copied cell, the order the engine
+prints them in, so it refuses the same premises in any other order but
+the two products swapped, which is the instance z*w = x*y; any further
+premise, such as a row-duplicate conflict's witness, is only checked to
+hold.  A step's or conflict's cell and value must be ints: a bool
+indexes the table like 0 or 1 and equals it in the seed set, yet the
+engine never prints one.  Like the new replay, it knows only the rules
+and conflict kinds the engine makes, so a bookend or strong-elasticity
+step, a latin single over a cell, a row or a column (latin-cell-single,
+latin-row-single, latin-col-single) and a row-value-impossible or
+col-value-impossible conflict are refused as unknown.  A cell-no-candidate
+conflict at a cell already placed is refused, as the new replay refuses
+it.
 On well-formed input the new replay must accept and reject exactly what
 this one does; on malformed input, where this one may raise IndexError
 or ValueError or wrap a negative index, the new one raises ReplayError.
@@ -61,10 +64,14 @@ class Replay:
                 raise ReplayError(f"premise cell({r},{c})={v} does not hold")
 
     def alterability(self, step):
-        """Require the two products to be equal and the step's cell to be
-        one of the two cells alterability then forces equal, with the
-        premises printed as the products and then the other cell."""
-        x, y, z, w = step.binding
+        """Require the two products, the cells of the first two premises,
+        to be equal and the step's cell to be one of the two cells
+        alterability then forces equal, with the premises printed as the
+        products and then the other cell."""
+        if len(step.premises) < 3:
+            raise ReplayError("alterability cites fewer than three premises")
+        (x, y), _ = step.premises[0]
+        (z, w), _ = step.premises[1]
         xy = self.known(x, y)
         if xy != self.known(z, w):
             raise ReplayError("alterability premises are not equal products")
@@ -118,8 +125,7 @@ class Replay:
         self.require_ints(r, c, conflict.value)
         self.check_premises(conflict.premises)
         if kind in ("cell-mismatch", "row-duplicate", "col-duplicate"):
-            pseudo = Step(conflict.rule, conflict.cell, conflict.value,
-                          conflict.premises, conflict.binding)
+            pseudo = Step(conflict.rule, conflict.cell, conflict.value, conflict.premises)
             if conflict.rule.startswith("seed:"):
                 if self.seeds.get((conflict.cell, conflict.value)) != conflict.rule:
                     raise ReplayError("conflicting seed not in the seed set")

@@ -178,25 +178,6 @@ def test_order_below_one_refused_by_name(capsys, tmp_path, order):
     assert err == f"error: {path}: the order must be at least 1, got {order}\n"
 
 
-def test_order_search_cap_not_an_integer(capsys, tmp_path, monkeypatch):
-    p5 = tmp_path / "q5.txt"
-    run(capsys, "table", "-m", "5", "-a", "2", "-o", str(p5))
-    monkeypatch.setenv("QUADLAT_MAX_ORDER_SEARCH", "ten")
-    code, out, err = run(capsys, "order-search", "-i", str(p5))
-    assert (code, out) == (1, "")
-    assert err == "usage error: QUADLAT_MAX_ORDER_SEARCH must be an integer, got 'ten'\n"
-
-
-@pytest.mark.parametrize("raw", ["0", "-1"])
-def test_order_search_cap_not_positive(capsys, tmp_path, monkeypatch, raw):
-    p5 = tmp_path / "q5.txt"
-    run(capsys, "table", "-m", "5", "-a", "2", "-o", str(p5))
-    monkeypatch.setenv("QUADLAT_MAX_ORDER_SEARCH", raw)
-    code, out, err = run(capsys, "order-search", "-i", str(p5))
-    assert (code, out) == (1, "")
-    assert err == f"usage error: QUADLAT_MAX_ORDER_SEARCH must be positive, got {raw}\n"
-
-
 def test_invariant_error_exit(capsys):
     code, _, err = run(capsys, "table", "-m", "5", "-a", "3")
     assert code == 2
@@ -244,7 +225,7 @@ def test_iso_command(capsys, tmp_path):
     assert err.startswith("cap exceeded:")
 
 
-def test_order_search_and_cap(capsys, tmp_path, monkeypatch):
+def test_order_search_and_cap(capsys, tmp_path):
     p5 = tmp_path / "q5.txt"
     run(capsys, "table", "-m", "5", "-a", "2", "-o", str(p5))
     code, out, _ = run(capsys, "order-search", "-i", str(p5))
@@ -255,8 +236,7 @@ def test_order_search_and_cap(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "order-search", "-i", str(p13))
     assert code == 3
     assert "cap" in err
-    monkeypatch.setenv("QUADLAT_MAX_ORDER_SEARCH", "13")
-    code, out, _ = run(capsys, "order-search", "-i", str(p13))
+    code, out, _ = run(capsys, "order-search", "-i", str(p13), "--max-order", "13")
     assert code == 0
     assert "k: 5" in out
 

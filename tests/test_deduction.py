@@ -147,25 +147,27 @@ def test_replay_rejects_tampering():
     steps = list(out.trace)
     for i, st in enumerate(steps):
         if not st.rule.startswith("seed:"):
-            bad = steps[:i] + [Step(st.rule, st.cell, (st.value + 1) % 9,
-                                    st.premises, st.binding)]
+            bad = steps[:i] + [Step(st.rule, st.cell, (st.value + 1) % 9, st.premises)]
             with pytest.raises(ReplayError):
                 replay_trace(2, 4, bad)
             break
     # a foreign seed is rejected
     with pytest.raises(ReplayError):
-        replay_trace(2, 4, [Step("seed:choice", (0, 1), 5, (), ())])
+        replay_trace(2, 4, [Step("seed:choice", (0, 1), 5, ())])
 
 
 def test_replay_requires_cited_premises():
     # each of these steps, its premises dropped, printed "from []" and
     # replayed: the replay checked the premises printed, not the ones read.
-    # Alterability steps of both directions: with binding (x, y, z, w),
-    # step 79 fills y*z and step 80 fills w*x
+    # Alterability steps of both directions: with products x*y = z*w,
+    # the cells of the first two premises, step 79 fills y*z and step 80
+    # fills w*x
     out = complete_qn(3, 1)
-    for i, binding, cell in ((79, (1, 3, 12, 10), (3, 12)), (80, (2, 1, 9, 11), (11, 2))):
+    for i, products, cell in (
+            (79, ((1, 3), (12, 10)), (3, 12)), (80, ((2, 1), (9, 11)), (11, 2))):
         step = out.trace[i]
-        assert (step.rule, step.binding, step.cell) == ("alterability", binding, cell)
+        cited = tuple(premise_cell for premise_cell, _ in step.premises[:2])
+        assert (step.rule, cited, step.cell) == ("alterability", products, cell)
         bare = step._replace(premises=())
         assert trace_text([bare]).endswith("  by alterability from []\n")
         with pytest.raises(ReplayError, match="not cited"):
@@ -194,7 +196,7 @@ def test_replay_checks_premises():
         ref.apply_step(step)
     for kind in ("cell-mismatch", "row-duplicate", "cell-no-candidate",
                  "row-value-impossible", "col-value-impossible"):
-        conflict = Conflict(kind, "latin-cell", (0, 1), 2, -1, (((0, 0), 99),), (0, 1))
+        conflict = Conflict(kind, "latin-cell", (0, 1), 2, -1, (((0, 0), 99),))
         with pytest.raises(ReplayError, match="premise"):
             replay_trace(6, 1, leaf.trace, conflict)
         with pytest.raises(ReplayError, match="premise"):
@@ -340,5 +342,5 @@ def test_collector_left_as_found():
     finally:
         gc.enable()
     with pytest.raises(ReplayError):
-        replay_trace(2, 1, [Step("nonesuch", (0, 0), 1, (), ())])
+        replay_trace(2, 1, [Step("nonesuch", (0, 0), 1, ())])
     assert gc.isenabled()

@@ -172,8 +172,7 @@ def _replay(st, steps) -> bool:
     """Assign steps onto st; False once one clashes with the state."""
     try:
         for step in steps:
-            st.set_cell(step.cell[0], step.cell[1], step.value, step.rule,
-                        step.premises, step.binding)
+            st.set_cell(*step.cell, step.value, step.rule, step.premises)
     except _ConflictError:
         return False
     return True
@@ -378,7 +377,7 @@ def test_passes_match_naive_on_revealed_tables():
                     cells.pop()
                 if cells:
                     r, c = cells.pop()
-                    st.set_cell(r, c, entries[r][c], "assume", (), (0,))
+                    st.set_cell(r, c, entries[r][c], "assume", ())
             name = rng.choice(names)
             outcome = _check_pass(st, name)
             assert outcome != "conflict", (run, name)
@@ -446,7 +445,7 @@ def test_saturation_matches_naive_saturation():
                 if not cand >> v & 1:
                     continue
                 child = st.clone()
-                child.set_cell(r, c, v, "assume", (), (1,))
+                child.set_cell(r, c, v, "assume", ())
                 naive = child.clone()
                 child_split = _saturate(child)
                 _naive_saturate(naive)

@@ -130,7 +130,7 @@ def test_package_import_set(tmp_path):
     # a process that only replays traces, as a verifier of saved traces
     # would: the auditor, the trace records and the seed list, no engine
     replay_only = ("from quadlat.audit import replay_trace; from quadlat.steps import Step; "
-                   "replay_trace(2, 1, [Step('seed:idempotent', (0, 0), 0, (), ())])")
+                   "replay_trace(2, 1, [Step('seed:idempotent', (0, 0), 0, ())])")
     assert loaded(replay_only, tmp_path) == {
         "quadlat", "quadlat.errors", "quadlat.cayley", "quadlat.qn", "quadlat.steps",
         "quadlat.audit"}

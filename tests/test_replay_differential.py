@@ -82,10 +82,11 @@ def _coordinate(rng, n):
     return rng.randrange(n) if rng.random() < 0.9 else rng.choice((-1, n, 99))
 
 
-def _mutate(rng, n, item, bindings):
-    """item with one of its value, cell, rule, premises or binding
-    replaced, or for a conflict also its kind."""
-    fields = ["value", "cell", "rule", "premises", "binding"]
+def _mutate(rng, n, item):
+    """item with one of its value, cell, rule or premises replaced, or for
+    a conflict also its kind.  A premise replaced among an alterability
+    step's first two moves the products the step claims."""
+    fields = ["value", "cell", "rule", "premises"]
     if isinstance(item, Conflict):
         fields.append("kind")
     field = rng.choice(fields)
@@ -107,11 +108,6 @@ def _mutate(rng, n, item, bindings):
             new = [((_coordinate(rng, n), _coordinate(rng, n)), _coordinate(rng, n))
                    for _ in range(rng.randrange(4))]
         new = tuple(new)
-    elif field == "binding":
-        if rng.random() < 0.5:
-            new = rng.choice(bindings)
-        else:
-            new = tuple(_coordinate(rng, n) for _ in range(rng.randrange(6)))
     else:
         new = rng.choice(KINDS)
     return item._replace(**{field: new})
@@ -141,14 +137,12 @@ def _expected(reference_verdict, malformed) -> str:
 def test_replay_matches_reference():
     rng = random.Random(20261018)
     counts = {"accepted": 0, "rejected": 0}
-    traces = list(_traces(7))
-    bindings = sorted({step.binding for _, _, trace, _ in traces for step in trace})
-    for blocks, choice, trace, conflict in traces:
+    for blocks, choice, trace, conflict in _traces(7):
         n = 4 * blocks + 1
         ref = reference_replay.Replay(blocks, choice)
         new = _Replay(blocks, choice)
         for step in trace:
-            bad = _mutate(rng, n, step, bindings)
+            bad = _mutate(rng, n, step)
             want = _try_step(ref, bad)
             got = _try_step(new, bad)
             assert got == _expected(want, _malformed_step(n, bad)), (blocks, choice, bad, want)
@@ -160,7 +154,7 @@ def test_replay_matches_reference():
             continue
         new.verify_conflict(conflict)
         for _ in range(40):
-            bad = _mutate(rng, n, conflict, bindings)
+            bad = _mutate(rng, n, conflict)
             want = _verdict(ref.verify_conflict, bad)
             got = _verdict(new.verify_conflict, bad)
             assert got == _expected(want, _malformed_conflict(n, bad)), (
@@ -172,17 +166,36 @@ def test_replay_matches_reference():
 
 def test_replay_rejects_malformed_input():
     # each of these raised IndexError or ValueError before the replay
-    # checked ranges and binding lengths
+    # checked ranges
     with pytest.raises(ReplayError):
-        replay_trace(1, 1, [Step("assume", (99, 0), 0, (), (1,))])
+        replay_trace(1, 1, [Step("assume", (99, 0), 0, ())])
     with pytest.raises(ReplayError):
         replay_trace(1, 1, [], Conflict(
-            "cell-no-candidate", "latin-cell", (7, -1), -1, -1, (), (7, -1)))
+            "cell-no-candidate", "latin-cell", (7, -1), -1, -1, ()))
     out = complete_qn(3, 1)
     cut = next(i for i, step in enumerate(out.trace) if step.rule == "alterability")
-    shortened = out.trace[cut]._replace(binding=out.trace[cut].binding[:2])
-    with pytest.raises(ReplayError, match="wrong length"):
-        replay_trace(3, 1, out.trace[:cut] + (shortened,))
+    step = out.trace[cut]
+    (x, y), (z, w) = (cell for cell, _ in step.premises[:2])
+    ref = reference_replay.Replay(3, 1)
+    for earlier in out.trace[:cut]:
+        ref.verify_step(earlier)
+        ref.apply_step(earlier)
+    ref.verify_step(step)
+    # an alterability step reads its products from the cells of its first
+    # two premises, so both replays refuse a step that cites fewer than
+    # three, one whose first premise's cell is not a pair or is out of
+    # range, and one whose cell is neither (y, z) nor (w, x) of its premises
+    unknown = next((r, c) for r in range(13) for c in range(13)
+                   if (r, c) not in ((y, z), (w, x))
+                   and all(s.cell != (r, c) for s in out.trace[:cut]))
+    malformed = [step._replace(premises=step.premises[:k]) for k in (0, 1, 2)]
+    malformed += [step._replace(premises=((cell, step.premises[0][1]),) + step.premises[1:])
+                  for cell in ((x,), (x, y, z), (13, y), (x, -1), (99, 99))]
+    malformed.append(step._replace(cell=unknown))
+    for bad in malformed:
+        with pytest.raises(ReplayError):
+            replay_trace(3, 1, out.trace[:cut] + (bad,))
+        assert _verdict(ref.verify_step, bad) != "accepted", bad
     # the engine emits no bookend, strong elasticity, distributivity or
     # mediality step, and the replay accepts only the rules the engine emits
     for rule in ("bookend", "strong-elasticity", "mediality", "left-distributivity",
@@ -193,21 +206,20 @@ def test_replay_rejects_malformed_input():
     # an assumption of a value outside the table, and a conflict claiming
     # no candidate for a known cell, were accepted
     with pytest.raises(ReplayError):
-        replay_trace(1, 1, [Step("assume", (0, 1), 5, (), (1,))])
+        replay_trace(1, 1, [Step("assume", (0, 1), 5, ())])
     with pytest.raises(ReplayError):
         replay_trace(1, 2, complete_qn(1, 2).trace, Conflict(
-            "cell-no-candidate", "latin-cell", (0, 0), -1, -1, (), (0, 0)))
+            "cell-no-candidate", "latin-cell", (0, 0), -1, -1, ()))
 
 
 def _assumed(cells):
     """A trace of assume steps placing each ((r, c), v) of cells."""
-    return tuple(Step("assume", cell, v, (), (1,)) for cell, v in cells)
+    return tuple(Step("assume", cell, v, ()) for cell, v in cells)
 
 
 def _no_candidate(cells):
     """A cell-no-candidate conflict at (0, 0) citing every cell of cells."""
-    return Conflict("cell-no-candidate", "latin-cell", (0, 0), -1, -1,
-                    tuple(cells), (0, 0))
+    return Conflict("cell-no-candidate", "latin-cell", (0, 0), -1, -1, tuple(cells))
 
 
 @pytest.mark.parametrize("cells, conflict", [
@@ -244,21 +256,21 @@ def test_latin_rule_over_a_placed_pair_refused(cells, conflict):
 _ROW_COL_LATIN = [
     # value 4 has one place left in row 0
     ([((0, c), c) for c in range(4)],
-     Step("latin-row-single", (0, 4), 4, tuple(((0, c), c) for c in range(4)), (0, 4))),
+     Step("latin-row-single", (0, 4), 4, tuple(((0, c), c) for c in range(4)))),
     # value 4 has one place left in column 0
     ([((r, 0), r) for r in range(4)],
-     Step("latin-col-single", (4, 0), 4, tuple(((r, 0), r) for r in range(4)), (0, 4))),
+     Step("latin-col-single", (4, 0), 4, tuple(((r, 0), r) for r in range(4)))),
     # value 4 has no place left in row 0: column 4 holds it
     ([((0, c), c) for c in range(4)] + [((1, 4), 4)],
      Conflict("row-value-impossible", "latin-row", (0, -1), 4, -1,
-              tuple(((0, c), c) for c in range(4)) + (((1, 4), 4),), (0, 4))),
+              tuple(((0, c), c) for c in range(4)) + (((1, 4), 4),))),
     # value 4 has no place left in column 0: row 4 holds it
     ([((r, 0), r) for r in range(4)] + [((4, 1), 4)],
      Conflict("col-value-impossible", "latin-col", (-1, 0), 4, -1,
-              tuple(((r, 0), r) for r in range(4)) + (((4, 1), 4),), (0, 4))),
+              tuple(((r, 0), r) for r in range(4)) + (((4, 1), 4),))),
     # cell (0, 4) has one candidate left, 4: row 0 holds the others
     ([((0, c), c) for c in range(4)],
-     Step("latin-cell-single", (0, 4), 4, tuple(((0, c), c) for c in range(4)), (0, 4))),
+     Step("latin-cell-single", (0, 4), 4, tuple(((0, c), c) for c in range(4)))),
 ]
 
 
@@ -281,7 +293,10 @@ def test_row_and_column_latin_refused(cells, item):
 def test_reordered_alterability_premises_refused():
     """Both replays compare an alterability step's first three premises by
     position (the two products, then the copied cell), so the same
-    premises in any other order are refused."""
+    premises in any other order are refused, but for the two products
+    swapped: x*y = z*w read as z*w = x*y forces the same two cells equal,
+    so that order is the instance (z, w, x, y) and both replays accept
+    it."""
     trace = complete_qn(3, 1).trace
     cut = next(i for i, step in enumerate(trace) if step.rule == "alterability")
     step = trace[cut]
@@ -291,8 +306,12 @@ def test_reordered_alterability_premises_refused():
         ref.verify_step(earlier)
         ref.apply_step(earlier)
     ref.verify_step(step)
+    first, second, copied = step.premises
+    swapped = step._replace(premises=(second, first, copied))
+    replay_trace(3, 1, trace[:cut] + (swapped,))
+    ref.verify_step(swapped)
     for order in itertools.permutations(step.premises):
-        if order == step.premises:
+        if order in (step.premises, swapped.premises):
             continue
         reordered = step._replace(premises=order)
         with pytest.raises(ReplayError):
