@@ -4,9 +4,12 @@ trace, and its final conflict, from the rule schema.
 It shares only the trace records (quadlat.steps) with the engine in
 quadlat.deduction, and reads none of the engine's state, so a trace is
 checked independently of the code that made it.  Each step must print
-the premises its rule reads.  Every trace replays from an empty table,
-its seed steps verified like any other, so a refutation leaf trimmed to
-the cone of its conflict keeps only the seeds that the cone cites.
+the premises its rule reads, each a known cell (r, c) whose value the
+auditor reads from the table it has rebuilt, so no premise states a value
+that could disagree with the table.  Every trace replays from an empty
+table, its seed steps verified like any other, so a refutation leaf
+trimmed to the cone of its conflict keeps only the seeds that the cone
+cites.
 
 The engine runs one rule and one scan, so a trace holds seeds,
 assumptions and alterability steps, and ends, in a refutation leaf, with
@@ -30,11 +33,10 @@ class _Replay:
     verify_step checks the engine's three step kinds directly: a seed must
     be in the seed set, an assumption must name an unknown cell, and an
     alterability step must follow from its premises.  The premises a step
-    or conflict prints must each name a known cell with its value, and
-    must name every known cell its check reads: for alterability the two
-    equal products, then the cell whose value the step copies, in that
-    order, and for a cell-no-candidate conflict one cell per value it rules
-    out.  A step by any other rule is refused as unknown, and so is a
+    or conflict prints must each name a known cell, and must name every
+    known cell its check reads: for alterability the two equal products,
+    then the cell whose value the step copies, in that order, and for a
+    cell-no-candidate conflict one cell per value it rules out.  A step by any other rule is refused as unknown, and so is a
     conflict of any kind but a clash, a duplicate and cell-no-candidate: a
     latin single over a cell, a row or a column (latin-cell-single,
     latin-row-single, latin-col-single), row-value-impossible and its
@@ -52,26 +54,28 @@ class _Replay:
     def latin(self, r, c, premises) -> bool:
         """Latin elimination at cell (r, c): a cell-no-candidate conflict
         there is justified when its premises rule out every value.  A
-        premise rules out its own value when it shares row r or column c.
-        (r, c) must be in range and not yet placed.  The premises are known
-        cells (check_premises), so no value they rule out is open at
-        (r, c): the open ones need no scan of the table."""
+        premise rules out the value its cell holds when it shares row r or
+        column c.  (r, c) must be in range and not yet placed.  The
+        premises are known cells (check_premises), so no value they rule
+        out is open at (r, c): the open ones need no scan of the table."""
         if not (0 <= r < self.n and 0 <= c < self.n) or self.rows[r][c] != -1:
             raise ReplayError(f"latin rule over ({r},{c}), out of range or already placed")
         cited = 0
-        for (pr, pc), u in premises:
+        for pr, pc in premises:
             if pr == r or pc == c:
-                cited |= 1 << u
+                cited |= 1 << self.rows[pr][pc]
         return cited == self.full
 
     def check_premises(self, premises):
-        """Each premise ((r, c), v) names a cell already known to hold v."""
+        """Each premise (r, c) is a pair of ints in range that names a known
+        cell; a bool, which indexes the table like 0 or 1, is refused."""
         n = self.n
         rows = self.rows
         try:
-            for (r, c), v in premises:
-                if not (0 <= r < n and 0 <= c < n) or v == -1 or rows[r][c] != v:
-                    raise ReplayError(f"premise cell({r},{c})={v} is not a known cell")
+            for r, c in premises:
+                if not (type(r) is type(c) is int and 0 <= r < n and 0 <= c < n
+                        and rows[r][c] != -1):
+                    raise ReplayError(f"premise cell({r},{c}) is not a known cell")
         except (TypeError, ValueError):
             raise ReplayError(f"malformed premises {premises!r}") from None
 
@@ -96,22 +100,22 @@ class _Replay:
         if not ok:
             raise ReplayError(f"{rule} step not justified: {step}")
 
-    @staticmethod
-    def _alterability(r, c, v, premises) -> bool:
+    def _alterability(self, r, c, v, premises) -> bool:
         """x*y = z*w gives y*z = w*x.  The premises cite the products (x, y)
         and (z, w), then the cell the step copies, compared by position;
         any further one need only be known.  verify_step has checked every
-        premise against the table, its range first, so the values cited
-        are the table's."""
+        premise against the table, its range first, so the values are read
+        from the table."""
         try:
-            ((x, y), xy), ((z, w), zw), copied, *_ = premises
+            (x, y), (z, w), copied, *_ = premises
         except ValueError:
             raise ReplayError(f"alterability premises not cited: {premises!r}") from None
-        if xy != zw:
+        rows = self.rows
+        if rows[x][y] != rows[z][w]:
             raise ReplayError("alterability premises are not equal products")
         if (r, c) == (y, z):
-            return copied == ((w, x), v)
-        return (r, c) == (w, x) and copied == ((y, z), v)
+            return copied == (w, x) and rows[w][x] == v
+        return (r, c) == (w, x) and copied == (y, z) and rows[y][z] == v
 
     def apply_step(self, step: Step):
         r, c = step.cell
@@ -137,13 +141,13 @@ class _Replay:
             self.verify_step(Step(conflict.rule, conflict.cell, v, premises))
             cur = self.rows[r][c]
             if kind == "cell-mismatch":
-                ok = cur not in (-1, v) and cur == conflict.existing
+                ok = cur not in (-1, v)
             else:
                 # a cell of v in the row or column, and the premise naming it
                 axis, line = (0, r) if kind == "row-duplicate" else (1, c)
                 held = (self.row_vals, self.col_vals)[axis][line]
                 ok = cur == -1 and held >> v & 1 and any(
-                    cell[axis] == line and u == v for cell, u in premises)
+                    cell[axis] == line and self.rows[cell[0]][cell[1]] == v for cell in premises)
         elif kind == "cell-no-candidate":
             ok = self.latin(r, c, premises)
         else:

@@ -35,6 +35,15 @@ backward check of DRAT-trim (Wetzler, Heule and Hunt, SAT 2014).  At 12
 blocks that keeps 7,968 of the leaves' 94,147 steps.  complete_qn's
 outcomes, and a Completed or Stuck search outcome, keep every step.
 
+A trace states each value once, in the step that assigns its cell: a
+premise, like a clause an LRAT step cites (Cruz-Filipe et al., CADE 2017),
+is the cell (r, c) it reads, and a cell-mismatch conflict's clashing value
+is left to the step that assigned its cell.  One (r, c) tuple per cell,
+made when a branch of the case first assigns the cell and shared by every
+clone, is the object each step, premise and conflict naming the cell
+references.  trace_text reads each cited value back from the trace, and
+the auditor from the table it rebuilds.
+
 Skip invariant.  Alterability links two cells, idle when both hold the
 same value, unknown included.  Its pass drops every such instance, and
 runs the per-instance code on the rest in the original order, so traces,
@@ -99,15 +108,17 @@ class _ConflictError(Exception):
 # ---------------------------------------------------------------------------
 
 class _State:
-    # facts[r][c] is the one ((r, c), v) tuple of a known cell, made when
-    # set_cell assigns it and None before: the cell of its Step and every
-    # premise or conflict record that names the known cell reference it, so
-    # a trace holds one premise object per cell, not one per mention.
-    # step_at[r][c] is the index in trace of the step that assigned the
-    # known cell: _conflict_cone follows a conflict's premises back by it.
+    # cells[r][c] is the one (r, c) tuple of a cell, made the first time
+    # set_cell assigns it in any branch of the case and None before; clones
+    # share the table, since a cell's name does not depend on its value.
+    # The cell of its Step and every premise or conflict record that names
+    # the cell reference it, so a trace holds one premise object per cell,
+    # not one per mention.  step_at[r][c] is the index in trace of the step
+    # that assigned the known cell: _conflict_cone follows a conflict's
+    # premises back by it.
     __slots__ = (
-        "n", "blocks", "choice", "val", "cols", "facts", "step_at", "row_vals",
-        "col_vals", "rows_by_value", "cols_by_value", "unknown", "trace", "conflict",
+        "n", "blocks", "choice", "val", "cols", "cells", "step_at", "row_vals",
+        "col_vals", "rows_by_value", "cols_by_value", "trace", "conflict",
     )
 
     def __init__(self, blocks: int, choice: int):
@@ -118,7 +129,7 @@ class _State:
         self.val = [[-1] * n for _ in range(n)]
         # the same table by columns: cols[c][r] = val[r][c]
         self.cols = [[-1] * n for _ in range(n)]
-        self.facts = [[None] * n for _ in range(n)]
+        self.cells = [[None] * n for _ in range(n)]
         self.step_at = [[-1] * n for _ in range(n)]
         # bitmasks of the values each row and each column holds
         self.row_vals = [0] * n
@@ -127,7 +138,6 @@ class _State:
         # a parallel list of columns
         self.rows_by_value = [[] for _ in range(n)]
         self.cols_by_value = [[] for _ in range(n)]
-        self.unknown = n * n
         self.trace = []
         self.conflict = None
 
@@ -138,13 +148,12 @@ class _State:
         st.choice = self.choice
         st.val = [row[:] for row in self.val]
         st.cols = [col[:] for col in self.cols]
-        st.facts = [row[:] for row in self.facts]
+        st.cells = self.cells
         st.step_at = [row[:] for row in self.step_at]
         st.row_vals = self.row_vals[:]
         st.col_vals = self.col_vals[:]
         st.rows_by_value = [lst[:] for lst in self.rows_by_value]
         st.cols_by_value = [lst[:] for lst in self.cols_by_value]
-        st.unknown = self.unknown
         st.trace = self.trace[:]
         st.conflict = None
         return st
@@ -156,21 +165,20 @@ class _State:
         cur = row[c]
         if cur == v:
             return False
+        cells = self.cells
         if cur != -1:
             raise _ConflictError(Conflict(
-                "cell-mismatch", rule, (r, c), v, cur, premises))
+                "cell-mismatch", rule, cells[r][c], v, premises))
         bit = 1 << v
-        facts = self.facts
         if self.row_vals[r] & bit:
             raise _ConflictError(Conflict(
-                "row-duplicate", rule, (r, c), v, -1,
-                premises + (facts[r][row.index(v)],)))
+                "row-duplicate", rule, (r, c), v,
+                premises + (cells[r][row.index(v)],)))
         if self.col_vals[c] & bit:
             raise _ConflictError(Conflict(
-                "col-duplicate", rule, (r, c), v, -1,
-                premises + (facts[self.cols[c].index(v)][c],)))
-        cell = (r, c)
-        facts[r][c] = (cell, v)
+                "col-duplicate", rule, (r, c), v,
+                premises + (cells[self.cols[c].index(v)][c],)))
+        cell = cells[r][c] = cells[r][c] or (r, c)
         self.step_at[r][c] = len(self.trace)
         row[c] = v
         self.cols[c][r] = v
@@ -178,7 +186,6 @@ class _State:
         self.col_vals[c] |= bit
         self.rows_by_value[v].append(r)
         self.cols_by_value[v].append(c)
-        self.unknown -= 1
         self.trace.append(Step(rule, cell, v, premises))
         return True
 
@@ -200,7 +207,7 @@ class _State:
                 cand = ~(in_row | col_vals[c]) & full
                 if not cand:
                     raise _ConflictError(Conflict(
-                        "cell-no-candidate", "latin-cell", (r, c), -1, -1,
+                        "cell-no-candidate", "latin-cell", (r, c), -1,
                         self._coverage(r, c)))
                 count = cand.bit_count()
                 if count < least:
@@ -214,7 +221,7 @@ class _State:
         the one of column c."""
         row = self.val[r]
         col = self.cols[c]
-        facts = self.facts
+        cells = self.cells
         in_row = self.row_vals[r]
         out = []
         ruled_out = in_row | self.col_vals[c]
@@ -222,7 +229,7 @@ class _State:
             bit = ruled_out & -ruled_out
             ruled_out ^= bit
             v = bit.bit_length() - 1
-            out.append(facts[r][row.index(v)] if in_row & bit else facts[col.index(v)][c])
+            out.append(cells[r][row.index(v)] if in_row & bit else cells[col.index(v)][c])
         return tuple(out)
 
     def alter_pass(self) -> bool:
@@ -236,7 +243,7 @@ class _State:
         n = self.n
         val = self.val
         cols = self.cols
-        facts = self.facts
+        cells = self.cells
         changed = False
         for v in range(n):
             xs = self.rows_by_value[v]
@@ -265,15 +272,15 @@ class _State:
                     if right == -1:
                         changed |= self.set_cell(
                             w, x, left, "alterability",
-                            (facts[x][y], facts[z][w], facts[y][z]))
+                            (cells[x][y], cells[z][w], cells[y][z]))
                     elif left == -1:
                         changed |= self.set_cell(
                             y, z, right, "alterability",
-                            (facts[x][y], facts[z][w], facts[w][x]))
+                            (cells[x][y], cells[z][w], cells[w][x]))
                     else:
                         raise _ConflictError(Conflict(
-                            "cell-mismatch", "alterability", (w, x), left, right,
-                            (facts[x][y], facts[z][w], facts[y][z])))
+                            "cell-mismatch", "alterability", cells[w][x], left,
+                            (cells[x][y], cells[z][w], cells[y][z])))
         return changed
 
 
@@ -307,22 +314,18 @@ def _seed_state(blocks: int, choice: int) -> _State:
     return st
 
 
-def _partial_view(st: _State) -> PartialTable:
-    entries = tuple(
-        tuple(v if v != -1 else None for v in row) for row in st.val
-    )
-    return PartialTable(st.n, entries, tuple(st.trace))
-
-
-def _outcome(st: _State):
+def _outcome(st: _State, split):
+    """The outcome of st, given split, the cell _saturate picked for it:
+    None, unless st holds a conflict, means no cell is unknown."""
     if st.conflict is not None:
         return Contradiction(st.conflict, tuple(st.trace), st.blocks, st.choice)
-    if st.unknown == 0:
+    if split is None:
         table = CayleyTable(st.n, st.val, canonical_labels(st.blocks))
         if not is_quadratical(table):
             raise AssertionError("completed table failed the quadratical check")
         return Completed(table, tuple(st.trace), st.blocks, st.choice)
-    return Stuck(_partial_view(st), st.blocks, st.choice)
+    entries = tuple(tuple(v if v != -1 else None for v in row) for row in st.val)
+    return Stuck(PartialTable(st.n, entries, tuple(st.trace)), st.blocks, st.choice)
 
 
 @_collector_paused
@@ -333,8 +336,7 @@ def complete_qn(blocks: int, choice: int):
     an honest Stuck.  Pauses the process's cyclic garbage collector while
     it runs (see _collector_paused)."""
     st = _seed_state(blocks, choice)
-    _saturate(st)
-    return _outcome(st)
+    return _outcome(st, _saturate(st))
 
 
 def parse_choice(blocks: int, text: str) -> int:
@@ -382,7 +384,7 @@ def _conflict_cone(st: _State) -> tuple[Step, ...]:
     step leaves unknown were unknown at that step in the whole trace too."""
     trace = st.trace
     step_at = st.step_at
-    cells = [cell for cell, _ in st.conflict.premises]
+    cells = list(st.conflict.premises)
     if st.conflict.kind == "cell-mismatch":
         cells.append(st.conflict.cell)
     keep = set()
@@ -391,7 +393,7 @@ def _conflict_cone(st: _State) -> tuple[Step, ...]:
         i = step_at[r][c]
         if i not in keep:
             keep.add(i)
-            cells.extend(cell for cell, _ in trace[i].premises)
+            cells.extend(trace[i].premises)
     return tuple(map(trace.__getitem__, sorted(keep)))
 
 
@@ -403,7 +405,7 @@ def _refute_search(st: _State, split, depth: int, stats: dict):
     if st.conflict is not None:
         return [Contradiction(st.conflict, _conflict_cone(st), st.blocks, st.choice)]
     if split is None or depth >= SPLIT_DEPTH:
-        return _outcome(st)
+        return _outcome(st, split)
     stats["splits"] += 1
     stats["max_depth"] = max(stats["max_depth"], depth + 1)
     r, c, cand = split
@@ -450,29 +452,36 @@ def refute_q6() -> RefutationReport:
 # trace text, and the auditor on first use
 # ---------------------------------------------------------------------------
 
-def _fmt_premises(premises) -> str:
-    return ", ".join(f"cell({r},{c})={v}" for (r, c), v in premises)
+def _cited(known: dict, premises) -> str:
+    return ", ".join(f"cell({r},{c})={known[r, c]}" for r, c in premises)
 
 
 def trace_text(trace, conflict: Conflict | None = None) -> str:
-    """One deduction per line: ``cell(x,y) := v  by RULE from [premises]``."""
+    """One deduction per line: ``cell(x,y) := v  by RULE from [premises]``.
+    Each cited cell is printed with the value the earlier step of the trace
+    that assigned it states, and so is a cell-mismatch conflict's clashing
+    cell; a cited cell that no earlier step assigns raises ValueError."""
+    known = {}
     lines = []
-    for step in trace:
-        lines.append(
-            f"cell({step.cell[0]},{step.cell[1]}) := {step.value}"
-            f"  by {step.rule} from [{_fmt_premises(step.premises)}]"
-        )
-    if conflict is not None:
-        if conflict.kind == "cell-mismatch":
-            what = (f"cell({conflict.cell[0]},{conflict.cell[1]}) := {conflict.value}"
-                    f" clashes with existing {conflict.existing}")
-        elif conflict.kind in ("row-duplicate", "col-duplicate"):
-            what = (f"cell({conflict.cell[0]},{conflict.cell[1]}) := {conflict.value}"
-                    f" duplicates a {conflict.kind.split('-')[0]} value")
-        else:
-            what = f"{conflict.kind} at ({conflict.cell[0]},{conflict.cell[1]}) value {conflict.value}"
-        lines.append(
-            f"conflict: {what}  by {conflict.rule} from [{_fmt_premises(conflict.premises)}]")
+    try:
+        for step in trace:
+            lines.append(
+                f"cell({step.cell[0]},{step.cell[1]}) := {step.value}"
+                f"  by {step.rule} from [{_cited(known, step.premises)}]"
+            )
+            known[step.cell] = step.value
+        if conflict is not None:
+            (r, c), v = conflict.cell, conflict.value
+            if conflict.kind == "cell-mismatch":
+                what = f"cell({r},{c}) := {v} clashes with existing {known[r, c]}"
+            elif conflict.kind in ("row-duplicate", "col-duplicate"):
+                what = f"cell({r},{c}) := {v} duplicates a {conflict.kind.split('-')[0]} value"
+            else:
+                what = f"{conflict.kind} at ({r},{c}) value {v}"
+            lines.append(
+                f"conflict: {what}  by {conflict.rule} from [{_cited(known, conflict.premises)}]")
+    except KeyError as missing:
+        raise ValueError(f"cell {missing} is cited but no earlier step assigns it") from None
     return "\n".join(lines) + "\n"
 
 

@@ -5,10 +5,11 @@ replays them; this small module, with the block cap both refuse past, is
 all the two share, so a process that only deduces loads no auditor.
 
 A Step states each fact once: the rule, the cell and value it assigns,
-and the premises it cites, each a known cell as ((r, c), v).  A Conflict
-adds its kind and the value the cell already holds.  What a rule reads
-beyond its own cell is in the premises: alterability's x*y = z*w are the
-cells of its first two.
+and the premises it cites, each a known cell as (r, c), whose value the
+step that assigned it states.  A Conflict adds its kind; a cell-mismatch
+leaves the value its cell already holds to the step that assigned it.
+What a rule reads beyond its own cell is in the premises: alterability's
+x*y = z*w are the cells of its first two.
 """
 
 import gc
@@ -44,7 +45,6 @@ class Conflict(NamedTuple):
     rule: str
     cell: tuple[int, int]
     value: int
-    existing: int
     premises: tuple
 
 

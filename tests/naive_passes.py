@@ -40,17 +40,16 @@ def link(st, cell1, cell2, rule, premise_cells) -> bool:
     v2 = val[cell2[0]][cell2[1]]
     if v1 == v2:
         return False
-    facts = st.facts
-    prem = tuple([facts[r][c] for r, c in premise_cells])
+    cells = st.cells
+    prem = tuple([cells[r][c] for r, c in premise_cells])
     if v2 == -1:
         return st.set_cell(
-            cell2[0], cell2[1], v1, rule, prem + (facts[cell1[0]][cell1[1]],))
+            cell2[0], cell2[1], v1, rule, prem + (cells[cell1[0]][cell1[1]],))
     if v1 == -1:
         return st.set_cell(
-            cell1[0], cell1[1], v2, rule, prem + (facts[cell2[0]][cell2[1]],))
+            cell1[0], cell1[1], v2, rule, prem + (cells[cell2[0]][cell2[1]],))
     raise _ConflictError(Conflict(
-        "cell-mismatch", rule, cell2, v1, v2,
-        prem + (facts[cell1[0]][cell1[1]],)))
+        "cell-mismatch", rule, cell2, v1, prem + (cells[cell1[0]][cell1[1]],)))
 
 
 def latin_pass(st) -> bool:
@@ -65,7 +64,7 @@ def latin_pass(st) -> bool:
             cand = ~(st.row_vals[r] | st.col_vals[c]) & full
             if cand == 0:
                 raise _ConflictError(Conflict(
-                    "cell-no-candidate", "latin-cell", (r, c), -1, -1,
+                    "cell-no-candidate", "latin-cell", (r, c), -1,
                     st._coverage(r, c)))
             if cand & (cand - 1) == 0:
                 v = cand.bit_length() - 1
@@ -78,7 +77,7 @@ def _row_coverage(st, r, cols, v) -> tuple:
     """For each column c of cols in order, the known cell that rules out
     value v at (r, c): the cell itself when known, otherwise the cell of v
     in column c."""
-    return tuple(st.facts[r][c] if st.val[r][c] != -1 else st.facts[st.cols[c].index(v)][c]
+    return tuple(st.cells[r][c] if st.val[r][c] != -1 else st.cells[st.cols[c].index(v)][c]
                  for c in cols)
 
 
@@ -86,7 +85,7 @@ def _col_coverage(st, c, rows, v) -> tuple:
     """For each row r of rows in order, the known cell that rules out value
     v at (r, c): the cell itself when known, otherwise the cell of v in
     row r."""
-    return tuple(st.facts[r][c] if st.val[r][c] != -1 else st.facts[r][st.val[r].index(v)]
+    return tuple(st.cells[r][c] if st.val[r][c] != -1 else st.cells[r][st.val[r].index(v)]
                  for r in rows)
 
 
@@ -109,7 +108,7 @@ def latin_lines_pass(st) -> bool:
             spots = [c for c in range(n) if val[r][c] == -1 and not st.col_vals[c] & bit]
             if not spots:
                 raise _ConflictError(Conflict(
-                    "row-value-impossible", "latin-row", (r, -1), v, -1,
+                    "row-value-impossible", "latin-row", (r, -1), v,
                     _row_coverage(st, r, range(n), v)))
             if len(spots) == 1:
                 c = spots[0]
@@ -125,7 +124,7 @@ def latin_lines_pass(st) -> bool:
             spots = [r for r in range(n) if val[r][c] == -1 and not st.row_vals[r] & bit]
             if not spots:
                 raise _ConflictError(Conflict(
-                    "col-value-impossible", "latin-col", (-1, c), v, -1,
+                    "col-value-impossible", "latin-col", (-1, c), v,
                     _col_coverage(st, c, range(n), v)))
             if len(spots) == 1:
                 r = spots[0]
@@ -146,7 +145,7 @@ def pairs_pass(st) -> bool:
             u = val[y][x]
             v = val[x][y]
             if u != -1 and v != -1:
-                prem = (((y, x), u), ((x, y), v))
+                prem = ((y, x), (x, y))
                 changed |= st.set_cell(u, v, x, "bookend", prem)
             cells = []
             if u != -1:

@@ -3,24 +3,24 @@ columns, a test oracle for quadlat.audit._Replay.
 
 It scans rows and columns in Python and checks the latin conflict with its
 own loop.  Like the new replay, it requires each step and conflict to cite
-every known cell its check reads, one cell per value a cell-no-candidate
-conflict rules out, and a cell-mismatch to state the value the cell
-holds.
+every known cell its check reads and one cell per value a
+cell-no-candidate conflict rules out, each premise a pair of ints (r, c)
+naming a known cell, whose value it reads from its own table.
 It reads an alterability step's two equal products from the cells of its
 first two premises and compares its first three premises by position
 with the two products and then the copied cell, the order the engine
 prints them in, so it refuses the same premises in any other order but
 the two products swapped, which is the instance z*w = x*y; any further
 premise, such as a row-duplicate conflict's witness, is only checked to
-hold.  A step's or conflict's cell and value must be ints: a bool
-indexes the table like 0 or 1 and equals it in the seed set, yet the
-engine never prints one.  Like the new replay, it knows only the rules
-and conflict kinds the engine makes, so a bookend or strong-elasticity
-step, a latin single over a cell, a row or a column (latin-cell-single,
-latin-row-single, latin-col-single) and a row-value-impossible or
-col-value-impossible conflict are refused as unknown.  A cell-no-candidate
-conflict at a cell already placed is refused, as the new replay refuses
-it.
+be known.  A step's, conflict's or premise's cell and a value must be
+ints: a bool indexes the table like 0 or 1 and equals it in the seed
+set, yet the engine never prints one.  Like the new replay, it knows
+only the rules and conflict kinds the engine makes, so a bookend or
+strong-elasticity step, a latin single over a cell, a row or a column
+(latin-cell-single, latin-row-single, latin-col-single) and a
+row-value-impossible or col-value-impossible conflict are refused as
+unknown.  A cell-no-candidate conflict at a cell already placed is
+refused, as the new replay refuses it.
 On well-formed input the new replay must accept and reject exactly what
 this one does; on malformed input, where this one may raise IndexError
 or ValueError or wrap a negative index, the new one raises ReplayError.
@@ -59,9 +59,9 @@ class Replay:
             raise ReplayError(f"cell or value not an int: {coords}")
 
     def check_premises(self, premises):
-        for (r, c), v in premises:
-            if self.known(r, c) != v:
-                raise ReplayError(f"premise cell({r},{c})={v} does not hold")
+        for r, c in premises:
+            self.require_ints(r, c)
+            self.known(r, c)
 
     def alterability(self, step):
         """Require the two products, the cells of the first two premises,
@@ -70,14 +70,13 @@ class Replay:
         products and then the other cell."""
         if len(step.premises) < 3:
             raise ReplayError("alterability cites fewer than three premises")
-        (x, y), _ = step.premises[0]
-        (z, w), _ = step.premises[1]
-        xy = self.known(x, y)
-        if xy != self.known(z, w):
+        x, y = step.premises[0]
+        z, w = step.premises[1]
+        if self.known(x, y) != self.known(z, w):
             raise ReplayError("alterability premises are not equal products")
         for mine, other in (((y, z), (w, x)), ((w, x), (y, z))):
-            if step.cell == mine and step.premises[:3] == (
-                    ((x, y), xy), ((z, w), xy), (other, step.value)):
+            if (step.cell == mine and step.premises[:3] == ((x, y), (z, w), other)
+                    and self.known(*other) == step.value):
                 return
         raise ReplayError(f"alterability step not justified: {step}")
 
@@ -100,10 +99,9 @@ class Replay:
             return
         raise ReplayError(f"unknown rule {rule!r}")
 
-    @staticmethod
-    def _cites_value(premises, r, c, w):
+    def _cites_value(self, premises, r, c, w):
         """A premise places value w in row r or in column c."""
-        return any(u == w and (pr == r or pc == c) for (pr, pc), u in premises)
+        return any(self.val[pr][pc] == w and (pr == r or pc == c) for pr, pc in premises)
 
     def _value_in_row(self, r, v):
         return v in self.val[r]
@@ -135,17 +133,15 @@ class Replay:
             if kind == "cell-mismatch":
                 if self.get(r, c) == -1 or self.get(r, c) == v:
                     raise ReplayError("cell-mismatch conflict does not clash")
-                if self.get(r, c) != conflict.existing:
-                    raise ReplayError("cell-mismatch conflict misstates the cell")
             elif kind == "row-duplicate":
                 if self.get(r, c) != -1 or not self._value_in_row(r, v):
                     raise ReplayError("row-duplicate conflict does not clash")
-                if not any(pr == r and u == v for (pr, _), u in premises):
+                if not any(pr == r and self.val[pr][pc] == v for pr, pc in premises):
                     raise ReplayError("row-duplicate conflict cites no cell of its value")
             else:
                 if self.get(r, c) != -1 or not self._value_in_col(c, v):
                     raise ReplayError("col-duplicate conflict does not clash")
-                if not any(pc == c and u == v for (_, pc), u in premises):
+                if not any(pc == c and self.val[pr][pc] == v for pr, pc in premises):
                     raise ReplayError("col-duplicate conflict cites no cell of its value")
             return
         if kind == "cell-no-candidate":

@@ -1,4 +1,5 @@
 import gc
+import re
 import sys
 import tracemalloc
 
@@ -166,8 +167,7 @@ def test_replay_requires_cited_premises():
     for i, products, cell in (
             (79, ((1, 3), (12, 10)), (3, 12)), (80, ((2, 1), (9, 11)), (11, 2))):
         step = out.trace[i]
-        cited = tuple(premise_cell for premise_cell, _ in step.premises[:2])
-        assert (step.rule, cited, step.cell) == ("alterability", products, cell)
+        assert (step.rule, step.premises[:2], step.cell) == ("alterability", products, cell)
         bare = step._replace(premises=())
         assert trace_text([bare]).endswith("  by alterability from []\n")
         with pytest.raises(ReplayError, match="not cited"):
@@ -176,14 +176,18 @@ def test_replay_requires_cited_premises():
 
 def test_replay_checks_premises():
     # an alterability step whose printed premise names no known cell, in
-    # the whole trace of the first leaf
+    # the whole trace of the first leaf: a cell the leaf never assigns, so
+    # trace_text has no value to print for it either
     with untrimmed():
         leaf = refute_case(6, 1).leaves[0]
     i = next(i for i, step in enumerate(leaf.trace) if step.rule == "alterability")
-    bad = leaf.trace[i]._replace(premises=(((0, 0), 99),))
-    assert trace_text([bad]) == (
-        "cell(3,24) := 18  by alterability from [cell(0,0)=99]\n")
+    assigned = {step.cell for step in leaf.trace}
+    unknown = next((r, c) for r in range(25) for c in range(25) if (r, c) not in assigned)
+    bad = leaf.trace[i]._replace(premises=(unknown,))
+    assert bad.cell == (3, 24)
     tampered = leaf.trace[:i] + (bad,) + leaf.trace[i + 1:]
+    with pytest.raises(ValueError, match=re.escape(str(unknown))):
+        trace_text(tampered)
     with pytest.raises(ReplayError, match="premise"):
         replay_trace(6, 1, tampered, leaf.conflict)
     # a conflict's premises are checked too, whatever its kind, by both
@@ -196,7 +200,7 @@ def test_replay_checks_premises():
         ref.apply_step(step)
     for kind in ("cell-mismatch", "row-duplicate", "cell-no-candidate",
                  "row-value-impossible", "col-value-impossible"):
-        conflict = Conflict(kind, "latin-cell", (0, 1), 2, -1, (((0, 0), 99),))
+        conflict = Conflict(kind, "latin-cell", (0, 1), 2, (unknown,))
         with pytest.raises(ReplayError, match="premise"):
             replay_trace(6, 1, leaf.trace, conflict)
         with pytest.raises(ReplayError, match="premise"):
@@ -212,6 +216,32 @@ def test_trace_text_format():
     out_bad = complete_qn(2, 4)
     text2 = trace_text(out_bad.trace, out_bad.conflict)
     assert text2.splitlines()[-1].startswith("conflict:")
+
+
+def test_trace_text_reads_values_from_the_trace():
+    # a premise is a cell: trace_text prints it with the value the earlier
+    # step that assigned it states, and a cell-mismatch conflict's cell
+    # with the value it already holds, so a cited cell no earlier step of
+    # the trace assigns is a ValueError naming it
+    trace = complete_qn(3, 1).trace
+    assert trace[79].premises == ((1, 3), (12, 10), (10, 1))
+    assert trace_text(trace[:80]).splitlines()[79] == (
+        "cell(3,12) := 6  by alterability from [cell(1,3)=0, cell(12,10)=0, cell(10,1)=6]")
+    with pytest.raises(ValueError, match=re.escape("(1, 3)")):
+        trace_text(trace[79:80])
+    # cited before the step that assigns it
+    at = next(i for i, step in enumerate(trace) if step.cell == (10, 1))
+    with pytest.raises(ValueError, match=re.escape("(10, 1)")):
+        trace_text(trace[:at] + (trace[79],) + trace[at:79])
+    leaf = refute_case(6, 2).leaves[0]
+    assert leaf.conflict.kind == "cell-mismatch"
+    at = next(i for i, step in enumerate(leaf.trace) if step.cell == leaf.conflict.cell)
+    assert trace_text(leaf.trace, leaf.conflict).splitlines()[-1] == (
+        "conflict: cell(1,2) := 18 clashes with existing 5  by alterability"
+        " from [cell(2,3)=4, cell(21,1)=4, cell(3,21)=18]")
+    assert leaf.trace[at].value == 5
+    with pytest.raises(ValueError, match=re.escape(str(leaf.conflict.cell))):
+        trace_text(leaf.trace[:at] + leaf.trace[at + 1:], leaf.conflict)
 
 
 def test_refute_q6_all_choices():
@@ -318,11 +348,10 @@ def _held_bytes(root) -> int:
 def test_refutation_leaves_share_cell_facts():
     # The leaves of refute_case(12, c), c = 1..4, each trimmed to the cone
     # of its conflict, seeds included, hold 7,968 steps (94,147 untrimmed).
-    # With one ((r, c), v) tuple per assigned cell shared by every premise
-    # that names it, they hold about 1.3 MB (9 MB untrimmed; a fresh tuple
-    # per premise would hold about 17 MB untrimmed).  tracemalloc reads the same
-    # figures but slows the run about seventeenfold, so the held objects
-    # are counted directly.
+    # With one (r, c) tuple per assigned cell shared by every premise that
+    # names it, they hold about 0.66 MB (5.3 MB untrimmed).  tracemalloc
+    # reads the same figures but slows the run about seventeenfold, so the
+    # held objects are counted directly.
     held = [refute_case(12, choice) for choice in (1, 2, 3, 4)]
     assert sum(len(leaf.trace) for case in held for leaf in case.leaves) == 7968
     assert _held_bytes(held) < 2_500_000

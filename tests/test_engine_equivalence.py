@@ -371,7 +371,7 @@ def test_passes_match_naive_on_revealed_tables():
         st = _State((len(entries) - 1) // 4, 1)
         cells = [(r, c) for r in range(st.n) for c in range(st.n)]
         rng.shuffle(cells)
-        while st.unknown:
+        while any(-1 in row for row in st.val):
             for _ in range(rng.randint(1, 3)):
                 while cells and st.val[cells[-1][0]][cells[-1][1]] != -1:
                     cells.pop()

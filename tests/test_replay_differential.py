@@ -84,8 +84,10 @@ def _coordinate(rng, n):
 
 def _mutate(rng, n, item):
     """item with one of its value, cell, rule or premises replaced, or for
-    a conflict also its kind.  A premise replaced among an alterability
-    step's first two moves the products the step claims."""
+    a conflict also its kind.  A premise is a cell, so a premise replaced
+    among an alterability step's first two moves the products the step
+    claims, and one with only its column moved cites a neighbour of the
+    cell the engine read, in its row."""
     fields = ["value", "cell", "rule", "premises"]
     if isinstance(item, Conflict):
         fields.append("kind")
@@ -99,13 +101,13 @@ def _mutate(rng, n, item):
     elif field == "premises":
         new = list(item.premises)
         if new and rng.random() < 0.5:
-            # one premise's value or cell replaced
+            # one premise's column or whole cell replaced
             i = rng.randrange(len(new))
-            cell, v = new[i]
-            new[i] = ((cell, _coordinate(rng, n)) if rng.random() < 0.5
-                      else ((_coordinate(rng, n), _coordinate(rng, n)), v))
+            r, _ = new[i]
+            new[i] = ((r, _coordinate(rng, n)) if rng.random() < 0.5
+                      else (_coordinate(rng, n), _coordinate(rng, n)))
         else:
-            new = [((_coordinate(rng, n), _coordinate(rng, n)), _coordinate(rng, n))
+            new = [(_coordinate(rng, n), _coordinate(rng, n))
                    for _ in range(rng.randrange(4))]
         new = tuple(new)
     else:
@@ -171,11 +173,11 @@ def test_replay_rejects_malformed_input():
         replay_trace(1, 1, [Step("assume", (99, 0), 0, ())])
     with pytest.raises(ReplayError):
         replay_trace(1, 1, [], Conflict(
-            "cell-no-candidate", "latin-cell", (7, -1), -1, -1, ()))
+            "cell-no-candidate", "latin-cell", (7, -1), -1, ()))
     out = complete_qn(3, 1)
     cut = next(i for i, step in enumerate(out.trace) if step.rule == "alterability")
     step = out.trace[cut]
-    (x, y), (z, w) = (cell for cell, _ in step.premises[:2])
+    (x, y), (z, w) = step.premises[:2]
     ref = reference_replay.Replay(3, 1)
     for earlier in out.trace[:cut]:
         ref.verify_step(earlier)
@@ -189,7 +191,7 @@ def test_replay_rejects_malformed_input():
                    if (r, c) not in ((y, z), (w, x))
                    and all(s.cell != (r, c) for s in out.trace[:cut]))
     malformed = [step._replace(premises=step.premises[:k]) for k in (0, 1, 2)]
-    malformed += [step._replace(premises=((cell, step.premises[0][1]),) + step.premises[1:])
+    malformed += [step._replace(premises=(cell,) + step.premises[1:])
                   for cell in ((x,), (x, y, z), (13, y), (x, -1), (99, 99))]
     malformed.append(step._replace(cell=unknown))
     for bad in malformed:
@@ -209,7 +211,7 @@ def test_replay_rejects_malformed_input():
         replay_trace(1, 1, [Step("assume", (0, 1), 5, ())])
     with pytest.raises(ReplayError):
         replay_trace(1, 2, complete_qn(1, 2).trace, Conflict(
-            "cell-no-candidate", "latin-cell", (0, 0), -1, -1, ()))
+            "cell-no-candidate", "latin-cell", (0, 0), -1, ()))
 
 
 def _assumed(cells):
@@ -219,19 +221,19 @@ def _assumed(cells):
 
 def _no_candidate(cells):
     """A cell-no-candidate conflict at (0, 0) citing every cell of cells."""
-    return Conflict("cell-no-candidate", "latin-cell", (0, 0), -1, -1, tuple(cells))
+    return Conflict("cell-no-candidate", "latin-cell", (0, 0), -1, tuple(cells))
 
 
 @pytest.mark.parametrize("cells, conflict", [
     # row 0 holds every value, so its cells rule out every value at (0, 0),
     # which is one of them
-    ([((0, c), c) for c in range(5)], _no_candidate((((0, c), c) for c in range(5)))),
+    ([((0, c), c) for c in range(5)], _no_candidate((0, c) for c in range(5))),
     # the same down column 0
-    ([((r, 0), r) for r in range(5)], _no_candidate((((r, 0), r) for r in range(5)))),
+    ([((r, 0), r) for r in range(5)], _no_candidate((r, 0) for r in range(5))),
     # and across row 0 and column 0: values 0, 1 and 4 in the row, 2 and 3
     # in the column
     ([((0, 0), 0), ((0, 1), 1), ((0, 2), 4), ((1, 0), 2), ((2, 0), 3)],
-     _no_candidate([((0, 0), 0), ((0, 1), 1), ((0, 2), 4), ((1, 0), 2), ((2, 0), 3)])),
+     _no_candidate([(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)])),
 ])
 def test_latin_rule_over_a_placed_pair_refused(cells, conflict):
     """Both replays refuse a cell-no-candidate conflict at a cell already
@@ -256,21 +258,21 @@ def test_latin_rule_over_a_placed_pair_refused(cells, conflict):
 _ROW_COL_LATIN = [
     # value 4 has one place left in row 0
     ([((0, c), c) for c in range(4)],
-     Step("latin-row-single", (0, 4), 4, tuple(((0, c), c) for c in range(4)))),
+     Step("latin-row-single", (0, 4), 4, tuple((0, c) for c in range(4)))),
     # value 4 has one place left in column 0
     ([((r, 0), r) for r in range(4)],
-     Step("latin-col-single", (4, 0), 4, tuple(((r, 0), r) for r in range(4)))),
+     Step("latin-col-single", (4, 0), 4, tuple((r, 0) for r in range(4)))),
     # value 4 has no place left in row 0: column 4 holds it
     ([((0, c), c) for c in range(4)] + [((1, 4), 4)],
-     Conflict("row-value-impossible", "latin-row", (0, -1), 4, -1,
-              tuple(((0, c), c) for c in range(4)) + (((1, 4), 4),))),
+     Conflict("row-value-impossible", "latin-row", (0, -1), 4,
+              tuple((0, c) for c in range(4)) + ((1, 4),))),
     # value 4 has no place left in column 0: row 4 holds it
     ([((r, 0), r) for r in range(4)] + [((4, 1), 4)],
-     Conflict("col-value-impossible", "latin-col", (-1, 0), 4, -1,
-              tuple(((r, 0), r) for r in range(4)) + (((4, 1), 4),))),
+     Conflict("col-value-impossible", "latin-col", (-1, 0), 4,
+              tuple((r, 0) for r in range(4)) + ((4, 1),))),
     # cell (0, 4) has one candidate left, 4: row 0 holds the others
     ([((0, c), c) for c in range(4)],
-     Step("latin-cell-single", (0, 4), 4, tuple(((0, c), c) for c in range(4)))),
+     Step("latin-cell-single", (0, 4), 4, tuple((0, c) for c in range(4)))),
 ]
 
 
@@ -318,6 +320,34 @@ def test_reordered_alterability_premises_refused():
             replay_trace(3, 1, trace[:cut] + (reordered,))
         with pytest.raises(ReplayError):
             ref.verify_step(reordered)
+
+
+def test_bool_premise_cell_refused():
+    """A bool indexes the table like 0 or 1 and equals it, so a premise
+    cell (True, 3) reads the known cell (1, 3).  Both replays accepted step
+    79 of complete_qn(3, 1) with the 1s of its premise cells replaced by
+    True, in one premise or in all; both refuse a bool in a premise as in
+    a step's cell or value."""
+    trace = complete_qn(3, 1).trace
+    cut = 79
+    step = trace[cut]
+    assert step.premises == ((1, 3), (12, 10), (10, 1))
+    replay_trace(3, 1, trace[:cut + 1])
+    ref = reference_replay.Replay(3, 1)
+    for earlier in trace[:cut]:
+        ref.verify_step(earlier)
+        ref.apply_step(earlier)
+    ref.verify_step(step)
+    as_bool = tuple(tuple(True if x == 1 else x for x in cell) for cell in step.premises)
+    for i in (0, 2, None):
+        premises = as_bool if i is None else (
+            step.premises[:i] + (as_bool[i],) + step.premises[i + 1:])
+        assert premises == step.premises
+        bad = step._replace(premises=premises)
+        with pytest.raises(ReplayError, match="premise"):
+            replay_trace(3, 1, trace[:cut] + (bad,))
+        with pytest.raises(ReplayError, match="not an int"):
+            ref.verify_step(bad)
 
 
 @pytest.mark.parametrize("field, new", [

@@ -88,9 +88,9 @@ def _tampered(rng, trace, k, n):
     yield "swapped", tuple(swapped)
     yield "dropped", trace[:i] + trace[i + 1:]
     yield "dropped last", trace[:k - 1] + trace[k:]
-    known = trace[j - 1].cell, trace[j - 1].value
+    known = trace[j - 1].cell
     yield "extra premise", trace[:j] + (trace[j]._replace(premises=(known,)),) + trace[j + 1:]
-    yield "unknown premise", trace[:i] + (step._replace(premises=((trace[j].cell, 0),)),) \
+    yield "unknown premise", trace[:i] + (step._replace(premises=(trace[j].cell,)),) \
         + trace[i + 1:]
     yield "wrong value", trace[:i] + (step._replace(value=(step.value + 1) % n),) + trace[i + 1:]
     yield "fresh steps", tuple(Step(*s) for s in trace)
