@@ -36,8 +36,9 @@ class _Replay:
     or conflict prints must each name a known cell, and must name every
     known cell its check reads: for alterability the two equal products,
     then the cell whose value the step copies, in that order, and for a
-    cell-no-candidate conflict one cell per value it rules out.  A step by any other rule is refused as unknown, and so is a
-    conflict of any kind but a clash, a duplicate and cell-no-candidate: a
+    cell-no-candidate conflict one cell per value it rules out.  A step by
+    any other rule is refused as unknown, and so is a conflict of any kind
+    but a clash, a duplicate and cell-no-candidate: a
     latin single over a cell, a row or a column (latin-cell-single,
     latin-row-single, latin-col-single), row-value-impossible and its
     column twin, bookend, strong elasticity, distributivity and mediality
@@ -147,7 +148,8 @@ class _Replay:
                 axis, line = (0, r) if kind == "row-duplicate" else (1, c)
                 held = (self.row_vals, self.col_vals)[axis][line]
                 ok = cur == -1 and held >> v & 1 and any(
-                    cell[axis] == line and self.rows[cell[0]][cell[1]] == v for cell in premises)
+                    (pr, pc)[axis] == line and self.rows[pr][pc] == v
+                    for pr, pc in premises)
         elif kind == "cell-no-candidate":
             ok = self.latin(r, c, premises)
         else:
