@@ -1,15 +1,23 @@
-"""Finite groupoids as Cayley tables, and the quadratical test.
+"""Finite groupoids as Cayley tables, the latin test and the quadratical
+test.
 
 Elements are always the indices 0..n-1; any symbolic names live in the
 optional ``labels`` field.  Tables are immutable, so they can be shared
 freely between threads or processes.  This module holds only the table
 and what ``is_quadratical`` reads, so that the deduction engine, the block
 forms and the table format load nothing else; ``quadlat.core`` adds the
-other identities, closure and isomorphism.  The idempotency and bookend
-checks return verdicts as core's identity checks do.
+other identities, closure and isomorphism.
+
+The checks here return verdicts as core's identity checks do: None when
+the law holds, else the least counterexample.  Two scans serve several
+laws each.  _first_failure is the one scan of a two-variable law:
+bookend here, and elasticity, strong elasticity and the two weaves in
+core, apply it to the line that states their equation.  _first_repeat is
+the one scan of a cancellation law.  _check_latin_square, the left and
+then the right cancellation check, is the one latin decision, which
+_medial_form, core's identity catalogue and quadlat.translatable read.
 """
 
-import itertools
 from functools import lru_cache
 
 # The largest order of a table built from a formula (zm.linear_table,
@@ -107,19 +115,52 @@ def _check_idempotency(t):
     return None
 
 
-def _check_bookend(t, dom):
-    # (y*x) * (x*y) = x
+def _first_failure(t, dom, law):
+    """The least (x, y), x over dom and then y over dom, at which
+    law(t.entries, x, y) is false; None when the law holds on dom x dom."""
     e = t.entries
     for x in dom:
         for y in dom:
-            if e[e[y][x]][e[x][y]] != x:
+            if not law(e, x, y):
                 return (x, y)
     return None
 
 
-def _is_latin(t):
-    n = t.n
-    return all(len(set(line)) == n for line in itertools.chain(t.entries, zip(*t.entries)))
+def _check_bookend(t, dom):
+    # (y*x) * (x*y) = x
+    return _first_failure(t, dom, lambda e, x, y: e[e[y][x]][e[x][y]] == x)
+
+
+def _first_repeat(lines, n):
+    """(i, j1, j2) for the first line i, in order, that is not a
+    permutation, with j1 < j2 the first positions of a repeated value, or
+    None.  Lines that are permutations are passed over by their set sizes,
+    and only the first line that fails is scanned."""
+    for i, line in enumerate(lines):
+        if len(set(line)) != n:
+            seen = {}
+            for j, v in enumerate(line):
+                if v in seen:
+                    return (i, seen[v], j)
+                seen[v] = j
+    return None
+
+
+def _check_left_cancellation(t):
+    # x*y = x*z implies y = z; counterexample (x, y, z) with y < z
+    return _first_repeat(t.entries, t.n)
+
+
+def _check_right_cancellation(t):
+    # y*x = z*x implies y = z; counterexample (x, y, z) with y < z
+    return _first_repeat(zip(*t.entries), t.n)
+
+
+def _check_latin_square(t):
+    # every row and column is a permutation; counterexample is a row
+    # duplicate (x, y1, y2) with t[x][y1] = t[x][y2], scanned first, else a
+    # column duplicate (y, x1, x2) with t[x1][y] = t[x2][y]
+    return _check_left_cancellation(t) or _check_right_cancellation(t)
 
 
 def _inverse(perm):
@@ -145,7 +186,7 @@ def _medial_form(t):
     zero is the zero of + and gens a generating set of (Q, +)."""
     e = t.entries
     n = t.n
-    if not _is_latin(t):
+    if _check_latin_square(t) is not None:
         return None
     r_e = [row[0] for row in e]
     l_e = e[0]

@@ -191,7 +191,7 @@ def _cmd_complete_qn(args):
         kind, steps = out.conflict.kind, len(out.trace)
         return _emit(args, {"outcome": "contradiction", "conflict": kind, "steps": steps},
                      lambda: f"contradiction ({kind}) after {steps} deductions\n")
-    known, cells = out.partial.known_count(), out.partial.n * out.partial.n
+    known, cells = out.partial.known_count(), len(out.partial.entries) ** 2
     return _emit(args, {"outcome": "stuck", "known": known, "cells": cells},
                  lambda: f"stuck with {known} of {cells} cells known\n")
 

@@ -1,8 +1,15 @@
 """Identities, closure and isomorphism of finite groupoids.
 
-Tables and the quadratical test live in ``quadlat.cayley``.  All
-operations here are pure functions over immutable tables, so tables can be
-shared freely between threads or processes.
+Tables, the quadratical test and the latin and cancellation checks live
+in ``quadlat.cayley``, and the identity catalogue here reads them from
+there.  Each two-variable law is cayley's one scan, _first_failure,
+applied to the line that states its equation.  The quadratical law and
+the distributivities keep their own loops over three variables, which
+read the products that do not depend on z once per (x, y): through a
+shared scan calling the law per triple, left distributivity on the
+order-200 right projection x*y = y took 0.82 s against 0.42 s (2 CPUs,
+Python 3.11).  All operations here are pure functions over immutable
+tables, so tables can be shared freely between threads or processes.
 """
 
 import itertools
@@ -14,6 +21,10 @@ from .cayley import (
     _affine_domain,
     _check_bookend,
     _check_idempotency,
+    _check_latin_square,
+    _check_left_cancellation,
+    _check_right_cancellation,
+    _first_failure,
     _medial_form,
     is_quadratical,
 )
@@ -30,24 +41,12 @@ from .errors import SearchCapExceeded
 
 def _check_elasticity(t, dom):
     # x * (y*x) = (x*y) * x
-    e = t.entries
-    for x in dom:
-        for y in dom:
-            if e[x][e[y][x]] != e[e[x][y]][x]:
-                return (x, y)
-    return None
+    return _first_failure(t, dom, lambda e, x, y: e[x][e[y][x]] == e[e[x][y]][x])
 
 
 def _check_strong_elasticity(t, dom):
     # x * (y*x) = (x*y) * x = (y*x) * y
-    e = t.entries
-    for x in dom:
-        for y in dom:
-            yx = e[y][x]
-            m = e[x][yx]
-            if m != e[e[x][y]][x] or m != e[yx][y]:
-                return (x, y)
-    return None
+    return _first_failure(t, dom, lambda e, x, y: e[x][e[y][x]] == e[e[x][y]][x] == e[e[y][x]][y])
 
 
 def _check_left_distributivity(t, dom):
@@ -122,22 +121,12 @@ def _check_mediality(t):
 
 def _check_weave_left(t, dom):
     # x * (y * (y*x)) = ((x*y) * x) * y
-    e = t.entries
-    for x in dom:
-        for y in dom:
-            if e[x][e[y][e[y][x]]] != e[e[e[x][y]][x]][y]:
-                return (x, y)
-    return None
+    return _first_failure(t, dom, lambda e, x, y: e[x][e[y][e[y][x]]] == e[e[e[x][y]][x]][y])
 
 
 def _check_weave_right(t, dom):
     # ((x*y) * y) * x = y * (x * (y*x))
-    e = t.entries
-    for x in dom:
-        for y in dom:
-            if e[e[e[x][y]][y]][x] != e[y][e[x][e[y][x]]]:
-                return (x, y)
-    return None
+    return _first_failure(t, dom, lambda e, x, y: e[e[e[x][y]][y]][x] == e[y][e[x][e[y][x]]])
 
 
 def _check_alterability(t, dom):
@@ -188,31 +177,6 @@ def _check_quadratical_law(t, dom):
     return None
 
 
-def _first_repeat(lines, n):
-    """(i, j1, j2) for the first line i, in order, that is not a
-    permutation, with j1 < j2 the first positions of a repeated value, or
-    None.  Lines that are permutations are passed over by their set sizes,
-    and only the first line that fails is scanned."""
-    for i, line in enumerate(lines):
-        if len(set(line)) != n:
-            seen = {}
-            for j, v in enumerate(line):
-                if v in seen:
-                    return (i, seen[v], j)
-                seen[v] = j
-    return None
-
-
-def _check_left_cancellation(t):
-    # x*y = x*z implies y = z; counterexample (x, y, z) with y < z
-    return _first_repeat(t.entries, t.n)
-
-
-def _check_right_cancellation(t):
-    # y*x = z*x implies y = z; counterexample (x, y, z) with y < z
-    return _first_repeat(zip(*t.entries), t.n)
-
-
 def _check_right_solvability(t):
     # for all a, b there is y with a*y = b; counterexample (a, b)
     n = t.n
@@ -222,16 +186,6 @@ def _check_right_solvability(t):
             # entries lie in 0..n-1, so a row of n values holds every b
             return (a, next(b for b in range(n) if b not in have))
     return None
-
-
-def _check_latin_square(t):
-    # every row and column is a permutation; counterexample is a row
-    # duplicate (x, y1, y2) with t[x][y1] = t[x][y2], scanned first, else a
-    # column duplicate (y, x1, x2) with t[x1][y] = t[x2][y]
-    row = _check_left_cancellation(t)
-    if row is not None:
-        return row
-    return _check_right_cancellation(t)
 
 
 IDENTITY_CHECKS = {

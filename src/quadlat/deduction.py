@@ -70,7 +70,6 @@ from .steps import Conflict, Step, _collector_paused, check_blocks
 
 
 class PartialTable(NamedTuple):
-    n: int
     entries: tuple[tuple, ...]  # int or None per cell
     trace: tuple[Step, ...]
 
@@ -78,24 +77,21 @@ class PartialTable(NamedTuple):
         return sum(1 for row in self.entries for v in row if v is not None)
 
 
+# The outcomes of one (blocks, choice) search.  They do not restate the
+# block count and choice the caller passed in; a RefutationCase keeps the
+# choice and a RefutationReport the block count.
 class Completed(NamedTuple):
     table: CayleyTable
     trace: tuple[Step, ...]
-    blocks: int
-    choice: int
 
 
 class Contradiction(NamedTuple):
     conflict: Conflict
     trace: tuple[Step, ...]
-    blocks: int
-    choice: int
 
 
 class Stuck(NamedTuple):
     partial: PartialTable
-    blocks: int
-    choice: int
 
 
 class _ConflictError(Exception):
@@ -117,15 +113,12 @@ class _State:
     # that assigned the known cell: _conflict_cone follows a conflict's
     # premises back by it.
     __slots__ = (
-        "n", "blocks", "choice", "val", "cols", "cells", "step_at", "row_vals",
+        "n", "val", "cols", "cells", "step_at", "row_vals",
         "col_vals", "rows_by_value", "cols_by_value", "trace", "conflict",
     )
 
-    def __init__(self, blocks: int, choice: int):
-        n = 4 * blocks + 1
+    def __init__(self, n: int):
         self.n = n
-        self.blocks = blocks
-        self.choice = choice
         self.val = [[-1] * n for _ in range(n)]
         # the same table by columns: cols[c][r] = val[r][c]
         self.cols = [[-1] * n for _ in range(n)]
@@ -144,8 +137,6 @@ class _State:
     def clone(self) -> "_State":
         st = _State.__new__(_State)
         st.n = self.n
-        st.blocks = self.blocks
-        st.choice = self.choice
         st.val = [row[:] for row in self.val]
         st.cols = [col[:] for col in self.cols]
         st.cells = self.cells
@@ -305,7 +296,7 @@ SPLIT_DEPTH = 3
 
 def _seed_state(blocks: int, choice: int) -> _State:
     check_blocks(blocks)
-    st = _State(blocks, choice)
+    st = _State(4 * blocks + 1)
     try:
         for rule, (r, c), v in seed_assignments(blocks, choice):
             st.set_cell(r, c, v, rule, ())
@@ -318,14 +309,14 @@ def _outcome(st: _State, split):
     """The outcome of st, given split, the cell _saturate picked for it:
     None, unless st holds a conflict, means no cell is unknown."""
     if st.conflict is not None:
-        return Contradiction(st.conflict, tuple(st.trace), st.blocks, st.choice)
+        return Contradiction(st.conflict, tuple(st.trace))
     if split is None:
-        table = CayleyTable(st.n, st.val, canonical_labels(st.blocks))
+        table = CayleyTable(st.n, st.val, canonical_labels((st.n - 1) // 4))
         if not is_quadratical(table):
             raise AssertionError("completed table failed the quadratical check")
-        return Completed(table, tuple(st.trace), st.blocks, st.choice)
+        return Completed(table, tuple(st.trace))
     entries = tuple(tuple(v if v != -1 else None for v in row) for row in st.val)
-    return Stuck(PartialTable(st.n, entries, tuple(st.trace)), st.blocks, st.choice)
+    return Stuck(PartialTable(entries, tuple(st.trace)))
 
 
 @_collector_paused
@@ -356,12 +347,17 @@ def parse_choice(blocks: int, text: str) -> int:
 
 class RefutationCase(NamedTuple):
     choice: int
-    refuted: bool
     leaves: tuple[Contradiction, ...]
     splits: int
     max_depth_used: int
     completed: Completed | None
     stuck: Stuck | None
+
+    @property
+    def refuted(self) -> bool:
+        """Every branch ended in a conflict: the search met no completion
+        and did not exhaust its split budget."""
+        return self.completed is None and self.stuck is None
 
 
 class RefutationReport(NamedTuple):
@@ -403,7 +399,7 @@ def _refute_search(st: _State, split, depth: int, stats: dict):
     to the cone of its conflict, or the first Completed or Stuck outcome,
     untrimmed."""
     if st.conflict is not None:
-        return [Contradiction(st.conflict, _conflict_cone(st), st.blocks, st.choice)]
+        return [Contradiction(st.conflict, _conflict_cone(st))]
     if split is None or depth >= SPLIT_DEPTH:
         return _outcome(st, split)
     stats["splits"] += 1
@@ -432,11 +428,9 @@ def refute_case(blocks: int, choice: int) -> RefutationCase:
     st = _seed_state(blocks, choice)
     stats = {"splits": 0, "max_depth": 0}
     found = _refute_search(st, _saturate(st), 0, stats)
-    if isinstance(found, list):
-        return RefutationCase(
-            choice, True, tuple(found), stats["splits"], stats["max_depth"], None, None)
     return RefutationCase(
-        choice, False, (), stats["splits"], stats["max_depth"],
+        choice, tuple(found) if isinstance(found, list) else (),
+        stats["splits"], stats["max_depth"],
         found if isinstance(found, Completed) else None,
         found if isinstance(found, Stuck) else None)
 

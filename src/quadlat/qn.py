@@ -14,7 +14,6 @@ from .cayley import CayleyTable, is_quadratical
 class QnDecomposition(NamedTuple):
     """Base pair, centre and the chain blocks H1..Hn (t1, t2, t3, t4)."""
 
-    blocks_count: int
     base: tuple[int, int]
     center: int
     blocks: tuple[tuple[int, int, int, int], ...]
@@ -81,7 +80,7 @@ def h_chain(t: CayleyTable, a: int, b: int, depth: int) -> QnDecomposition:
                 if e[blk[k]][center] != down[k]:
                     raise ValueError(f"centre column translation fails at block {idx}")
         blocks.append(blk)
-    return QnDecomposition(depth, (a, b), center, tuple(blocks))
+    return QnDecomposition((a, b), center, tuple(blocks))
 
 
 def detect_form(t: CayleyTable):

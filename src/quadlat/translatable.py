@@ -9,7 +9,7 @@ the row of ordering[0] read in column order.
 import math
 from typing import NamedTuple
 
-from .cayley import CayleyTable, _is_latin
+from .cayley import CayleyTable, _check_latin_square
 from .errors import SearchCapExceeded
 
 
@@ -195,4 +195,4 @@ def gcd_quasigroup_property_test(first_row, k: int) -> tuple[bool, bool]:
         raise ValueError(f"shift k={k} outside 1..{n - 1}")
     cancellable = sorted(first_row) == list(range(n))
     t = _table_from_first_row(first_row, k)
-    return cancellable, _is_latin(t)
+    return cancellable, _check_latin_square(t) is None

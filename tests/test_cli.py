@@ -4,7 +4,9 @@ import tracemalloc
 
 import pytest
 
-from quadlat import CayleyTable, cayley, parse_table, quadratical_over_zm, write_table, zm
+from quadlat import (
+    CayleyTable, cayley, deduction, parse_table, quadratical_over_zm, write_table, zm,
+)
 from quadlat.cli import main
 
 
@@ -315,6 +317,28 @@ def test_refute_q6_command(capsys):
     # --jobs still parses and changes nothing
     for jobs in ("1", "3"):
         assert run(capsys, "refute-q6", "--jobs", jobs) == (0, "\n".join(lines) + "\n", "")
+
+
+def test_refute_q6_reports_a_case_it_cannot_refute(capsys, monkeypatch):
+    # a completion or an exhausted split budget is reported per choice,
+    # and the command exits 2 when any choice is not refuted
+    completed = deduction.complete_qn(1, 2)
+    assert isinstance(completed, deduction.Completed)
+    stuck = deduction.Stuck(deduction.PartialTable(((None,),), ()))
+    cases = (deduction.RefutationCase(1, (), 0, 0, None, None),
+             deduction.RefutationCase(2, (), 2, 1, completed, None),
+             deduction.RefutationCase(3, (), 7, 3, None, stuck))
+    monkeypatch.setattr(deduction, "refute_q6",
+                        lambda: deduction.RefutationReport(6, cases))
+    assert run(capsys, "refute-q6") == (2, (
+        "choice 61: contradiction in every branch (0 leaves, split depth 0)\n"
+        "choice 62: COMPLETED (refutation fails)\n"
+        "choice 63: split budget exhausted\n"), "")
+    code, out, _ = run(capsys, "refute-q6", "--format", "json")
+    assert code == 2
+    data = json.loads(out)
+    assert data["ok"] is False
+    assert [c["refuted"] for c in data["cases"]] == [True, False, False]
 
 
 def test_scan_classify_commands(capsys, tmp_path):

@@ -258,9 +258,9 @@ def test_passes_match_naive_reference():
     rng = random.Random(20240611)
     seen = {name: set() for name in _ENGINE_PASSES}
     checked = 0
-    for blocks, choice, trace in _source_traces(5):
+    for blocks, _, trace in _source_traces(5):
         for _ in range(3):
-            st = _State(blocks, choice)
+            st = _State(4 * blocks + 1)
             cut = rng.randrange(len(trace) + 1)
             if not _replay(st, trace[:cut]):
                 continue
@@ -285,12 +285,12 @@ def test_passes_match_naive_reference():
     assert {"split", "single", "conflict"} <= seen["latin_scan"], seen
 
 
-def _singles_to_no_candidate(blocks, choice, trace):
+def _singles_to_no_candidate(blocks, trace):
     """trace followed by the latin singles the naive latin pass places on
     the state trace builds, when the pass then meets a cell with no
     candidate, so that the state the result builds holds such a cell; None
     otherwise."""
-    st = _State(blocks, choice)
+    st = _State(4 * blocks + 1)
     if not _replay(st, trace):
         return None
     _, conflict, steps = _run(st, naive_passes.latin_pass)
@@ -313,17 +313,17 @@ def test_passes_match_naive_on_large_states():
         traces = list(_source_traces(blocks, first=blocks))
         with untrimmed():
             cases = [refute_case(blocks, choice) for choice in (1, 2, 3, 4)]
-        cuts = [(case.choice, ext, len(ext)) for case in cases for leaf in case.leaves
-                if (ext := _singles_to_no_candidate(blocks, case.choice, leaf.trace))]
-        for _, choice, trace in rng.sample(traces, 40):
+        cuts = [(ext, len(ext)) for case in cases for leaf in case.leaves
+                if (ext := _singles_to_no_candidate(blocks, leaf.trace))]
+        for _, _, trace in rng.sample(traces, 40):
             for _ in range(2):
                 if rng.random() < 0.7:
                     cut = len(trace) - rng.randrange(min(len(trace), 60))
                 else:
                     cut = rng.randrange(len(trace) + 1)
-                cuts.append((choice, trace, cut))
-        for choice, trace, cut in cuts:
-            st = _State(blocks, choice)
+                cuts.append((trace, cut))
+        for trace, cut in cuts:
+            st = _State(4 * blocks + 1)
             if not _replay(st, trace[:cut]):
                 continue
             for name in names:
@@ -368,7 +368,7 @@ def test_passes_match_naive_on_revealed_tables():
         else:
             entries = _random_latin_square(rng, rng.choice((5, 9, 13)))
             names = ["latin_scan"]
-        st = _State((len(entries) - 1) // 4, 1)
+        st = _State(len(entries))
         cells = [(r, c) for r in range(st.n) for c in range(st.n)]
         rng.shuffle(cells)
         while any(-1 in row for row in st.val):
@@ -472,7 +472,7 @@ def pairs_idle_at_fixpoints(max_blocks: int, first: int = 1) -> int:
             for idle in _IDLE:
                 changed, conflict, steps = _run(st.clone(), idle)
                 assert not changed and conflict is None and not steps, (
-                    idle.__name__, st.blocks, st.choice, len(st.trace), conflict,
+                    idle.__name__, st.n, len(st.trace), conflict,
                     steps[:1])
             probed += 1
         return split

@@ -63,6 +63,32 @@ def test_h_chain_rejections(q1):
         h_chain(add, 0, 1, 1)
 
 
+# One product of Q2 changed, so that the chain from (0, 3), blocks
+# (0, 1, 2, 3) and (5, 6, 7, 8) about the centre 4, breaks one block law
+# first.  Each changed row repeats a value, so no table here is
+# quadratical.
+@pytest.mark.parametrize("cell, value, message", [
+    # (ab)*a = 0 = a makes the centre an element of H1
+    ((1, 0), 0, "block 1 contains the centre"),
+    # ab*ba = 0, not b
+    ((1, 2), 0, "block 1 violates the cycle product law"),
+    # a*ba = 5, not the centre
+    ((0, 2), 5, "cross products in block 1 do not all equal the centre"),
+    # centre*H2_1 = 1, not H1_1 = 0
+    ((4, 5), 1, "centre row translation fails at block 2"),
+    # H2_1*centre = 0, not H1_2 = 1
+    ((5, 4), 0, "centre column translation fails at block 2"),
+])
+def test_h_chain_names_the_failing_block_law(q2, cell, value, message):
+    rows = [list(row) for row in q2.entries]
+    rows[cell[0]][cell[1]] = value
+    t = CayleyTable.from_rows(rows)
+    assert not is_quadratical(t)
+    with pytest.raises(ValueError) as failed:
+        h_chain(t, 0, 3, 2)
+    assert str(failed.value) == message
+
+
 def test_h_chain_stops_at_its_first_failing_block():
     # an order-13 table has room for three blocks besides the centre, so a
     # deeper chain fails at its fourth block: at once, and with the message
@@ -215,16 +241,15 @@ def test_engine_completions_are_valid_chains():
     # the seed laws and the explicit chain checks are two encodings of the
     # block laws: every table the engine completes is a chain from (a, b) =
     # (1, 4) with centre 0, in canonical order
-    outcomes = [complete_qn(blocks, choice) for blocks in (1, 2, 3, 4)
+    outcomes = [(blocks, choice, complete_qn(blocks, choice)) for blocks in (1, 2, 3, 4)
                 for choice in (1, 2, 3, 4)]
-    outcomes += [refute_case(blocks, choice).completed
+    outcomes += [(blocks, choice, refute_case(blocks, choice).completed)
                  for blocks, choice in ((7, 3), (7, 4), (9, 1), (9, 3))]
-    completed = [out for out in outcomes if isinstance(out, Completed)]
+    completed = [case for case in outcomes if isinstance(case[2], Completed)]
     assert len(completed) == 11
-    for out in completed:
-        blocks = out.blocks
+    for blocks, choice, out in completed:
         dec = h_chain(out.table, 1, 4, blocks)
         assert dec.center == 0
         assert dec.blocks == tuple(tuple(range(4 * t + 1, 4 * t + 5)) for t in range(blocks))
         found = detect_form(out.table)
-        assert found is not None and found[:2] == (blocks, 0), (blocks, out.choice)
+        assert found is not None and found[:2] == (blocks, 0), (blocks, choice)

@@ -79,7 +79,10 @@ def _try_step(rp, step) -> str:
 
 
 def _coordinate(rng, n):
-    return rng.randrange(n) if rng.random() < 0.9 else rng.choice((-1, n, 99))
+    """Mostly a coordinate in range; else one out of range, or a bool,
+    which indexes the table like 0 or 1 and which both replays refuse in a
+    cell, a value or a premise."""
+    return rng.randrange(n) if rng.random() < 0.9 else rng.choice((-1, n, 99, True, False))
 
 
 def _mutate(rng, n, item):
@@ -359,6 +362,24 @@ def test_malformed_step_raises_replay_error(field, new):
     bad = trace[-1]._replace(**{field: new})
     with pytest.raises(ReplayError):
         replay_trace(2, 1, trace[:-1] + (bad,))
+
+
+def test_malformed_conflict_raises_replay_error():
+    """verify_conflict refuses a conflict that is not a Conflict record,
+    and one whose cell holds a bool, which would index row 1 like 1: with
+    the row's four values and column 0's one cited, the latin scan's
+    conflict at (1, 0) is justified, and at (True, 0) it is refused."""
+    trace = _assumed([((1, c), c) for c in range(1, 5)] + [((2, 0), 0)])
+    conflict = _no_candidate(step.cell for step in trace)._replace(cell=(1, 0))
+    replay_trace(1, 1, trace, conflict)
+    rp = _Replay(1, 1)
+    for step in trace:
+        rp.verify_step(step)
+        rp.apply_step(step)
+    for bad in (tuple(conflict), None, conflict._replace(cell=(True, 0))):
+        with pytest.raises(ReplayError, match="malformed conflict"):
+            rp.verify_conflict(bad)
+    rp.verify_conflict(conflict)
 
 
 def test_every_printed_premise_is_needed():

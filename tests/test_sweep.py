@@ -10,9 +10,11 @@ from quadlat.cli import main
 from quadlat.errors import CheckpointBusy
 from quadlat.sweep import (
     ClassificationRow,
+    Discrepancy,
     InvariantViolation,
     SCAN_COLUMNS,
     CLASSIFY_COLUMNS,
+    _compare,
     classify_discrepancies,
     emit_text,
     scan_discrepancies,
@@ -34,6 +36,26 @@ def test_row_validation():
         ClassificationRow(5, 2, 4, 3).validate()
     with pytest.raises(InvariantViolation):
         ClassificationRow(5, 2, 3, 2).validate()
+    with pytest.raises(InvariantViolation, match="a or b not reduced mod m"):
+        ClassificationRow(5, 7, 4, 2).validate()
+    with pytest.raises(InvariantViolation, match="a or b not reduced mod m"):
+        ClassificationRow(5, 2, -1, 2).validate()
+    # 2a^2 - 2a + 1 = 1 (mod 5) at a = 1
+    with pytest.raises(InvariantViolation, match="a fails the quadratic congruence"):
+        ClassificationRow(5, 1, 0, 2).validate()
+    # k = 7 solves (a-1)k = a (mod 5) as k = 2 does, but the dual's shift
+    # 3 pairs only with the reduced 2
+    with pytest.raises(InvariantViolation, match="dual shift 3 does not pair"):
+        ClassificationRow(5, 2, 4, 7).validate()
+
+
+def test_compare_reports_rows_on_one_side_only():
+    rows = [ClassificationRow(5, 2, 4, 2), ClassificationRow(13, 3, 11, 8)]
+    reference = {(5, 2): {"b": 4, "k": 2}, (13, 4): {"b": 10, "k": 5}}
+    assert _compare(rows, reference) == [
+        Discrepancy(13, 3, "row", None, 1, "computed row missing from the transcription"),
+        Discrepancy(13, 4, "row", 1, None, "transcribed row not produced by the formulas"),
+    ]
 
 
 def test_scan_bounds_and_anchors():

@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 
@@ -166,3 +167,20 @@ def test_dual_shifts_sum_to_m():
             k2 = translatability_k_quadratical(m, (1 - a) % m)
             assert k1 + k2 == m
             assert k1 != k2
+
+
+def test_linear_spec_is_an_immutable_value():
+    spec = LinearSpec(13, 3, 11)
+    # built reduced mod m, then compared and hashed by (m, a, b, c)
+    same = LinearSpec(13, 16, -2, 13)
+    assert spec == same and hash(spec) == hash(same)
+    assert spec != LinearSpec(13, 3, 11, 1)
+    assert spec != (13, 3, 11, 0)
+    assert repr(spec) == "LinearSpec(m=13, a=3, b=11, c=0)"
+    twin = pickle.loads(pickle.dumps(spec))
+    assert twin == spec and hash(twin) == hash(spec)
+    with pytest.raises(AttributeError, match="cannot assign to field 'a'"):
+        spec.a = 4
+    with pytest.raises(AttributeError, match="cannot delete field 'm'"):
+        del spec.m
+    assert (spec.m, spec.a, spec.b, spec.c) == (13, 3, 11, 0)
