@@ -7,7 +7,7 @@ applied to the line that states its equation.  The quadratical law and
 the distributivities keep their own loops over three variables, which
 read the products that do not depend on z once per (x, y): through a
 shared scan calling the law per triple, left distributivity on the
-order-200 right projection x*y = y took 0.82 s against 0.42 s (2 CPUs,
+order-200 right projection x*y = y took 0.76 s against 0.38 s (2 CPUs,
 Python 3.11).  All operations here are pure functions over immutable
 tables, so tables can be shared freely between threads or processes.
 """
