@@ -31,8 +31,11 @@ class _Replay:
     each row and each column holds; raises ReplayError on the first
     unjustified or malformed step.
     verify_step checks the engine's three step kinds directly: a seed must
-    be in the seed set, an assumption must name an unknown cell, and an
-    alterability step must follow from its premises.  The premises a step
+    be in the seed set and an assumption must name an unknown cell, each
+    citing no premise, and an alterability step must follow from its
+    premises.  A clash or duplicate conflict is its step's rule checked at
+    its cell, a duplicate's last premise, its witness, set aside; one
+    ruled assume is refused.  The premises a step
     or conflict prints must each name a known cell, and must name every
     known cell its check reads: for alterability the two equal products,
     then the cell whose value the step copies, in that order, and for a
@@ -93,9 +96,9 @@ class _Replay:
         if rule == "alterability":
             ok = self._alterability(r, c, v, premises)
         elif rule == "assume":
-            ok = self.rows[r][c] == -1
+            ok = not premises and self.rows[r][c] == -1
         elif type(rule) is str and rule.startswith("seed:"):
-            ok = self.seeds.get(((r, c), v)) == rule
+            ok = not premises and self.seeds.get(((r, c), v)) == rule
         else:
             raise ReplayError(f"unknown rule {rule!r}")
         if not ok:
@@ -139,7 +142,14 @@ class _Replay:
             raise ReplayError(f"malformed conflict {conflict!r}")
         self.check_premises(premises)
         if kind in ("cell-mismatch", "row-duplicate", "col-duplicate"):
-            self.verify_step(Step(conflict.rule, conflict.cell, v, premises))
+            # an assumption is made latin-safe, so one that clashes refutes
+            # only itself, not the branch the conflict would end
+            if conflict.rule == "assume":
+                raise ReplayError(f"conflict ruled assume: {conflict}")
+            # a duplicate's last premise is its witness, the cell of v in
+            # the line, which the rule of its step does not read
+            cited = premises if kind == "cell-mismatch" else premises[:-1]
+            self.verify_step(Step(conflict.rule, conflict.cell, v, cited))
             cur = self.rows[r][c]
             if kind == "cell-mismatch":
                 ok = cur not in (-1, v)

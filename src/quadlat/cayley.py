@@ -10,10 +10,12 @@ other identities, closure and isomorphism.
 
 The checks here return verdicts as core's identity checks do: None when
 the law holds, else the least counterexample.  Two scans serve several
-laws each.  _first_failure is the one scan of a two-variable law:
-bookend here, and elasticity, strong elasticity and the two weaves in
-core, apply it to the line that states their equation.  _first_repeat is
-the one scan of a cancellation law.  _check_latin_square, the left and
+laws each.  _first_failure is the one scan of an equational law: each law
+names its leading variables' tuples (heads) and states its two sides, or
+three for strong elasticity, as lists over its last variable.
+Idempotency and bookend here, and core's quadratical law, elasticity,
+strong elasticity, distributivities, weaves and mediality's search, call
+it.  _first_repeat is the one scan of a cancellation law.  _check_latin_square, the left and
 then the right cancellation check, is the one latin decision, which
 _medial_form, core's identity catalogue and quadlat.translatable read.
 """
@@ -107,28 +109,32 @@ class CayleyTable:
         return f"CayleyTable(n={self.n})"
 
 
+def _first_failure(t, heads, sides):
+    """The least (*head, v), head taken in the order of heads and v in
+    0..n-1, at which the lists sides(t.entries, *head) disagree at index
+    v; None when they agree at every head.  A law states its sides as
+    lists over its last variable, so each head costs a few comprehensions
+    and one list comparison, and only a failing head is scanned by v."""
+    e = t.entries
+    for head in heads:
+        first, *rest = sides(e, *head)
+        for side in rest:
+            if side != first:
+                return (*head, next(v for v, at_v in enumerate(zip(first, *rest))
+                                    if len(set(at_v)) > 1))
+    return None
+
+
 def _check_idempotency(t):
-    e = t.entries
-    for x in range(t.n):
-        if e[x][x] != x:
-            return (x,)
-    return None
-
-
-def _first_failure(t, dom, law):
-    """The least (x, y), x over dom and then y over dom, at which
-    law(t.entries, x, y) is false; None when the law holds on dom x dom."""
-    e = t.entries
-    for x in dom:
-        for y in dom:
-            if not law(e, x, y):
-                return (x, y)
-    return None
+    # x*x = x
+    return _first_failure(t, [()], lambda e: ([row[x] for x, row in enumerate(e)],
+                                              list(range(len(e)))))
 
 
 def _check_bookend(t, dom):
     # (y*x) * (x*y) = x
-    return _first_failure(t, dom, lambda e, x, y: e[e[y][x]][e[x][y]] == x)
+    return _first_failure(t, zip(dom), lambda e, x: ([e[ey[x]][v] for ey, v in zip(e, e[x])],
+                                                     [x] * len(e)))
 
 
 def _first_repeat(lines, n):

@@ -2,14 +2,15 @@
 
 Tables, the quadratical test and the latin and cancellation checks live
 in ``quadlat.cayley``, and the identity catalogue here reads them from
-there.  Each two-variable law is cayley's one scan, _first_failure,
-applied to the line that states its equation.  The quadratical law and
-the distributivities keep their own loops over three variables, which
-read the products that do not depend on z once per (x, y): through a
-shared scan calling the law per triple, left distributivity on the
-order-200 right projection x*y = y took 0.76 s against 0.38 s (2 CPUs,
-Python 3.11).  All operations here are pure functions over immutable
-tables, so tables can be shared freely between threads or processes.
+there.  Every equational law but alterability is cayley's one scan,
+_first_failure, given the tuples of its leading variables and its sides
+as lists over its last variable, built by comprehensions: a law of k
+variables costs n^(k-1) list comparisons, not n^k calls.  Alterability
+keeps its bitmask scan, which is n^2 comparisons of bitmask lists; its
+sides over w would cost n^3 comprehensions of n, on the constant table
+too, which satisfies it.  All operations here are pure functions over
+immutable tables, so tables can be shared freely between threads or
+processes.
 """
 
 import itertools
@@ -41,36 +42,31 @@ from .errors import SearchCapExceeded
 
 def _check_elasticity(t, dom):
     # x * (y*x) = (x*y) * x
-    return _first_failure(t, dom, lambda e, x, y: e[x][e[y][x]] == e[e[x][y]][x])
+    return _first_failure(t, zip(dom), lambda e, x: ([e[x][ey[x]] for ey in e],
+                                                     [e[v][x] for v in e[x]]))
 
 
 def _check_strong_elasticity(t, dom):
     # x * (y*x) = (x*y) * x = (y*x) * y
-    return _first_failure(t, dom, lambda e, x, y: e[x][e[y][x]] == e[e[x][y]][x] == e[e[y][x]][y])
+    return _first_failure(t, zip(dom), lambda e, x: ([e[x][ey[x]] for ey in e],
+                                                     [e[v][x] for v in e[x]],
+                                                     [e[ey[x]][y] for y, ey in enumerate(e)]))
 
 
 def _check_left_distributivity(t, dom):
     # x * (y*z) = (x*y) * (x*z)
-    e = t.entries
-    for x in dom:
+    def sides(e, x, y):
         ex = e[x]
-        for y in dom:
-            for z in dom:
-                if ex[e[y][z]] != e[ex[y]][ex[z]]:
-                    return (x, y, z)
-    return None
+        exy = e[ex[y]]
+        return [ex[v] for v in e[y]], [exy[v] for v in ex]
+    return _first_failure(t, itertools.product(dom, repeat=2), sides)
 
 
 def _check_right_distributivity(t, dom):
-    # (x*y) * z = (x*z) * (y*z)
-    e = t.entries
-    for x in dom:
-        for y in dom:
-            xy = e[x][y]
-            for z in dom:
-                if e[xy][z] != e[e[x][z]][e[y][z]]:
-                    return (x, y, z)
-    return None
+    # (x*y) * z = (x*z) * (y*z); a row is a tuple, and a tuple never equals
+    # a list
+    return _first_failure(t, itertools.product(dom, repeat=2), lambda e, x, y: (
+        list(e[e[x][y]]), [e[a][b] for a, b in zip(e[x], e[y])]))
 
 
 # Quadruples (x, y, z, w) the plain mediality scan checks before it gives
@@ -101,32 +97,32 @@ def _check_mediality(t):
         comp_t = list(zip(*comp))
         pairs = ((x, y) for x, y in pairs
                  if comp[e[x][y]] != list(map(comp_t[y].__getitem__, e[x])))
-    checked = 0
-    for x, y in pairs:
-        checked += n * n
-        if checked > MEDIALITY_SCAN_CAP:
-            raise SearchCapExceeded(
-                f"mediality scan would check more than {MEDIALITY_SCAN_CAP} quadruples")
-        ex = e[x]
-        exy = e[ex[y]]
-        ey = e[y]
-        for z in range(n):
-            ez = e[z]
-            exz = e[ex[z]]
-            for w in range(n):
-                if exy[ez[w]] != exz[ey[w]]:
-                    return (x, y, z, w)
-    return None
+
+    def heads():
+        for checked, (x, y) in enumerate(pairs, 1):
+            if checked * n * n > MEDIALITY_SCAN_CAP:
+                raise SearchCapExceeded(
+                    f"mediality scan would check more than {MEDIALITY_SCAN_CAP} quadruples")
+            for z in range(n):
+                yield x, y, z
+
+    def sides(e, x, y, z):
+        exy = e[e[x][y]]
+        exz = e[e[x][z]]
+        return [exy[v] for v in e[z]], [exz[v] for v in e[y]]
+    return _first_failure(t, heads(), sides)
 
 
 def _check_weave_left(t, dom):
     # x * (y * (y*x)) = ((x*y) * x) * y
-    return _first_failure(t, dom, lambda e, x, y: e[x][e[y][e[y][x]]] == e[e[e[x][y]][x]][y])
+    return _first_failure(t, zip(dom), lambda e, x: ([e[x][ey[ey[x]]] for ey in e],
+                                                     [e[e[v][x]][y] for y, v in enumerate(e[x])]))
 
 
 def _check_weave_right(t, dom):
     # ((x*y) * y) * x = y * (x * (y*x))
-    return _first_failure(t, dom, lambda e, x, y: e[e[e[x][y]][y]][x] == e[y][e[x][e[y][x]]])
+    return _first_failure(t, zip(dom), lambda e, x: ([e[e[v][y]][x] for y, v in enumerate(e[x])],
+                                                     [ey[e[x][ey[x]]] for ey in e]))
 
 
 def _check_alterability(t, dom):
@@ -167,14 +163,8 @@ def _check_alterability(t, dom):
 
 def _check_quadratical_law(t, dom):
     # (x*y) * x = (z*x) * (y*z)
-    e = t.entries
-    for x in dom:
-        for y in dom:
-            m = e[e[x][y]][x]
-            for z in dom:
-                if m != e[e[z][x]][e[y][z]]:
-                    return (x, y, z)
-    return None
+    return _first_failure(t, itertools.product(dom, repeat=2), lambda e, x, y: (
+        [e[e[x][y]][x]] * len(e), [e[ez[x]][v] for ez, v in zip(e, e[y])]))
 
 
 def _check_right_solvability(t):
@@ -223,11 +213,12 @@ BASIC_IDENTITY_IDS = (
 )
 
 
-# The laws whose scans take a domain.  On a medial quasigroup
-# x*y = alpha(x) + beta(y) + c each side of each is an affine map
-# Q^k -> Q (for alterability, z\(x*y) and (y*z)/x), and two affine maps
-# agree everywhere when they agree at (zero, ..., zero) and at each tuple
-# with one generator of (Q, +) among zeros.
+# The laws whose scans take a domain: their leading variables range over
+# it and their last variable over all of Q, which covers dom^k.  On a
+# medial quasigroup x*y = alpha(x) + beta(y) + c each side of each is an
+# affine map Q^k -> Q (for alterability, z\(x*y) and (y*z)/x), and two
+# affine maps agree everywhere when they agree at (zero, ..., zero) and at
+# each tuple with one generator of (Q, +) among zeros.
 _AFFINE_CHECKS = frozenset((
     _check_quadratical_law, _check_elasticity, _check_strong_elasticity,
     _check_bookend, _check_left_distributivity, _check_right_distributivity,

@@ -20,7 +20,10 @@ strong-elasticity step, a latin single over a cell, a row or a column
 (latin-cell-single, latin-row-single, latin-col-single) and a
 row-value-impossible or col-value-impossible conflict are refused as
 unknown.  A cell-no-candidate conflict at a cell already placed is
-refused, as the new replay refuses it.
+refused, as the new replay refuses it.  A seed or assume step must cite
+no premise.  A clash or duplicate conflict is checked as a step of its
+rule at its cell, with a duplicate's last premise, its witness, left out;
+one ruled assume is refused, since it refutes only its own assumption.
 On well-formed input the new replay must accept and reject exactly what
 this one does; on malformed input, where this one may raise IndexError
 or ValueError or wrap a negative index, the new one raises ReplayError.
@@ -86,6 +89,9 @@ class Replay:
         v = step.value
         self.require_ints(r, c, v)
         self.check_premises(step.premises)
+        if rule.startswith("seed:") or rule == "assume":
+            if step.premises:
+                raise ReplayError(f"{rule} step cites premises: {step}")
         if rule.startswith("seed:"):
             if self.seeds.get((step.cell, v)) != rule:
                 raise ReplayError(f"{rule} step not in the seed set: {step}")
@@ -123,12 +129,11 @@ class Replay:
         self.require_ints(r, c, conflict.value)
         self.check_premises(conflict.premises)
         if kind in ("cell-mismatch", "row-duplicate", "col-duplicate"):
-            pseudo = Step(conflict.rule, conflict.cell, conflict.value, conflict.premises)
-            if conflict.rule.startswith("seed:"):
-                if self.seeds.get((conflict.cell, conflict.value)) != conflict.rule:
-                    raise ReplayError("conflicting seed not in the seed set")
-            else:
-                self.verify_step(pseudo)
+            if conflict.rule == "assume":
+                raise ReplayError("a conflict ruled assume refutes only its own assumption")
+            # the step's rule never reads a duplicate's witness, its last premise
+            cited = conflict.premises[:-1] if kind != "cell-mismatch" else conflict.premises
+            self.verify_step(Step(conflict.rule, conflict.cell, conflict.value, cited))
             premises, v = conflict.premises, conflict.value
             if kind == "cell-mismatch":
                 if self.get(r, c) == -1 or self.get(r, c) == v:

@@ -23,7 +23,7 @@ from quadlat import (
     two_generation_report,
 )
 from quadlat.cayley import _generators, _medial_form
-from quadlat.core import BASIC_IDENTITY_IDS, IDENTITY_IDS, _closure
+from quadlat.core import BASIC_IDENTITY_IDS, IDENTITY_CHECKS, IDENTITY_IDS, _closure
 
 
 def additive_table(n):
@@ -430,6 +430,57 @@ def test_latin_scans_match_brute_force():
             assert check_identity(t, ident) == verdict, (rows, ident)
             seen.add((ident, verdict is None))
     assert len(seen) == 10  # every identity both holds and fails somewhere
+
+
+# Each equational law as the tuple of its sides, to be equal, and its
+# variable count; the sides are written from the defining equations, not
+# from the package's scans.
+EQUATIONS = {
+    "idempotency": (1, lambda e, x: (e[x][x], x)),
+    "elasticity": (2, lambda e, x, y: (e[x][e[y][x]], e[e[x][y]][x])),
+    "strong-elasticity": (2, lambda e, x, y: (e[x][e[y][x]], e[e[x][y]][x], e[e[y][x]][y])),
+    "bookend": (2, lambda e, x, y: (e[e[y][x]][e[x][y]], x)),
+    "left-distributivity": (3, lambda e, x, y, z: (e[x][e[y][z]], e[e[x][y]][e[x][z]])),
+    "right-distributivity": (3, lambda e, x, y, z: (e[e[x][y]][z], e[e[x][z]][e[y][z]])),
+    "mediality": (4, lambda e, x, y, z, w: (e[e[x][y]][e[z][w]], e[e[x][z]][e[y][w]])),
+    "weave-left": (2, lambda e, x, y: (e[x][e[y][e[y][x]]], e[e[e[x][y]][x]][y])),
+    "weave-right": (2, lambda e, x, y: (e[e[e[x][y]][y]][x], e[y][e[x][e[y][x]]])),
+    "quadratical-law": (3, lambda e, x, y, z: (e[e[x][y]][x], e[e[z][x]][e[y][z]])),
+}
+
+
+def _brute_equation(e, n, law):
+    # the least variable tuple, in lex order, at which the sides differ
+    arity, sides = EQUATIONS[law]
+    for args in itertools.product(range(n), repeat=arity):
+        if len(set(sides(e, *args))) > 1:
+            return args
+    return None
+
+
+def test_equational_laws_match_brute_force():
+    """Each law's scan, over the whole table and through check_identity,
+    against a plain scan of its defining equation."""
+    rng = random.Random(36)
+    tables = []
+    for n in range(1, 8):
+        tables += [[[rng.randrange(n) for _ in range(n)] for _ in range(n)] for _ in range(6)]
+        tables += [[[x] * n for x in range(n)], [list(range(n))] * n, [[0] * n] * n,
+                   [[(x + y) % n for y in range(n)] for x in range(n)],
+                   [[(2 * x - y) % n for y in range(n)] for x in range(n)]]
+    seen = set()
+    for rows in tables:
+        t = CayleyTable.from_rows(rows)
+        for law in EQUATIONS:
+            want = _brute_equation(t.entries, t.n, law)
+            scan = IDENTITY_CHECKS[law]
+            assert check_identity(t, law) == want, (rows, law)
+            assert (scan(t) if law in ("idempotency", "mediality")
+                    else scan(t, range(t.n))) == want, (rows, law)
+            if t.n > 1 or want is not None:
+                seen.add((law, want is None))
+    # every law holds on a table of order 2 or more, and fails somewhere
+    assert len(seen) == 20
 
 
 def test_closure_recipe_builds_each_element_from_earlier_ones():
