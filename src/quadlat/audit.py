@@ -33,19 +33,18 @@ class _Replay:
     verify_step checks the engine's three step kinds directly: a seed must
     be in the seed set and an assumption must name an unknown cell, each
     citing no premise, and an alterability step must follow from its
-    premises.  A clash or duplicate conflict is its step's rule checked at
-    its cell, a duplicate's last premise, its witness, set aside; one
-    ruled assume is refused.  The premises a step
-    or conflict prints must each name a known cell, and must name every
-    known cell its check reads: for alterability the two equal products,
-    then the cell whose value the step copies, in that order, and for a
-    cell-no-candidate conflict one cell per value it rules out.  A step by
-    any other rule is refused as unknown, and so is a conflict of any kind
-    but a clash, a duplicate and cell-no-candidate: a
-    latin single over a cell, a row or a column (latin-cell-single,
-    latin-row-single, latin-col-single), row-value-impossible and its
-    column twin, bookend, strong elasticity, distributivity and mediality
-    too, since the engine does not run them."""
+    premises.  A clash or duplicate conflict is checked as a step of its
+    rule at its cell, a duplicate's last premise, its witness, set aside;
+    one ruled assume is refused.  The premises a step or conflict prints
+    must each name a known cell, and must name every known cell its check
+    reads: for alterability the two equal products, then the cell whose
+    value the step copies, in that order, and for a cell-no-candidate
+    conflict one cell per value it rules out.  A step by any other rule is
+    refused as unknown, and so is a conflict of any kind but a clash, a
+    duplicate and cell-no-candidate: a latin single over a cell, a row or
+    a column (latin-cell-single, latin-row-single, latin-col-single),
+    row-value-impossible and its column twin, bookend, strong elasticity,
+    distributivity and mediality too, since the engine does not run them."""
 
     def __init__(self, blocks: int, choice: int):
         n = self.n = 4 * blocks + 1
