@@ -14,10 +14,12 @@ laws each.  _first_failure is the one scan of an equational law: each law
 names its leading variables' tuples (heads) and states its two sides, or
 three for strong elasticity, as lists over its last variable.
 Idempotency and bookend here, and core's quadratical law, elasticity,
-strong elasticity, distributivities, weaves and mediality's search, call
-it.  _first_repeat is the one scan of a cancellation law.  _check_latin_square, the left and
-then the right cancellation check, is the one latin decision, which
-_medial_form, core's identity catalogue and quadlat.translatable read.
+strong elasticity, distributivities, weaves, alterability and mediality's
+search, call it.  _first_repeat is the one scan of a cancellation law.
+_check_latin_square, the left and then the right cancellation check, is
+the one latin decision, which _medial_form, core's identity catalogue and
+quadlat.translatable read.  _permutation is the one check of an ordering
+of the elements, which core.relabel and quadlat.translatable read.
 """
 
 from functools import lru_cache
@@ -110,11 +112,11 @@ class CayleyTable:
 
 
 def _first_failure(t, heads, sides):
-    """The least (*head, v), head taken in the order of heads and v in
-    0..n-1, at which the lists sides(t.entries, *head) disagree at index
-    v; None when they agree at every head.  A law states its sides as
-    lists over its last variable, so each head costs a few comprehensions
-    and one list comparison, and only a failing head is scanned by v."""
+    """The least (*head, v), head taken in the order of heads, at which
+    the lists sides(t.entries, *head) disagree at index v; None when they
+    agree at every head.  A law states its sides as lists over its last
+    variable, so each head costs a few comprehensions and one list
+    comparison, and only a failing head is scanned by v."""
     e = t.entries
     for head in heads:
         first, *rest = sides(e, *head)
@@ -167,6 +169,16 @@ def _check_latin_square(t):
     # duplicate (x, y1, y2) with t[x][y1] = t[x][y2], scanned first, else a
     # column duplicate (y, x1, x2) with t[x1][y] = t[x2][y]
     return _check_left_cancellation(t) or _check_right_cancellation(t)
+
+
+def _permutation(order, n):
+    """order as a tuple; a ValueError unless it lists the ints 0..n-1 once
+    each.  A bool, which indexes like 0 or 1, and a float, which does not
+    index at all, are refused."""
+    order = tuple(order)
+    if set(map(type, order)) != {int} or sorted(order) != list(range(n)):
+        raise ValueError(f"ordering must list the ints 0..{n - 1} once each")
+    return order
 
 
 def _inverse(perm):

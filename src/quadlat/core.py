@@ -2,15 +2,13 @@
 
 Tables, the quadratical test and the latin and cancellation checks live
 in ``quadlat.cayley``, and the identity catalogue here reads them from
-there.  Every equational law but alterability is cayley's one scan,
-_first_failure, given the tuples of its leading variables and its sides
-as lists over its last variable, built by comprehensions: a law of k
-variables costs n^(k-1) list comparisons, not n^k calls.  Alterability
-keeps its bitmask scan, which is n^2 comparisons of bitmask lists; its
-sides over w would cost n^3 comprehensions of n, on the constant table
-too, which satisfies it.  All operations here are pure functions over
-immutable tables, so tables can be shared freely between threads or
-processes.
+there.  Every equational law is cayley's one scan, _first_failure, given
+the tuples of its leading variables and its sides as lists over its last
+variable: a law of k variables costs n^(k-1) list comparisons, not n^k
+calls.  Alterability, an equivalence, states its sides over z as bitmask
+sets of w, so it too costs n^2 list comparisons.  All operations here are
+pure functions over immutable tables, so tables can be shared freely
+between threads or processes.
 """
 
 import itertools
@@ -26,7 +24,9 @@ from .cayley import (
     _check_left_cancellation,
     _check_right_cancellation,
     _first_failure,
+    _inverse,
     _medial_form,
+    _permutation,
     is_quadratical,
 )
 from .errors import SearchCapExceeded
@@ -131,8 +131,8 @@ def _check_alterability(t, dom):
     # z*w = x*y and the right side for the set of w with w*x = y*z; the law
     # fails at every w in one set but not the other.  The sets are bitmasks
     # over w: in_row[v][i] holds the w with dom[i]*w = v, in_col[x][v] the
-    # w with w*x = v, so the law at (x, y) is one list comparison over the
-    # z of dom.
+    # w with w*x = v, so the law's sides at (x, y) are lists over the z of
+    # dom.
     e = t.entries
     n = t.n
     bit = [1 << w for w in range(n)]
@@ -147,18 +147,16 @@ def _check_alterability(t, dom):
             sets[row[x]] |= bit[w]
     # row y of the table at the z of dom
     sub = {y: list(map(e[y].__getitem__, dom)) for y in dom}
-    for x in dom:
-        ex = e[x]
-        col_x = in_col[x].__getitem__
-        for y in dom:
-            left = in_row[ex[y]]
-            right = list(map(col_x, sub[y]))
-            if left != right:
-                for z, w_left, w_right in zip(dom, left, right):
-                    diff = w_left ^ w_right
-                    if diff:
-                        return (x, y, z, (diff & -diff).bit_length() - 1)
-    return None
+
+    def sides(e, x, y):
+        col_x = in_col[x]
+        return in_row[e[x][y]], [col_x[v] for v in sub[y]]
+    failure = _first_failure(t, itertools.product(dom, repeat=2), sides)
+    if failure is None:
+        return None
+    x, y, i = failure
+    diff = in_row[e[x][y]][i] ^ in_col[x][sub[y][i]]
+    return (x, y, dom[i], (diff & -diff).bit_length() - 1)
 
 
 def _check_quadratical_law(t, dom):
@@ -285,17 +283,11 @@ def relabel(t: CayleyTable, order) -> CayleyTable:
     """Present t with its elements listed in the given order: order[i] is the
     old index of the element renamed to i.  The result is the same groupoid
     up to isomorphism (the relabeling map itself)."""
-    order = tuple(order)
-    if sorted(order) != list(range(t.n)):
-        raise ValueError("order must be a permutation of 0..n-1")
-    inv = [0] * t.n
-    for new, old in enumerate(order):
-        inv[old] = new
-    entries = tuple(
-        tuple(inv[t.entries[order[i]][order[j]]] for j in range(t.n)) for i in range(t.n)
-    )
+    order = _permutation(order, t.n)
+    inv = _inverse(order)
+    rows = ([inv[row[j]] for j in order] for row in map(t.entries.__getitem__, order))
     labels = tuple(t.labels[o] for o in order) if t.labels is not None else None
-    return CayleyTable(t.n, entries, labels)
+    return CayleyTable(t.n, rows, labels)
 
 
 def _closure(e, seeds):

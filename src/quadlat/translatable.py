@@ -1,15 +1,20 @@
 """k-translatability of Cayley tables.
 
 A table is k-translatable under an ordering of its elements when each row
-of the reordered table is the previous row rotated right by k.  Everything
-here works on one shared row/column ordering; the first row of a report is
-the row of ordering[0] read in column order.
+of the reordered table is the previous row rotated right by k, that is
+when its rows are _translates(first_row, k), the one statement of the law:
+the checks compare the reordered rows with it, and the builders build
+their tables from it.  Everything here works on one shared row/column
+ordering; the first row of a report is the row of ordering[0] read in
+column order.
 """
 
+import itertools
 import math
+import operator
 from typing import NamedTuple
 
-from .cayley import CayleyTable, _check_latin_square
+from .cayley import CayleyTable, _check_latin_square, _permutation
 from .errors import SearchCapExceeded
 
 
@@ -21,43 +26,48 @@ class TranslatabilityReport(NamedTuple):
     first_row: tuple[int, ...]
 
 
-def _check_ordering(t: CayleyTable, ordering) -> tuple[int, ...]:
-    ordering = tuple(ordering)
-    if sorted(ordering) != list(range(t.n)):
-        raise ValueError("ordering must be a permutation of 0..n-1")
-    return ordering
+def _translates(first_row, k: int):
+    """The rows of the k-translate of first_row, one at a time: row i is
+    first_row turned right by i*k places, that is left by -i*k mod n."""
+    n = len(first_row)
+    for i in range(n):
+        turn = -i * k % n
+        yield first_row[turn:] + first_row[:turn]
+
+
+def _reordered_rows(t: CayleyTable, ordering):
+    """The rows of t under the ordering, as lists, one at a time: row q
+    holds t[ordering[q]][ordering[j]] at j."""
+    return ([row[j] for j in ordering] for row in map(t.entries.__getitem__, ordering))
+
+
+def _follow(first, rest, k: int) -> bool:
+    """True iff the rows rest, read in order, are rows 1, 2, ... of the
+    k-translate of first; the first row that differs ends the comparison."""
+    return all(map(operator.eq, rest, itertools.islice(_translates(first, k), 1, None)))
 
 
 def k_translatable_check(t: CayleyTable, ordering, k: int) -> bool:
     """True iff row q equals row q-1 rotated right by k for every q, under
     the given simultaneous row/column ordering."""
-    ordering = _check_ordering(t, ordering)
-    n = t.n
-    if not (1 <= k < n):
-        raise ValueError(f"shift k={k} outside 1..{n - 1}")
-    e = t.entries
-    for q in range(1, n):
-        prev = e[ordering[q - 1]]
-        cur = e[ordering[q]]
-        for j in range(n):
-            if cur[ordering[j]] != prev[ordering[(j - k) % n]]:
-                return False
-    return True
+    ordering = _permutation(ordering, t.n)
+    if not (1 <= k < t.n):
+        raise ValueError(f"shift k={k} outside 1..{t.n - 1}")
+    # reordered lazily, so a check that fails early reorders few rows
+    rows = _reordered_rows(t, ordering)
+    return _follow(next(rows), rows, k)
 
 
 def all_valid_k(t: CayleyTable, ordering=None) -> set[int]:
     """Every k in 1..n-1 passing k_translatable_check for this ordering."""
-    if ordering is None:
-        ordering = range(t.n)
-    ordering = _check_ordering(t, ordering)
-    return {k for k in range(1, t.n) if k_translatable_check(t, ordering, k)}
+    ordering = _permutation(range(t.n) if ordering is None else ordering, t.n)
+    first, *rest = _reordered_rows(t, ordering)
+    return {k for k in range(1, t.n) if _follow(first, rest, k)}
 
 
 def translatability_report(t: CayleyTable, ordering=None) -> TranslatabilityReport:
-    if ordering is None:
-        ordering = range(t.n)
-    ordering = _check_ordering(t, ordering)
-    first = tuple(t.entries[ordering[0]][ordering[j]] for j in range(t.n))
+    ordering = _permutation(range(t.n) if ordering is None else ordering, t.n)
+    first = tuple(next(_reordered_rows(t, ordering)))
     return TranslatabilityReport(ordering, frozenset(all_valid_k(t, ordering)), first)
 
 
@@ -81,12 +91,12 @@ def find_translatable_ordering(t: CayleyTable, max_order: int = 10, ks=None):
         raise SearchCapExceeded(
             f"ordering search supports n <= {max_order}, got {n}"
         )
-    if n == 1:
-        return None
     candidate_ks = tuple(sorted(ks)) if ks is not None else tuple(range(1, n))
     for k in candidate_ks:
         if not (1 <= k < n):
             raise ValueError(f"shift k={k} outside 1..{n - 1}")
+    if n == 1:
+        return None
     e = t.entries
     sigma = [0] + [-1] * (n - 1)
     used = [True] + [False] * (n - 1)
@@ -127,10 +137,7 @@ def find_translatable_ordering(t: CayleyTable, max_order: int = 10, ks=None):
 
 
 def _table_from_first_row(first_row, k: int) -> CayleyTable:
-    n = len(first_row)
-    # row i is the first row turned right by i*k places, that is left by t
-    turns = (-i * k % n for i in range(n))
-    return CayleyTable(n, (first_row[t:] + first_row[:t] for t in turns))
+    return CayleyTable(len(first_row), _translates(first_row, k))
 
 
 def idempotent_first_row(n: int, k: int) -> list[int]:

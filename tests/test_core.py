@@ -23,7 +23,13 @@ from quadlat import (
     two_generation_report,
 )
 from quadlat.cayley import _generators, _medial_form
-from quadlat.core import BASIC_IDENTITY_IDS, IDENTITY_CHECKS, IDENTITY_IDS, _closure
+from quadlat.core import (
+    _AFFINE_CHECKS,
+    BASIC_IDENTITY_IDS,
+    IDENTITY_CHECKS,
+    IDENTITY_IDS,
+    _closure,
+)
 
 
 def additive_table(n):
@@ -481,6 +487,56 @@ def test_equational_laws_match_brute_force():
                 seen.add((law, want is None))
     # every law holds on a table of order 2 or more, and fails somewhere
     assert len(seen) == 20
+
+
+def _brute_domain_scan(e, n, law, dom):
+    # the least tuple, in lex order, with the leading variables over dom and
+    # the last over all of Q at which the law fails
+    if law == "alterability":
+        for x, y, z, w in itertools.product(dom, dom, dom, range(n)):
+            if (e[x][y] == e[z][w]) != (e[y][z] == e[w][x]):
+                return (x, y, z, w)
+        return None
+    arity, sides = EQUATIONS[law]
+    for args in itertools.product(*[dom] * (arity - 1), range(n)):
+        if len(set(sides(e, *args))) > 1:
+            return args
+    return None
+
+
+def test_domain_scans_match_brute_force():
+    """Each law that takes a domain, scanned over a random proper sorted
+    sub-domain, against a plain scan of its defining equation over the
+    same variable ranges: a counterexample names elements of the table,
+    not positions in the domain."""
+    rng = random.Random(37)
+    laws = [law for law, scan in IDENTITY_CHECKS.items() if scan in _AFFINE_CHECKS]
+    assert len(laws) == 9
+    seen = set()
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        # random tables, latin squares and tables that satisfy some laws
+        p, q, r = (rng.sample(range(n), n) for _ in range(3))
+        rows = rng.choice([
+            [[rng.randrange(n) for _ in range(n)] for _ in range(n)],
+            [[r[(p[x] + q[y]) % n] for y in range(n)] for x in range(n)],
+            [[x] * n for x in range(n)], [list(range(n))] * n, [[0] * n] * n,
+            [[(2 * x - y) % n for y in range(n)] for x in range(n)]])
+        t = CayleyTable.from_rows(rows)
+        dom = sorted(rng.sample(range(n), rng.randint(1, n - 1)))
+        for law in laws:
+            want = _brute_domain_scan(t.entries, n, law, dom)
+            assert IDENTITY_CHECKS[law](t, dom) == want, (rows, law, dom)
+            seen.add((law, want is None))
+            # the position in dom of a counterexample's domain variables
+            # differs from the element somewhere
+            if want is not None and want[:-1] != tuple(map(dom.index, want[:-1])):
+                seen.add((law, "moved"))
+    one = CayleyTable.from_rows([[0]])
+    for law in laws:
+        assert IDENTITY_CHECKS[law](one, [0]) is None
+    every = {(law, outcome) for law in laws for outcome in (True, False, "moved")}
+    assert seen == every, every - seen
 
 
 def test_closure_recipe_builds_each_element_from_earlier_ones():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -54,6 +55,74 @@ def test_check_rejects_bad_k(q2):
         k_translatable_check(q2, range(9), 9)
     with pytest.raises(ValueError):
         k_translatable_check(q2, [0] * 9, 2)
+
+
+def test_orderings_must_list_the_ints():
+    # a float or a bool that equals an int is no element index
+    t = quadratical_over_zm(5, 2)
+    for ordering in ([0.0, 1.0, 2.0, 3.0, 4.0], [False, True, 2, 3, 4]):
+        for call in (lambda: relabel(t, ordering),
+                     lambda: k_translatable_check(t, ordering, 2),
+                     lambda: all_valid_k(t, ordering),
+                     lambda: translatability_report(t, ordering)):
+            with pytest.raises(ValueError):
+                call()
+
+
+def test_find_ordering_checks_shifts_at_order_1():
+    with pytest.raises(ValueError, match="shift k=5 outside"):
+        find_translatable_ordering(CayleyTable.from_rows([[0]]), ks=[5])
+    assert find_translatable_ordering(CayleyTable.from_rows([[0]])) is None
+
+
+def _translatable_by_definition(e, o, k):
+    # e[o[q]][o[j]] = e[o[q-1]][o[j-k]] at every q in 1..n-1 and j
+    n = len(e)
+    return all(e[o[q]][o[j]] == e[o[q - 1]][o[(j - k) % n]]
+               for q in range(1, n) for j in range(n))
+
+
+def test_translatability_matches_its_definition():
+    """k_translatable_check, all_valid_k and translatability_report against
+    the law written out cell by cell, on random tables, k-translates of
+    random rows, some with one cell changed, under the orderings that undo
+    their relabelling, and the idempotent builder's tables."""
+    rng = random.Random(37)
+    cases = []
+    for i in range(300):
+        n = 1 + i % 7
+        p = rng.sample(range(n), n)
+        if i % 3 == 0:
+            rows = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        else:
+            # the k-translate of a random first row, relabelled by p
+            first, k = [rng.randrange(n) for _ in range(n)], rng.randrange(1, max(n, 2))
+            rows = relabel(CayleyTable.from_rows(
+                [[first[(y - x * k) % n] for y in range(n)] for x in range(n)]), p).entries
+        # p's inverse makes the relabelled k-translate k-translatable again;
+        # at i % 3 == 2 one changed cell may spoil it in any row
+        ordering = sorted(range(n), key=p.__getitem__)
+        if i % 3 == 2:
+            rows = [list(row) for row in rows]
+            rows[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        cases.append((CayleyTable.from_rows(rows), ordering if i % 3 else p))
+    for n in (5, 7, 11, 13):
+        for k in range(2, n):
+            if math.gcd(n, k) == math.gcd(n, k - 1) == 1:
+                cases.append((build_idempotent_k_translatable(n, k), list(range(n))))
+    valid = invalid = 0
+    for t, ordering in cases:
+        e, n = t.entries, t.n
+        want = {k for k in range(1, n) if _translatable_by_definition(e, ordering, k)}
+        for k in range(1, n):
+            assert k_translatable_check(t, ordering, k) == (k in want), (e, ordering, k)
+        assert all_valid_k(t, ordering) == want, (e, ordering)
+        report = translatability_report(t, ordering)
+        assert report == (tuple(ordering), frozenset(want),
+                          tuple(e[ordering[0]][j] for j in ordering)), (e, ordering)
+        valid += len(want)
+        invalid += n - 1 - len(want)
+    assert valid > 120 and invalid > 900, (valid, invalid)
 
 
 def test_all_valid_k_trivial():
