@@ -209,25 +209,25 @@ def _medial_form(t):
     r_e = [row[0] for row in e]
     l_e = e[0]
     l_inv = _inverse(l_e)
-    add = [tuple(map(e[x].__getitem__, l_inv)) for x in _inverse(r_e)]
-    if add != list(zip(*add)):
+    add = [[ex[y] for y in l_inv] for ex in map(e.__getitem__, _inverse(r_e))]
+    if add != [list(col) for col in zip(*add)]:
         return None
     gens = _generators(add, n.bit_length())  # floor(log2 n) + 1
     # Light's test: + is associative iff (x+g)+y = x+(g+y) for every x, y
     # and every g of a generating set
-    if gens is None or any(add[ax[g]] != tuple(map(ax.__getitem__, add[g]))
-                           for g in gens for ax in add):
+    if gens is None or any(add[ax[g]] != [ax[v] for v in add[g]] for g in gens for ax in add):
         return None
     zero = e[0][0]
     # alpha(x) = R_e(x) - R_e(zero), beta(y) = L_e(y) - L_e(zero)
-    alpha = list(map(add[add[r_e[zero]].index(zero)].__getitem__, r_e))
-    beta = list(map(add[add[l_e[zero]].index(zero)].__getitem__, l_e))
+    minus_r = add[add[r_e[zero]].index(zero)]
+    minus_l = add[add[l_e[zero]].index(zero)]
+    alpha = [minus_r[v] for v in r_e]
+    beta = [minus_l[v] for v in l_e]
     for phi in (alpha, beta):
         # a map that respects + at each generator respects it everywhere
-        if any(list(map(phi.__getitem__, add[g])) != list(map(add[phi[g]].__getitem__, phi))
-               for g in gens):
+        if any([phi[v] for v in add[g]] != [add[phi[g]][v] for v in phi] for g in gens):
             return None
-    if list(map(alpha.__getitem__, beta)) != list(map(beta.__getitem__, alpha)):
+    if [alpha[v] for v in beta] != [beta[v] for v in alpha]:
         return None
     return zero, tuple(gens)
 
@@ -253,7 +253,7 @@ def _generators(add, limit):
         while frontier:
             new = []
             for x in frontier:
-                fresh = set(map(add[x].__getitem__, members)) - closed
+                fresh = {add[x][m] for m in members} - closed
                 closed |= fresh
                 new.extend(fresh)
             members.extend(new)

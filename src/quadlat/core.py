@@ -95,8 +95,7 @@ def _check_mediality(t):
         rows = [bytes(row) for row in e]
         comp = [[rb.translate(ra.ljust(256, b"\0")) for rb in rows] for ra in rows]
         comp_t = list(zip(*comp))
-        pairs = ((x, y) for x, y in pairs
-                 if comp[e[x][y]] != list(map(comp_t[y].__getitem__, e[x])))
+        pairs = ((x, y) for x, y in pairs if comp[e[x][y]] != [comp_t[y][v] for v in e[x]])
 
     def heads():
         for checked, (x, y) in enumerate(pairs, 1):
@@ -146,7 +145,7 @@ def _check_alterability(t, dom):
         for w, row in enumerate(e):
             sets[row[x]] |= bit[w]
     # row y of the table at the z of dom
-    sub = {y: list(map(e[y].__getitem__, dom)) for y in dom}
+    sub = {y: [e[y][z] for z in dom] for y in dom}
 
     def sides(e, x, y):
         col_x = in_col[x]
@@ -465,7 +464,7 @@ def find_isomorphism(t1: CayleyTable, t2: CayleyTable):
             used.add(im)
             phi[v] = im
         else:
-            if all(list(map(phi.__getitem__, e1[x])) == list(map(e2[phi[x]].__getitem__, phi))
-                   for x in range(n)):
+            if all([phi[v] for v in row1] == [row2[v] for v in phi]
+                   for row1, row2 in zip(e1, [e2[y] for y in phi])):
                 return tuple(phi)
     return None

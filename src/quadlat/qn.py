@@ -1,9 +1,15 @@
 """Block structure of quadratical quasigroups.
 
 Starting from two distinct elements a, b, the chain H1 = (a, ab, ba, b),
-H(t) = products of H(t-1) per the four recurrences, partitions the
+with each H(t) built from H(t-1) by the recurrence law, partitions the
 quasigroup (minus the centre aba) when the quasigroup has block form; the
 number of blocks n gives order 4n + 1.
+
+BLOCK_LAWS states the five block laws once, each as a product of two
+elements of H(t), H(t-1) or the centre.  seed_assignments reads it for the
+deduction engine's seeds, and h_chain reads it to build each block by the
+recurrence and to check the other four laws, so the engine and
+detect_form cannot disagree on what a block form is.
 """
 
 from typing import NamedTuple
@@ -36,12 +42,57 @@ def _turn(k: int, j: int) -> int:
     return _TURN[(_TURN.index(k) + j) % 4]
 
 
+# The five block laws, the one statement of block form: each is a product
+# x*y = z for every slot k of H(t), the block at step t of the chain.  An
+# element is (d, j), slot k of block t + d after j quarter turns, or None,
+# the centre aba.  With P = H(t-1) and T the quarter turn:
+#
+#     block-cycle       H_k * H_T²k = H_Tk
+#     centre-product    H_k * H_T⁻¹k = aba
+#     block-recurrence  P_k * P_Tk = H_k
+#     centre-row        aba * H_k = P_k
+#     centre-col        H_k * aba = P_Tk
+#
+# The first two read H(t) alone and hold from H1 on; the last three tie
+# H(t) to H(t-1).  seed_assignments seeds every law; h_chain builds each
+# block by the recurrence and checks the other four.
+BLOCK_LAWS = {
+    "block-cycle": ((0, 0), (0, 2), (0, 1)),
+    "centre-product": ((0, 0), (0, -1), None),
+    "block-recurrence": ((-1, 0), (-1, 1), (0, 0)),
+    "centre-row": (None, (0, 0), (-1, 0)),
+    "centre-col": ((0, 0), None, (-1, 1)),
+}
+
+# the laws h_chain checks, in the order it checks them, and how it names
+# the first that fails
+_FAILURES = {
+    "block-cycle": "block {} violates the cycle product law",
+    "centre-product": "cross products in block {} do not all equal the centre",
+    "centre-row": "centre row translation fails at block {}",
+    "centre-col": "centre column translation fails at block {}",
+}
+
+
+def _in_view(names):
+    """The named laws as (x, y, z) positions of x*y = z, slots 1..4 of each
+    law in turn, in a chain's view [aba, *H(t), *H(t-1)], where slot k of
+    H(t) sits at k and slot k of H(t-1) at 4 + k."""
+    return [tuple(0 if el is None else _turn(k, el[1]) - 4 * el[0] for el in BLOCK_LAWS[name])
+            for name in names for k in (1, 2, 3, 4)]
+
+
+# built once, not on every call of h_chain
+_RECURRENCE = _in_view(["block-recurrence"])
+_CHECKS = (_in_view(list(_FAILURES)[:2]), _in_view(_FAILURES))
+
+
 def h_chain(t: CayleyTable, a: int, b: int, depth: int) -> QnDecomposition:
-    """Compute H1..H(depth) from base (a, b) by the recurrences, checking
-    each block against the block laws as it is built; raises ValueError
-    naming the first failing check.  Each block's checks read only the
-    blocks before it, so a chain stops at its first failing block, however
-    deep it was asked to go."""
+    """Compute H1..H(depth) from base (a, b) by the recurrence law, checking
+    each block against the other block laws as it is built; raises
+    ValueError naming the first failing check.  Each block's checks read
+    only the blocks before it, so a chain stops at its first failing block,
+    however deep it was asked to go."""
     if a == b:
         raise ValueError("base elements must be distinct")
     if depth < 1:
@@ -52,12 +103,12 @@ def h_chain(t: CayleyTable, a: int, b: int, depth: int) -> QnDecomposition:
     center = e[e[a][b]][a]
     blocks = []
     seen: dict[int, int] = {}
-    blk = (a, e[a][b], e[b][a], b)
+    view = [center, a, e[a][b], e[b][a], b, None, None, None, None]
     for idx in range(1, depth + 1):
         if idx > 1:
-            p1, p2, p3, p4 = prev = blk
-            blk = (e[p1][p2], e[p2][p4], e[p3][p1], e[p4][p3])
-        t1, t2, t3, t4 = blk
+            view[5:] = view[1:5]
+            view[1:5] = [e[view[x]][view[y]] for x, y, _ in _RECURRENCE]
+        blk = tuple(view[1:5])
         if len(set(blk)) != 4:
             raise ValueError(f"block {idx} has repeated elements")
         if center in blk:
@@ -66,19 +117,10 @@ def h_chain(t: CayleyTable, a: int, b: int, depth: int) -> QnDecomposition:
             if x in seen:
                 raise ValueError(f"blocks {seen[x]} and {idx} overlap")
             seen[x] = idx
-        # within one block: t1*t4=t2, t2*t3=t4, t3*t2=t1, t4*t1=t3
-        if e[t1][t4] != t2 or e[t2][t3] != t4 or e[t3][t2] != t1 or e[t4][t1] != t3:
-            raise ValueError(f"block {idx} violates the cycle product law")
-        if e[t1][t3] != center or e[t2][t1] != center or e[t3][t4] != center or e[t4][t2] != center:
-            raise ValueError(f"cross products in block {idx} do not all equal the centre")
-        if idx > 1:
-            for k in range(4):
-                if e[center][blk[k]] != prev[k]:
-                    raise ValueError(f"centre row translation fails at block {idx}")
-            down = (prev[1], prev[3], prev[0], prev[2])
-            for k in range(4):
-                if e[blk[k]][center] != down[k]:
-                    raise ValueError(f"centre column translation fails at block {idx}")
+        # H1 has no block before it, so only the laws within a block hold
+        holds = [e[view[x]][view[y]] == view[z] for x, y, z in _CHECKS[idx > 1]]
+        if not all(holds):
+            raise ValueError(list(_FAILURES.values())[holds.index(False) // 4].format(idx))
         blocks.append(blk)
     return QnDecomposition((a, b), center, tuple(blocks))
 
@@ -95,6 +137,12 @@ def detect_form(t: CayleyTable):
     one with a = 0 does, and the least valid pair has a = 0.  A chain that
     passes h_chain has 4n distinct elements besides its centre, so it
     covers the table.
+
+    The left translation y -> 0*y fixes 0, since 0*0 = 0, so it maps the
+    chain from (0, b) onto the chain from (0, 0*b), and the two pass or fail
+    together.  Once b fails, every element of its cycle under y -> 0*y is
+    passed over; each b tried is the least of its cycle, so the least valid
+    b is still the one found.
     """
     if not is_quadratical(t):
         raise ValueError("table is not quadratical")
@@ -103,10 +151,16 @@ def detect_form(t: CayleyTable):
     depth = (t.n - 1) // 4
     if depth == 0:
         return None
+    failed = set()
     for b in range(1, t.n):
+        if b in failed:
+            continue
         try:
             h_chain(t, 0, b, depth)
         except ValueError:
+            while b not in failed:
+                failed.add(b)
+                b = t.entries[0][b]
             continue
         return depth, 0, b
     return None
@@ -146,14 +200,9 @@ def canonical_labels(blocks: int) -> tuple[str, ...]:
 
 def seed_assignments(blocks: int, choice: int) -> list[tuple[str, tuple[int, int], int]]:
     """The deterministic seed list for a block-form table: idempotency and
-    the block laws, one product per slot k, with H = H(t), P = H(t-1) and
-    T the quarter turn:
-
-        block-cycle       H_k * H_T²k = H_Tk
-        centre-product    H_k * H_T⁻¹k = aba
-        block-recurrence  P_k * P_Tk = H_k
-        centre-row        aba * H_k = P_k
-        centre-col        H_k * aba = P_Tk
+    then each law of BLOCK_LAWS for every slot k, the two laws within a
+    block at H1..Hn and the three that tie a block to the one before at
+    H2..Hn.
 
     The choice centre*a = (n, c) makes block 0, the block before H1,
     block n turned s times, where s turns slot 1 to c.  The choice seeds
@@ -172,31 +221,23 @@ def seed_assignments(blocks: int, choice: int) -> list[tuple[str, tuple[int, int
             t, k = t + blocks, _turn(k, s)
         return canonical_index(blocks, t, k)
 
-    def recurrence(t, k):
-        return (at(t - 1, k), at(t - 1, _turn(k, 1))), at(t, k)
-
-    def centre_row(t, k):
-        return (0, at(t, k)), at(t - 1, k)
-
-    def centre_col(t, k):
-        return (at(t, k), 0), at(t - 1, _turn(k, 1))
+    def law(name, t, k):
+        # the law's product at slot k of H(t), as ((x, y), x*y)
+        x, y, z = (0 if el is None else at(t + el[0], _turn(k, el[1])) for el in BLOCK_LAWS[name])
+        return (x, y), z
 
     slots = (1, 2, 3, 4)
+    names = list(BLOCK_LAWS)
     seeds = [("seed:idempotent", (x, x), x) for x in range(4 * blocks + 1)]
-    for t in range(1, blocks + 1):
-        seeds += [("seed:block-cycle", (at(t, k), at(t, _turn(k, 2))), at(t, _turn(k, 1)))
-                  for k in slots]
-        seeds += [("seed:centre-product", (at(t, k), at(t, _turn(k, -1))), 0) for k in slots]
-    for t in range(2, blocks + 1):
-        seeds += [("seed:block-recurrence", *recurrence(t, k)) for k in slots]
-        seeds += [("seed:centre-row", *centre_row(t, k)) for k in slots]
-        seeds += [("seed:centre-col", *centre_col(t, k)) for k in slots]
-    seeds.append(("seed:choice", *centre_row(1, 1)))
+    for first, laws in ((1, names[:2]), (2, names[2:])):
+        for t in range(first, blocks + 1):
+            seeds += [(f"seed:{name}", *law(name, t, k)) for name in laws for k in slots]
+    seeds.append(("seed:choice", *law("centre-row", 1, 1)))
     if blocks >= 2:
-        seeds += [("seed:choice-row", *centre_row(1, k)) for k in (2, 3, 4)]
-        seeds += [("seed:choice-col", *centre_col(1, k)) for k in slots]
+        seeds += [("seed:choice-row", *law("centre-row", 1, k)) for k in (2, 3, 4)]
+        seeds += [("seed:choice-col", *law("centre-col", 1, k)) for k in slots]
         # listed by the slots of block n
-        seeds += [("seed:choice-wrap", *recurrence(1, _turn(j, -s))) for j in slots]
+        seeds += [("seed:choice-wrap", *law("block-recurrence", 1, _turn(j, -s))) for j in slots]
         seeds += [("seed:choice-eq", (at(1, 4), at(2, 1)), at(0, 1)),
                   ("seed:choice-eq", (at(2, 3), at(1, 4)), at(0, 2))]
         if blocks >= 3:

@@ -35,6 +35,14 @@ def _translates(first_row, k: int):
         yield first_row[turn:] + first_row[:turn]
 
 
+def _check_shift(k, n: int) -> None:
+    """A ValueError unless the shift k is an int in 1..n-1.  A bool, which
+    compares like 0 or 1, and a float, which does not index, are refused,
+    as cayley._permutation refuses them in an ordering."""
+    if type(k) is not int or not 1 <= k < n:
+        raise ValueError(f"shift k={k!r} outside the ints 1..{n - 1}")
+
+
 def _reordered_rows(t: CayleyTable, ordering):
     """The rows of t under the ordering, as lists, one at a time: row q
     holds t[ordering[q]][ordering[j]] at j."""
@@ -51,8 +59,7 @@ def k_translatable_check(t: CayleyTable, ordering, k: int) -> bool:
     """True iff row q equals row q-1 rotated right by k for every q, under
     the given simultaneous row/column ordering."""
     ordering = _permutation(ordering, t.n)
-    if not (1 <= k < t.n):
-        raise ValueError(f"shift k={k} outside 1..{t.n - 1}")
+    _check_shift(k, t.n)
     # reordered lazily, so a check that fails early reorders few rows
     rows = _reordered_rows(t, ordering)
     return _follow(next(rows), rows, k)
@@ -91,10 +98,9 @@ def find_translatable_ordering(t: CayleyTable, max_order: int = 10, ks=None):
         raise SearchCapExceeded(
             f"ordering search supports n <= {max_order}, got {n}"
         )
-    candidate_ks = tuple(sorted(ks)) if ks is not None else tuple(range(1, n))
+    candidate_ks = tuple(range(1, n)) if ks is None else tuple(ks)
     for k in candidate_ks:
-        if not (1 <= k < n):
-            raise ValueError(f"shift k={k} outside 1..{n - 1}")
+        _check_shift(k, n)
     if n == 1:
         return None
     e = t.entries
@@ -133,7 +139,7 @@ def find_translatable_ordering(t: CayleyTable, max_order: int = 10, ks=None):
         sigma[length] = -1
         return None
 
-    return extend(1, candidate_ks)
+    return extend(1, tuple(sorted(candidate_ks)))
 
 
 def _table_from_first_row(first_row, k: int) -> CayleyTable:
@@ -198,8 +204,7 @@ def gcd_quasigroup_property_test(first_row, k: int) -> tuple[bool, bool]:
     n = len(first_row)
     if n == 0:
         raise ValueError("first row must be non-empty")
-    if not (1 <= k < n):
-        raise ValueError(f"shift k={k} outside 1..{n - 1}")
+    _check_shift(k, n)
     cancellable = sorted(first_row) == list(range(n))
     t = _table_from_first_row(first_row, k)
     return cancellable, _check_latin_square(t) is None

@@ -228,6 +228,9 @@ def test_generated_subgroupoid(q1):
     assert generated_subgroupoid(q1, {2}) == frozenset({2})
     with pytest.raises(ValueError):
         generated_subgroupoid(q1, set())
+    for seed in (-1, 5):
+        with pytest.raises(ValueError, match=f"seed {seed} out of range"):
+            generated_subgroupoid(q1, {0, seed})
 
 
 def test_two_generation(q1, q2):
@@ -577,3 +580,14 @@ def test_table_hash_is_kept():
     assert t != labelled
     with pytest.raises(AttributeError):
         t._hash = 0
+
+
+def test_table_fields_stay_and_compare_only_with_tables():
+    t = quadratical_over_zm(5, 2)
+    for field in ("n", "entries", "labels", "_hash"):
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(t, field)
+    # a table is equal to no other kind of value, even one with its rows
+    assert t.__eq__(t.entries) is NotImplemented
+    assert t != t.entries and t != 5 and t is not None
+    assert repr(t) == "CayleyTable(n=5)"

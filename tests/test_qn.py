@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 import time
 import tracemalloc
@@ -19,7 +21,7 @@ from quadlat import (
     relabel,
     solve_quadratic_congruence,
 )
-from quadlat.qn import canonical_index, canonical_labels, dual_element_map
+from quadlat.qn import canonical_index, canonical_labels, dual_element_map, seed_assignments
 
 import naive_passes
 
@@ -56,6 +58,8 @@ def test_h_chain_depth_three_z13():
 def test_h_chain_rejections(q1):
     with pytest.raises(ValueError):
         h_chain(q1, 0, 0, 1)
+    with pytest.raises(ValueError, match="depth must be positive, got 0"):
+        h_chain(q1, 0, 3, 0)
     with pytest.raises(ValueError, match="overlap|repeated"):
         h_chain(q1, 0, 3, 2)
     add = CayleyTable.from_function(5, lambda x, y: (x + y) % 5)
@@ -128,6 +132,11 @@ def test_detect_form_products_none(q1):
     assert detect_form(p) is None
 
 
+def test_detect_form_order_one_none():
+    # the one table of order 1 = 4*0 + 1 is quadratical and has no block
+    assert detect_form(CayleyTable.from_rows([[0]])) is None
+
+
 def test_detect_form_matches_pair_search(q3_dual, q4_dual):
     # every admissible Z_m(a) with 5 <= m <= 101 and a seeded relabelling of
     # each, products in both factor orders, and the dual fixtures
@@ -178,6 +187,8 @@ def test_dual_element_map_rows():
     assert m[(3, 1)] == (3, 4) and m[(3, 2)] == (3, 2)
     assert m[(2, 1)] == (2, 3) and m[(2, 2)] == (2, 4)
     assert m[(4, 1)] == (4, 2) and m[(4, 3)] == (4, 4)
+    with pytest.raises(ValueError, match="blocks must be positive, got 0"):
+        dual_element_map(0)
 
 
 def test_dual_element_map_involution():
@@ -253,3 +264,61 @@ def test_engine_completions_are_valid_chains():
         assert dec.blocks == tuple(tuple(range(4 * t + 1, 4 * t + 5)) for t in range(blocks))
         found = detect_form(out.table)
         assert found is not None and found[:2] == (blocks, 0), (blocks, choice)
+
+
+# SHA-256 of seed_digest(64) and seed_digest(256), taken before the block
+# laws were stated in one table.  The seeds fix every trace of the engine,
+# and the engine digests reach only 30 blocks.  The second takes about ten
+# seconds, so CI checks it in a step of its own, outside tier-1.
+SEED_DIGEST_1_TO_64 = "4b2463764f01135d7668068fed86f940360a394346277f16f41ede638aff83c3"
+SEED_DIGEST_1_TO_256 = "09192a40c577eebc008a3ddfeb42bc0ccedc9016182918b9d246acd2836c8a9d"
+
+
+def seed_digest(max_blocks: int) -> str:
+    """The seed lists of every block count up to max_blocks and every
+    choice, in order."""
+    h = hashlib.sha256()
+    for blocks in range(1, max_blocks + 1):
+        for choice in (1, 2, 3, 4):
+            h.update(repr(seed_assignments(blocks, choice)).encode())
+    return h.hexdigest()
+
+
+def test_seed_lists_are_pinned():
+    assert seed_digest(64) == SEED_DIGEST_1_TO_64
+
+
+def detected_forms_hold_their_seeds(max_m: int) -> list[tuple[int, int]]:
+    """The block form detect_form finds in each Z_m(a), m = 1 (mod 4) in
+    5..max_m and a each root, labelled canonically (centre 0, block t slot
+    k at 4(t-1)+k), must satisfy every seed of seed_assignments for its
+    block count and the choice c read from centre*a = (n, c), the choice
+    seeds included; returns (blocks, choice) for each table with a block
+    form."""
+    forms = []
+    for m in range(5, max_m + 1, 4):
+        for a in solve_quadratic_congruence(m):
+            t = quadratical_over_zm(m, a)
+            found = detect_form(t)
+            if found is None:
+                continue
+            blocks, base, b = found
+            dec = h_chain(t, base, b, blocks)
+            element = [dec.center, *itertools.chain.from_iterable(dec.blocks)]
+            e = t.entries
+            choice = dec.blocks[-1].index(e[dec.center][base]) + 1
+            for rule, (x, y), z in seed_assignments(blocks, choice):
+                assert e[element[x]][element[y]] == element[z], (m, a, rule, (x, y), z)
+            forms.append((blocks, choice))
+    return forms
+
+
+def test_detected_forms_hold_the_engine_seeds():
+    # the detector and the engine read the block laws from one table; this
+    # ties what each makes of them, on the 22 block-form tables up to m = 101
+    forms = detected_forms_hold_their_seeds(101)
+    assert len(forms) == 22
+    assert sorted(set(forms)) == [
+        (1, 2), (1, 4), (3, 1), (3, 2), (4, 2), (4, 3), (7, 3), (7, 4), (9, 1), (9, 3),
+        (13, 1), (13, 3), (15, 1), (15, 2), (18, 3), (22, 2), (24, 2), (24, 3), (25, 1),
+        (25, 3)]

@@ -75,6 +75,15 @@ def test_scan_empty_below_five():
     assert scan_k_table(4, 2) == []
 
 
+def test_non_positive_bounds_refused():
+    for max_m, max_k in ((0, 5), (5, 0), (-1, -1)):
+        with pytest.raises(ValueError, match="bounds must be positive"):
+            scan_k_table(max_m, max_k)
+    for max_m in (0, -5):
+        with pytest.raises(ValueError, match="bound must be positive"):
+            classify(max_m)
+
+
 def test_scan_discrepancies_known_typos():
     rows = scan_k_table(1200, 40)
     ds = scan_discrepancies(rows, 1200, 40)

@@ -69,6 +69,19 @@ def test_orderings_must_list_the_ints():
                 call()
 
 
+def test_shifts_must_be_ints():
+    # a float or a bool shift is refused as a float or a bool in an
+    # ordering is, with ValueError before any row is read
+    t = quadratical_over_zm(5, 2)
+    for k in (2.0, 1.5, True):
+        for call in (lambda: k_translatable_check(t, range(5), k),
+                     lambda: find_translatable_ordering(t, ks=[k]),
+                     lambda: find_translatable_ordering(t, ks=[2, k]),
+                     lambda: gcd_quasigroup_property_test(t.entries[0], k)):
+            with pytest.raises(ValueError, match=f"shift k={k!r} outside the ints 1..4"):
+                call()
+
+
 def test_find_ordering_checks_shifts_at_order_1():
     with pytest.raises(ValueError, match="shift k=5 outside"):
         find_translatable_ordering(CayleyTable.from_rows([[0]]), ks=[5])
@@ -247,6 +260,8 @@ def test_first_row_examples():
 
 
 def test_first_row_rejections():
+    with pytest.raises(ValueError, match="order must be positive, got 0"):
+        idempotent_first_row(0, 2)
     with pytest.raises(ValueError):
         idempotent_first_row(6, 5)  # even order
     with pytest.raises(ValueError):
@@ -308,3 +323,8 @@ def test_gcd_property():
     assert gcd_quasigroup_property_test([0, 4, 3, 2, 1], 2) == (True, True)
     assert gcd_quasigroup_property_test(list(range(9)), 3) == (True, False)
     assert gcd_quasigroup_property_test([0, 0, 1], 2) == (False, False)
+    with pytest.raises(ValueError, match="first row must be non-empty"):
+        gcd_quasigroup_property_test([], 1)
+    for k in (0, 3, -1):
+        with pytest.raises(ValueError, match=f"shift k={k} outside"):
+            gcd_quasigroup_property_test([0, 0, 1], k)

@@ -151,6 +151,8 @@ def test_non_positive_modulus_refused():
             quadratical_over_zm(m, 1)
         with pytest.raises(ValueError, match="modulus must be positive"):
             translatability_k_quadratical(m, 1)
+        with pytest.raises(ValueError, match=f"modulus must be positive, got {m}"):
+            LinearSpec(m, 1, 1)
 
 
 def test_k_quadratical_agrees_with_linear():
