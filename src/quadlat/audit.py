@@ -182,11 +182,11 @@ def _seed_rules(blocks: int, choice: int) -> dict:
 def replay_trace(blocks: int, choice: int, trace, conflict: Conflict | None = None) -> None:
     """Verify every step of a trace against the rule set, from an empty
     table, then verify the final conflict when given; raises ReplayError
-    otherwise.  A block count above steps.MAX_BLOCKS raises
-    SearchCapExceeded before any table or cache entry is built, as the
-    engine refuses it.  Pauses the process's cyclic garbage collector while
+    otherwise.  A block count or choice that is not an int raises
+    ValueError, and a block count above steps.MAX_BLOCKS SearchCapExceeded,
+    before any table or cache entry is built, as the engine refuses them.  Pauses the process's cyclic garbage collector while
     it runs (see steps._collector_paused)."""
-    check_blocks(blocks)
+    check_blocks(blocks, choice)
     rp = _Replay(blocks, choice)
     for step in trace:
         rp.verify_step(step)

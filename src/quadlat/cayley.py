@@ -19,7 +19,9 @@ search, call it.  _first_repeat is the one scan of a cancellation law.
 _check_latin_square, the left and then the right cancellation check, is
 the one latin decision, which _medial_form, core's identity catalogue and
 quadlat.translatable read.  _permutation is the one check of an ordering
-of the elements, which core.relabel and quadlat.translatable read.
+of the elements, which core.relabel and quadlat.translatable read, and
+_check_base the one check of a base pair, which core.four_cycles and
+qn.h_chain read.
 """
 
 from functools import lru_cache
@@ -179,6 +181,18 @@ def _permutation(order, n):
     if set(map(type, order)) != {int} or sorted(order) != list(range(n)):
         raise ValueError(f"ordering must list the ints 0..{n - 1} once each")
     return order
+
+
+def _check_base(t, a, b) -> None:
+    """A ValueError unless a and b are distinct elements of t, ints in
+    0..n-1.  A bool, which indexes like 0 or 1, and a float are refused,
+    as _permutation refuses them."""
+    if type(a) is not int or type(b) is not int:
+        raise ValueError(f"base elements must be ints, got {a!r} and {b!r}")
+    if a == b:
+        raise ValueError("base elements must be distinct")
+    if not (0 <= a < t.n and 0 <= b < t.n):
+        raise ValueError("base elements out of range")
 
 
 def _inverse(perm):

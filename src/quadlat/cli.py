@@ -40,11 +40,11 @@ def _emit(args, obj, text):
     """The one output path for a command's result, returning EXIT_OK.
 
     Only the format --format selects is rendered: obj as JSON (tuples
-    become arrays), else text(), which is called only then; scan and
-    classify pass obj=None, as their text() renders CSV and JSON alike.
-    The result goes to -o when the command has it, else to stdout.  Side
-    files (--trace, --discrepancies, checkpoints) are written elsewhere."""
-    if args.format == "json" and obj is not None:
+    become arrays), else text(), which is called only then.  The result
+    goes to -o when the command has it, else to stdout.  Side files
+    (--trace, --discrepancies, checkpoints) are written elsewhere; the
+    rows of scan and classify go through _emit_rows."""
+    if args.format == "json":
         import json
 
         body = json.dumps(obj, indent=0) + "\n"
@@ -246,7 +246,7 @@ def _emit_rows(args, rows, columns, discrepancies):
     discrepancy report from discrepancies() when --discrepancies asks."""
     from . import sweep
 
-    _emit(args, None, lambda: sweep.emit_text(rows, args.format or "csv", columns))
+    _out(sweep.emit_text(rows, args.format, columns), args.output)
     if args.discrepancies:
         ds = discrepancies()
         _out("".join(f"{d}\n" for d in ds) if ds else "no discrepancies\n",
@@ -273,7 +273,7 @@ def _cmd_classify(args):
                       lambda: sweep.classify_discrepancies(rows, args.max_m))
 
 
-# -- parser -----------------------------------------------------------------
+# -- the commands -----------------------------------------------------------
 
 # kept so existing command lines still parse
 JOBS_HELP = "no effect: every command runs on one thread"
@@ -310,94 +310,79 @@ def _identity_id(text):
     return text
 
 
-def _build_parser() -> _Parser:
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+# the shared flags, each declared once, and the two --format sets
+_INPUT = _arg("-i", "--input", required=True)
+_OUTPUT = _arg("-o", "--output", default=None)
+_JOBS = _arg("--jobs", type=int, default=None, help=JOBS_HELP)
+_TEXT = _arg("--format", choices=("text", "json"), default="text")
+_CSV = _arg("--format", choices=("csv", "json"), default="csv")
+# -m/-a/-b/-c of table and k, read by _linear_spec
+_LINEAR_FORM = (_arg("-m", type=_positive_int, required=True), _arg("-a", type=int, required=True),
+                _arg("-b", type=int, default=None), _arg("-c", type=int, default=None))
+_MAX_M = _arg("--max-m", type=_positive_int, required=True)
+_DISCREPANCIES = _arg("--discrepancies", default=None)
+
+# Each command once: its handler, its help, then its arguments in the order
+# its parser lists them.  -i comes first, so it leads the list of missing
+# required arguments; then -o, --format and --jobs, then its own.
+COMMANDS = {
+    "solve": (_cmd_solve, "solutions of the quadratic congruence mod m",
+              _TEXT, _arg("-m", type=_positive_int, required=True)),
+    "table": (_cmd_table, "generate a linear table over Z_m", _OUTPUT, _TEXT, *_LINEAR_FORM),
+    "check": (_cmd_check, "check identities on a table file", _INPUT, _TEXT,
+              _arg("--id", action="append", type=_identity_id,
+                   help="an identity to check; repeatable, and an unknown id lists them all"),
+              _arg("--all", action="store_true")),
+    "k": (_cmd_k, "translatability shift of a linear table", _TEXT, *_LINEAR_FORM),
+    "order-search": (_cmd_order_search, "exhaustive search for a translatable ordering",
+                     _INPUT, _TEXT, _arg("--max-order", type=_positive_int, default=10)),
+    "hchain": (_cmd_hchain, "block chain from a base pair", _INPUT, _TEXT,
+               _arg("-a", type=int, required=True), _arg("-b", type=int, required=True),
+               _arg("-n", "--depth", type=_positive_int, required=True)),
+    "detect-form": (_cmd_detect_form, "detect block form", _INPUT, _TEXT),
+    "complete-qn": (_cmd_complete_qn, "complete or refute a block-form table from one choice",
+                    _OUTPUT, _TEXT, _arg("-n", "--blocks", type=_positive_int, required=True),
+                    _arg("--choice", type=_integer_text, required=True),
+                    _arg("--trace", default=None), _arg("--seed-labels", action="store_true")),
+    "refute-q6": (_cmd_refute_q6, "refute all four six-block choices", _TEXT, _JOBS),
+    "dual": (_cmd_dual, "dual (reversed product) table", _INPUT, _OUTPUT, _TEXT),
+    "product": (_cmd_product, "direct product of two tables", _OUTPUT, _TEXT,
+                _arg("left"), _arg("right")),
+    "iso": (_cmd_iso, "isomorphism between two tables, if any", _TEXT, _arg("left"), _arg("right")),
+    "scan": (_cmd_scan, "sweep m listing low-shift rows", _OUTPUT, _CSV, _JOBS, _MAX_M,
+             _arg("--max-k", type=_positive_int, required=True),
+             _arg("--checkpoint", default=None), _DISCREPANCIES),
+    "classify": (_cmd_classify, "dual-pair representatives for m below a bound",
+                 _OUTPUT, _CSV, _JOBS, _MAX_M, _DISCREPANCIES),
+}
+
+
+def _build_parser(*names) -> _Parser:
+    """The parser of every command, with the arguments of the named ones
+    only; the others keep their name and help, which is all that the
+    top-level help, usage and invalid-choice messages print."""
     p = _Parser(prog="quadlat", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help, *shared, formats=("text", "json"), default="text"):
-        """A subcommand with --format and the shared flags it names
-        ("input", "output", "jobs"); each shared flag is declared only here,
-        before the command's own arguments, so -i stays first in the list
-        of missing required arguments."""
-        sp = sub.add_parser(name, help=help)
-        sp.set_defaults(fn=fn)
-        if "input" in shared:
-            sp.add_argument("-i", "--input", required=True)
-        if "output" in shared:
-            sp.add_argument("-o", "--output", default=None)
-        sp.add_argument("--format", choices=formats, default=default)
-        if "jobs" in shared:
-            sp.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
-        return sp
-
-    def linear_form(sp):
-        """-m/-a/-b/-c of table and k, read by _linear_spec."""
-        sp.add_argument("-m", type=_positive_int, required=True)
-        sp.add_argument("-a", type=int, required=True)
-        sp.add_argument("-b", type=int, default=None)
-        sp.add_argument("-c", type=int, default=None)
-
-    sp = add("solve", _cmd_solve, "solutions of the quadratic congruence mod m")
-    sp.add_argument("-m", type=_positive_int, required=True)
-
-    linear_form(add("table", _cmd_table, "generate a linear table over Z_m", "output"))
-
-    sp = add("check", _cmd_check, "check identities on a table file", "input")
-    sp.add_argument("--id", action="append", type=_identity_id,
-                    help="an identity to check; repeatable, and an unknown id lists them all")
-    sp.add_argument("--all", action="store_true")
-
-    linear_form(add("k", _cmd_k, "translatability shift of a linear table"))
-
-    sp = add("order-search", _cmd_order_search,
-             "exhaustive search for a translatable ordering", "input")
-    sp.add_argument("--max-order", type=_positive_int, default=10)
-
-    sp = add("hchain", _cmd_hchain, "block chain from a base pair", "input")
-    sp.add_argument("-a", type=int, required=True)
-    sp.add_argument("-b", type=int, required=True)
-    sp.add_argument("-n", "--depth", type=_positive_int, required=True)
-
-    add("detect-form", _cmd_detect_form, "detect block form", "input")
-
-    sp = add("complete-qn", _cmd_complete_qn,
-             "complete or refute a block-form table from one choice", "output")
-    sp.add_argument("-n", "--blocks", type=_positive_int, required=True)
-    sp.add_argument("--choice", type=_integer_text, required=True)
-    sp.add_argument("--trace", default=None)
-    sp.add_argument("--seed-labels", action="store_true")
-
-    add("refute-q6", _cmd_refute_q6, "refute all four six-block choices", "jobs")
-    add("dual", _cmd_dual, "dual (reversed product) table", "input", "output")
-
-    sp = add("product", _cmd_product, "direct product of two tables", "output")
-    sp.add_argument("left")
-    sp.add_argument("right")
-
-    sp = add("iso", _cmd_iso, "isomorphism between two tables, if any")
-    sp.add_argument("left")
-    sp.add_argument("right")
-
-    sweeps = dict(formats=("csv", "json"), default=None)
-    sp = add("scan", _cmd_scan, "sweep m listing low-shift rows", "output", "jobs", **sweeps)
-    sp.add_argument("--max-m", type=_positive_int, required=True)
-    sp.add_argument("--max-k", type=_positive_int, required=True)
-    sp.add_argument("--checkpoint", default=None)
-    sp.add_argument("--discrepancies", default=None)
-
-    sp = add("classify", _cmd_classify, "dual-pair representatives for m below a bound",
-             "output", "jobs", **sweeps)
-    sp.add_argument("--max-m", type=_positive_int, required=True)
-    sp.add_argument("--discrepancies", default=None)
-
+    for name, (_, help_text, *arguments) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        if name in names:
+            for flags, kwargs in arguments:
+                sp.add_argument(*flags, **kwargs)
     return p
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top level takes no option with a value, so the first word that
+    # names a command is the one argparse runs
+    parser = _build_parser(*[word for word in argv if word in COMMANDS][:1])
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        return COMMANDS[args.command][0](args)
     except (UsageError, CheckpointBusy) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

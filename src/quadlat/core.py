@@ -18,6 +18,7 @@ from .cayley import (
     MAX_ORDER,
     CayleyTable,
     _affine_domain,
+    _check_base,
     _check_bookend,
     _check_idempotency,
     _check_latin_square,
@@ -318,14 +319,18 @@ def _closure(e, seeds):
 
 
 def generated_subgroupoid(t: CayleyTable, seeds) -> frozenset:
-    """Least subset containing seeds and closed under the product."""
-    seeds = set(seeds)
+    """Least subset containing seeds and closed under the product.  Each
+    seed must be an int in 0..n-1: a bool, which indexes like 0 or 1, and
+    a float are refused."""
+    seeds = list(seeds)
     if not seeds:
         raise ValueError("seeds must be non-empty")
     for s in seeds:
+        if type(s) is not int:
+            raise ValueError(f"seed {s!r} is not an int")
         if not (0 <= s < t.n):
             raise ValueError(f"seed {s} out of range")
-    return frozenset(_closure(t.entries, seeds)[0])
+    return frozenset(_closure(t.entries, set(seeds))[0])
 
 
 class TwoGenerationReport(NamedTuple):
@@ -359,10 +364,7 @@ def four_cycles(t: CayleyTable, a: int, b: int) -> list[tuple[int, int, int, int
     quadruples with every consecutive product (cyclically) equal to the
     centre.  Cycles are rotated to start at their least element and reported
     sorted by that element."""
-    if a == b:
-        raise ValueError("base elements must be distinct")
-    if not (0 <= a < t.n and 0 <= b < t.n):
-        raise ValueError("base elements out of range")
+    _check_base(t, a, b)
     if not is_quadratical(t):
         raise ValueError("table is not quadratical")
     e = t.entries

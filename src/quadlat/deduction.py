@@ -295,7 +295,7 @@ SPLIT_DEPTH = 3
 
 
 def _seed_state(blocks: int, choice: int) -> _State:
-    check_blocks(blocks)
+    check_blocks(blocks, choice)
     st = _State(4 * blocks + 1)
     try:
         for rule, (r, c), v in seed_assignments(blocks, choice):

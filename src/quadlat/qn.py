@@ -14,7 +14,7 @@ detect_form cannot disagree on what a block form is.
 
 from typing import NamedTuple
 
-from .cayley import CayleyTable, is_quadratical
+from .cayley import CayleyTable, _check_base, is_quadratical
 
 
 class QnDecomposition(NamedTuple):
@@ -92,13 +92,13 @@ def h_chain(t: CayleyTable, a: int, b: int, depth: int) -> QnDecomposition:
     each block against the other block laws as it is built; raises
     ValueError naming the first failing check.  Each block's checks read
     only the blocks before it, so a chain stops at its first failing block,
-    however deep it was asked to go."""
-    if a == b:
-        raise ValueError("base elements must be distinct")
+    however deep it was asked to go.  The base and the depth must be
+    ints: a bool and a float are refused."""
+    _check_base(t, a, b)
+    if type(depth) is not int:
+        raise ValueError(f"depth must be an int, got {depth!r}")
     if depth < 1:
         raise ValueError(f"depth must be positive, got {depth}")
-    if not (0 <= a < t.n and 0 <= b < t.n):
-        raise ValueError("base elements out of range")
     e = t.entries
     center = e[e[a][b]][a]
     blocks = []
@@ -198,6 +198,18 @@ def canonical_labels(blocks: int) -> tuple[str, ...]:
     return tuple(labels)
 
 
+def check_case(blocks: int, choice: int) -> None:
+    """A ValueError unless blocks is a positive int and choice an int slot
+    1..4.  A bool, which compares like 0 or 1, and a float are refused, as
+    cayley._permutation refuses them in an ordering."""
+    if type(blocks) is not int:
+        raise ValueError(f"blocks must be an int, got {blocks!r}")
+    if blocks < 1:
+        raise ValueError(f"blocks must be positive, got {blocks}")
+    if type(choice) is not int or choice not in (1, 2, 3, 4):
+        raise ValueError(f"choice must be a slot 1..4, got {choice!r}")
+
+
 def seed_assignments(blocks: int, choice: int) -> list[tuple[str, tuple[int, int], int]]:
     """The deterministic seed list for a block-form table: idempotency and
     then each law of BLOCK_LAWS for every slot k, the two laws within a
@@ -209,10 +221,7 @@ def seed_assignments(blocks: int, choice: int) -> list[tuple[str, tuple[int, int
     are the centre row, centre column and recurrence laws from block 0 to
     block 1, and six products that hold in every completed table but are
     seeded only across that wrap."""
-    if blocks < 1:
-        raise ValueError(f"blocks must be positive, got {blocks}")
-    if choice not in (1, 2, 3, 4):
-        raise ValueError(f"choice must be a slot 1..4, got {choice}")
+    check_case(blocks, choice)
     s = _TURN.index(choice)
 
     def at(t, k):

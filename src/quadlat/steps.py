@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 from .cayley import MAX_ORDER
 from .errors import SearchCapExceeded
+from .qn import check_case
 
 # The largest block count the engine and the auditor take, 256: a table of
 # order 4*256+1 = cayley.MAX_ORDER.  check_blocks refuses a larger count
@@ -26,7 +27,10 @@ from .errors import SearchCapExceeded
 MAX_BLOCKS = (MAX_ORDER - 1) // 4
 
 
-def check_blocks(blocks: int) -> None:
+def check_blocks(blocks: int, choice: int) -> None:
+    """qn.check_case's ValueError for a block count or choice that is not
+    a positive int or a slot 1..4, then the cap."""
+    check_case(blocks, choice)
     if blocks > MAX_BLOCKS:
         raise SearchCapExceeded(
             f"{blocks} blocks exceed the cap of {MAX_BLOCKS} blocks "

@@ -11,13 +11,20 @@ import math
 import os
 from typing import NamedTuple
 
-from .errors import CheckpointBusy, InvariantViolation
+from .errors import CheckpointBusy, InvariantViolation, SearchCapExceeded
 # nothing here calls solve_quadratic_congruence, but perfbench/traced.py
 # wraps it under this module's name too
 from .zm import solve_quadratic_congruence, translatability_k_quadratical
 
 SCAN_COLUMNS = ("k", "m", "a", "b")
 CLASSIFY_COLUMNS = ("m", "a", "b", "k")
+
+# The largest modulus the walk of _rows reads: classify(10**7) takes about
+# 13 s and 584 MB.  A larger walk bound raises SearchCapExceeded before the
+# walk starts (the command line exits 3), instead of running until memory
+# runs out.  scan's walk bound follows max_k, so a huge max_m with a
+# moderate max_k stays under it.
+MAX_SWEEP_M = 10**7
 
 
 class ClassificationRow(NamedTuple):
@@ -57,7 +64,12 @@ def _rows(last: int, representatives: bool = False) -> list[ClassificationRow]:
     those come in pairs {s, -s}, one pair s = x/y (mod m) for each
     representation m = x^2 + y^2 with x > y >= 1 coprime (Hermite-Serret).
     An odd m needs x - y odd, so the walk over those pairs meets every m
-    with roots, each root once, and no other m."""
+    with roots, each root once, and no other m.  A last above
+    MAX_SWEEP_M raises SearchCapExceeded before the walk starts."""
+    if last > MAX_SWEEP_M:
+        raise SearchCapExceeded(
+            f"the sweep would read every modulus up to {last}, "
+            f"above the cap of {MAX_SWEEP_M}")
     found = []
     for x in range(2, math.isqrt(last - 1) + 1):
         # y from 1 or 2, of the parity opposite to x's
@@ -83,6 +95,8 @@ def scan_k_table(max_m: int, max_k: int) -> list[ClassificationRow]:
     so k^2 + 1 = 2(s^2 + 1)/(s - 1)^2 = 0 (mod m): m divides k^2 + 1.  A row
     with k < max_k therefore has m <= (max_k - 1)^2 + 1, and the walk stops
     there, so its cost follows max_k, not max_m."""
+    if type(max_m) is not int or type(max_k) is not int:
+        raise ValueError(f"bounds must be ints, got {max_m!r} and {max_k!r}")
     if max_m < 1 or max_k < 1:
         raise ValueError("bounds must be positive")
     last = min(max_m, (max_k - 1) ** 2 + 1)
@@ -92,6 +106,8 @@ def scan_k_table(max_m: int, max_k: int) -> list[ClassificationRow]:
 def classify(max_m: int) -> list[ClassificationRow]:
     """One row per dual pair with m <= max_m, keeping the a < b
     representative, sorted by (m, a)."""
+    if type(max_m) is not int:
+        raise ValueError(f"bound must be an int, got {max_m!r}")
     if max_m < 1:
         raise ValueError("bound must be positive")
     return _rows(max_m, representatives=True)

@@ -1,11 +1,13 @@
+import argparse
 import json
 import time
 import tracemalloc
+import types
 
 import pytest
 
 from quadlat import (
-    CayleyTable, cayley, deduction, parse_table, quadratical_over_zm, write_table, zm,
+    CayleyTable, cayley, cli, deduction, parse_table, quadratical_over_zm, write_table, zm,
 )
 from quadlat.cli import main
 
@@ -411,3 +413,81 @@ def test_scan_jobs_flag(capsys):
         outs = [run(capsys, *argv, *extra)
                 for extra in ((), (), ("--jobs", "1"), ("--jobs", "2"))]
         assert all(out == (0, outs[0][1], "") for out in outs)
+
+
+def _subparsers(parser):
+    """{command name: its parser} of a parser from cli._build_parser."""
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _usage_error(parser, argv):
+    with pytest.raises(cli.UsageError) as info:
+        parser.parse_args(argv)
+    return str(info.value)
+
+
+def test_one_command_build_prints_what_the_full_build_prints():
+    # main builds only the command it runs; every help, usage line and
+    # top-level error must read as from a parser with every command built
+    full = cli._build_parser(*cli.COMMANDS)
+    full_commands = _subparsers(full)
+    assert list(full_commands) == list(cli.COMMANDS)
+    for parser in (cli._build_parser(), *map(cli._build_parser, cli.COMMANDS)):
+        assert parser.format_help() == full.format_help()
+        for argv in ([], ["bogus"], ["bogus", "solve"]):
+            assert _usage_error(parser, argv) == _usage_error(full, argv)
+    for name in cli.COMMANDS:
+        one = _subparsers(cli._build_parser(name))[name]
+        assert one.format_help() == full_commands[name].format_help()
+
+
+def test_one_command_build_gives_other_commands_no_argument():
+    for name in cli.COMMANDS:
+        for other, parser in _subparsers(cli._build_parser(name)).items():
+            flags = [a.option_strings or [a.dest] for a in parser._actions]
+            assert (flags == [["-h", "--help"]]) == (other != name), (name, other)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "-m", "65"],
+    ["--", "classify", "--max-m", "30"],
+    ["-x", "iso", "a.txt", "b.txt"],
+    ["solve", "--help"],
+    ["--help"],
+    [],
+])
+def test_main_builds_only_the_command_it_runs(argv, capsys, monkeypatch):
+    built = []
+    build = cli._build_parser
+
+    def spy(*names):
+        built.append(names)
+        return build(*names)
+
+    monkeypatch.setattr(cli, "_build_parser", spy)
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    capsys.readouterr()
+    assert built == [tuple(w for w in argv if w in cli.COMMANDS)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--max-m", str(10 ** 20)],
+    ["scan", "--max-m", str(10 ** 20), "--max-k", str(10 ** 10)],
+])
+def test_sweep_cap_exits_3_before_the_walk(argv, capsys, monkeypatch):
+    from quadlat import sweep
+
+    def walked(*args):
+        raise AssertionError("the sweep walked past its cap")
+
+    # the walk starts with math.isqrt and builds each row with _row
+    monkeypatch.setattr(sweep, "math", types.SimpleNamespace(isqrt=walked, gcd=walked))
+    monkeypatch.setattr(sweep, "_row", walked)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("cap exceeded: the sweep would read every modulus up to ")
+    assert err.endswith(f"above the cap of {sweep.MAX_SWEEP_M}\n")

@@ -312,6 +312,17 @@ def test_four_cycles_invariants(q2):
     assert covered == set(range(9)) - {centre}
 
 
+def test_seeds_and_base_must_be_ints(q1):
+    # True and 1.0 equal 1, and were once taken as the element 1
+    z13 = quadratical_over_zm(13, 3)
+    for seeds in ([True], [0, 1.0], [1, True]):
+        with pytest.raises(ValueError, match="is not an int"):
+            generated_subgroupoid(q1, seeds)
+    for a, b in ((True, 2), (0, 2.0)):
+        with pytest.raises(ValueError, match="base elements must be ints"):
+            four_cycles(z13, a, b)
+
+
 def test_four_cycles_rejects(q2):
     with pytest.raises(ValueError):
         four_cycles(q2, 1, 1)

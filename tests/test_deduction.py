@@ -282,6 +282,17 @@ def test_parse_choice():
         parse_choice(6, "0")
 
 
+def test_block_count_and_choice_must_be_ints():
+    # refute_case(True, 1) once ran as one block and complete_qn(1, True)
+    # as choice 1
+    for blocks, choice in ((True, 1), (2.0, 1), (1, True), (1, 1.0)):
+        for run in (complete_qn, refute_case):
+            with pytest.raises(ValueError, match="must be an int|must be a slot"):
+                run(blocks, choice)
+        with pytest.raises(ValueError, match="must be an int|must be a slot"):
+            replay_trace(blocks, choice, ())
+
+
 def test_block_count_cap():
     # refused before any table is allocated
     for blocks in (MAX_BLOCKS + 1, 10 ** 6):

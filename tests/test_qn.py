@@ -180,6 +180,18 @@ def test_detect_form_rejects_non_quadratical():
         detect_form(add)
 
 
+def test_base_depth_blocks_and_choice_must_be_ints():
+    # a bool compares and indexes like 0 or 1 and a float compares like an
+    # int; both were once read as the int they equal
+    z13 = quadratical_over_zm(13, 3)
+    for a, b, depth in ((True, 2, 1), (0, 2.0, 1), (0, 2, True), (0, 2, 1.0)):
+        with pytest.raises(ValueError, match="must be (ints|an int), got"):
+            h_chain(z13, a, b, depth)
+    for blocks, choice in ((True, 1), (1.0, 1), (1, True), (1, 1.0), (2, 2.0)):
+        with pytest.raises(ValueError, match="must be an int|must be a slot"):
+            seed_assignments(blocks, choice)
+
+
 def test_dual_element_map_rows():
     m = dual_element_map(4)
     assert m[(1, 2)] == (1, 3) and m[(1, 3)] == (1, 2)

@@ -156,7 +156,7 @@ def test_block_count_must_be_an_int():
     # 5.0 blocks are refused, not replayed as 5
     leaf = refute_case(5, 1).leaves[0]
     replay_trace(5, 1, leaf.trace, leaf.conflict)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="blocks must be an int, got 5.0"):
         replay_trace(5.0, 1, leaf.trace, leaf.conflict)
 
 

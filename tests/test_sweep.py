@@ -7,13 +7,14 @@ import pytest
 import naive_passes
 from quadlat import all_valid_k, classify, quadratical_over_zm, scan_k_table
 from quadlat.cli import main
-from quadlat.errors import CheckpointBusy
+from quadlat.errors import CheckpointBusy, SearchCapExceeded
 from quadlat.sweep import (
     ClassificationRow,
     Discrepancy,
     InvariantViolation,
     SCAN_COLUMNS,
     CLASSIFY_COLUMNS,
+    MAX_SWEEP_M,
     _compare,
     classify_discrepancies,
     emit_text,
@@ -82,6 +83,27 @@ def test_non_positive_bounds_refused():
     for max_m in (0, -5):
         with pytest.raises(ValueError, match="bound must be positive"):
             classify(max_m)
+
+
+def test_bounds_that_are_not_ints_refused():
+    # a float bound once walked as its int part and a bool as 0 or 1
+    for max_m, max_k in ((10.5, 3), (True, 3), (1200, 40.0), (1200, True)):
+        with pytest.raises(ValueError, match="bounds must be ints"):
+            scan_k_table(max_m, max_k)
+    for max_m in (True, 500.0):
+        with pytest.raises(ValueError, match="bound must be an int"):
+            classify(max_m)
+
+
+def test_sweep_cap():
+    # the walk reads every modulus up to its bound; past MAX_SWEEP_M it is
+    # refused before it starts, while scan's bound still follows max_k
+    over = MAX_SWEEP_M + 1
+    for sweep in (lambda: classify(over), lambda: scan_k_table(over, 10 ** 5),
+                  lambda: scan_k_table(10 ** 20, 10 ** 10)):
+        with pytest.raises(SearchCapExceeded, match=f"above the cap of {MAX_SWEEP_M}"):
+            sweep()
+    assert scan_k_table(10 ** 20, 40) == scan_k_table(1522, 40)
 
 
 def test_scan_discrepancies_known_typos():
