@@ -184,8 +184,9 @@ def replay_trace(blocks: int, choice: int, trace, conflict: Conflict | None = No
     table, then verify the final conflict when given; raises ReplayError
     otherwise.  A block count or choice that is not an int raises
     ValueError, and a block count above steps.MAX_BLOCKS SearchCapExceeded,
-    before any table or cache entry is built, as the engine refuses them.  Pauses the process's cyclic garbage collector while
-    it runs (see steps._collector_paused)."""
+    before any table or cache entry is built, as the engine refuses them.
+    Pauses the process's cyclic garbage collector while it runs (see
+    steps._collector_paused)."""
     check_blocks(blocks, choice)
     rp = _Replay(blocks, choice)
     for step in trace:
