@@ -30,7 +30,7 @@ from .cayley import (
     _permutation,
     is_quadratical,
 )
-from .errors import SearchCapExceeded
+from .errors import SearchCapExceeded, check_int
 
 # ---------------------------------------------------------------------------
 # identity checking
@@ -326,10 +326,7 @@ def generated_subgroupoid(t: CayleyTable, seeds) -> frozenset:
     if not seeds:
         raise ValueError("seeds must be non-empty")
     for s in seeds:
-        if type(s) is not int:
-            raise ValueError(f"seed {s!r} is not an int")
-        if not (0 <= s < t.n):
-            raise ValueError(f"seed {s} out of range")
+        check_int("seed", s, 0, t.n - 1)
     return frozenset(_closure(t.entries, set(seeds))[0])
 
 

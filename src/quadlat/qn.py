@@ -15,6 +15,7 @@ detect_form cannot disagree on what a block form is.
 from typing import NamedTuple
 
 from .cayley import CayleyTable, _check_base, is_quadratical
+from .errors import check_int
 
 
 class QnDecomposition(NamedTuple):
@@ -95,10 +96,7 @@ def h_chain(t: CayleyTable, a: int, b: int, depth: int) -> QnDecomposition:
     however deep it was asked to go.  The base and the depth must be
     ints: a bool and a float are refused."""
     _check_base(t, a, b)
-    if type(depth) is not int:
-        raise ValueError(f"depth must be an int, got {depth!r}")
-    if depth < 1:
-        raise ValueError(f"depth must be positive, got {depth}")
+    check_int("depth", depth, 1)
     e = t.entries
     center = e[e[a][b]][a]
     blocks = []
@@ -172,8 +170,7 @@ def dual_element_map(blocks: int) -> dict[tuple[int, int], tuple[int, int]]:
     (t, k) of the dual's chain is the element (t, sigma_t(k)) of the
     original's, where sigma_t turns slot k t-1 times and then swaps ab and
     ba."""
-    if blocks < 1:
-        raise ValueError(f"blocks must be positive, got {blocks}")
+    check_int("blocks", blocks, 1)
     out = {}
     for t in range(1, blocks + 1):
         for k in range(1, 5):
@@ -185,13 +182,15 @@ def dual_element_map(blocks: int) -> dict[tuple[int, int], tuple[int, int]]:
 def canonical_index(blocks: int, t: int, k: int) -> int:
     """Canonical element numbering: centre is 0, block t slot k is
     4(t-1) + k."""
-    if not (1 <= t <= blocks and 1 <= k <= 4):
-        raise ValueError(f"no slot ({t}, {k}) in a {blocks}-block table")
+    check_int("blocks", blocks, 1)
+    check_int("t", t, 1, blocks)
+    check_int("k", k, 1, 4)
     return 4 * (t - 1) + k
 
 
 def canonical_labels(blocks: int) -> tuple[str, ...]:
     """Display labels in canonical order: aba, a, ab, ba, b, 21, 22, ..."""
+    check_int("blocks", blocks, 1)
     labels = ["aba", "a", "ab", "ba", "b"]
     for t in range(2, blocks + 1):
         labels.extend(f"{t}{k}" for k in range(1, 5))
@@ -200,14 +199,9 @@ def canonical_labels(blocks: int) -> tuple[str, ...]:
 
 def check_case(blocks: int, choice: int) -> None:
     """A ValueError unless blocks is a positive int and choice an int slot
-    1..4.  A bool, which compares like 0 or 1, and a float are refused, as
-    cayley._permutation refuses them in an ordering."""
-    if type(blocks) is not int:
-        raise ValueError(f"blocks must be an int, got {blocks!r}")
-    if blocks < 1:
-        raise ValueError(f"blocks must be positive, got {blocks}")
-    if type(choice) is not int or choice not in (1, 2, 3, 4):
-        raise ValueError(f"choice must be a slot 1..4, got {choice!r}")
+    1..4; a bool and a float are refused."""
+    check_int("blocks", blocks, 1)
+    check_int("choice", choice, 1, 4)
 
 
 def seed_assignments(blocks: int, choice: int) -> list[tuple[str, tuple[int, int], int]]:
@@ -228,7 +222,8 @@ def seed_assignments(blocks: int, choice: int) -> list[tuple[str, tuple[int, int
         # blocks 0 and -1 are blocks n and n-1 turned s times
         if t < 1:
             t, k = t + blocks, _turn(k, s)
-        return canonical_index(blocks, t, k)
+        # canonical_index inline: check_case has checked the case once
+        return 4 * (t - 1) + k
 
     def law(name, t, k):
         # the law's product at slot k of H(t), as ((x, y), x*y)

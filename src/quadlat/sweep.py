@@ -11,7 +11,7 @@ import math
 import os
 from typing import NamedTuple
 
-from .errors import CheckpointBusy, InvariantViolation, SearchCapExceeded
+from .errors import CheckpointBusy, InvariantViolation, SearchCapExceeded, check_int
 # nothing here calls solve_quadratic_congruence, but perfbench/traced.py
 # wraps it under this module's name too
 from .zm import solve_quadratic_congruence, translatability_k_quadratical
@@ -20,10 +20,10 @@ SCAN_COLUMNS = ("k", "m", "a", "b")
 CLASSIFY_COLUMNS = ("m", "a", "b", "k")
 
 # The largest modulus the walk of _rows reads: `classify --max-m 10**7`
-# took 13 s and 584 MB on 2 CPUs with Python 3.11.7.  A larger walk bound raises SearchCapExceeded before the
-# walk starts (the command line exits 3), instead of running until memory
-# runs out.  scan's walk bound follows max_k, so a huge max_m with a
-# moderate max_k stays under it.
+# took 13 s and 584 MB on 2 CPUs with Python 3.11.7.  A larger walk bound
+# raises SearchCapExceeded before the walk starts (the command line exits
+# 3), instead of running until memory runs out.  scan's walk bound follows
+# max_k, so a huge max_m with a moderate max_k stays under it.
 MAX_SWEEP_M = 10**7
 
 
@@ -95,10 +95,8 @@ def scan_k_table(max_m: int, max_k: int) -> list[ClassificationRow]:
     so k^2 + 1 = 2(s^2 + 1)/(s - 1)^2 = 0 (mod m): m divides k^2 + 1.  A row
     with k < max_k therefore has m <= (max_k - 1)^2 + 1, and the walk stops
     there, so its cost follows max_k, not max_m."""
-    if type(max_m) is not int or type(max_k) is not int:
-        raise ValueError(f"bounds must be ints, got {max_m!r} and {max_k!r}")
-    if max_m < 1 or max_k < 1:
-        raise ValueError("bounds must be positive")
+    check_int("max_m", max_m, 1)
+    check_int("max_k", max_k, 1)
     last = min(max_m, (max_k - 1) ** 2 + 1)
     return sorted((r for r in _rows(last) if r.k < max_k), key=lambda r: (r.k, r.m, r.a))
 
@@ -106,10 +104,7 @@ def scan_k_table(max_m: int, max_k: int) -> list[ClassificationRow]:
 def classify(max_m: int) -> list[ClassificationRow]:
     """One row per dual pair with m <= max_m, keeping the a < b
     representative, sorted by (m, a)."""
-    if type(max_m) is not int:
-        raise ValueError(f"bound must be an int, got {max_m!r}")
-    if max_m < 1:
-        raise ValueError("bound must be positive")
+    check_int("max_m", max_m, 1)
     return _rows(max_m, representatives=True)
 
 
@@ -219,6 +214,8 @@ def _compare(rows, reference: dict) -> list[Discrepancy]:
 def scan_discrepancies(rows, max_m: int, max_k: int) -> list[Discrepancy]:
     """Differences between computed scan rows and the bundled reference,
     restricted to the sweep bounds."""
+    check_int("max_m", max_m, 1)
+    check_int("max_k", max_k, 1)
     from . import refdata  # only the discrepancy reports read it
 
     reference = {
@@ -230,6 +227,7 @@ def scan_discrepancies(rows, max_m: int, max_k: int) -> list[Discrepancy]:
 
 
 def classify_discrepancies(rows, max_m: int) -> list[Discrepancy]:
+    check_int("max_m", max_m, 1)
     from . import refdata
 
     reference = {

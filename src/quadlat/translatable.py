@@ -15,7 +15,7 @@ import operator
 from typing import NamedTuple
 
 from .cayley import CayleyTable, _check_latin_square, _permutation
-from .errors import SearchCapExceeded
+from .errors import SearchCapExceeded, check_int
 
 
 class TranslatabilityReport(NamedTuple):
@@ -35,14 +35,6 @@ def _translates(first_row, k: int):
         yield first_row[turn:] + first_row[:turn]
 
 
-def _check_shift(k, n: int) -> None:
-    """A ValueError unless the shift k is an int in 1..n-1.  A bool, which
-    compares like 0 or 1, and a float, which does not index, are refused,
-    as cayley._permutation refuses them in an ordering."""
-    if type(k) is not int or not 1 <= k < n:
-        raise ValueError(f"shift k={k!r} outside the ints 1..{n - 1}")
-
-
 def _reordered_rows(t: CayleyTable, ordering):
     """The rows of t under the ordering, as lists, one at a time: row q
     holds t[ordering[q]][ordering[j]] at j."""
@@ -59,7 +51,7 @@ def k_translatable_check(t: CayleyTable, ordering, k: int) -> bool:
     """True iff row q equals row q-1 rotated right by k for every q, under
     the given simultaneous row/column ordering."""
     ordering = _permutation(ordering, t.n)
-    _check_shift(k, t.n)
+    check_int("shift k", k, 1, t.n - 1)
     # reordered lazily, so a check that fails early reorders few rows
     rows = _reordered_rows(t, ordering)
     return _follow(next(rows), rows, k)
@@ -94,13 +86,14 @@ def find_translatable_ordering(t: CayleyTable, max_order: int = 10, ks=None):
     ordering starts with 0.
     """
     n = t.n
+    check_int("max_order", max_order)
     if n > max_order:
         raise SearchCapExceeded(
             f"ordering search supports n <= {max_order}, got {n}"
         )
     candidate_ks = tuple(range(1, n)) if ks is None else tuple(ks)
     for k in candidate_ks:
-        _check_shift(k, n)
+        check_int("shift k", k, 1, n - 1)
     if n == 1:
         return None
     e = t.entries
@@ -153,12 +146,10 @@ def idempotent_first_row(n: int, k: int) -> list[int]:
     In 1-based terms the row places i at position (i-1)(n-k)+i (mod n);
     the returned row is 0-based.
     """
-    if n < 1:
-        raise ValueError(f"order must be positive, got {n}")
+    check_int("order", n, 1)
     if n % 2 == 0:
         raise ValueError(f"no idempotent k-translatable quasigroup of even order {n}")
-    if not (1 < k < n):
-        raise ValueError(f"shift k={k} outside 2..{n - 1}")
+    check_int("shift k", k, 2, n - 1)
     if math.gcd(n, k) != 1:
         raise ValueError(f"gcd(n, k) = {math.gcd(n, k)} must be 1")
     if math.gcd(n, k - 1) != 1:
@@ -186,6 +177,7 @@ def feasible_k_idempotent_quadratical(n: int) -> set[int]:
     exactly when 2a^2 - 2a + 1 = 0 (mod n), and each root a gives back
     k = a(a-1)^-1.
     """
+    check_int("order", n)
     if n % 2 == 0:
         raise ValueError(f"order must be odd, got {n}")
     if n < 5:
@@ -204,7 +196,7 @@ def gcd_quasigroup_property_test(first_row, k: int) -> tuple[bool, bool]:
     n = len(first_row)
     if n == 0:
         raise ValueError("first row must be non-empty")
-    _check_shift(k, n)
+    check_int("shift k", k, 1, n - 1)
     cancellable = sorted(first_row) == list(range(n))
     t = _table_from_first_row(first_row, k)
     return cancellable, _check_latin_square(t) is None

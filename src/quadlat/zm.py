@@ -7,7 +7,7 @@ unique solution of (a-1)k = a (mod m).
 
 import math
 
-from .errors import SearchCapExceeded
+from .errors import SearchCapExceeded, check_int
 
 # Trial division stops at this divisor.  Every m < 10^14 is factored below
 # it; past it, splitting one large modulus could take minutes or more.
@@ -55,8 +55,7 @@ def solve_quadratic_congruence(m: int) -> list[int]:
     of distinct primes.  Solutions come in pairs {a, 1-a mod m}.  m is
     factored by trial division, capped at TRIAL_DIVISION_CAP.
     """
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
+    check_int("modulus", m, 1)
     roots_m, modulus = [0], 1
     rest, p = m, 2
     while rest > 1:
@@ -89,12 +88,11 @@ class LinearSpec:
     __slots__ = ("m", "a", "b", "c")
 
     def __init__(self, m: int, a: int, b: int, c: int = 0):
-        if m < 1:
-            raise ValueError(f"modulus must be positive, got {m}")
+        check_int("modulus", m, 1)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "a", a % m)
-        object.__setattr__(self, "b", b % m)
-        object.__setattr__(self, "c", c % m)
+        for name, value in (("a", a), ("b", b), ("c", c)):
+            check_int(name, value)
+            object.__setattr__(self, name, value % m)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -140,14 +138,20 @@ def linear_table(spec: LinearSpec):
     return CayleyTable(m, tuple(rows))
 
 
+def _check_root(m, a) -> None:
+    """A ValueError unless m is a positive int and a an int solving
+    2a^2 - 2a + 1 = 0 (mod m)."""
+    check_int("modulus", m, 1)
+    check_int("a", a)
+    if (2 * a * a - 2 * a + 1) % m != 0:
+        raise ValueError(f"a={a} does not satisfy 2a^2-2a+1 = 0 (mod {m})")
+
+
 def quadratical_over_zm(m: int, a: int):
     """The quadratical quasigroup x*y = ax + (1-a)y (mod m); a must solve
     the quadratic congruence."""
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
-    if (2 * a * a - 2 * a + 1) % m != 0:
-        raise ValueError(f"a={a} does not satisfy 2a^2-2a+1 = 0 (mod {m})")
-    return linear_table(LinearSpec(m, a, (1 - a) % m, 0))
+    _check_root(m, a)
+    return linear_table(LinearSpec(m, a, 1 - a))
 
 
 def translatability_shift_set(spec: LinearSpec) -> list[int]:
@@ -179,17 +183,17 @@ def translatability_k_linear(spec: LinearSpec):
 
 def translatability_k_quadratical(m: int, a: int) -> int:
     """The unique k in 2..m-2 with (a-1)k = a (mod m), for a solving the
-    quadratic congruence.  Satisfies k(a) + k(1-a) = m."""
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
-    if (2 * a * a - 2 * a + 1) % m != 0:
-        raise ValueError(f"a={a} does not satisfy 2a^2-2a+1 = 0 (mod {m})")
+    quadratic congruence.  Satisfies k(a) + k(1-a) = m.
+
+    The root makes the division safe and the shift proper, so neither is
+    checked.  A prime p dividing both m and a - 1 would give
+    2a^2 - 2a + 1 = 1 (mod p), so a - 1 is invertible mod m.  And m divides
+    (2a - 1)^2 + 1 = 2(2a^2 - 2a + 1), so modulo m: k = 0 needs a = 0,
+    which leaves m dividing 2; k = 1 needs a = a - 1, so m divides 1; and
+    k = -1 needs 2a = 1, which leaves m dividing 1.  So for every m >= 5
+    k lies in 2..m-2; below 5 only m = 1 has a root.
+    """
+    _check_root(m, a)
     if m < 5:
         raise ValueError(f"no valid shift range for modulus {m}")
-    am1 = (a - 1) % m
-    if math.gcd(am1, m) != 1:
-        raise ValueError(f"a-1={am1} is not invertible mod {m}")
-    k = a * pow(am1, -1, m) % m
-    if not (2 <= k <= m - 2):
-        raise ValueError(f"computed shift k={k} outside 2..{m - 2}")
-    return k
+    return a * pow(a - 1, -1, m) % m

@@ -260,6 +260,21 @@ def test_canonical_helpers():
         canonical_index(2, 3, 1)
 
 
+@pytest.mark.parametrize("call, message", [
+    # a bool was read as the block count or slot it equals, a float ended
+    # in a TypeError, and a count below 1 gave the one-block labels
+    (lambda: dual_element_map(True), "blocks must be an int, got True"),
+    (lambda: canonical_index(2, True, 1), "t must be an int, got True"),
+    (lambda: canonical_index(2, 1.0, 1), "t must be an int, got 1.0"),
+    (lambda: canonical_labels(2.0), "blocks must be an int, got 2.0"),
+    (lambda: canonical_labels(0), "blocks must be positive, got 0"),
+    (lambda: canonical_labels(-3), "blocks must be positive, got -3"),
+])
+def test_block_coordinates_must_be_ints(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_engine_completions_are_valid_chains():
     # the seed laws and the explicit chain checks are two encodings of the
     # block laws: every table the engine completes is a chain from (a, b) =

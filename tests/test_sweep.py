@@ -77,22 +77,36 @@ def test_scan_empty_below_five():
 
 
 def test_non_positive_bounds_refused():
-    for max_m, max_k in ((0, 5), (5, 0), (-1, -1)):
-        with pytest.raises(ValueError, match="bounds must be positive"):
+    for max_m, max_k, name, value in ((0, 5, "max_m", 0), (5, 0, "max_k", 0),
+                                      (-1, -1, "max_m", -1)):
+        with pytest.raises(ValueError, match=f"{name} must be positive, got {value}"):
             scan_k_table(max_m, max_k)
     for max_m in (0, -5):
-        with pytest.raises(ValueError, match="bound must be positive"):
+        with pytest.raises(ValueError, match=f"max_m must be positive, got {max_m}"):
             classify(max_m)
 
 
 def test_bounds_that_are_not_ints_refused():
     # a float bound once walked as its int part and a bool as 0 or 1
-    for max_m, max_k in ((10.5, 3), (True, 3), (1200, 40.0), (1200, True)):
-        with pytest.raises(ValueError, match="bounds must be ints"):
+    for max_m, max_k, name, value in ((10.5, 3, "max_m", 10.5), (True, 3, "max_m", True),
+                                      (1200, 40.0, "max_k", 40.0), (1200, True, "max_k", True)):
+        with pytest.raises(ValueError, match=f"{name} must be an int, got {value!r}"):
             scan_k_table(max_m, max_k)
     for max_m in (True, 500.0):
-        with pytest.raises(ValueError, match="bound must be an int"):
+        with pytest.raises(ValueError, match=f"max_m must be an int, got {max_m!r}"):
             classify(max_m)
+
+
+def test_report_bounds_must_be_positive_ints():
+    # the reports once filtered the reference by any bound that compares
+    rows = scan_k_table(100, 10)
+    for call, message in ((lambda: scan_discrepancies(rows, 100.0, 10), "max_m must be an int"),
+                          (lambda: scan_discrepancies(rows, 100, True), "max_k must be an int"),
+                          (lambda: scan_discrepancies(rows, 100, 0), "max_k must be positive"),
+                          (lambda: classify_discrepancies(rows, 500.5), "max_m must be an int"),
+                          (lambda: classify_discrepancies(rows, -1), "max_m must be positive")):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_sweep_cap():

@@ -78,12 +78,12 @@ def test_shifts_must_be_ints():
                      lambda: find_translatable_ordering(t, ks=[k]),
                      lambda: find_translatable_ordering(t, ks=[2, k]),
                      lambda: gcd_quasigroup_property_test(t.entries[0], k)):
-            with pytest.raises(ValueError, match=f"shift k={k!r} outside the ints 1..4"):
+            with pytest.raises(ValueError, match=f"shift k must be an int, got {k!r}"):
                 call()
 
 
 def test_find_ordering_checks_shifts_at_order_1():
-    with pytest.raises(ValueError, match="shift k=5 outside"):
+    with pytest.raises(ValueError, match="shift k must be in 1..0, got 5"):
         find_translatable_ordering(CayleyTable.from_rows([[0]]), ks=[5])
     assert find_translatable_ordering(CayleyTable.from_rows([[0]])) is None
 
@@ -318,6 +318,23 @@ def test_feasible_sets():
         feasible_k_idempotent_quadratical(8)
 
 
+@pytest.mark.parametrize("call, message", [
+    # a float order ended in a TypeError, True was read as the order 1 or
+    # as an odd order with no shifts, and a float or bool cap was taken
+    (lambda: idempotent_first_row(5.0, 2), "order must be an int, got 5.0"),
+    (lambda: idempotent_first_row(True, 2), "order must be an int, got True"),
+    (lambda: feasible_k_idempotent_quadratical(True), "order must be an int, got True"),
+    (lambda: feasible_k_idempotent_quadratical(5.0), "order must be an int, got 5.0"),
+    (lambda: find_translatable_ordering(quadratical_over_zm(5, 2), max_order=10.5),
+     "max_order must be an int, got 10.5"),
+    (lambda: find_translatable_ordering(quadratical_over_zm(5, 2), max_order=True),
+     "max_order must be an int, got True"),
+])
+def test_orders_and_caps_must_be_ints(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_gcd_property():
     assert gcd_quasigroup_property_test([1, 0, 2, 3, 4, 5], 2) == (True, False)
     assert gcd_quasigroup_property_test([0, 4, 3, 2, 1], 2) == (True, True)
@@ -326,5 +343,5 @@ def test_gcd_property():
     with pytest.raises(ValueError, match="first row must be non-empty"):
         gcd_quasigroup_property_test([], 1)
     for k in (0, 3, -1):
-        with pytest.raises(ValueError, match=f"shift k={k} outside"):
+        with pytest.raises(ValueError, match=f"shift k must be in 1..2, got {k}"):
             gcd_quasigroup_property_test([0, 0, 1], k)

@@ -1,3 +1,4 @@
+import math
 import os
 import pickle
 import subprocess
@@ -153,6 +154,31 @@ def test_non_positive_modulus_refused():
             translatability_k_quadratical(m, 1)
         with pytest.raises(ValueError, match=f"modulus must be positive, got {m}"):
             LinearSpec(m, 1, 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    # True was read as the modulus 1, and a float modulus or coefficient
+    # ended in a TypeError or built a spec
+    (lambda: solve_quadratic_congruence(True), "modulus must be an int, got True"),
+    (lambda: solve_quadratic_congruence(5.0), "modulus must be an int, got 5.0"),
+    (lambda: quadratical_over_zm(5.0, 2), "modulus must be an int, got 5.0"),
+    (lambda: translatability_k_quadratical(5.0, 2), "modulus must be an int, got 5.0"),
+    (lambda: LinearSpec(5.0, 2, 3), "modulus must be an int, got 5.0"),
+    (lambda: LinearSpec(5, 2.5, 3), "a must be an int, got 2.5"),
+])
+def test_moduli_and_coefficients_must_be_ints(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_every_root_has_an_invertible_a_minus_1_and_a_proper_shift():
+    # the two facts translatability_k_quadratical's docstring proves, and
+    # which let it divide by a - 1 and return k unchecked
+    for m in range(5, 10**4 + 1):
+        for a in solve_quadratic_congruence(m):
+            k = translatability_k_quadratical(m, a)
+            assert math.gcd(a - 1, m) == 1, (m, a)
+            assert 2 <= k <= m - 2 and (a - 1) * k % m == a, (m, a, k)
 
 
 def test_k_quadratical_agrees_with_linear():
