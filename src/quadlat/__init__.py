@@ -45,8 +45,8 @@ _EXPORTS = {
 __all__ = sorted(_EXPORTS)
 
 _SUBMODULES = frozenset({
-    "audit", "cayley", "cli", "core", "deduction", "errors", "qn", "refdata", "steps",
-    "sweep", "tableio", "translatable", "zm",
+    "audit", "cayley", "cli", "core", "deduction", "errors", "gauss", "qn", "refdata",
+    "steps", "sweep", "tableio", "translatable", "zm",
 })
 
 

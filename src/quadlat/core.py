@@ -357,35 +357,29 @@ def two_generation_report(t: CayleyTable) -> TwoGenerationReport:
 
 
 def four_cycles(t: CayleyTable, a: int, b: int) -> list[tuple[int, int, int, int]]:
-    """Partition the complement of the centre (a*b)*a into 4-cycles: ordered
-    quadruples with every consecutive product (cyclically) equal to the
-    centre.  Cycles are rotated to start at their least element and reported
-    sorted by that element."""
+    """Partition the complement of the centre c = (a*b)*a into 4-cycles:
+    ordered quadruples with every consecutive product (cyclically) equal
+    to c.  Cycles start at their least element and are sorted by it.
+
+    A quadratical t is x*y = alpha x + (1 - alpha) y over a Z[i]-module
+    of odd order, alpha = (1 + i)/2, so the successor of x, the y with
+    x*y = c, is c - i(x - c): a quarter turn about c.  2 and 1 +- i are
+    invertible on that module, so every orbit off c has four elements.
+    Starts run upwards, so each orbit is first met at its least element."""
     _check_base(t, a, b)
     if not is_quadratical(t):
         raise ValueError("table is not quadratical")
     e = t.entries
     centre = e[e[a][b]][a]
-    # successor of x is the unique y with x*y = centre
-    succ = [t.entries[x].index(centre) for x in range(t.n)]
+    succ = [row.index(centre) for row in e]
     cycles = []
     seen = {centre}
-    for start in range(t.n):
-        if start in seen:
-            continue
-        cyc = [start]
-        x = succ[start]
-        while x != start:
-            if x in seen or len(cyc) > 4:
-                raise ValueError(f"cycle through {start} does not close in 4 steps")
-            cyc.append(x)
-            x = succ[x]
-        if len(cyc) != 4:
-            raise ValueError(f"cycle through {start} has length {len(cyc)}, not 4")
-        seen.update(cyc)
-        k = cyc.index(min(cyc))
-        cycles.append(tuple(cyc[k:] + cyc[:k]))
-    cycles.sort(key=lambda c: c[0])
+    for x in range(t.n):
+        if x not in seen:
+            y = succ[x]
+            z = succ[y]
+            cycles.append((x, y, z, succ[z]))
+            seen.update(cycles[-1])
     return cycles
 
 

@@ -179,15 +179,6 @@ def dual_element_map(blocks: int) -> dict[tuple[int, int], tuple[int, int]]:
     return out
 
 
-def canonical_index(blocks: int, t: int, k: int) -> int:
-    """Canonical element numbering: centre is 0, block t slot k is
-    4(t-1) + k."""
-    check_int("blocks", blocks, 1)
-    check_int("t", t, 1, blocks)
-    check_int("k", k, 1, 4)
-    return 4 * (t - 1) + k
-
-
 def canonical_labels(blocks: int) -> tuple[str, ...]:
     """Display labels in canonical order: aba, a, ab, ba, b, 21, 22, ..."""
     check_int("blocks", blocks, 1)
@@ -222,7 +213,7 @@ def seed_assignments(blocks: int, choice: int) -> list[tuple[str, tuple[int, int
         # blocks 0 and -1 are blocks n and n-1 turned s times
         if t < 1:
             t, k = t + blocks, _turn(k, s)
-        # canonical_index inline: check_case has checked the case once
+        # the canonical numbering: the centre is 0, slot k of block t is 4(t-1) + k
         return 4 * (t - 1) + k
 
     def law(name, t, k):

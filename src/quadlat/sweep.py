@@ -1,16 +1,17 @@
 """Sweeps over moduli regenerating the classification tables.
 
 One driver, _rows, reads the roots of every modulus up to a bound off its
-representations m = x^2 + y^2, on one thread; scan, classify and the
-checkpointed scan filter its rows.  Results are a pure function of the
-bounds.  The checkpoint holds only the largest bound scanned, as the
-single line ``last_m=<digits>``; anything else is refused as corrupt.
+representations m = x^2 + y^2, walked by gauss.primitive_norms on one
+thread; scan, classify and the checkpointed scan filter its rows.
+Results are a pure function of the bounds.  The checkpoint holds only the
+largest bound scanned, as the single line ``last_m=<digits>``; anything
+else is refused as corrupt.
 """
 
-import math
 import os
 from typing import NamedTuple
 
+from . import gauss
 from .errors import CheckpointBusy, InvariantViolation, SearchCapExceeded, check_int
 # nothing here calls solve_quadratic_congruence, but perfbench/traced.py
 # wraps it under this module's name too
@@ -60,30 +61,23 @@ def _rows(last: int, representatives: bool = False) -> list[ClassificationRow]:
     """The validated row of every root of every modulus m <= last, sorted
     by (m, a); with representatives, only the a < b row of each dual pair.
 
-    The roots are a = (1 + s)/2 for the square roots s of -1 mod m, and
-    those come in pairs {s, -s}, one pair s = x/y (mod m) for each
-    representation m = x^2 + y^2 with x > y >= 1 coprime (Hermite-Serret).
-    An odd m needs x - y odd, so the walk over those pairs meets every m
-    with roots, each root once, and no other m.  A last above
-    MAX_SWEEP_M raises SearchCapExceeded before the walk starts."""
+    Each primitive x + iy of norm m gives the pair of roots a = (1 + s)/2
+    and (1 - s)/2 with s = x/y (mod m); gauss says why that meets every
+    root once.  A last above MAX_SWEEP_M raises SearchCapExceeded before
+    the walk starts."""
     if last > MAX_SWEEP_M:
         raise SearchCapExceeded(
             f"the sweep would read every modulus up to {last}, "
             f"above the cap of {MAX_SWEEP_M}")
     found = []
-    for x in range(2, math.isqrt(last - 1) + 1):
-        # y from 1 or 2, of the parity opposite to x's
-        for y in range(1 + x % 2, min(x - 1, math.isqrt(last - x * x)) + 1, 2):
-            if math.gcd(x, y) != 1:
-                continue
-            m = x * x + y * y
-            half = (m + 1) // 2   # the inverse of 2 modulo the odd m
-            s = x * pow(y, -1, m)
-            a, b = (1 + s) * half % m, (1 - s) * half % m
-            if representatives:
-                found.append((m, min(a, b)))
-            else:
-                found += ((m, a), (m, b))
+    for m, x, y in gauss.primitive_norms(last):
+        half = (m + 1) // 2   # the inverse of 2 modulo the odd m
+        s = x * pow(y, -1, m)
+        a, b = (1 + s) * half % m, (1 - s) * half % m
+        if representatives:
+            found.append((m, min(a, b)))
+        else:
+            found += ((m, a), (m, b))
     found.sort()
     return [_row(m, a) for m, a in found]
 

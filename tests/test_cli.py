@@ -2,7 +2,6 @@ import argparse
 import json
 import time
 import tracemalloc
-import types
 
 import pytest
 
@@ -479,13 +478,13 @@ def test_main_builds_only_the_command_it_runs(argv, capsys, monkeypatch):
     ["scan", "--max-m", str(10 ** 20), "--max-k", str(10 ** 10)],
 ])
 def test_sweep_cap_exits_3_before_the_walk(argv, capsys, monkeypatch):
-    from quadlat import sweep
+    from quadlat import gauss, sweep
 
     def walked(*args):
         raise AssertionError("the sweep walked past its cap")
 
-    # the walk starts with math.isqrt and builds each row with _row
-    monkeypatch.setattr(sweep, "math", types.SimpleNamespace(isqrt=walked, gcd=walked))
+    # the walk is gauss.primitive_norms, and each row is built by _row
+    monkeypatch.setattr(gauss, "primitive_norms", walked)
     monkeypatch.setattr(sweep, "_row", walked)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")

@@ -7,6 +7,7 @@ import pytest
 from quadlat import (
     CayleyTable,
     check_identity,
+    complete_qn,
     direct_product,
     dual,
     find_isomorphism,
@@ -310,6 +311,43 @@ def test_four_cycles_invariants(q2):
         assert e[x1][x3] == x4
         covered.update((x1, x2, x3, x4))
     assert covered == set(range(9)) - {centre}
+
+
+def successor_orbits(t, centre):
+    """The orbits off the centre of x -> the y with x*y = centre, found by
+    walking each one round, rotated to their least element and sorted."""
+    succ = [row.index(centre) for row in t.entries]
+    orbits = set()
+    for x in range(t.n):
+        if x != centre:
+            orbit = [x]
+            while succ[orbit[-1]] != x:
+                orbit.append(succ[orbit[-1]])
+            k = orbit.index(min(orbit))
+            orbits.add(tuple(orbit[k:] + orbit[:k]))
+    return sorted(orbits)
+
+
+def test_four_cycles_lists_the_successor_orbits(q1, q1_dual, q2):
+    # four_cycles assumes, without checking, that every orbit off the
+    # centre has four elements and is first met at its least element;
+    # compare it with a plain walk of the orbits on every Z_m(a) with
+    # m <= 401, the 2-block completion (F_9), small direct products and
+    # relabellings of those up to order 125, from random base pairs
+    rng = random.Random(41)
+    tables = [quadratical_over_zm(m, a) for m in range(5, 402)
+              for a in solve_quadratic_congruence(m)]
+    tables += [q2, complete_qn(2, 2).table]
+    z5, z13 = quadratical_over_zm(5, 2), quadratical_over_zm(13, 3)
+    tables += [direct_product(q1, q1), direct_product(q1, q1_dual), direct_product(z5, z13),
+               direct_product(direct_product(z5, z5), quadratical_over_zm(5, 4))]
+    tables += [relabel(t, rng.sample(range(t.n), t.n)) for t in list(tables) if t.n <= 125]
+    assert len(tables) == 180
+    for t in tables:
+        e = t.entries
+        for _ in range(3):
+            a, b = rng.sample(range(t.n), 2)
+            assert four_cycles(t, a, b) == successor_orbits(t, e[e[a][b]][a])
 
 
 def test_seeds_and_base_must_be_ints(q1):

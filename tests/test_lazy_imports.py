@@ -44,8 +44,8 @@ EXPORTED = {
         "complete_qn", "refute_case", "refute_q6", "replay_trace", "trace_text",
     ),
 }
-SUBMODULES = ("audit", "cayley", "core", "deduction", "qn", "refdata", "steps", "sweep",
-              "tableio", "translatable", "zm")
+SUBMODULES = ("audit", "cayley", "core", "deduction", "gauss", "qn", "refdata", "steps",
+              "sweep", "tableio", "translatable", "zm")
 
 # standard modules that no command should load unless it needs them:
 # dataclasses imports inspect, ast and dis, which slows every process's
@@ -93,14 +93,16 @@ def table_file(tmp_path_factory):
     (["--help"], set()),
     (["solve", "-m", "65"], {"zm"}),
     (["k", "-m", "13", "-a", "3"], {"zm"}),
-    (["scan", "--max-m", "100", "--max-k", "10"], {"sweep", "zm"}),
-    (["classify", "--max-m", "100"], {"sweep", "zm"}),
+    (["scan", "--max-m", "100", "--max-k", "10"], {"gauss", "sweep", "zm"}),
+    (["classify", "--max-m", "100"], {"gauss", "sweep", "zm"}),
     (["check", "-i", "{t}", "--all"], {"cayley", "core", "tableio"}),
     (["dual", "-i", "{t}"], {"cayley", "core", "tableio"}),
     (["product", "{t}", "{t}"], {"cayley", "core", "tableio"}),
     (["iso", "{t}", "{t}"], {"cayley", "core", "tableio"}),
-    (["scan", "--max-m", "100", "--max-k", "10", "--format", "json"], {"sweep", "zm", "json"}),
-    (["classify", "--max-m", "100", "--discrepancies", "d.txt"], {"sweep", "zm", "refdata"}),
+    (["scan", "--max-m", "100", "--max-k", "10", "--format", "json"],
+     {"gauss", "sweep", "zm", "json"}),
+    (["classify", "--max-m", "100", "--discrepancies", "d.txt"],
+     {"gauss", "sweep", "zm", "refdata"}),
     # the engine alone: neither the auditor (audit) nor the other
     # identities, closure and isomorphism (core)
     (["complete-qn", "-n", "2", "--choice", "2"],
@@ -150,6 +152,14 @@ def test_exported_names_resolve():
     assert quadlat.__version__ == "0.1.0"
     with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
         quadlat.nonesuch
+
+
+def test_every_module_file_is_a_listed_submodule():
+    # a new module that is not in _SUBMODULES cannot be reached as
+    # quadlat.<name> without an import of its own
+    package = os.path.dirname(quadlat.__file__)
+    files = {name[:-3] for name in os.listdir(package) if name.endswith(".py")}
+    assert quadlat._SUBMODULES == files - {"__init__"}
 
 
 def test_star_import_binds_every_public_name():

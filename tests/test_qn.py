@@ -21,7 +21,7 @@ from quadlat import (
     relabel,
     solve_quadratic_congruence,
 )
-from quadlat.qn import canonical_index, canonical_labels, dual_element_map, seed_assignments
+from quadlat.qn import canonical_labels, dual_element_map, seed_assignments
 
 import naive_passes
 
@@ -249,23 +249,18 @@ def test_two_generation_evidence_orders_13_17(q3, q3_dual, q4, q4_dual):
 
 
 def test_canonical_helpers():
-    assert canonical_index(2, 1, 1) == 1
-    assert canonical_index(2, 2, 4) == 8
     assert canonical_labels(2) == ("aba", "a", "ab", "ba", "b", "21", "22", "23", "24")
-    # the dual swaps ab and ba, and maps no slot to the centre
+    # the dual permutes the block coordinates, so maps no slot to the
+    # centre, and swaps ab and ba
     dual = dual_element_map(2)
-    assert all(canonical_index(2, *img) > 0 for img in dual.values())
-    assert canonical_index(2, *dual[(1, 2)]) == canonical_index(2, 1, 3)
-    with pytest.raises(ValueError):
-        canonical_index(2, 3, 1)
+    assert sorted(dual.values()) == sorted(dual)
+    assert dual[(1, 2)] == (1, 3)
 
 
 @pytest.mark.parametrize("call, message", [
     # a bool was read as the block count or slot it equals, a float ended
     # in a TypeError, and a count below 1 gave the one-block labels
     (lambda: dual_element_map(True), "blocks must be an int, got True"),
-    (lambda: canonical_index(2, True, 1), "t must be an int, got True"),
-    (lambda: canonical_index(2, 1.0, 1), "t must be an int, got 1.0"),
     (lambda: canonical_labels(2.0), "blocks must be an int, got 2.0"),
     (lambda: canonical_labels(0), "blocks must be positive, got 0"),
     (lambda: canonical_labels(-3), "blocks must be positive, got -3"),
