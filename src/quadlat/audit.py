@@ -21,8 +21,8 @@ first two premises.
 
 from functools import lru_cache
 
-from .qn import seed_assignments
-from .steps import Conflict, ReplayError, Step, _collector_paused, check_blocks
+from .qn import check_case, seed_assignments
+from .steps import Conflict, ReplayError, Step, _collector_paused
 
 
 class _Replay:
@@ -183,11 +183,11 @@ def replay_trace(blocks: int, choice: int, trace, conflict: Conflict | None = No
     """Verify every step of a trace against the rule set, from an empty
     table, then verify the final conflict when given; raises ReplayError
     otherwise.  A block count or choice that is not an int raises
-    ValueError, and a block count above steps.MAX_BLOCKS SearchCapExceeded,
+    ValueError, and a block count above qn.MAX_BLOCKS SearchCapExceeded,
     before any table or cache entry is built, as the engine refuses them.
     Pauses the process's cyclic garbage collector while it runs (see
     steps._collector_paused)."""
-    check_blocks(blocks, choice)
+    check_case(blocks, choice)
     rp = _Replay(blocks, choice)
     for step in trace:
         rp.verify_step(step)

@@ -27,9 +27,10 @@ qn.h_chain read.
 from functools import lru_cache
 
 # The largest order of a table built from a formula (zm.linear_table,
-# core.direct_product) or a block count (steps.MAX_BLOCKS), about a
-# million cells.  A larger one raises SearchCapExceeded before any row is
-# built, so the command line exits 3 instead of filling memory.
+# core.direct_product, translatable's k-translates) or a block count
+# (qn.MAX_BLOCKS), about a million cells.  A larger one raises
+# SearchCapExceeded before any row is built, so the command line exits 3
+# instead of filling memory.
 MAX_ORDER = 1025
 
 

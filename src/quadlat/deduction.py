@@ -66,7 +66,7 @@ from typing import NamedTuple
 
 from .cayley import CayleyTable, is_quadratical
 from .qn import canonical_labels, seed_assignments
-from .steps import Conflict, Step, _collector_paused, check_blocks
+from .steps import Conflict, Step, _collector_paused
 
 
 class PartialTable(NamedTuple):
@@ -295,10 +295,10 @@ SPLIT_DEPTH = 3
 
 
 def _seed_state(blocks: int, choice: int) -> _State:
-    check_blocks(blocks, choice)
+    seeds = seed_assignments(blocks, choice)  # checks the case before any table is allocated
     st = _State(4 * blocks + 1)
     try:
-        for rule, (r, c), v in seed_assignments(blocks, choice):
+        for rule, (r, c), v in seeds:
             st.set_cell(r, c, v, rule, ())
     except _ConflictError as exc:
         st.conflict = exc.record

@@ -10,12 +10,28 @@ elements of H(t), H(t-1) or the centre.  seed_assignments reads it for the
 deduction engine's seeds, and h_chain reads it to build each block by the
 recurrence and to check the other four laws, so the engine and
 detect_form cannot disagree on what a block form is.
+
+check_blocks is the one bound on a block count: every function here that
+takes one, and through check_case the engine and its auditor, refuses a
+count above MAX_BLOCKS before it allocates anything sized by it.
 """
 
 from typing import NamedTuple
 
-from .cayley import CayleyTable, _check_base, is_quadratical
-from .errors import check_int
+from .cayley import MAX_ORDER, CayleyTable, _check_base, is_quadratical
+from .errors import SearchCapExceeded, check_int
+
+# The largest block count, 256: a table of order 4*256+1 = cayley.MAX_ORDER.
+MAX_BLOCKS = (MAX_ORDER - 1) // 4
+
+
+def check_blocks(blocks: int) -> None:
+    """A ValueError unless blocks is a positive int, then SearchCapExceeded
+    above MAX_BLOCKS, so the command line exits 3 instead of filling memory."""
+    check_int("blocks", blocks, 1)
+    if blocks > MAX_BLOCKS:
+        raise SearchCapExceeded(
+            f"{blocks} blocks exceed the cap of {MAX_BLOCKS} blocks (order {MAX_ORDER})")
 
 
 class QnDecomposition(NamedTuple):
@@ -170,7 +186,7 @@ def dual_element_map(blocks: int) -> dict[tuple[int, int], tuple[int, int]]:
     (t, k) of the dual's chain is the element (t, sigma_t(k)) of the
     original's, where sigma_t turns slot k t-1 times and then swaps ab and
     ba."""
-    check_int("blocks", blocks, 1)
+    check_blocks(blocks)
     out = {}
     for t in range(1, blocks + 1):
         for k in range(1, 5):
@@ -181,7 +197,7 @@ def dual_element_map(blocks: int) -> dict[tuple[int, int], tuple[int, int]]:
 
 def canonical_labels(blocks: int) -> tuple[str, ...]:
     """Display labels in canonical order: aba, a, ab, ba, b, 21, 22, ..."""
-    check_int("blocks", blocks, 1)
+    check_blocks(blocks)
     labels = ["aba", "a", "ab", "ba", "b"]
     for t in range(2, blocks + 1):
         labels.extend(f"{t}{k}" for k in range(1, 5))
@@ -189,9 +205,9 @@ def canonical_labels(blocks: int) -> tuple[str, ...]:
 
 
 def check_case(blocks: int, choice: int) -> None:
-    """A ValueError unless blocks is a positive int and choice an int slot
-    1..4; a bool and a float are refused."""
-    check_int("blocks", blocks, 1)
+    """check_blocks, then a ValueError unless choice is an int slot 1..4; a
+    bool and a float are refused."""
+    check_blocks(blocks)
     check_int("choice", choice, 1, 4)
 
 

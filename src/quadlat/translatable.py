@@ -14,7 +14,7 @@ import math
 import operator
 from typing import NamedTuple
 
-from .cayley import CayleyTable, _check_latin_square, _permutation
+from .cayley import MAX_ORDER, CayleyTable, _check_latin_square, _permutation
 from .errors import SearchCapExceeded, check_int
 
 
@@ -136,6 +136,10 @@ def find_translatable_ordering(t: CayleyTable, max_order: int = 10, ks=None):
 
 
 def _table_from_first_row(first_row, k: int) -> CayleyTable:
+    """The k-translate of first_row as a table; SearchCapExceeded past
+    cayley.MAX_ORDER, before any row is built."""
+    if len(first_row) > MAX_ORDER:
+        raise SearchCapExceeded(f"order {len(first_row)} exceeds the cap of {MAX_ORDER}")
     return CayleyTable(len(first_row), _translates(first_row, k))
 
 
@@ -144,12 +148,15 @@ def idempotent_first_row(n: int, k: int) -> list[int]:
     order n, requiring gcd(n, k) = gcd(n, k-1) = 1 and 1 < k < n.
 
     In 1-based terms the row places i at position (i-1)(n-k)+i (mod n);
-    the returned row is 0-based.
+    the returned row is 0-based.  An order above cayley.MAX_ORDER raises
+    SearchCapExceeded before the row is allocated.
     """
     check_int("order", n, 1)
     if n % 2 == 0:
         raise ValueError(f"no idempotent k-translatable quasigroup of even order {n}")
     check_int("shift k", k, 2, n - 1)
+    if n > MAX_ORDER:
+        raise SearchCapExceeded(f"order {n} exceeds the cap of {MAX_ORDER}")
     if math.gcd(n, k) != 1:
         raise ValueError(f"gcd(n, k) = {math.gcd(n, k)} must be 1")
     if math.gcd(n, k - 1) != 1:
@@ -197,6 +204,5 @@ def gcd_quasigroup_property_test(first_row, k: int) -> tuple[bool, bool]:
     if n == 0:
         raise ValueError("first row must be non-empty")
     check_int("shift k", k, 1, n - 1)
-    cancellable = sorted(first_row) == list(range(n))
     t = _table_from_first_row(first_row, k)
-    return cancellable, _check_latin_square(t) is None
+    return sorted(first_row) == list(range(n)), _check_latin_square(t) is None

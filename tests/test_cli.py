@@ -6,9 +6,11 @@ import tracemalloc
 import pytest
 
 from quadlat import (
-    CayleyTable, cayley, cli, deduction, parse_table, quadratical_over_zm, write_table, zm,
+    CayleyTable, cayley, cli, deduction, parse_table, quadratical_over_zm, translatable,
+    write_table, zm,
 )
 from quadlat.cli import main
+from quadlat.errors import SearchCapExceeded
 
 
 def run(capsys, *argv):
@@ -304,6 +306,26 @@ def test_table_and_product_order_cap(capsys, tmp_path):
             assert (code, out) == (3, "")
             assert err == f"cap exceeded: order {order} exceeds the cap of 1025\n"
             assert peak < 1_000_000
+
+
+def test_translatable_order_cap():
+    # the k-translatable builders keep the same cap: each refuses past
+    # cayley.MAX_ORDER before the row or any table row is allocated, where
+    # build_idempotent_k_translatable(1031, 2) once built its whole table
+    for call, args, order in ((translatable.idempotent_first_row, (1027, 2), 1027),
+                              (translatable.build_idempotent_k_translatable, (1027, 2), 1027),
+                              (translatable.gcd_quasigroup_property_test, (range(1026), 1), 1026)):
+        tracemalloc.start()
+        t0 = time.monotonic()
+        try:
+            with pytest.raises(SearchCapExceeded,
+                               match=f"^order {order} exceeds the cap of 1025$"):
+                call(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.monotonic() - t0 < 1.0
+        assert peak < 1_000_000
 
 
 def test_refute_q6_command(capsys):

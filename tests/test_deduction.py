@@ -1,6 +1,7 @@
 import gc
 import re
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -22,8 +23,10 @@ from quadlat import (
 from quadlat import audit
 from quadlat.deduction import parse_choice
 from quadlat.errors import SearchCapExceeded
-from quadlat.qn import seed_assignments
-from quadlat.steps import MAX_BLOCKS, Conflict, ReplayError, Step
+from quadlat.qn import (
+    MAX_BLOCKS, canonical_labels, check_case, dual_element_map, seed_assignments,
+)
+from quadlat.steps import Conflict, ReplayError, Step
 
 import reference_replay
 from conftest import block_fixture_to_canonical, untrimmed
@@ -294,12 +297,32 @@ def test_block_count_and_choice_must_be_ints():
 
 
 def test_block_count_cap():
-    # refused before any table is allocated
-    for blocks in (MAX_BLOCKS + 1, 10 ** 6):
-        with pytest.raises(SearchCapExceeded, match=f"{blocks} blocks exceed"):
-            complete_qn(blocks, 1)
-        with pytest.raises(SearchCapExceeded):
-            refute_case(blocks, 2)
+    # every function that takes a block count refuses one past
+    # qn.MAX_BLOCKS before it allocates anything sized by it: without the
+    # cap canonical_labels(10**6) ran 14 s with a tracemalloc peak of
+    # 277 MB, and seed_assignments(10**5, 1) 33 s and 578 MB (2 CPUs,
+    # Python 3.11.7)
+    calls = (lambda b: complete_qn(b, 1), lambda b: refute_case(b, 2),
+             lambda b: check_case(b, 1), canonical_labels, dual_element_map,
+             lambda b: seed_assignments(b, 1))
+    for blocks in (MAX_BLOCKS + 1, 10 ** 6, 10 ** 9):
+        for call in calls:
+            tracemalloc.start()
+            t0 = time.monotonic()
+            try:
+                with pytest.raises(SearchCapExceeded, match=(
+                        f"^{blocks} blocks exceed the cap of 256 blocks \\(order 1025\\)$")):
+                    call(blocks)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert time.monotonic() - t0 < 1.0
+            assert peak < 1_000_000
+    # the cap is checked before the choice
+    with pytest.raises(SearchCapExceeded):
+        check_case(MAX_BLOCKS + 1, 5)
+    assert len(canonical_labels(MAX_BLOCKS)) == 4 * MAX_BLOCKS + 1 == 1025
+    assert len(dual_element_map(MAX_BLOCKS)) == 1024
 
 
 def test_replay_block_count_cap():

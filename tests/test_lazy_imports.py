@@ -137,6 +137,8 @@ def test_package_import_set(tmp_path):
         "quadlat", "quadlat.errors", "quadlat.cayley", "quadlat.qn", "quadlat.steps",
         "quadlat.audit"}
     assert loaded("from quadlat import CayleyTable", tmp_path) == {"quadlat", "quadlat.cayley"}
+    # the trace records alone: no cap, no seeds, no table
+    assert loaded("import quadlat.steps", tmp_path) == {"quadlat", "quadlat.steps"}
 
 
 def test_exported_names_resolve():
